@@ -66,18 +66,47 @@ class UniformScores:
 def scores_from_matrix(
     values: np.ndarray, locations: Sequence[LatticePoint]
 ) -> UniformScores:
-    """Column-wise modified-ECDF rank transform of a replicates-by-locations matrix."""
+    """Column-wise modified-ECDF rank transform of a replicates-by-locations matrix.
+
+    Each distinct column is ranked once, by one argsort of a contiguous copy
+    and a linear pass over the sorted values: every element of a run of equal
+    values gets the 1-based position of the run's last element.  A column
+    equal to an earlier one reuses its counts.  The counts are stored column
+    by column, so `rank_counts` and `scores` are F-contiguous.  NaN cells are
+    rejected; infinities rank as ordinary values.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ArgumentError("expected a 2-d matrix")
     n, k = values.shape
     if n < 1:
         raise ArgumentError("need at least one replicate")
-    counts = np.empty((n, k), dtype=np.int64)
+    counts = np.empty((k, n), dtype=np.int64)
+    col = np.empty(n)
+    srt = np.empty(n)
+    run_end = np.empty(n - 1, dtype=bool)
+    last = np.empty(n, dtype=np.int64)
+    positions = np.arange(1, n, dtype=np.int64)
+    first_with_hash: dict[int, int] = {}
     for c in range(k):
-        col = values[:, c]
-        counts[:, c] = np.searchsorted(np.sort(col), col, side="right")
-    return UniformScores(tuple(locations), counts)
+        np.copyto(col, values[:, c])
+        # equal hashes only suggest a repeat; array_equal decides
+        first = first_with_hash.setdefault(hash(col.tobytes()), c)
+        if first != c and np.array_equal(values[:, first], col):
+            counts[c] = counts[first]
+            continue
+        order = np.argsort(col)
+        np.take(col, order, out=srt)
+        if np.isnan(srt[-1]):  # argsort puts NaN last
+            row, column = np.argwhere(np.isnan(values))[0]
+            raise ArgumentError(f"NaN at row {row}, column {column}")
+        # last[i]: 1-based position of the end of the run holding sorted i
+        np.not_equal(srt[1:], srt[:-1], out=run_end)
+        last.fill(n)
+        np.copyto(last[:-1], positions, where=run_end)
+        np.minimum.accumulate(last[::-1], out=last[::-1])
+        counts[c, order] = last
+    return UniformScores(tuple(locations), counts.T)
 
 
 def rank_transform(sample: FieldSample) -> UniformScores:
@@ -118,7 +147,10 @@ def _epsilon_hat_fraction(scores: UniformScores, region: Region) -> Fraction:
     n = scores.n
     if n < 2:
         raise ArgumentError("need at least two replicates to estimate")
-    max_counts = scores.rank_counts[:, cols].max(axis=1)
+    counts = scores.rank_counts
+    max_counts = counts[:, cols[0]].copy()
+    for c in cols[1:]:
+        np.maximum(max_counts, counts[:, c], out=max_counts)
     numerator = int(max_counts.sum())  # sum of per-replicate max scores, times n+1
     total = n * (n + 1)
     if numerator >= total:

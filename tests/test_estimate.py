@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import m4extremes.estimate as estimate_module
 from m4extremes import (
     ArgumentError,
     CapacityError,
@@ -87,6 +88,70 @@ class TestRankTransform:
         a = rank_transform(sample)
         b = rank_transform(transformed)
         assert np.array_equal(a.rank_counts, b.rank_counts)
+
+
+# A small alphabet makes ties heavy; the infinities rank as ordinary values.
+ALPHABET = [-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf]
+
+
+@st.composite
+def tied_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    k = draw(st.integers(min_value=1, max_value=8))
+    cells = st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n)
+    columns = []
+    for c in range(k):
+        source = draw(st.integers(min_value=-1, max_value=c - 1))
+        columns.append(draw(cells) if source < 0 else columns[source])
+    return np.array(columns, dtype=float).T
+
+
+def brute_force_counts(values):
+    """O(n^2) reference: per column, the count of values <= each value."""
+    return np.column_stack(
+        [(col[None, :] <= col[:, None]).sum(1) for col in values.T]
+    )
+
+
+def points_for(values):
+    return [P(i, 0) for i in range(values.shape[1])]
+
+
+class TestRankOracle:
+    @given(tied_matrices())
+    def test_counts_match_brute_force(self, values):
+        expected = brute_force_counts(values)
+        for layout in (values, np.asfortranarray(values)):
+            scores = scores_from_matrix(layout, points_for(layout))
+            assert np.array_equal(scores.rank_counts, expected)
+            assert scores.rank_counts.flags.f_contiguous
+        strided = values[:, ::2]
+        scores = scores_from_matrix(strided, points_for(strided))
+        assert np.array_equal(scores.rank_counts, brute_force_counts(strided))
+
+    @given(tied_matrices())
+    def test_hash_collisions_cannot_change_counts(self, values):
+        estimate_module.hash = lambda _: 0  # every column collides
+        try:
+            scores = scores_from_matrix(values, points_for(values))
+        finally:
+            del estimate_module.hash
+        assert np.array_equal(scores.rank_counts, brute_force_counts(values))
+
+    def test_duplicate_column_counts_are_shared_read_only(self):
+        values = np.array([[3.0, 1.0, 3.0], [1.0, 1.0, 1.0], [2.0, 5.0, 2.0]])
+        scores = scores_from_matrix(values, points_for(values))
+        duplicate = scores.rank_counts[:, 2]
+        assert duplicate.tolist() == scores.rank_counts[:, 0].tolist() == [3, 1, 2]
+        assert not duplicate.flags.writeable
+        with pytest.raises(ValueError):
+            duplicate[0] = 7
+        assert scores.scores.flags.f_contiguous
+
+    def test_nan_cell_is_named(self):
+        values = np.array([[1.0, 2.0], [3.0, np.nan], [np.nan, 4.0]])
+        with pytest.raises(ArgumentError, match=r"NaN at row 1, column 1"):
+            scores_from_matrix(values, points_for(values))
 
 
 class TestExtremalCoefficientEstimate:
