@@ -23,7 +23,6 @@ from .dependence import (
 )
 from .errors import (
     ArgumentError,
-    CapacityError,
     DegenerateConditioningError,
     DomainError,
     EstimationError,

@@ -6,7 +6,7 @@ report.  Outputs default to JSON on stdout; table-shaped results accept
 and echoes it (plus the specification fingerprint and tool version) into
 its outputs.
 
-Exit codes: 0 success, 2 usage, 3 data/validation problem, 4 capacity cap.
+Exit codes: 0 success, 2 usage, 3 data/validation problem.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .dependence import (
     fragility_index,
     summarize,
 )
-from .errors import CapacityError, M4Error, ParseError
+from .errors import M4Error, ParseError
 from .estimate import (
     estimate_contagion,
     estimate_extremal_coefficient,
@@ -375,9 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except M4Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,27 +1,23 @@
 """Closed-form extremal dependence indices for moving-pattern fields.
 
 Every index here reduces to extremal coefficients of finite point sets,
-which for these fields are lag-wise maxima of per-location weights.  With
-rational weights all results are exact :class:`fractions.Fraction` values;
-with float weights, alternating sums run in a fixed subset-size order with
-compensated accumulation so results are deterministic.
+which for these fields are lag-wise maxima of per-location weights.  Joint
+exceedance rates follow from the max-min identity as sums of per-slot
+minima, so region conditioning costs O(|region| x slots) with no subset
+enumeration.  With rational weights all results are exact
+:class:`fractions.Fraction` values; with float weights, sums run in slot
+order with compensated accumulation so results are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ArgumentError, CapacityError, DegenerateConditioningError
+from .errors import ArgumentError, DegenerateConditioningError
 from .lattice import LatticePoint, Region, neighbors
 from .patterns import M4Spec, Weight
-
-# Hard cap on the point sets fed to subset enumeration (2**20 subsets).
-SUBSET_ENUMERATION_CAP = 20
-
-DEGENERATE_RATE = 1e-12
 
 
 def _ksum(terms: Iterable[Weight]) -> Weight:
@@ -34,6 +30,11 @@ def _ksum(terms: Iterable[Weight]) -> Weight:
         comp = (t - total) - y
         total = t
     return total
+
+
+def _slot_weights(spec: M4Spec, point: LatticePoint) -> tuple[Weight, ...]:
+    """Weights at `point` flattened over (pattern, lag) slots, pattern-major."""
+    return tuple(w for row in spec.patterns_at(point) for w in row)
 
 
 def exponent_value(spec: M4Spec, region: Region, scales: Sequence[Weight]) -> Weight:
@@ -51,12 +52,8 @@ def exponent_value(spec: M4Spec, region: Region, scales: Sequence[Weight]) -> We
         )
     if any(s <= 0 for s in scales):
         raise ArgumentError("scales must be strictly positive")
-    matrices = [spec.patterns_at(p) for p in points]
-    return _ksum(
-        max(matrices[j][li][gi] / scales[j] for j in range(len(points)))
-        for li in range(spec.n_patterns)
-        for gi in range(spec.lag_count)
-    )
+    slots = zip(*(_slot_weights(spec, p) for p in points))
+    return _ksum(max(w / s for w, s in zip(ws, scales)) for ws in slots)
 
 
 def extremal_coefficient(spec: M4Spec, region: Region) -> Weight:
@@ -64,12 +61,7 @@ def extremal_coefficient(spec: M4Spec, region: Region) -> Weight:
     points = region.points
     if not points:
         raise ArgumentError("region must contain at least one point")
-    matrices = [spec.patterns_at(p) for p in points]
-    return _ksum(
-        max(m[li][gi] for m in matrices)
-        for li in range(spec.n_patterns)
-        for gi in range(spec.lag_count)
-    )
+    return _ksum(map(max, zip(*(_slot_weights(spec, p) for p in points))))
 
 
 def extremal_coefficient_matrix(
@@ -98,66 +90,22 @@ def pairwise_tail_dependence(
     return 2 - extremal_coefficient(spec, Region((i, j)))
 
 
-def _capped_points(region: Region, what: str) -> tuple[LatticePoint, ...]:
-    if len(region) > SUBSET_ENUMERATION_CAP:
-        raise CapacityError(
-            f"{what} has {len(region)} points; subset enumeration is capped "
-            f"at {SUBSET_ENUMERATION_CAP}"
-        )
-    return region.points
-
-
-def _alternating_sum(
-    eps_of: Callable[[tuple[LatticePoint, ...]], Weight],
-    points: tuple[LatticePoint, ...],
-) -> Weight:
-    """Inclusion-exclusion sum of extremal coefficients over all non-empty subsets.
-
-    This is the rate, relative to 1-u, of the event that every point in
-    `points` exceeds the u-quantile as u -> 1.  Terms are accumulated by
-    subset size, smallest first, to pin down rounding in float mode.
-    """
-
-    def terms() -> Iterable[Weight]:
-        for size in range(1, len(points) + 1):
-            sign = 1 if size % 2 == 1 else -1
-            for combo in combinations(points, size):
-                yield sign * eps_of(combo)
-
-    return _ksum(terms())
-
-
-def _cached_eps(spec: M4Spec) -> Callable[[tuple[LatticePoint, ...]], Weight]:
-    cache: dict[frozenset, Weight] = {}
-
-    def eps_of(combo: tuple[LatticePoint, ...]) -> Weight:
-        key = frozenset(combo)
-        value = cache.get(key)
-        if value is None:
-            value = extremal_coefficient(spec, Region(combo))
-            cache[key] = value
-        return value
-
-    return eps_of
-
-
 def multivariate_tail_dependence(
     spec: M4Spec, target: Region, given: Region
 ) -> Weight:
     """Limiting probability that all of `target` exceed a high quantile,
     conditional on all of `given` exceeding it.
 
-    Evaluated through inclusion-exclusion over extremal coefficients; a
-    conditioning set whose joint exceedance rate vanishes (e.g. independent
-    sites) raises :class:`DegenerateConditioningError`.
+    The joint exceedance rate of a set is the sum over slots of its smallest
+    weight; a conditioning set whose rate vanishes (e.g. independent sites)
+    raises :class:`DegenerateConditioningError`.
     """
     if not len(target) or not len(given):
         raise ArgumentError("target and conditioning regions must be non-empty")
-    union = _capped_points(target.union(given), "target/conditioning union")
-    eps_of = _cached_eps(spec)
-    numerator = _alternating_sum(eps_of, union)
-    denominator = _alternating_sum(eps_of, given.points)
-    if denominator <= DEGENERATE_RATE:
+    union = target.union(given)
+    numerator = _ksum(map(min, zip(*(_slot_weights(spec, p) for p in union))))
+    denominator = _ksum(map(min, zip(*(_slot_weights(spec, p) for p in given))))
+    if denominator <= 0:
         raise DegenerateConditioningError(
             f"joint exceedance rate of the conditioning region is {denominator}; "
             "the conditional tail dependence is undefined"
@@ -182,23 +130,18 @@ def contagion_index(spec: M4Spec, region: Region, site: LatticePoint) -> Weight:
 
 def contagion_index_region(spec: M4Spec, region: Region, given: Region) -> Weight:
     """Limiting expected number of region exceedances given at least one
-    exceedance in the conditioning region `given`."""
+    exceedance in the conditioning region `given`.
+
+    The rate of "j and any of `given`" exceed is the sum over slots of
+    min(w_j, max over `given`), so no subset of `given` is enumerated.
+    """
     if not len(region) or not len(given):
         raise ArgumentError("regions must be non-empty")
-    given_points = _capped_points(given, "conditioning region")
-    eps_of = _cached_eps(spec)
-
-    def per_target_terms(j: LatticePoint) -> Iterable[Weight]:
-        for size in range(1, len(given_points) + 1):
-            sign = 1 if size % 2 == 1 else -1
-            for combo in combinations(given_points, size):
-                joint = combo if j in combo else combo + (j,)
-                yield sign * _alternating_sum(eps_of, joint)
-
+    given_max = tuple(map(max, zip(*(_slot_weights(spec, p) for p in given))))
     numerator = _ksum(
-        _ksum(per_target_terms(j)) for j in region.points
+        _ksum(map(min, _slot_weights(spec, j), given_max)) for j in region
     )
-    return numerator / eps_of(given_points)
+    return numerator / _ksum(given_max)
 
 
 def fragility_index(spec: M4Spec, region: Region) -> Weight:

@@ -21,12 +21,8 @@ class DomainError(M4Error, LookupError):
     """A lattice location lies outside the specification's domain."""
 
 
-class CapacityError(M4Error):
-    """A subset enumeration would exceed the configured size cap."""
-
-
 class DegenerateConditioningError(M4Error, ArithmeticError):
-    """The conditioning event of a tail-dependence ratio has rate ~ 0."""
+    """The conditioning event of a tail-dependence ratio has rate 0."""
 
 
 class UndefinedConditionalError(M4Error):

@@ -13,18 +13,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .dependence import (
-    SUBSET_ENUMERATION_CAP,
-    _alternating_sum,
-    contagion_index,
-    stability_index,
-)
-from .errors import ArgumentError, CapacityError, EstimationError
+from .dependence import contagion_index, stability_index
+from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
 from .simulate import FieldSample, simulate_m4
@@ -190,6 +184,8 @@ def estimate_stability(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> float:
     """Plug-in stability index from pairwise and joint coefficient estimates."""
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
     pair_sum = Fraction(0)
     for j in region:
         pair_sum += _epsilon_hat_fraction(scores, Region((site, j)))
@@ -209,36 +205,22 @@ def estimate_contagion_region(
 ) -> float:
     """Plug-in region-to-region contagion index.
 
-    Mirrors the exact reduction (inclusion-exclusion over coefficient
-    estimates).  No external benchmark exists for this quantity; it is
-    provided for exploratory use under the same size cap as the exact path.
+    Mirrors the exact reduction: the rate of "j and any of `given`" exceed
+    is theta_j + theta_G - theta_(G+j), with the singleton estimate theta_j
+    (not 1, which it differs from under ties).  No external benchmark exists
+    for this quantity; it is provided for exploratory use.
     """
     if not len(region) or not len(given):
         raise ArgumentError("regions must be non-empty")
-    if len(given) > SUBSET_ENUMERATION_CAP:
-        raise CapacityError(
-            f"conditioning region has {len(given)} points; capped at "
-            f"{SUBSET_ENUMERATION_CAP}"
-        )
-    cache: dict[frozenset, Fraction] = {}
-
-    def eps_of(combo: tuple[LatticePoint, ...]) -> Fraction:
-        key = frozenset(combo)
-        value = cache.get(key)
-        if value is None:
-            value = _epsilon_hat_fraction(scores, Region(combo))
-            cache[key] = value
-        return value
-
-    given_points = given.points
+    theta_given = _epsilon_hat_fraction(scores, given)
     numerator = Fraction(0)
     for j in region:
-        for size in range(1, len(given_points) + 1):
-            sign = 1 if size % 2 == 1 else -1
-            for combo in combinations(given_points, size):
-                joint = combo if j in combo else combo + (j,)
-                numerator += sign * _alternating_sum(eps_of, joint)
-    return float(numerator / eps_of(given_points))
+        numerator += (
+            _epsilon_hat_fraction(scores, Region((j,)))
+            + theta_given
+            - _epsilon_hat_fraction(scores, given.with_point(j))
+        )
+    return float(numerator / theta_given)
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,10 @@ def empirical_stability(
         raise ArgumentError("region must contain at least one point")
     s = _score_columns(sample, scores)
     site_scores = s[:, sample.column_index(site)]
-    region_scores = s[:, [sample.column_index(p) for p in region]]
-    region_high = region_scores > u
+    # compare column by column: a copy of the region's scores is not needed
+    region_high = np.empty((len(site_scores), len(region)), dtype=bool, order="F")
+    for c, p in enumerate(region):
+        np.greater(s[:, sample.column_index(p)], u, out=region_high[:, c])
     crossings = region_high[site_scores <= u]
     total_crossings = int(crossings.sum())
     if total_crossings == 0:

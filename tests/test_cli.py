@@ -135,22 +135,22 @@ class TestExact:
         assert code == 0
         assert json.loads(out)["fragility_index"] == 1.0
 
-    def test_capacity_exit_code(self, capsys):
-        region = ";".join(f"{x},0" for x in range(21))  # 21 sites
-        code, _, err = run(
+    def test_large_conditioning_region(self, capsys):
+        given = ";".join(f"{x},{y}" for x in range(-3, 4) for y in range(3))  # 21 sites
+        code, out, _ = run(
             capsys,
             "exact",
             "--spec",
-            "one-pattern",
+            "two-pattern",
             "--site",
             "0,0",
-            "--region",
-            "1,0",
-            "--given",
-            region,
+            f"--region={given}",  # '=' keeps a leading '-' from reading as a flag
+            f"--given={given}",
         )
-        assert code == 4
-        assert "capped" in err
+        assert code == 0
+        doc = json.loads(out)
+        assert 1 <= doc["fragility_index"] <= 21
+        assert doc["region_to_region_contagion"] == doc["fragility_index"]
 
     def test_site_outside_domain_exits_3(self, capsys):
         code, _, err = run(

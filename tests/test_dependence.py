@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from m4extremes import (
     ArgumentError,
-    CapacityError,
     DegenerateConditioningError,
     DomainError,
     LatticePoint,
@@ -59,6 +58,13 @@ DEPENDENT3 = M4Spec.from_table(
 
 TRIPLE = Region([P(0, 0), P(1, 0), P(2, 0)])
 PAIR_A = Region([P(1, 0), P(2, 0)])
+
+# the same two layouts over 100 sites
+HUNDRED = Region([P(i, 0) for i in range(100)])
+INDEPENDENT100 = M4Spec.from_table(
+    100, 1, 1, {p: [[int(i == k)] for k in range(100)] for i, p in enumerate(HUNDRED)}
+)
+DEPENDENT100 = M4Spec.from_table(1, 1, 2, {p: [[F(2, 3), F(1, 3)]] for p in HUNDRED})
 
 
 class TestExponentValue:
@@ -185,11 +191,15 @@ class TestMultivariateTailDependence:
                 INDEPENDENT3, Region([P(0, 0)]), Region([P(1, 0), P(2, 0)])
             )
 
-    def test_capacity_guard(self):
-        big = M4Spec.from_table(1, 1, 1, {P(i, 0): [[1]] for i in range(21)})
-        full = Region([P(i, 0) for i in range(21)])
-        with pytest.raises(CapacityError):
-            multivariate_tail_dependence(big, full, Region([P(0, 0)]))
+    def test_tiny_joint_rate_is_not_degenerate(self):
+        # only a vanishing rate is degenerate; 1e-15 is a rate like any other
+        tiny = F(1, 10**15)
+        spec = M4Spec.from_table(
+            3, 1, 1, {P(0, 0): [[tiny], [1 - tiny], [0]], P(1, 0): [[tiny], [0], [1 - tiny]]}
+        )
+        both = Region([P(0, 0), P(1, 0)])
+        for mode in (spec, spec.as_float()):
+            assert multivariate_tail_dependence(mode, Region([P(0, 0)]), both) == 1
 
     def test_empty_regions_rejected(self, one_pattern_spec):
         with pytest.raises(ArgumentError):
@@ -248,11 +258,13 @@ class TestContagionIndexRegion:
         )
         assert got == F(20, 31)  # frozen: hand reduction, MC-checked in acceptance
 
-    def test_capacity_guard(self):
-        big = M4Spec.from_table(1, 1, 1, {P(i, 0): [[1]] for i in range(21)})
-        full = Region([P(i, 0) for i in range(21)])
-        with pytest.raises(CapacityError):
-            contagion_index_region(big, Region([P(0, 0)]), full)
+    def test_conditioning_on_hundred_sites(self):
+        # polar values at |G| = 100, far past what subset enumeration reaches
+        assert fragility_index(DEPENDENT100, HUNDRED) == 100
+        assert fragility_index(INDEPENDENT100, HUNDRED) == 1
+        assert multivariate_tail_dependence(DEPENDENT100, HUNDRED, HUNDRED) == 1
+        with pytest.raises(DegenerateConditioningError):
+            multivariate_tail_dependence(INDEPENDENT100, HUNDRED, HUNDRED)
 
 
 class TestFragilityIndex:

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import m4extremes.estimate as estimate_module
 from m4extremes import (
     ArgumentError,
-    CapacityError,
     EstimationError,
     FieldSample,
     LatticePoint,
@@ -250,13 +249,16 @@ class TestPluginIndices:
         via_region = estimate_contagion_region(scores, small, Region([site]))
         assert via_region == pytest.approx(direct, rel=1e-12)
 
-    def test_region_form_capacity(self):
-        points = tuple(P(i, 0) for i in range(21))
-        scores = rank_transform(
-            FieldSample(points, np.random.default_rng(0).uniform(1, 2, (3, 21)))
-        )
-        with pytest.raises(CapacityError):
-            estimate_contagion_region(scores, Region([points[0]]), Region(points))
+    def test_empty_region_rejected(self):
+        scores = rank_transform(sample_of([[1.0, 5.0, 2.0], [3.0, 1.0, 2.0]]))
+        message = "region must contain at least one point"
+        with pytest.raises(ArgumentError, match=message):
+            estimate_contagion(scores, Region([]), P(0, 0))
+        with pytest.raises(ArgumentError, match=message):
+            estimate_stability(scores, Region([]), P(0, 0))
+        for region, given in ((Region([]), A2), (A2, Region([]))):
+            with pytest.raises(ArgumentError, match="regions must be non-empty"):
+                estimate_contagion_region(scores, region, given)
 
 
 class TestMonteCarloStudy:
