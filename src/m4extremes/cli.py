@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -67,18 +68,15 @@ def _parse_region(text: str, site: LatticePoint | None = None) -> Region:
 
 
 def _load_spec_arg(value: str) -> M4Spec:
-    path = Path(value)
-    if path.exists():
-        spec = load_spec(path)
-    elif value in PRESETS:
-        spec = preset(value)
-    else:
-        raise ParseError(
-            f"{value!r} is neither a spec file nor a preset name "
-            f"(presets: {sorted(PRESETS)})"
-        )
-    validate(spec).raise_if_invalid()
-    return spec
+    """A validated specification from a spec file or a preset name."""
+    if Path(value).exists():
+        return load_spec(value)
+    if value in PRESETS:
+        return preset(value)
+    raise ParseError(
+        f"{value!r} is neither a spec file nor a preset name "
+        f"(presets: {sorted(PRESETS)})"
+    )
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
@@ -367,10 +365,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_POINT_OPTIONS = ("--site", "--region", "--given", "--locations")
+
+
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """'--site -1,2' -> '--site=-1,2', as argparse takes '-1,2' for a flag."""
+    bound: list[str] = []
+    for token in argv:
+        if bound and bound[-1] in _POINT_OPTIONS and re.match(r"-\d", token):
+            token = f"{bound.pop()}={token}"
+        bound.append(token)
+    return bound
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_values(argv))
     except SystemExit as exc:  # argparse already printed usage/diagnostics
         return int(exc.code or 0)
     try:

@@ -8,14 +8,15 @@ every downstream index exact) or floats.
 
 Two storage forms are supported: a list of predicate rules evaluated
 first-match-wins over a rectangular domain, and an explicit per-location
-table.  The JSON wire format covers the rule form only.
+table.  Both compile to one lookup, distinct matrices plus a location-to-row
+index.  The JSON wire format covers the rule form only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -85,13 +86,6 @@ class PatternRule:
     def matches(self, point: LatticePoint) -> bool:
         return PREDICATES[self.predicate](point)
 
-    def total(self) -> Weight:
-        total: Weight = Fraction(0)
-        for row in self.patterns:
-            for w in row:
-                total = total + w
-        return total
-
 
 @dataclass(frozen=True)
 class SumViolation:
@@ -136,7 +130,9 @@ class M4Spec:
     """Finite family of moving-pattern weights over a lattice domain.
 
     Immutable after construction; build through :meth:`from_rules` or
-    :meth:`from_table`, which validate weights unless told not to.
+    :meth:`from_table`, which validate weights unless told not to.  Either
+    form compiles to `matrices` (rule matrices in rule order, or distinct
+    table matrices in order of first appearance) and :meth:`matrix_index`.
     """
 
     n_patterns: int
@@ -145,9 +141,8 @@ class M4Spec:
     domain: LatticeRect | None
     rules: tuple[PatternRule, ...] | None = None
     table: tuple[tuple[LatticePoint, PatternMatrix], ...] | None = None
-    _table_lookup: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    matrices: tuple[PatternMatrix, ...] = field(init=False, repr=False, compare=False)
+    _table_rows: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_patterns < 1:
@@ -168,17 +163,31 @@ class M4Spec:
                     raise ArgumentError(
                         f"rule patterns have shape {got}, expected {shape}"
                     )
-        else:
-            assert self.table is not None
-            entries = tuple(sorted(self.table, key=lambda e: e[0]))
-            object.__setattr__(self, "table", entries)
-            for point, matrix in entries:
-                got = (len(matrix), len(matrix[0]))
-                if got != shape:
-                    raise ArgumentError(
-                        f"table entry at {point} has shape {got}, expected {shape}"
-                    )
-            self._table_lookup.update(entries)
+            object.__setattr__(self, "matrices", tuple(r.patterns for r in self.rules))
+            object.__setattr__(self, "_table_rows", None)
+            return
+        assert self.table is not None
+        entries = tuple(sorted(self.table, key=lambda e: e[0]))
+        rows: dict[LatticePoint, int] = {}
+        # keyed by repr, which keeps 1/2 apart from 0.5 and -0.0 apart from 0.0
+        distinct: dict[str, int] = {}
+        matrices: list[PatternMatrix] = []
+        for point, matrix in entries:
+            got = (len(matrix), len(matrix[0]))
+            if got != shape:
+                raise ArgumentError(
+                    f"table entry at {point} has shape {got}, expected {shape}"
+                )
+            if point in rows:
+                raise ArgumentError(f"duplicate table point {point}")
+            key = repr(matrix)
+            if key not in distinct:
+                distinct[key] = len(matrices)
+                matrices.append(matrix)
+            rows[point] = distinct[key]
+        object.__setattr__(self, "table", entries)
+        object.__setattr__(self, "matrices", tuple(matrices))
+        object.__setattr__(self, "_table_rows", rows)
 
     # -- construction ------------------------------------------------------
 
@@ -226,33 +235,27 @@ class M4Spec:
     def lags(self) -> range:
         return range(self.m_min, self.m_max + 1)
 
-    def in_domain(self, point: LatticePoint) -> bool:
-        if self.rules is not None:
-            assert self.domain is not None
-            return point in self.domain
-        return point in self._table_lookup
-
     def domain_points(self) -> tuple[LatticePoint, ...]:
-        if self.rules is not None:
-            assert self.domain is not None
-            return tuple(self.domain.points())
-        assert self.table is not None
-        return tuple(point for point, _ in self.table)
+        if self._table_rows is not None:
+            return tuple(self._table_rows)  # sorted table order
+        assert self.domain is not None
+        return tuple(self.domain.points())
+
+    def matrix_index(self, point: LatticePoint) -> int:
+        """Row of `matrices` holding the weights at `point`; DomainError outside."""
+        if self._table_rows is not None:
+            row = self._table_rows.get(point)
+            if row is None:
+                raise DomainError(f"location {point} not in specification table")
+            return row
+        assert self.domain is not None and self.rules is not None
+        if point not in self.domain:
+            raise DomainError(f"location {point} outside domain {self.domain}")
+        return next(i for i, rule in enumerate(self.rules) if rule.matches(point))
 
     def patterns_at(self, point: LatticePoint) -> PatternMatrix:
         """Weight matrix at `point`; raises DomainError outside the domain."""
-        if self.rules is not None:
-            assert self.domain is not None
-            if point not in self.domain:
-                raise DomainError(f"location {point} outside domain {self.domain}")
-            for rule in self.rules:
-                if rule.matches(point):
-                    return rule.patterns
-            raise AssertionError("unreachable: final rule is 'always'")
-        matrix = self._table_lookup.get(point)
-        if matrix is None:
-            raise DomainError(f"location {point} not in specification table")
-        return matrix
+        return self.matrices[self.matrix_index(point)]
 
     def coefficient(self, pattern: int, lag: int, point: LatticePoint) -> Weight:
         """Weight for (pattern, lag) at `point`; zero outside the index box."""
@@ -266,7 +269,7 @@ class M4Spec:
     def is_exact(self) -> bool:
         """True when every weight is a Fraction (rational mode)."""
         return all(
-            isinstance(w, Fraction) for matrix in self._matrices() for row in matrix for w in row
+            isinstance(w, Fraction) for matrix in self.matrices for row in matrix for w in row
         )
 
     def as_float(self) -> "M4Spec":
@@ -275,20 +278,11 @@ class M4Spec:
         def conv(matrix: PatternMatrix) -> tuple[tuple[float, ...], ...]:
             return tuple(tuple(float(w) for w in row) for row in matrix)
 
-        if self.rules is not None:
-            rules = tuple(
-                PatternRule(r.predicate, conv(r.patterns)) for r in self.rules
-            )
-            return M4Spec(self.n_patterns, self.m_min, self.m_max, self.domain, rules=rules)
-        assert self.table is not None
-        table = tuple((p, conv(m)) for p, m in self.table)
-        return M4Spec(self.n_patterns, self.m_min, self.m_max, None, table=table)
-
-    def _matrices(self) -> Iterable[PatternMatrix]:
-        if self.rules is not None:
-            return (r.patterns for r in self.rules)
-        assert self.table is not None
-        return (m for _, m in self.table)
+        if self.rules is None:
+            assert self.table is not None
+            return replace(self, table=tuple((p, conv(m)) for p, m in self.table))
+        rules = tuple(PatternRule(r.predicate, conv(r.patterns)) for r in self.rules)
+        return replace(self, rules=rules)
 
     def fingerprint(self) -> str:
         """Stable 64-bit content hash of the specification (hex)."""
@@ -301,9 +295,10 @@ class M4Spec:
 # -- validation -------------------------------------------------------------
 
 
-def _location_violations(
-    spec: M4Spec, point: LatticePoint, matrix: PatternMatrix
-) -> tuple[SumViolation | None, list[NegativeEntry]]:
+def _matrix_problems(
+    spec: M4Spec, matrix: PatternMatrix
+) -> tuple[Weight | None, list[tuple[int, int, Weight]]]:
+    """The total of `matrix` if it is not one, and its negative entries."""
     negatives = []
     total: Weight = Fraction(0)
     exact = True
@@ -312,15 +307,13 @@ def _location_violations(
             if not isinstance(w, Fraction):
                 exact = False
             if w < 0:
-                negatives.append(
-                    NegativeEntry(li + 1, spec.m_min + gi, point, w)
-                )
+                negatives.append((li + 1, spec.m_min + gi, w))
             total = total + w
     if exact:
         bad_sum = total != 1
     else:
         bad_sum = abs(total - 1) > SUM_TOLERANCE
-    return (SumViolation(point, total) if bad_sum else None), negatives
+    return (total if bad_sum else None), negatives
 
 
 def validate(spec: M4Spec) -> ValidationReport:
@@ -328,15 +321,19 @@ def validate(spec: M4Spec) -> ValidationReport:
 
     Rational weights must sum to one exactly; any location containing a
     float weight is held to the 1e-12 tolerance instead.  Every violating
-    location is reported.
+    location is reported.  Each distinct matrix is checked once; a bad
+    matrix that no domain location uses is not reported.
     """
+    problems = [_matrix_problems(spec, m) for m in spec.matrices]
+    if not any(total is not None or negs for total, negs in problems):
+        return ValidationReport(ok=True)
     sums: list[SumViolation] = []
     negatives: list[NegativeEntry] = []
     for point in spec.domain_points():
-        violation, negs = _location_violations(spec, point, spec.patterns_at(point))
-        if violation is not None:
-            sums.append(violation)
-        negatives.extend(negs)
+        total, negs = problems[spec.matrix_index(point)]
+        if total is not None:
+            sums.append(SumViolation(point, total))
+        negatives.extend(NegativeEntry(li, lag, point, w) for li, lag, w in negs)
     return ValidationReport(
         ok=not sums and not negatives,
         sum_violations=tuple(sums),
@@ -419,37 +416,23 @@ def _encode_weight(w: Weight) -> str | float:
     return float(w)
 
 
+def _encode_matrix(matrix: PatternMatrix) -> list[list[str | float]]:
+    return [[_encode_weight(w) for w in row] for row in matrix]
+
+
 def _canonical_dict(spec: M4Spec) -> dict:
-    if spec.rules is not None:
-        assert spec.domain is not None
-        return {
-            "L": spec.n_patterns,
-            "m_min": spec.m_min,
-            "m_max": spec.m_max,
-            "domain": {
-                "x_min": spec.domain.x_min,
-                "x_max": spec.domain.x_max,
-                "y_min": spec.domain.y_min,
-                "y_max": spec.domain.y_max,
-            },
-            "rules": [
-                {
-                    "predicate": r.predicate,
-                    "patterns": [[_encode_weight(w) for w in row] for row in r.patterns],
-                }
-                for r in spec.rules
-            ],
-        }
-    assert spec.table is not None
-    return {
-        "L": spec.n_patterns,
-        "m_min": spec.m_min,
-        "m_max": spec.m_max,
-        "table": [
-            [p.x, p.y, [[_encode_weight(w) for w in row] for row in matrix]]
-            for p, matrix in spec.table
-        ],
-    }
+    doc: dict = {"L": spec.n_patterns, "m_min": spec.m_min, "m_max": spec.m_max}
+    if spec.rules is None:
+        assert spec.table is not None
+        doc["table"] = [[p.x, p.y, _encode_matrix(m)] for p, m in spec.table]
+        return doc
+    assert spec.domain is not None
+    doc["domain"] = asdict(spec.domain)  # x_min, x_max, y_min, y_max
+    doc["rules"] = [
+        {"predicate": r.predicate, "patterns": _encode_matrix(r.patterns)}
+        for r in spec.rules
+    ]
+    return doc
 
 
 def to_json_dict(spec: M4Spec) -> dict:

@@ -94,10 +94,11 @@ def simulate_m4(
     points = region.points
     if not points:
         raise ArgumentError("need at least one location")
-    weights = np.array(
-        [[[float(w) for w in row] for row in spec.patterns_at(p)] for p in points]
-    )  # (k, L, lags)
-    k, n_patterns, lag_count = weights.shape
+    # one column per distinct matrix, copied to every location that shares it
+    distinct: dict[int, int] = {}  # row of spec.matrices -> column of `block`
+    columns = [distinct.setdefault(spec.matrix_index(p), len(distinct)) for p in points]
+    weights = np.array([spec.matrices[row] for row in distinct], dtype=float)
+    k, n_patterns, lag_count = len(points), spec.n_patterns, spec.lag_count
     draws_per_row = n_patterns * lag_count
     seed = seed & U64_MASK
 
@@ -107,7 +108,9 @@ def simulate_m4(
         rows = min(chunk_rows, n - r0)
         u = uniform_block(seed, r0 * draws_per_row, rows * draws_per_row)
         z = -1.0 / np.log(u.reshape(rows, 1, n_patterns, lag_count))
-        np.max(weights[None] * z, axis=(2, 3), out=values[r0 : r0 + rows])
+        block = np.max(weights[None] * z, axis=(2, 3))  # (rows, distinct)
+        # mode="clip" (columns are in range) writes into `out` unbuffered
+        np.take(block, columns, axis=1, out=values[r0 : r0 + rows], mode="clip")
 
     return FieldSample(points, values, seed, spec.fingerprint())
 

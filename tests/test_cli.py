@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from m4extremes import LatticePoint, Region, load_spec, neighbors, preset
+from m4extremes import contagion_index, contagion_index_region
 from m4extremes import estimate_contagion, rank_transform, read_sample_csv
 from m4extremes.cli import main
 from conftest import DATA_DIR
@@ -172,6 +173,56 @@ class TestExact:
             "--region", "neighbors",
         )
         assert code == 3
+
+
+class TestNegativeCoordinates:
+    """Point values that start with '-' are values, not option flags."""
+
+    def test_site(self, capsys):
+        code, out, _ = run(
+            capsys, "exact", "--spec", "one-pattern", "--site", "-1,2",
+            "--region", "neighbors",
+        )
+        assert code == 0
+        site = P(-1, 2)
+        expected = contagion_index(preset("one-pattern"), neighbors(site), site)
+        assert json.loads(out)["contagion_index"]["exact"] == str(expected)
+
+    def test_region(self, capsys):
+        code, out, _ = run(
+            capsys, "exact", "--spec", "one-pattern", "--site", "0,0",
+            "--region", "-1,0;-2,-3",
+        )
+        assert code == 0
+        assert json.loads(out)["region"] == ["(-1,0)", "(-2,-3)"]
+
+    def test_given(self, capsys):
+        code, out, _ = run(
+            capsys, "exact", "--spec", "one-pattern", "--site", "0,0",
+            "--region", "0,1", "--given", "-1,0;-2,0",
+        )
+        assert code == 0
+        spec = preset("one-pattern")
+        expected = contagion_index_region(
+            spec, Region([P(0, 1)]), Region([P(-1, 0), P(-2, 0)])
+        )
+        assert json.loads(out)["region_to_region_contagion"] == float(expected)
+
+    def test_locations(self, capsys, tmp_path):
+        out = tmp_path / "neg.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--spec", "one-pattern", "--locations", "-3,-3;-2,-3",
+            "--n", "4", "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert read_sample_csv(out).locations == (P(-3, -3), P(-2, -3))
+
+    def test_option_is_not_taken_for_a_value(self, capsys):
+        code, _, err = run(
+            capsys, "exact", "--spec", "one-pattern", "--site", "--region", "neighbors",
+        )
+        assert code == 2
+        assert "--site" in err
 
 
 class TestSimulateEstimate:

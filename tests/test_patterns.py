@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from m4extremes import (
     to_json_dict,
     validate,
 )
+from m4extremes.patterns import NegativeEntry, SumViolation, ValidationReport
 
 P = LatticePoint
 
@@ -126,6 +128,12 @@ class TestStructure:
     def test_unknown_predicate(self):
         with pytest.raises(ArgumentError):
             PatternRule("every_other_tuesday", ((F(1, 1),),))
+
+    def test_duplicate_table_point_rejected(self):
+        point = P(0, 0)
+        table = ((point, ((F(1, 2), F(1, 2)),)), (point, ((F(1, 4), F(3, 4)),)))
+        with pytest.raises(ArgumentError, match=r"duplicate table point \(0,0\)"):
+            M4Spec(1, 1, 2, None, table=table)
 
     def test_rules_or_table_exactly_one(self):
         with pytest.raises(ArgumentError):
@@ -240,3 +248,100 @@ def test_per_location_totals_are_one(one_pattern_spec, two_pattern_spec):
                 for m in spec.lags
             )
             assert total == 1
+
+
+class TestCompiledMatrices:
+    def test_rule_matrices_in_rule_order(self, two_pattern_spec):
+        assert two_pattern_spec.matrices == tuple(r.patterns for r in two_pattern_spec.rules)
+        assert two_pattern_spec.matrix_index(P(3, 3)) == 0
+        assert two_pattern_spec.matrix_index(P(2, 3)) == 1
+        with pytest.raises(DomainError):
+            two_pattern_spec.matrix_index(P(11, 0))
+
+    def test_table_matrices_distinct_in_first_appearance_order(self):
+        a, b = [[F(1, 2), F(1, 2)]], [[F(1, 4), F(3, 4)]]
+        spec = M4Spec.from_table(1, 1, 2, {P(2, 0): a, P(0, 0): b, P(1, 0): b, P(3, 0): a})
+        assert spec.matrices == (((F(1, 4), F(3, 4)),), ((F(1, 2), F(1, 2)),))
+        assert [spec.matrix_index(p) for p in spec.domain_points()] == [0, 0, 1, 1]
+        with pytest.raises(DomainError):
+            spec.matrix_index(P(4, 0))
+
+    def test_equal_values_of_different_types_stay_apart(self):
+        spec = M4Spec.from_table(
+            1, 1, 2, {P(0, 0): [[F(1, 2), F(1, 2)]], P(1, 0): [[0.5, 0.5]],
+                      P(2, 0): [[0.0, 1.0]], P(3, 0): [[-0.0, 1.0]]},
+        )
+        assert len(spec.matrices) == 4
+        assert isinstance(spec.coefficient(1, 1, P(0, 0)), F)
+        assert isinstance(spec.coefficient(1, 1, P(1, 0)), float)
+        assert math.copysign(1, spec.coefficient(1, 1, P(3, 0))) == -1
+        assert not spec.is_exact()
+
+
+def brute_force_validate(spec):
+    """Per-location validation that re-sums each location's own matrix,
+    found by evaluating the rules or reading the table directly."""
+    table = dict(spec.table or ())
+    sums, negatives = [], []
+    for point in spec.domain_points():
+        if spec.rules is None:
+            matrix = table[point]
+        else:
+            matrix = next(r.patterns for r in spec.rules if r.matches(point))
+        total, exact = F(0), True
+        for li, row in enumerate(matrix):
+            for gi, w in enumerate(row):
+                exact = exact and isinstance(w, F)
+                if w < 0:
+                    negatives.append(NegativeEntry(li + 1, spec.m_min + gi, point, w))
+                total = total + w
+        if (total != 1) if exact else (abs(total - 1) > 1e-12):
+            sums.append(SumViolation(point, total))
+    return ValidationReport(not sums and not negatives, tuple(sums), tuple(negatives))
+
+
+class TestValidationOracle:
+    def test_bad_always_rule_covering_many_sites(self):
+        domain = LatticeRect(-3, 3, -2, 2)
+        rules = (
+            PatternRule("abscissa_even", ((F(4, 5), F(1, 5)),)),
+            PatternRule("both_odd", ((F(6, 5), F(-1, 5)),)),  # sums to 1
+            PatternRule("always", ((F(-1, 4), F(1, 2)),)),  # sums to 1/4
+        )
+        spec = M4Spec.from_rules(1, 1, 2, domain, rules, check=False)
+        report = validate(spec)
+        assert report == brute_force_validate(spec)
+        always_sites = [p for p in spec.domain_points() if p.x % 2 and not p.y % 2]
+        assert len(always_sites) == 12
+        assert [v.location for v in report.sum_violations] == always_sites
+        assert all(v.total == F(1, 4) for v in report.sum_violations)
+        odd_sites = [p for p in spec.domain_points() if p.x % 2]
+        assert [e.location for e in report.negative_entries] == odd_sites
+        assert {(e.pattern, e.lag) for e in report.negative_entries} == {(1, 1), (1, 2)}
+
+    def test_unmatched_bad_rule_not_reported(self):
+        rules = (
+            PatternRule("both_odd", ((F(-1, 2), F(1, 4)),)),
+            PatternRule("always", ((F(1, 2), F(1, 2)),)),
+        )
+        for domain in (LatticeRect(2, 2, -3, 3), LatticeRect(-3, 3, 0, 0)):
+            spec = M4Spec.from_rules(1, 1, 2, domain, rules)  # validates
+            assert validate(spec) == brute_force_validate(spec) == ValidationReport(True)
+
+    def test_float_tolerance_matches_brute_force(self):
+        within = [[0.5, 0.5 + 5e-13]]
+        beyond = [[0.5, 0.5 + 2e-12]]
+        negative = [[1.25, -0.25]]
+        entries = {}
+        for i, matrix in enumerate([within, beyond, negative, beyond, within, negative]):
+            entries[P(i, 0)] = matrix
+            entries[P(i, 1)] = [[F(1, 3), F(2, 3)]]
+        spec = M4Spec.from_table(1, 1, 2, entries, check=False)
+        assert len(spec.matrices) == 4
+        report = validate(spec)
+        assert report == brute_force_validate(spec)
+        assert [v.location for v in report.sum_violations] == [P(1, 0), P(3, 0)]
+        assert all(v.total == 0.5 + (0.5 + 2e-12) for v in report.sum_violations)
+        assert [e.location for e in report.negative_entries] == [P(2, 0), P(5, 0)]
+        all_float = spec.as_float()
+        assert validate(all_float) == brute_force_validate(all_float)

@@ -1,9 +1,12 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from m4extremes import simulate
 from m4extremes import (
     ArgumentError,
     FieldSample,
@@ -16,11 +19,13 @@ from m4extremes import (
     empirical_stability,
     export_sample,
     neighbors,
+    preset,
     rank_transform,
     read_sample_csv,
     simulate_m4,
     unit_frechet_quantile,
 )
+from m4extremes.rng import U64_MASK, uniform_block
 
 P = LatticePoint
 
@@ -198,3 +203,75 @@ class TestFieldSampleInvariants:
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0)]), 5, 1)
         with pytest.raises(ValueError):
             sample.values[0, 0] = 3.0
+
+
+def cube_simulation(spec, points, n, seed):
+    """Reference simulation with one weight slice per location.
+
+    Builds the (locations, patterns, lags) weight cube and takes every
+    location's maximum directly, drawing all rows in one block.
+    """
+    weights = np.array(
+        [[[float(w) for w in row] for row in spec.patterns_at(p)] for p in points]
+    )
+    _, n_patterns, lag_count = weights.shape
+    u = uniform_block(seed & U64_MASK, 0, n * n_patterns * lag_count)
+    z = -1.0 / np.log(u.reshape(n, 1, n_patterns, lag_count))
+    return np.max(weights[None] * z, axis=(2, 3))
+
+
+def random_fraction_matrix(rng, n_patterns, lag_count):
+    raw = [[rng.randint(0, 9) for _ in range(lag_count)] for _ in range(n_patterns)]
+    raw[0][0] += 1  # never all zero
+    total = sum(map(sum, raw))
+    return [[Fraction(w, total) for w in row] for row in raw]
+
+
+def table_spec(distinct_count, n_points=12, seed=0):
+    """A valid 2-pattern, 3-lag table spec whose points cycle through
+    `distinct_count` random matrices."""
+    rng = random.Random(seed)
+    matrices = [random_fraction_matrix(rng, 2, 3) for _ in range(distinct_count)]
+    points = [P(x, y) for x in range(-2, 2) for y in range(-1, 2)][:n_points]
+    return M4Spec.from_table(
+        2, 1, 3, {p: matrices[i % distinct_count] for i, p in enumerate(points)}
+    )
+
+
+class TestSharedColumnOracle:
+    """Sharing one column among equal-weight locations changes no bit."""
+
+    ROWS_PER_CHUNK = 7
+    N = 3 * ROWS_PER_CHUNK + 4  # three full chunks and a partial one
+
+    def check(self, monkeypatch, spec, points, seed=2024):
+        cells = len(points) * spec.n_patterns * spec.lag_count
+        monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", self.ROWS_PER_CHUNK * cells)
+        got = simulate_m4(spec, Region(points), self.N, seed).values
+        assert np.array_equal(got, cube_simulation(spec, points, self.N, seed))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("name", ["one-pattern", "two-pattern"])
+    def test_presets(self, monkeypatch, name, exact):
+        spec = preset(name, exact=exact)
+        domain = spec.domain_points()
+        ring = list(neighbors(P(3, 3)))
+        self.check(monkeypatch, spec, ring)
+        self.check(monkeypatch, spec, list(reversed(domain[:50])), seed=2**64 + 9)
+        self.check(monkeypatch, spec, list(domain), seed=5)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_table_with_repeated_matrices(self, monkeypatch, exact):
+        spec = table_spec(distinct_count=3)
+        spec = spec if exact else spec.as_float()
+        assert len(spec.matrices) == 3
+        points = spec.domain_points()
+        self.check(monkeypatch, spec, list(points))
+        self.check(monkeypatch, spec, [points[5], points[0], points[3], points[4]])
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_all_distinct_table(self, monkeypatch, exact):
+        spec = table_spec(distinct_count=12)
+        spec = spec if exact else spec.as_float()
+        assert len(spec.matrices) == 12
+        self.check(monkeypatch, spec, list(reversed(spec.domain_points())))
