@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,10 +51,15 @@ class UniformScores:
     def n(self) -> int:
         return int(self.rank_counts.shape[0])
 
+    @cached_property
+    def _columns(self) -> dict[LatticePoint, int]:
+        # the first column of a repeated location, as tuple.index gave
+        return {point: c for c, point in reversed(list(enumerate(self.locations)))}
+
     def column_index(self, point: LatticePoint) -> int:
         try:
-            return self.locations.index(point)
-        except ValueError:
+            return self._columns[point]
+        except KeyError:
             raise ArgumentError(f"location {point} not in scores") from None
 
 

@@ -14,9 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -63,10 +66,14 @@ class FieldSample:
     def n_replicates(self) -> int:
         return int(self.values.shape[0])
 
+    @cached_property
+    def _columns(self) -> dict[LatticePoint, int]:
+        return {point: c for c, point in enumerate(self.locations)}
+
     def column_index(self, point: LatticePoint) -> int:
         try:
-            return self.locations.index(point)
-        except ValueError:
+            return self._columns[point]
+        except KeyError:
             raise ArgumentError(f"location {point} not in sample") from None
 
 
@@ -192,16 +199,24 @@ def empirical_stability(
 
 # -- CSV interchange ----------------------------------------------------------
 
+_SAMPLE_HEADER = ["replicate", "x", "y", "value"]
+_SAMPLE_ROW = np.dtype(
+    [("replicate", np.int64), ("x", np.int64), ("y", np.int64), ("value", np.float64)]
+)
+
 
 def write_sample_csv(sample: FieldSample, path: str | Path) -> None:
-    """Long-format export: one row per (replicate, location) value."""
+    """Long-format export: one row per (replicate, location) value.
+
+    The bytes are those of `csv.writer`: `\\r\\n` line ends and `repr` floats.
+    Each replicate is formatted and written at once.
+    """
+    prefixes = [f"{p.x},{p.y}," for p in sample.locations]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "x", "y", "value"])
+        fh.write("replicate,x,y,value\r\n")
         for r in range(sample.n_replicates):
-            row_values = sample.values[r]
-            for c, point in enumerate(sample.locations):
-                writer.writerow([r, point.x, point.y, repr(float(row_values[c]))])
+            row = zip(prefixes, sample.values[r].tolist())
+            fh.write("".join([f"{r},{prefix}{v!r}\r\n" for prefix, v in row]))
 
 
 def metadata_dict(sample: FieldSample) -> dict:
@@ -226,52 +241,50 @@ def export_sample(sample: FieldSample, csv_path: str | Path) -> tuple[Path, Path
 def read_sample_csv(
     path: str | Path, metadata_path: str | Path | None = None
 ) -> FieldSample:
-    """Rebuild a FieldSample from the long-format CSV (and optional sidecar)."""
-    rows: dict[int, dict[LatticePoint, float]] = {}
-    order: list[LatticePoint] = []
-    seen: set[LatticePoint] = set()
+    """Rebuild a FieldSample from the long-format CSV (and optional sidecar).
+
+    The data rows are parsed in one `np.loadtxt` pass and checked as arrays.
+    Replicates are sorted and locations keep their order of first appearance.
+    A rejected file is read again row by row to name its first bad line.
+    """
     try:
-        fh = open(path, newline="")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["replicate", "x", "y", "value"]:
-            raise ParseError(f"{path}: expected header replicate,x,y,value")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rep = int(row[0])
-                point = LatticePoint(int(row[1]), int(row[2]))
-                value = float(row[3])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if value <= 0 or not math.isfinite(value):
-                raise ParseError(
-                    f"{path}:{lineno}: field value must be positive and finite"
+    if not _plain_ascii(raw):
+        _raise_first_error(path)
+    del raw
+    with open(path, encoding="ascii") as fh:
+        if not _header_ok(next(csv.reader(fh), None)):
+            _raise_first_error(path)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file
+                # numpy 1.x reads "1.0" as an integer, with this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(
+                    fh, dtype=_SAMPLE_ROW, delimiter=",", quotechar='"',
+                    comments=None, usecols=range(4), ndmin=1,
                 )
-            cells = rows.setdefault(rep, {})
-            if point in cells:
-                raise ParseError(f"{path}:{lineno}: duplicate cell {point}")
-            cells[point] = value
-            if point not in seen:
-                seen.add(point)
-                order.append(point)
-    if not rows:
+        except (ValueError, DeprecationWarning):
+            _raise_first_error(path)
+    reps, x, y, cells = (rows[name] for name in _SAMPLE_ROW.names)
+    if not np.all((cells > 0) & (cells < np.inf)):
+        _raise_first_error(path)
+    if not len(rows):
         raise ParseError(f"{path}: no data rows")
-    locations = tuple(order)
-    reps = sorted(rows)
-    values = np.empty((len(reps), len(locations)))
-    for i, rep in enumerate(reps):
-        cells = rows[rep]
-        if set(cells) != set(locations):
-            raise ParseError(
-                f"{path}: replicate {rep} covers different locations than the first"
-            )
-        for c, point in enumerate(locations):
-            values[i, c] = cells[point]
+    replicates, row_of = np.unique(reps, return_inverse=True)
+    locations, col_of = _first_appearance(x, y)
+    k = len(locations)
+    cell_ids = np.sort(row_of * k + col_of)
+    if np.any(cell_ids[1:] == cell_ids[:-1]):
+        _raise_first_error(path)  # a duplicate cell
+    counts = np.bincount(row_of, minlength=len(replicates))
+    short = np.flatnonzero(counts != k)
+    if short.size:
+        raise _ragged(path, replicates[short[0]], counts[short[0]], k)
+    values = np.empty((len(replicates), k))
+    values[row_of, col_of] = cells
     seed = None
     fingerprint = None
     if metadata_path is not None:
@@ -279,6 +292,107 @@ def read_sample_csv(
             meta = json.loads(Path(metadata_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read metadata {metadata_path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ParseError(f"metadata {metadata_path} is not a JSON object")
         seed = meta.get("seed")
         fingerprint = meta.get("spec_fingerprint")
     return FieldSample(locations, values, seed, fingerprint)
+
+
+def _first_appearance(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
+    """Distinct (x, y) points in order of first appearance, and each row's
+    index into them."""
+    order = np.lexsort((y, x))  # stable: equal points keep their file order
+    xs, ys = x[order], y[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    first = order[starts]  # each point's first row
+    column = np.empty(len(first), dtype=np.int64)
+    column[np.argsort(first)] = np.arange(len(first))
+    col_of = np.empty(len(order), dtype=np.int64)
+    col_of[order] = column[np.cumsum(starts) - 1]
+    first.sort()
+    points = tuple(map(LatticePoint, x[first].tolist(), y[first].tolist()))
+    return points, col_of
+
+
+def _plain_ascii(data: bytes) -> bool:
+    """ASCII without the separator controls U+001C-U+001F.  `np.loadtxt`
+    strips those around numbers where `int` and `float` do not, and reads
+    some non-ASCII characters in integers as digits."""
+    return data.isascii() and not any(c in data for c in b"\x1c\x1d\x1e\x1f")
+
+
+def _header_ok(header: list[str] | None) -> bool:
+    return header is not None and [h.strip() for h in header] == _SAMPLE_HEADER
+
+
+def _ragged(path: str | Path, rep: int, count: int, k: int) -> ParseError:
+    return ParseError(f"{path}: replicate {rep} covers {count} of {k} locations")
+
+
+def _raise_first_error(path: str | Path) -> NoReturn:
+    """Raise the error of a sample CSV that the bulk read rejected.
+
+    Rows are read one at a time, as `csv.reader` gives them, and the first
+    bad line in file order is named: malformed, then a bad value, then a
+    repeated cell.  Then come the checks on the whole file: no data rows,
+    then the first replicate (in sorted order) that misses a location.  Only
+    a file that passes all of them is rejected for its first line outside
+    the bulk grammar: ASCII without separator controls, no digit-group
+    underscores in numbers, integers within 64 bits.
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not _header_ok(header):
+            raise ParseError(f"{path}: expected header replicate,x,y,value")
+        problem = _bulk_problem(header, ())
+        strict = None if problem is None else (1, problem)
+        seen: set[tuple[int, int, int]] = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                cell = (int(row[0]), int(row[1]), int(row[2]))
+                value = float(row[3])
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if value <= 0 or not math.isfinite(value):
+                raise ParseError(
+                    f"{path}:{lineno}: field value must be positive and finite"
+                )
+            if cell in seen:
+                raise ParseError(
+                    f"{path}:{lineno}: duplicate cell {LatticePoint(*cell[1:])}"
+                )
+            seen.add(cell)
+            if strict is None and (problem := _bulk_problem(row, cell)) is not None:
+                strict = (lineno, problem)
+    if not seen:
+        raise ParseError(f"{path}: no data rows")
+    k = len({cell[1:] for cell in seen})
+    counts = Counter(cell[0] for cell in seen)
+    for rep in sorted(counts):
+        if counts[rep] != k:
+            raise _ragged(path, rep, counts[rep], k)
+    if strict is not None:
+        raise ParseError(f"{path}:{strict[0]}: malformed row: {strict[1]}")
+    raise ParseError(f"{path}: the file changed while it was read")
+
+
+def _bulk_problem(row: list[str], ints: tuple[int, ...]) -> str | None:
+    """Why the bulk read rejects a row that `int` and `float` accept, if it does."""
+    if not _plain_ascii(",".join(row).encode()):
+        return "non-ASCII or separator control character"
+    if "_" in ",".join(row[:4]):
+        return "underscore in a number"
+    if any(not -(1 << 63) <= v < 1 << 63 for v in ints):
+        return "integer outside the 64-bit range"
+    return None

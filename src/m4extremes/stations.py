@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +61,15 @@ class StationDataset:
     def station_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.stations)
 
+    @cached_property
+    def _columns(self) -> dict[str, int]:
+        # the first column of a repeated name, as tuple.index gave
+        return {name: c for c, name in reversed(list(enumerate(self.station_names)))}
+
     def column(self, name: str) -> int:
         try:
-            return self.station_names.index(name)
-        except ValueError:
+            return self._columns[name]
+        except KeyError:
             raise UnknownStationError(name) from None
 
 
@@ -86,6 +92,38 @@ def _read_metadata(path: str | Path) -> dict[str, tuple[float, float]]:
             except (IndexError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
     return coords
+
+
+def _classify_cells(
+    csv_path: str | Path, year: int, names: list[str], raw_cells: list[str], missing: str
+) -> list[float] | None:
+    """A year's maxima, or None to drop the year; raises for a bad cell."""
+    cells: list[float] = []
+    row_missing = False
+    for name, raw in zip(names, raw_cells):
+        token = raw.strip()
+        if token.lower() in _MISSING_TOKENS:
+            if missing == "error":
+                raise ParseError(
+                    f"{csv_path}: missing value for year {year}, "
+                    f"station {name!r} (use --missing drop-year to skip)"
+                )
+            row_missing = True
+            continue
+        try:
+            value = float(token)
+        except ValueError as exc:
+            raise ParseError(
+                f"{csv_path}: year {year}, station {name!r}: "
+                f"{token!r} is not a number"
+            ) from exc
+        if not math.isfinite(value) or value <= 0:
+            raise ParseError(
+                f"{csv_path}: year {year}, station {name!r}: "
+                f"maxima must be positive and finite, got {token}"
+            )
+        cells.append(value)
+    return None if row_missing else cells
 
 
 def ingest_stations(
@@ -132,32 +170,15 @@ def ingest_stations(
                 raise ParseError(
                     f"{csv_path}:{lineno}: year {row[0]!r} is not an integer"
                 ) from exc
-            cells: list[float] = []
-            row_missing = False
-            for name, raw in zip(names, row[1:]):
-                token = raw.strip()
-                if token.lower() in _MISSING_TOKENS:
-                    if missing == "error":
-                        raise ParseError(
-                            f"{csv_path}: missing value for year {year}, "
-                            f"station {name!r} (use --missing drop-year to skip)"
-                        )
-                    row_missing = True
-                    continue
-                try:
-                    value = float(token)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"{csv_path}: year {year}, station {name!r}: "
-                        f"{token!r} is not a number"
-                    ) from exc
-                if not math.isfinite(value) or value <= 0:
-                    raise ParseError(
-                        f"{csv_path}: year {year}, station {name!r}: "
-                        f"maxima must be positive and finite, got {token}"
-                    )
-                cells.append(value)
-            if row_missing:
+            try:
+                cells = list(map(float, row[1:]))
+            except ValueError:  # a missing token or a non-number
+                cells = None
+            # the sum is NaN or inf when a cell is; it can also overflow, which
+            # only sends a good row through the classifier
+            if cells is None or not (min(cells) > 0 and sum(cells) < math.inf):
+                cells = _classify_cells(csv_path, year, names, row[1:], missing)
+            if cells is None:
                 dropped.append(year)
                 continue
             years.append(year)
@@ -256,10 +277,8 @@ def field_sample_to_station_csv(
     if len(names) != len(sample.locations):
         raise ParseError("one name per location is required")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year"] + list(names))
+        csv.writer(fh).writerow(["year"] + list(names))  # quotes names as needed
         for r in range(sample.n_replicates):
-            writer.writerow(
-                [start_year + r] + [repr(float(v)) for v in sample.values[r]]
-            )
+            row = sample.values[r].tolist()
+            fh.write(",".join([f"{start_year + r}"] + [repr(v) for v in row]) + "\r\n")
     return list(names)

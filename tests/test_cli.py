@@ -321,6 +321,17 @@ class TestSimulateEstimate:
         assert doc["seed"] == 21
         assert doc["n"] == 400
 
+    def test_non_object_sidecar_exits_3(self, capsys, tmp_path):
+        sample_path = tmp_path / "s.csv"
+        run(capsys, "simulate", "--spec", "one-pattern", "--locations", "3,3;4,3",
+            "--n", "20", "--seed", "5", "--out", str(sample_path))
+        meta_path = tmp_path / "bad.meta.json"
+        meta_path.write_text("[1, 2]")
+        code, _, err = run(capsys, "estimate", "--sample", str(sample_path),
+                           "--meta", str(meta_path), "--site", "3,3", "--region", "4,3")
+        assert code == 3
+        assert err == f"error: metadata {meta_path} is not a JSON object\n"
+
     def test_mc_study_csv_shape(self, capsys):
         code, out, _ = run(
             capsys,

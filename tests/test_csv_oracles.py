@@ -1,0 +1,527 @@
+"""The bulk CSV readers against row-by-row reference readers.
+
+`oracle_read_sample_csv` and `oracle_ingest_stations` are the readers the
+package used before it parsed in bulk: one `csv.reader` row and one
+`int`/`float` call at a time.  They are kept here as the reference.  Each
+reader must give an equal result on a corpus of mutated files, or raise an
+exception of the same type with the same message.  The sample oracle carries
+the two message fixes of the bulk reader: the ragged-replicate message counts
+locations, and a sidecar that is not a JSON object is a ParseError.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from m4extremes import (
+    FieldSample,
+    LatticePoint,
+    ParseError,
+    field_sample_to_station_csv,
+    ingest_stations,
+    read_sample_csv,
+    write_sample_csv,
+)
+from m4extremes.stations import Station, StationDataset
+
+P = LatticePoint
+
+
+# -- reference readers --------------------------------------------------------
+
+
+def oracle_read_sample_csv(path, metadata_path=None) -> FieldSample:
+    rows: dict[int, dict[LatticePoint, float]] = {}
+    order: list[LatticePoint] = []
+    seen: set[LatticePoint] = set()
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["replicate", "x", "y", "value"]:
+            raise ParseError(f"{path}: expected header replicate,x,y,value")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                rep = int(row[0])
+                point = LatticePoint(int(row[1]), int(row[2]))
+                value = float(row[3])
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if value <= 0 or not math.isfinite(value):
+                raise ParseError(
+                    f"{path}:{lineno}: field value must be positive and finite"
+                )
+            cells = rows.setdefault(rep, {})
+            if point in cells:
+                raise ParseError(f"{path}:{lineno}: duplicate cell {point}")
+            cells[point] = value
+            if point not in seen:
+                seen.add(point)
+                order.append(point)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    locations = tuple(order)
+    reps = sorted(rows)
+    values = np.empty((len(reps), len(locations)))
+    for i, rep in enumerate(reps):
+        cells = rows[rep]
+        if set(cells) != set(locations):
+            raise ParseError(
+                f"{path}: replicate {rep} covers {len(cells)} of "
+                f"{len(locations)} locations"
+            )
+        for c, point in enumerate(locations):
+            values[i, c] = cells[point]
+    seed = None
+    fingerprint = None
+    if metadata_path is not None:
+        try:
+            meta = json.loads(Path(metadata_path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"cannot read metadata {metadata_path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ParseError(f"metadata {metadata_path} is not a JSON object")
+        seed = meta.get("seed")
+        fingerprint = meta.get("spec_fingerprint")
+    return FieldSample(locations, values, seed, fingerprint)
+
+
+_MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
+
+
+def oracle_ingest_stations(csv_path, *, missing="error") -> StationDataset:
+    if missing not in ("error", "drop-year"):
+        raise ParseError(f"unknown missing-value policy {missing!r}")
+    try:
+        fh = open(csv_path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {csv_path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not header or header[0].strip().lower() != "year":
+            raise ParseError(f"{csv_path}: first header column must be 'year'")
+        names = [h.strip() for h in header[1:]]
+        if not names:
+            raise ParseError(f"{csv_path}: no station columns")
+        if len(set(names)) != len(names):
+            raise ParseError(f"{csv_path}: duplicate station names in header")
+        years: list[int] = []
+        kept_rows: list[list[float]] = []
+        dropped: list[int] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{csv_path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                )
+            try:
+                year = int(row[0])
+            except ValueError as exc:
+                raise ParseError(
+                    f"{csv_path}:{lineno}: year {row[0]!r} is not an integer"
+                ) from exc
+            cells: list[float] = []
+            row_missing = False
+            for name, raw in zip(names, row[1:]):
+                token = raw.strip()
+                if token.lower() in _MISSING_TOKENS:
+                    if missing == "error":
+                        raise ParseError(
+                            f"{csv_path}: missing value for year {year}, "
+                            f"station {name!r} (use --missing drop-year to skip)"
+                        )
+                    row_missing = True
+                    continue
+                try:
+                    value = float(token)
+                except ValueError as exc:
+                    raise ParseError(
+                        f"{csv_path}: year {year}, station {name!r}: "
+                        f"{token!r} is not a number"
+                    ) from exc
+                if not math.isfinite(value) or value <= 0:
+                    raise ParseError(
+                        f"{csv_path}: year {year}, station {name!r}: "
+                        f"maxima must be positive and finite, got {token}"
+                    )
+                cells.append(value)
+            if row_missing:
+                dropped.append(year)
+                continue
+            years.append(year)
+            kept_rows.append(cells)
+    if not kept_rows:
+        raise ParseError(f"{csv_path}: no usable year rows")
+    return StationDataset(
+        stations=tuple(Station(name) for name in names),
+        years=tuple(years),
+        maxima=np.array(kept_rows),
+        dropped_years=tuple(dropped),
+    )
+
+
+# -- comparison ---------------------------------------------------------------
+
+
+def _outcome(read, *args, **kwargs):
+    try:
+        return read(*args, **kwargs)
+    except Exception as exc:  # the comparison is of the exception itself
+        return exc
+
+
+def _same_sample(new, old) -> bool:
+    if isinstance(old, Exception) or isinstance(new, Exception):
+        return type(new) is type(old) and str(new) == str(old)
+    return (
+        new.locations == old.locations
+        and all(type(c) is int for p in new.locations for c in (p.x, p.y))
+        and new.values.dtype == old.values.dtype
+        and np.array_equal(new.values, old.values)
+        and (new.seed, new.spec_fingerprint) == (old.seed, old.spec_fingerprint)
+    )
+
+
+def _same_dataset(new, old) -> bool:
+    if isinstance(old, Exception) or isinstance(new, Exception):
+        return type(new) is type(old) and str(new) == str(old)
+    return (
+        new.stations == old.stations
+        and new.years == old.years
+        and all(type(y) is int for y in new.years)
+        and new.dropped_years == old.dropped_years
+        and new.maxima.shape == old.maxima.shape
+        and np.array_equal(new.maxima, old.maxima)
+    )
+
+
+# -- sample CSV corpus ---------------------------------------------------------
+
+_BASE = [
+    "replicate,x,y,value",
+    "0,0,0,1.5",
+    "0,1,0,2.25",
+    "0,-1,2,0.75",
+    "1,0,0,3.0",
+    "1,1,0,1e-3",
+    "1,-1,2,4.5",
+    "2,0,0,5e2",
+    "2,1,0,0.125",
+    "2,-1,2,7",
+]
+
+# Whole-line replacements placed at a data line; each breaks or bends a rule.
+_LINE_MUTATIONS = [
+    "",
+    "   ",
+    "\t",
+    ",,,",
+    "0,0,0",
+    "0,0",
+    "1.0,0,0,1.5",
+    "a,0,0,1.5",
+    "0,b,0,1.5",
+    "0,0,0,wet",
+    "0,0,0,0",
+    "0,0,0,-1",
+    "0,0,0,inf",
+    "0,0,0,nan",
+    "0,0,0,1e400",
+    "0,0,0,-0.0",
+    "0,0,0,1e-400",
+    '"0","0","0","1.5"',
+    '0,0,0,"1.5",extra',
+    "0,0,0,1.5,,",
+    '0,0,0,"1.5',
+    '0,0,0,1"5"',
+    '0, "1",0,1.5',
+    " 0 ,+1, 0 ,\t2.5 ",
+    "0,0,0,1.5#comment",
+    "#0,0,0,1.5",
+    "3,0,0,1.0",
+    "-1,5,5,1.0",
+    "0,7,7,1.0",
+    "1,1,0,9.0",
+]
+
+
+def _sample_corpus() -> list[tuple[str, str]]:
+    rng = random.Random(20261018)
+    corpus: list[tuple[str, str]] = []
+    base = "\n".join(_BASE) + "\n"
+    corpus.append(("base LF", base))
+    corpus.append(("base CRLF", base.replace("\n", "\r\n")))
+    corpus.append(("base CR", base.replace("\n", "\r")))
+    corpus.append(("no final newline", base.rstrip("\n")))
+    corpus.append(("header only", "replicate,x,y,value\n"))
+    corpus.append(("header only, no newline", "replicate,x,y,value"))
+    corpus.append(("empty file", ""))
+    corpus.append(("blank first line", "\n" + base))
+    corpus.append(("bad header", base.replace("replicate", "rep", 1)))
+    corpus.append(("padded header", base.replace("replicate,x", " replicate , x", 1)))
+    corpus.append(("extra header column", base.replace("value", "value,note", 1)))
+    corpus.append(("blank lines", base.replace("\n0,1,0", "\n\n\n0,1,0")))
+    corpus.append(
+        ("duplicate after blank", base.replace("0,1,0,2.25\n", "0,1,0,2.25\n\n0,1,0,9\n"))
+    )
+    corpus.append(("unsorted replicates", "\n".join(_BASE[:1] + _BASE[7:] + _BASE[1:7]) + "\n"))
+    corpus.append(
+        ("shuffled rows", "\n".join(_BASE[:1] + rng.sample(_BASE[1:], len(_BASE) - 1)) + "\n")
+    )
+    corpus.append(("ragged", "\n".join(_BASE[:-1]) + "\n"))
+    corpus.append(("ragged first", "\n".join(_BASE[:1] + _BASE[2:]) + "\n"))
+    corpus.append(("extra location", base + "2,9,9,1.0\n"))
+    corpus.append(("quoted everything", "\n".join(
+        [_BASE[0]] + [",".join(f'"{f}"' for f in line.split(",")) for line in _BASE[1:]]
+    ) + "\n"))
+    corpus.append(("quoted newline", base.replace("0,0,0,1.5", '0,0,0,"1.5\n"')))
+    corpus.append(("trailing columns", "\n".join(
+        [_BASE[0]] + [line + ",x,,7" for line in _BASE[1:]]
+    ) + "\n"))
+    for line in _LINE_MUTATIONS:
+        for at in (1, 5, len(_BASE) - 1):
+            lines = list(_BASE)
+            lines[at] = line
+            corpus.append((f"line {at + 1} -> {line!r}", "\n".join(lines) + "\n"))
+            lines = list(_BASE)
+            lines.insert(at, line)
+            corpus.append((f"insert {line!r} at {at + 1}", "\n".join(lines) + "\n"))
+    # two faults in one file: the first in file order is reported
+    for _ in range(60):
+        lines = list(_BASE)
+        for line in rng.sample(_LINE_MUTATIONS, 2):
+            lines.insert(rng.randrange(1, len(lines) + 1), line)
+        ending = rng.choice(["\n", "\r\n"])
+        corpus.append((f"two faults {lines!r}", ending.join(lines) + ending))
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "text", [text for _, text in _sample_corpus()], ids=[n for n, _ in _sample_corpus()]
+)
+def test_sample_reader_matches_oracle(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    new = _outcome(read_sample_csv, path)
+    old = _outcome(oracle_read_sample_csv, path)
+    assert _same_sample(new, old), (new, old)
+
+
+def test_sample_corpus_has_both_outcomes(tmp_path):
+    accepted = 0
+    for _, text in _sample_corpus():
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        accepted += not isinstance(_outcome(oracle_read_sample_csv, path), Exception)
+    assert accepted >= 10 and len(_sample_corpus()) - accepted >= 100
+
+
+@pytest.mark.parametrize("meta", ['{"seed": 3, "spec_fingerprint": "f"}', "[1, 2]", "7", "{"])
+def test_sample_sidecar_matches_oracle(tmp_path, meta):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(_BASE) + "\n")
+    meta_path = tmp_path / "s.meta.json"
+    meta_path.write_text(meta)
+    new = _outcome(read_sample_csv, path, meta_path)
+    old = _outcome(oracle_read_sample_csv, path, meta_path)
+    assert _same_sample(new, old), (new, old)
+
+
+_POSITIVE_DOUBLES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-310, 1e308, 1.0, 0.1]),
+)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(
+            st.lists(_POSITIVE_DOUBLES, min_size=k, max_size=k), min_size=1, max_size=6
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_sample_round_trip(tmp_path_factory, rows, rnd):
+    k = len(rows[0])
+    locations = tuple(rnd.sample([P(x, y) for x in range(-3, 4) for y in range(-3, 4)], k))
+    sample = FieldSample(locations, np.array(rows))
+    path = tmp_path_factory.mktemp("rt") / "s.csv"
+    write_sample_csv(sample, path)
+    back = read_sample_csv(path)
+    assert back.locations == sample.locations
+    assert np.array_equal(back.values, sample.values)
+
+
+# -- station CSV corpus --------------------------------------------------------
+
+_STATIONS = [
+    "year,a,b,c",
+    "2000,1.5,2.0,3.25",
+    "2001,0.5,1e2,7",
+    "2002,4.0,5.5,6.0",
+    "2003,2.5,3.5,4.5",
+]
+
+_CELL_MUTATIONS = [
+    "", " ", "na", "NA", "n/a", "N/A", "nan", "NaN", " nan ", "null", "NULL", "none",
+    "None", "-nan", "+nan", "inf", "-inf", "0", "-1", "-0.0", "1e400", "1e-400",
+    "wet", "1,5", '"2.5"', " 2.5 ", "1_0", "0x10",
+]
+
+
+def _station_corpus() -> list[tuple[str, str]]:
+    rng = random.Random(20261019)
+    base = "\n".join(_STATIONS) + "\n"
+    corpus = [
+        ("base", base),
+        ("base CRLF", base.replace("\n", "\r\n")),
+        ("blank lines", base.replace("\n2001", "\n\n  \n,,,\n2001")),
+        ("header only", _STATIONS[0] + "\n"),
+        ("empty file", ""),
+        ("no stations", "year\n2000\n"),
+        ("bad header", base.replace("year", "season", 1)),
+        ("duplicate names", base.replace("c", "a", 1)),
+        ("padded header", base.replace("year,a", " Year , a ", 1)),
+    ]
+    for cell in _CELL_MUTATIONS:
+        for row, col in ((1, 1), (3, 3)):
+            lines = [line.split(",") for line in _STATIONS]
+            lines[row][col] = cell
+            corpus.append((f"cell {row},{col} -> {cell!r}", "\n".join(map(",".join, lines)) + "\n"))
+    for line in ["2004,1,2", "2004,1,2,3,4", "MMXX,1,2,3", "2004.0,1,2,3", " 2004 ,1,2,3",
+                 "+2004,1,2,3", "1_999,1,2,3", ",1,2,3", "2004,,,"]:
+        for at in (1, len(_STATIONS)):
+            lines = list(_STATIONS)
+            lines.insert(at, line)
+            corpus.append((f"row {line!r} at {at + 1}", "\n".join(lines) + "\n"))
+    # several faults: the first in file order is reported
+    for _ in range(60):
+        lines = [line.split(",") for line in _STATIONS]
+        for _ in range(rng.randint(2, 3)):
+            lines[rng.randrange(1, len(lines))][rng.randrange(1, 4)] = rng.choice(_CELL_MUTATIONS)
+        corpus.append((f"faults {lines!r}", "\n".join(map(",".join, lines)) + "\n"))
+    return corpus
+
+
+@pytest.mark.parametrize("missing", ["error", "drop-year"])
+@pytest.mark.parametrize(
+    "text", [text for _, text in _station_corpus()], ids=[n for n, _ in _station_corpus()]
+)
+def test_station_reader_matches_oracle(tmp_path, text, missing):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    new = _outcome(ingest_stations, path, missing=missing)
+    old = _outcome(oracle_ingest_stations, path, missing=missing)
+    assert _same_dataset(new, old), (new, old)
+
+
+def test_station_writer_matches_csv_writer(tmp_path):
+    values = np.array([[1.5, 2.0 / 3.0, 1e308], [5e-324, 0.1, 7.0]])
+    sample = FieldSample((P(0, 0), P(-1, 2), P(3, -4)), values)
+    names = ["plain", 'quoted "name"', "comma, name"]
+    path = tmp_path / "st.csv"
+    assert field_sample_to_station_csv(sample, path, names=names, start_year=1990) == names
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["year"] + names)
+    for r, row in enumerate(values):
+        writer.writerow([1990 + r] + [repr(float(v)) for v in row])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert b"\r\n" in path.read_bytes()
+
+
+def test_sample_writer_matches_csv_writer(tmp_path):
+    values = np.array([[1.5, 2.0 / 3.0, 1e308], [5e-324, 0.1, 7.0]])
+    sample = FieldSample((P(0, 0), P(-1, 2), P(3, -4)), values)
+    path = tmp_path / "s.csv"
+    write_sample_csv(sample, path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["replicate", "x", "y", "value"])
+    for r in range(2):
+        for c, point in enumerate(sample.locations):
+            writer.writerow([r, point.x, point.y, repr(float(values[r, c]))])
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+# -- where the bulk sample reader is stricter ----------------------------------
+#
+# `np.loadtxt` reads no digit-group underscores, no integers beyond 64 bits and
+# no non-ASCII digits, and its whitespace differs from `int`'s and `float`'s for
+# non-ASCII and separator characters.  A file that `int` and `float` accepted
+# only through one of these is now rejected, naming its first such line.
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("1_0,1,0,1.0", "underscore in a number"),
+        ("1,1,0,1_0.5", "underscore in a number"),
+        (f"{1 << 63},1,0,1.0", "integer outside the 64-bit range"),
+        (f"1,{-(1 << 63) - 1},0,1.0", "integer outside the 64-bit range"),
+        ("1,1,0,1.0\xa0", "non-ASCII or separator control character"),
+        ("١,1,0,1.0", "non-ASCII or separator control character"),
+        ("1,1,0,1.0,\x1c", "non-ASCII or separator control character"),
+    ],
+)
+def test_sample_reader_rejects_outside_bulk_grammar(tmp_path, line, reason):
+    path = tmp_path / "s.csv"
+    path.write_text(f"replicate,x,y,value\n\n\n{line}\n", encoding="utf-8")
+    assert isinstance(oracle_read_sample_csv(path), FieldSample)
+    with pytest.raises(ParseError) as caught:
+        read_sample_csv(path)
+    assert str(caught.value) == f"{path}:4: malformed row: {reason}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1_0,0,0,1.0\n0,0,0,-1\n", ":3: field value must be positive and finite"),
+        ("1_0,0,0,1.0\n0,0,0,2.0\n0,1,0,2.0\n", ": replicate 10 covers 1 of 2 locations"),
+        # replicates are checked in sorted order, not in file order
+        ("5,0,0,1.0\n3,0,0,1.0\n3,1,0,2.0\n7,1_0,0,1.0\n", ": replicate 3 covers 2 of 3 locations"),
+    ],
+)
+def test_sample_reader_names_older_errors_first(tmp_path, text, message):
+    # every error of the row-by-row reader outranks the stricter grammar
+    path = tmp_path / "s.csv"
+    path.write_text("replicate,x,y,value\n" + text)
+    with pytest.raises(ParseError) as caught:
+        read_sample_csv(path)
+    assert str(caught.value) == str(_outcome(oracle_read_sample_csv, path))
+    assert str(caught.value) == f"{path}{message}"
+
+
+def test_sample_reader_takes_64_bit_extremes(tmp_path):
+    lo, hi = -(1 << 63), (1 << 63) - 1
+    path = tmp_path / "s.csv"
+    path.write_text(f"replicate,x,y,value\n{hi},{lo},{hi},2.5\n{lo},{lo},{hi},1.5\n")
+    sample = read_sample_csv(path)
+    assert sample.locations == (P(lo, hi),)
+    assert sample.values.tolist() == [[1.5], [2.5]]
+
+
+def test_sample_reader_reads_fields_past_csv_limit(tmp_path):
+    # `csv.reader` raised `_csv.Error` (not a ParseError) on a field over
+    # 131,072 characters; the bulk read takes the row like any other
+    path = tmp_path / "s.csv"
+    path.write_text("replicate,x,y,value\n0,0,0,1." + "0" * 200_000 + ",note\n")
+    with pytest.raises(csv.Error):
+        oracle_read_sample_csv(path)
+    assert read_sample_csv(path).values.tolist() == [[1.0]]

@@ -317,3 +317,39 @@ def test_scores_from_matrix_validates():
         scores_from_matrix(np.zeros((0, 2)), (P(0, 0), P(1, 0)))
     with pytest.raises(ArgumentError):
         scores_from_matrix(np.zeros(3), (P(0, 0),))
+
+
+class TestColumnLookup:
+    def test_region_lookup_makes_no_linear_scan(self, two_pattern_spec, monkeypatch):
+        domain = two_pattern_spec.domain_points()
+        assert len(domain) == 441
+        sample = simulate_m4(two_pattern_spec, Region(domain), 50, 3)
+        scores = rank_transform(sample)
+        # fresh, equal points: identity cannot short-cut a comparison
+        site = P(domain[0].x, domain[0].y)
+        region = Region(P(p.x, p.y) for p in domain[1:])
+        calls = 0
+        real_eq = LatticePoint.__eq__
+
+        def counting_eq(self, other):
+            nonlocal calls
+            calls += 1
+            return real_eq(self, other)
+
+        monkeypatch.setattr(LatticePoint, "__eq__", counting_eq)
+        estimate_stability(scores, region, site)
+        estimate_contagion(scores, region, site)
+        for point in region:
+            sample.column_index(point)
+        # about 3,100 column lookups, each at most one comparison; a linear
+        # scan of the locations makes about 390,000
+        assert calls <= 3200
+
+    def test_lookup_messages_and_first_column(self):
+        sample = sample_of([[1.0, 2.0], [3.0, 1.0]])
+        with pytest.raises(ArgumentError, match=r"location \(5,5\) not in sample"):
+            sample.column_index(P(5, 5))
+        scores = UniformScores((P(0, 0), P(1, 0), P(0, 0)), np.ones((2, 3), dtype=np.int64))
+        assert scores.column_index(P(0, 0)) == 0
+        with pytest.raises(ArgumentError, match=r"location \(5,5\) not in scores"):
+            scores.column_index(P(5, 5))

@@ -17,6 +17,7 @@ from m4extremes import (
     station_indices,
 )
 from m4extremes.rng import uniform_block
+from m4extremes.stations import Station, StationDataset
 from conftest import DATA_DIR
 
 P = LatticePoint
@@ -93,6 +94,18 @@ class TestIngest:
 
 
 class TestStationIndices:
+    def test_column_lookup(self):
+        names = [f"st{i:03d}" for i in range(441)] + ["st000"]
+        ds = StationDataset(
+            stations=tuple(Station(name) for name in names),
+            years=(2000,),
+            maxima=np.ones((1, len(names))),
+        )
+        assert [ds.column(name) for name in names[:-1]] == list(range(441))
+        assert ds.column("st000") == 0  # the first of a repeated name
+        with pytest.raises(UnknownStationError, match="nowhere"):
+            ds.column("nowhere")
+
     def test_duplicated_columns_are_totally_dependent(self, tmp_path):
         path = tmp_path / "d.csv"
         rows = ["year,c,r1,r2"]
