@@ -5,8 +5,9 @@ which for these fields are lag-wise maxima of per-location weights.  Joint
 exceedance rates follow from the max-min identity as sums of per-slot
 minima, so region conditioning costs O(|region| x slots) with no subset
 enumeration.  With rational weights all results are exact
-:class:`fractions.Fraction` values; with float weights, sums run in slot
-order with compensated accumulation so results are deterministic.
+:class:`fractions.Fraction` values, and sums are plain `Fraction` sums; with
+float weights, sums run in slot order with compensated (Kahan) accumulation
+so results are deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from .patterns import M4Spec, Weight
 
 
 def _ksum(terms: Iterable[Weight]) -> Weight:
-    """Compensated (Kahan) sum; exact when all terms are rational."""
+    """Exact sum of rational terms; compensated (Kahan) sum otherwise.
+
+    Compensation in rational arithmetic is always exactly 0, so the plain
+    `Fraction` sum is the same value at a quarter of the operations."""
+    terms = list(terms)
+    if all(isinstance(term, (Fraction, int)) for term in terms):
+        return sum(terms, Fraction(0))
     total: Weight = Fraction(0)
     comp: Weight = Fraction(0)
     for term in terms:

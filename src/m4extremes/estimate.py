@@ -68,13 +68,30 @@ def scores_from_matrix(
 ) -> UniformScores:
     """Column-wise modified-ECDF rank transform of a replicates-by-locations matrix.
 
-    Each distinct column is ranked once, by one argsort of a contiguous copy
-    and a linear pass over the sorted values: every element of a run of equal
-    values gets the 1-based position of the run's last element.  A column
-    equal to an earlier one reuses its counts.  The counts are stored column
-    by column, so `rank_counts` and `scores` are F-contiguous.  NaN cells are
-    rejected; infinities rank as ordinary values.
+    Each column is ranked by one argsort of a contiguous copy and a linear
+    pass over the sorted values: every element of a run of equal values gets
+    the 1-based position of the run's last element.  The counts are stored
+    column by column, so `rank_counts` and `scores` are F-contiguous.  NaN
+    cells are rejected; infinities rank as ordinary values.
     """
+    return _ranked(values, locations, None)
+
+
+def rank_transform(sample: FieldSample) -> UniformScores:
+    """Modified-ECDF scores of a field sample; ties share the maximal count.
+
+    Columns that simulation filled from one weight matrix are ranked once
+    and share the counts."""
+    return _ranked(sample.values, sample.locations, sample._column_groups)
+
+
+def _ranked(
+    values: np.ndarray,
+    locations: Sequence[LatticePoint],
+    groups: Sequence[int] | None,
+) -> UniformScores:
+    """`scores_from_matrix`, ranking only the first column of each group of
+    equal columns (`groups` labels the columns; None: every column alone)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ArgumentError("expected a 2-d matrix")
@@ -87,14 +104,13 @@ def scores_from_matrix(
     run_end = np.empty(n - 1, dtype=bool)
     last = np.empty(n, dtype=np.int64)
     positions = np.arange(1, n, dtype=np.int64)
-    first_with_hash: dict[int, int] = {}
-    for c in range(k):
-        np.copyto(col, values[:, c])
-        # equal hashes only suggest a repeat; array_equal decides
-        first = first_with_hash.setdefault(hash(col.tobytes()), c)
-        if first != c and np.array_equal(values[:, first], col):
+    first_of_group: dict[int, int] = {}
+    for c, group in enumerate(range(k) if groups is None else groups):
+        first = first_of_group.setdefault(group, c)
+        if first != c:
             counts[c] = counts[first]
             continue
+        np.copyto(col, values[:, c])
         order = np.argsort(col)
         np.take(col, order, out=srt)
         if np.isnan(srt[-1]):  # argsort puts NaN last
@@ -107,11 +123,6 @@ def scores_from_matrix(
         np.minimum.accumulate(last[::-1], out=last[::-1])
         counts[c, order] = last
     return UniformScores(tuple(locations), counts.T)
-
-
-def rank_transform(sample: FieldSample) -> UniformScores:
-    """Modified-ECDF scores of a field sample; ties share the maximal count."""
-    return scores_from_matrix(sample.values, sample.locations)
 
 
 @dataclass(frozen=True)

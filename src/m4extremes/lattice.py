@@ -45,10 +45,6 @@ class Region:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Region is immutable")
 
-    @classmethod
-    def of(cls, *points: LatticePoint) -> "Region":
-        return cls(points)
-
     @property
     def points(self) -> tuple[LatticePoint, ...]:
         return self._points
@@ -123,10 +119,6 @@ class LatticeRect:
             self.x_min <= point.x <= self.x_max
             and self.y_min <= point.y <= self.y_max
         )
-
-    @property
-    def size(self) -> int:
-        return (self.x_max - self.x_min + 1) * (self.y_max - self.y_min + 1)
 
     def points(self) -> Iterator[LatticePoint]:
         """All points, row-major (y ascending, then x ascending)."""

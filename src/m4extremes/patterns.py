@@ -231,10 +231,6 @@ class M4Spec:
     def lag_count(self) -> int:
         return self.m_max - self.m_min + 1
 
-    @property
-    def lags(self) -> range:
-        return range(self.m_min, self.m_max + 1)
-
     def domain_points(self) -> tuple[LatticePoint, ...]:
         if self._table_rows is not None:
             return tuple(self._table_rows)  # sorted table order

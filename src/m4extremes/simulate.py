@@ -16,10 +16,10 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class FieldSample:
     values: np.ndarray
     seed: int | None = None
     spec_fingerprint: str | None = None
+    # one group label per column; columns with equal labels hold equal
+    # values.  Only simulate_m4 sets it: other samples claim no groups.
+    _column_groups: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -101,12 +104,14 @@ def simulate_m4(
     points = region.points
     if not points:
         raise ArgumentError("need at least one location")
-    # one column per distinct matrix, copied to every location that shares it
+    # one column per distinct matrix, copied to every location that shares it;
+    # `columns` is also the sample's column groups
     distinct: dict[int, int] = {}  # row of spec.matrices -> column of `block`
     columns = [distinct.setdefault(spec.matrix_index(p), len(distinct)) for p in points]
+    # one row per distinct matrix, flattened pattern-major like the draws
     weights = np.array([spec.matrices[row] for row in distinct], dtype=float)
-    k, n_patterns, lag_count = len(points), spec.n_patterns, spec.lag_count
-    draws_per_row = n_patterns * lag_count
+    weights = weights.reshape(len(distinct), -1)
+    k, draws_per_row = len(points), weights.shape[1]
     seed = seed & U64_MASK
 
     values = np.empty((n, k))
@@ -114,12 +119,21 @@ def simulate_m4(
     for r0 in range(0, n, chunk_rows):
         rows = min(chunk_rows, n - r0)
         u = uniform_block(seed, r0 * draws_per_row, rows * draws_per_row)
-        z = -1.0 / np.log(u.reshape(rows, 1, n_patterns, lag_count))
-        block = np.max(weights[None] * z, axis=(2, 3))  # (rows, distinct)
+        z = -1.0 / np.log(u.reshape(rows, draws_per_row))
+        # running maximum over the slots: the same products, in any order,
+        # give the same bits (every location has a weight >= 1/K, so no
+        # signed zero reaches the result)
+        block = np.multiply.outer(z[:, 0], weights[:, 0])  # (rows, distinct)
+        product = np.empty_like(block)
+        for s in range(1, draws_per_row):
+            np.multiply.outer(z[:, s], weights[:, s], out=product)
+            np.maximum(block, product, out=block)
         # mode="clip" (columns are in range) writes into `out` unbuffered
         np.take(block, columns, axis=1, out=values[r0 : r0 + rows], mode="clip")
 
-    return FieldSample(points, values, seed, spec.fingerprint())
+    sample = FieldSample(points, values, seed, spec.fingerprint())
+    object.__setattr__(sample, "_column_groups", tuple(columns))
+    return sample
 
 
 def _score_columns(sample: FieldSample, scores) -> np.ndarray:
@@ -255,7 +269,7 @@ def read_sample_csv(
         _raise_first_error(path)
     del raw
     with open(path, encoding="ascii") as fh:
-        if not _header_ok(next(csv.reader(fh), None)):
+        if not _header_ok(next(_csv_rows(path, fh), None)):
             _raise_first_error(path)
         try:
             with warnings.catch_warnings():
@@ -318,6 +332,16 @@ def _first_appearance(
     return points, col_of
 
 
+def _csv_rows(path: str | Path, fh) -> Iterator[list[str]]:
+    """The rows `csv.reader` reads from `fh`.  A row it cannot read (a field
+    over `csv.field_size_limit()`) raises ParseError naming `path:line`."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def _plain_ascii(data: bytes) -> bool:
     """ASCII without the separator controls U+001C-U+001F.  `np.loadtxt`
     strips those around numbers where `int` and `float` do not, and reads
@@ -349,7 +373,7 @@ def _raise_first_error(path: str | Path) -> NoReturn:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, None)
         if not _header_ok(header):
             raise ParseError(f"{path}: expected header replicate,x,y,value")

@@ -26,7 +26,7 @@ from .estimate import (
     scores_from_matrix,
 )
 from .lattice import LatticePoint, Region
-from .simulate import FieldSample
+from .simulate import FieldSample, _csv_rows
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 
@@ -80,7 +80,7 @@ def _read_metadata(path: str | Path) -> dict[str, tuple[float, float]]:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["station", "x", "y"]:
             raise ParseError(f"{path}: expected header station,x,y")
@@ -145,7 +145,7 @@ def ingest_stations(
     except OSError as exc:
         raise ParseError(f"cannot read {csv_path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(csv_path, fh)
         header = next(reader, None)
         if header is None or not header or header[0].strip().lower() != "year":
             raise ParseError(f"{csv_path}: first header column must be 'year'")

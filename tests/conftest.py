@@ -89,3 +89,21 @@ def random_point(rng: random.Random) -> LatticePoint:
 def random_region(rng: random.Random, max_size: int = 5) -> Region:
     size = rng.randint(1, max_size)
     return Region(random_point(rng) for _ in range(size))
+
+
+def random_fraction_matrix(rng, n_patterns, lag_count):
+    raw = [[rng.randint(0, 9) for _ in range(lag_count)] for _ in range(n_patterns)]
+    raw[0][0] += 1  # never all zero
+    total = sum(map(sum, raw))
+    return [[Fraction(w, total) for w in row] for row in raw]
+
+
+def table_spec(distinct_count, n_points=12, seed=0):
+    """A valid 2-pattern, 3-lag table spec whose points cycle through
+    `distinct_count` random matrices."""
+    rng = random.Random(seed)
+    matrices = [random_fraction_matrix(rng, 2, 3) for _ in range(distinct_count)]
+    points = [LatticePoint(x, y) for x in range(-2, 2) for y in range(-1, 2)][:n_points]
+    return M4Spec.from_table(
+        2, 1, 3, {p: matrices[i % distinct_count] for i, p in enumerate(points)}
+    )

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -463,6 +464,45 @@ class TestIngestReport:
             capsys, "ingest", "--data", str(tmp_path / "nope.csv")
         )
         assert code == 3
+
+
+class TestOversizedField:
+    """A field longer than the csv module accepts names its line, exit 3."""
+
+    LONG = "9" * (csv.field_size_limit() + 1)
+
+    def expect(self, capsys, path, line, *argv):
+        code, out, err = run(capsys, *argv)
+        limit = csv.field_size_limit()
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}:{line}: field larger than field limit ({limit})\n"
+
+    def test_station_data_cell(self, capsys, tmp_path):
+        data = tmp_path / "stations.csv"
+        data.write_text(f"year,a,b\n2000,1.5,2.5\n2001,{self.LONG},2\n")
+        self.expect(capsys, data, 3, "ingest", "--data", str(data))
+
+    def test_station_metadata_cell(self, capsys, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(f"station,x,y\nserra_alta,{self.LONG},2\n")
+        self.expect(capsys, meta, 2, "ingest", "--data",
+                    str(DATA_DIR / "stations_32y.csv"), "--meta", str(meta))
+
+    def test_sample_header(self, capsys, tmp_path):
+        sample = tmp_path / "s.csv"
+        sample.write_text(f"replicate,x,y,value,{self.LONG}\n0,0,0,1.0\n")
+        self.expect(capsys, sample, 1, "estimate", "--sample", str(sample),
+                    "--site", "0,0", "--region", "0,0")
+
+    def test_sample_error_scan(self, capsys, tmp_path):
+        # the bulk read skips the long extra column and rejects the -1.0;
+        # the row-by-row scan that names the error meets the long field first
+        sample = tmp_path / "s.csv"
+        sample.write_text(
+            f"replicate,x,y,value\n0,0,0,1.0,{self.LONG}\n0,1,0,-1.0\n"
+        )
+        self.expect(capsys, sample, 2, "estimate", "--sample", str(sample),
+                    "--site", "0,0", "--region", "1,0")
 
 
 class TestUsage:

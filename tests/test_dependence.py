@@ -1,4 +1,5 @@
 import random
+import struct
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from m4extremes import (
     stability_index,
     summarize,
 )
+from m4extremes.dependence import _ksum
 from conftest import random_point, random_rational_spec, random_region
 
 P = LatticePoint
@@ -335,3 +337,62 @@ class TestIdentities:
         summ = summarize(two_pattern_spec, row_region, site)
         assert summ.contagion == F(49, 15)
         assert summ.stability == F(44, 71)
+
+
+def kahan_sum(terms):
+    """Reference: the compensated sum `_ksum` ran on every input, rational
+    terms included."""
+    total = F(0)
+    comp = F(0)
+    for term in terms:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+rationals = st.one_of(
+    st.fractions(max_denominator=10**6), st.integers(-(10**12), 10**12)
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestKsumOracle:
+    @given(st.lists(rationals, max_size=40))
+    def test_rational_terms_give_the_same_fraction(self, terms):
+        got = _ksum(iter(terms))
+        expected = kahan_sum(terms)
+        assert type(got) is type(expected) is F
+        assert (got.numerator, got.denominator) == (
+            expected.numerator,
+            expected.denominator,
+        )
+
+    @given(st.lists(finite_floats, min_size=1, max_size=40))
+    def test_float_terms_give_identical_bits(self, terms):
+        got = _ksum(iter(terms))
+        assert type(got) is float
+        assert float_bits(got) == float_bits(kahan_sum(terms))
+
+    @given(
+        st.lists(st.one_of(rationals, finite_floats), min_size=1, max_size=40).filter(
+            lambda ts: any(isinstance(t, float) for t in ts)
+        )
+    )
+    def test_mixed_terms_give_identical_bits(self, terms):
+        assert float_bits(_ksum(terms)) == float_bits(kahan_sum(terms))
+
+    def test_mixed_terms_are_compensated(self):
+        # a plain sum loses every 1e-16 against 1; the Kahan loop keeps them
+        terms = [F(1)] + [1e-16] * 10
+        assert sum(terms, F(0)) == 1.0
+        assert _ksum(terms) == kahan_sum(terms) > 1.0
+
+    def test_empty_and_integer_sums_are_fractions(self):
+        assert type(_ksum([])) is F and _ksum([]) == 0
+        assert type(_ksum([1, 2, True])) is F and _ksum([1, 2, True]) == 4

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import m4extremes.estimate as estimate_module
 from m4extremes import (
     ArgumentError,
     EstimationError,
@@ -19,12 +18,13 @@ from m4extremes import (
     estimate_stability,
     monte_carlo_study,
     neighbors,
+    preset,
     rank_transform,
     scores_from_matrix,
     simulate_m4,
     substream,
 )
-from conftest import STUDY_SEED
+from conftest import STUDY_SEED, table_spec
 
 P = LatticePoint
 A2 = Region([P(0, 0), P(1, 0)])
@@ -128,14 +128,36 @@ class TestRankOracle:
         scores = scores_from_matrix(strided, points_for(strided))
         assert np.array_equal(scores.rank_counts, brute_force_counts(strided))
 
-    @given(tied_matrices())
-    def test_hash_collisions_cannot_change_counts(self, values):
-        estimate_module.hash = lambda _: 0  # every column collides
-        try:
-            scores = scores_from_matrix(values, points_for(values))
-        finally:
-            del estimate_module.hash
-        assert np.array_equal(scores.rank_counts, brute_force_counts(values))
+    @pytest.mark.parametrize("name", ["one-pattern", "two-pattern", "table"])
+    def test_grouped_ranks_match_ungrouped(self, name, monkeypatch):
+        if name == "table":
+            spec = table_spec(distinct_count=3)
+            points = list(spec.domain_points())
+        else:
+            spec = preset(name)
+            points = list(neighbors(P(3, 3))) + list(spec.domain_points()[:40])
+        sample = simulate_m4(spec, Region(points), 120, 31)
+        groups = sample._column_groups
+        assert len(set(groups)) < len(groups)  # some columns are shared
+        argsorts = []
+        real_argsort = np.argsort
+
+        def counting_argsort(a):
+            argsorts.append(a)
+            return real_argsort(a)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        grouped = rank_transform(sample)
+        assert len(argsorts) == len(set(groups))  # one ranking per group
+        ungrouped = scores_from_matrix(sample.values, sample.locations)
+        assert len(argsorts) == len(set(groups)) + len(groups)
+        assert np.array_equal(grouped.rank_counts, ungrouped.rank_counts)
+        assert np.array_equal(grouped.rank_counts, brute_force_counts(sample.values))
+        assert grouped.rank_counts.flags.f_contiguous
+        assert grouped.scores.flags.f_contiguous
+        assert not grouped.rank_counts.flags.writeable
+        with pytest.raises(ValueError):
+            grouped.rank_counts[0, -1] = 7
 
     def test_duplicate_column_counts_are_shared_read_only(self):
         values = np.array([[3.0, 1.0, 3.0], [1.0, 1.0, 1.0], [2.0, 5.0, 2.0]])

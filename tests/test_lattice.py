@@ -89,12 +89,12 @@ def test_region_is_immutable():
 
 def test_rect_membership_and_points():
     rect = LatticeRect(-1, 1, 0, 1)
-    assert rect.size == 6
     assert LatticePoint(0, 0) in rect
     assert LatticePoint(2, 0) not in rect
     assert LatticePoint(0, -1) not in rect
     pts = list(rect.points())
-    assert len(pts) == 6
+    assert len(set(pts)) == len(pts) == 6  # 3 x 2 distinct points
+    assert all(p in rect for p in pts)
     assert pts[0] == LatticePoint(-1, 0)
     assert pts[-1] == LatticePoint(1, 1)
 

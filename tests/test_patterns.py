@@ -245,7 +245,7 @@ def test_per_location_totals_are_one(one_pattern_spec, two_pattern_spec):
             total = sum(
                 spec.coefficient(l, m, point)
                 for l in range(1, spec.n_patterns + 1)
-                for m in spec.lags
+                for m in range(spec.m_min, spec.m_max + 1)
             )
             assert total == 1
 

@@ -1,7 +1,5 @@
 import json
 import math
-import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from m4extremes import (
     unit_frechet_quantile,
 )
 from m4extremes.rng import U64_MASK, uniform_block
+from conftest import table_spec
 
 P = LatticePoint
 
@@ -205,6 +204,32 @@ class TestFieldSampleInvariants:
             sample.values[0, 0] = 3.0
 
 
+class TestColumnGroups:
+    """Only simulation records which columns hold equal values."""
+
+    def test_simulated_groups_follow_shared_matrices(self, one_pattern_spec):
+        points = [P(3, 3), P(4, 3), P(3, 4), P(2, 2), P(5, 3)]
+        sample = simulate_m4(one_pattern_spec, Region(points), 50, 3)
+        groups = sample._column_groups
+        assert len(groups) == len(points) and len(set(groups)) < len(points)
+        for a in range(len(points)):
+            for b in range(len(points)):
+                same = np.array_equal(sample.values[:, a], sample.values[:, b])
+                assert same == (groups[a] == groups[b])
+
+    def test_hand_built_sample_has_no_groups(self):
+        sample = FieldSample((P(0, 0), P(1, 0)), np.ones((3, 2)))
+        assert sample._column_groups is None
+        with pytest.raises(TypeError):
+            FieldSample((P(0, 0),), np.ones((3, 1)), _column_groups=(0,))
+
+    def test_csv_read_sample_has_no_groups(self, one_pattern_spec, tmp_path):
+        sample = simulate_m4(one_pattern_spec, Region([P(3, 3), P(3, 5)]), 5, 9)
+        assert sample._column_groups == (0, 0)
+        csv_path, meta_path = export_sample(sample, tmp_path / "s.csv")
+        assert read_sample_csv(csv_path, meta_path)._column_groups is None
+
+
 def cube_simulation(spec, points, n, seed):
     """Reference simulation with one weight slice per location.
 
@@ -218,24 +243,6 @@ def cube_simulation(spec, points, n, seed):
     u = uniform_block(seed & U64_MASK, 0, n * n_patterns * lag_count)
     z = -1.0 / np.log(u.reshape(n, 1, n_patterns, lag_count))
     return np.max(weights[None] * z, axis=(2, 3))
-
-
-def random_fraction_matrix(rng, n_patterns, lag_count):
-    raw = [[rng.randint(0, 9) for _ in range(lag_count)] for _ in range(n_patterns)]
-    raw[0][0] += 1  # never all zero
-    total = sum(map(sum, raw))
-    return [[Fraction(w, total) for w in row] for row in raw]
-
-
-def table_spec(distinct_count, n_points=12, seed=0):
-    """A valid 2-pattern, 3-lag table spec whose points cycle through
-    `distinct_count` random matrices."""
-    rng = random.Random(seed)
-    matrices = [random_fraction_matrix(rng, 2, 3) for _ in range(distinct_count)]
-    points = [P(x, y) for x in range(-2, 2) for y in range(-1, 2)][:n_points]
-    return M4Spec.from_table(
-        2, 1, 3, {p: matrices[i % distinct_count] for i, p in enumerate(points)}
-    )
 
 
 class TestSharedColumnOracle:
@@ -275,3 +282,32 @@ class TestSharedColumnOracle:
         spec = spec if exact else spec.as_float()
         assert len(spec.matrices) == 12
         self.check(monkeypatch, spec, list(reversed(spec.domain_points())))
+
+    def test_one_slot_spec(self, monkeypatch):
+        # K = 1: the product of the only slot is the maximum
+        spec = M4Spec.from_table(
+            1, 1, 1, {P(0, 0): [[1]], P(1, 0): [[1.0]], P(0, 1): [[1]]}
+        )
+        assert (spec.n_patterns, spec.lag_count) == (1, 1)
+        points = list(spec.domain_points())
+        self.check(monkeypatch, spec, points)
+        self.check(monkeypatch, spec, points[::-1], seed=-3)
+
+    def test_zero_and_negative_zero_weights(self, monkeypatch):
+        # K = 6; the running maximum starts from +-0 products in most columns
+        z, nz = 0.0, -0.0
+        matrices = [
+            [[nz, 0.5], [z, 0.25], [0.25, nz]],
+            [[z, nz], [nz, z], [nz, 1.0]],
+            [[nz, nz], [0.5, nz], [nz, 0.5]],
+            [[z, z], [z, 0.75], [0.25, z]],
+            [[1 / 6] * 2] * 3,
+        ]
+        points = [P(x, 0) for x in range(7)]
+        spec = M4Spec.from_table(
+            3, 1, 2, {p: matrices[i % len(matrices)] for i, p in enumerate(points)}
+        )
+        assert len(spec.matrices) == len(matrices)
+        assert (spec.n_patterns, spec.lag_count) == (3, 2)
+        self.check(monkeypatch, spec, points)
+        self.check(monkeypatch, spec, [points[6], points[1], points[2]], seed=77)
