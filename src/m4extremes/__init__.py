@@ -40,6 +40,7 @@ from .estimate import (
     estimate_contagion_region,
     estimate_extremal_coefficient,
     estimate_stability,
+    estimate_summary,
     monte_carlo_study,
     rank_transform,
     scores_from_matrix,

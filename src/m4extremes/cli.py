@@ -26,9 +26,8 @@ from .dependence import (
 )
 from .errors import M4Error, ParseError
 from .estimate import (
-    estimate_contagion,
-    estimate_extremal_coefficient,
-    estimate_stability,
+    _pairwise_estimates,
+    estimate_summary,
     monte_carlo_study,
     rank_transform,
 )
@@ -79,20 +78,19 @@ def _load_spec_arg(value: str) -> M4Spec:
     )
 
 
-def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(doc: dict, out: str | None) -> None:
+    _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _emit_csv(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _meta(spec: M4Spec | None = None, seed: int | None = None) -> dict:
@@ -117,12 +115,7 @@ def _csv_meta_lines(spec: M4Spec | None = None, seed: int | None = None) -> list
 
 
 def cmd_preset(args: argparse.Namespace) -> int:
-    spec = preset(args.name)
-    text = dump_spec(spec)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(dump_spec(preset(args.name)), args.out)
     return 0
 
 
@@ -189,26 +182,22 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     sample = read_sample_csv(args.sample, args.meta)
     site = _parse_point(args.site)
     region = _parse_region(args.region, site)
-    scores = rank_transform(sample)
-    pairwise = []
-    for point in region:
-        est = estimate_extremal_coefficient(scores, Region((site, point)))
-        pairwise.append(
-            {"point": str(point), "value": est.value, "out_of_range": est.out_of_range}
-        )
-    joint = estimate_extremal_coefficient(scores, Region((site,)).union(region))
+    summary = estimate_summary(rank_transform(sample), region, site)
+    pairwise = [
+        {"point": str(point), "value": est.value, "out_of_range": est.out_of_range}
+        for point, est in _pairwise_estimates(summary).items()
+    ]
     doc = {
-        "tool": "m4extremes",
-        "version": __version__,
+        **_meta(),
         "spec_fingerprint": sample.spec_fingerprint,
         "seed": sample.seed,
         "n": sample.n_replicates,
         "site": str(site),
         "region": [str(p) for p in region],
-        "contagion_index_estimate": estimate_contagion(scores, region, site),
-        "stability_index_estimate": estimate_stability(scores, region, site),
+        "contagion_index_estimate": float(summary.contagion),
+        "stability_index_estimate": float(summary.stability),
         "pairwise_extremal_estimates": pairwise,
-        "joint_extremal_estimate": joint.value,
+        "joint_extremal_estimate": float(summary.joint_extremal),
     }
     _emit_json(doc, args.out)
     return 0
@@ -240,8 +229,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         args.data, missing=args.missing, metadata_path=args.meta
     )
     doc = {
-        "tool": "m4extremes",
-        "version": __version__,
+        **_meta(),
         "stations": [
             {"name": s.name, "x": s.x, "y": s.y} for s in dataset.stations
         ],
@@ -275,8 +263,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         _emit_csv(lines, args.out)
     else:
         doc = {
-            "tool": "m4extremes",
-            "version": __version__,
+            **_meta(),
             "conditioning": args.condition,
             "reports": [rep.to_json_dict() for rep in reports],
         }

@@ -8,17 +8,25 @@ enumeration.  With rational weights all results are exact
 :class:`fractions.Fraction` values, and sums are plain `Fraction` sums; with
 float weights, sums run in slot order with compensated (Kahan) accumulation
 so results are deterministic.
+
+Site-to-region indices have one derivation: `_summary` puts the |R| pairwise
+coefficients and the joint one into the contagion and stability formulas.
+`summarize` feeds it closed forms, `estimate.estimate_summary` max-mean ratio
+estimates; `contagion_index` needs only the pairwise coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArgumentError, DegenerateConditioningError
 from .lattice import LatticePoint, Region, neighbors
 from .patterns import M4Spec, Weight
+
+_Pairwise = tuple[tuple[LatticePoint, Weight], ...]
 
 
 def _ksum(terms: Iterable[Weight]) -> Weight:
@@ -120,19 +128,28 @@ def multivariate_tail_dependence(
     return numerator / denominator
 
 
+def _pairwise(
+    coefficient: Callable[[Region], Weight], region: Region, site: LatticePoint
+) -> _Pairwise:
+    """(j, coefficient of {site, j}) for each j of the region, in order."""
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
+    return tuple((j, coefficient(Region((site, j)))) for j in region)
+
+
+def _contagion(size: int, pair_sum: Weight) -> Weight:
+    """The contagion formula: 2|R| minus the summed pairwise coefficients."""
+    return 2 * size - pair_sum
+
+
 def contagion_index(spec: M4Spec, region: Region, site: LatticePoint) -> Weight:
     """Limiting expected number of region exceedances given `site` exceeds.
 
     Ranges from 0 (independence) to |region| (total dependence); `site`
     need not belong to the region.
     """
-    points = region.points
-    if not points:
-        raise ArgumentError("region must contain at least one point")
-    pair_sum = _ksum(
-        extremal_coefficient(spec, Region((site, j))) for j in points
-    )
-    return 2 * len(points) - pair_sum
+    pairwise = _pairwise(partial(extremal_coefficient, spec), region, site)
+    return _contagion(len(pairwise), _ksum(v for _, v in pairwise))
 
 
 def contagion_index_region(spec: M4Spec, region: Region, given: Region) -> Weight:
@@ -161,26 +178,15 @@ def stability_index(spec: M4Spec, region: Region, site: LatticePoint) -> Weight:
     """Limiting expected number of threshold crossings in `region` relative
     to `site` (site below, region site above), normalized by the rate of
     any exceedance among {site} and the region."""
-    points = region.points
-    if not points:
-        raise ArgumentError("region must contain at least one point")
-    pair_sum = _ksum(
-        extremal_coefficient(spec, Region((site, j))) for j in points
-    )
-    joint = extremal_coefficient(spec, Region((site,)).union(region))
-    return (pair_sum - len(points)) / joint
+    return summarize(spec, region, site).stability
 
 
 def stability_bounds(
     spec: M4Spec, region: Region, site: LatticePoint
 ) -> tuple[Weight, Weight]:
     """Sharp sandwich for the stability index from pairwise coefficients only."""
-    points = region.points
-    if not points:
-        raise ArgumentError("region must contain at least one point")
-    pair_eps = [extremal_coefficient(spec, Region((site, j))) for j in points]
-    numerator = _ksum(pair_eps) - len(points)
-    return numerator / (len(points) + 1), numerator / max(pair_eps)
+    summary = summarize(spec, region, site)
+    return summary.stability_lower, summary.stability_upper
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,7 @@ class DependenceSummary:
 
     site: LatticePoint
     region: Region
-    pairwise_extremal: tuple[tuple[LatticePoint, Weight], ...]
+    pairwise_extremal: _Pairwise
     joint_extremal: Weight
     contagion: Weight
     stability: Weight
@@ -197,9 +203,6 @@ class DependenceSummary:
     stability_upper: Weight
 
     def to_json_dict(self) -> dict:
-        def num(value: Weight) -> float:
-            return float(value)
-
         def exact(value: Weight) -> str | None:
             return str(value) if isinstance(value, Fraction) else None
 
@@ -207,24 +210,24 @@ class DependenceSummary:
             "site": str(self.site),
             "region": [str(p) for p in self.region],
             "pairwise_extremal_coefficients": [
-                {"point": str(p), "value": num(v), "exact": exact(v)}
+                {"point": str(p), "value": float(v), "exact": exact(v)}
                 for p, v in self.pairwise_extremal
             ],
             "joint_extremal_coefficient": {
-                "value": num(self.joint_extremal),
+                "value": float(self.joint_extremal),
                 "exact": exact(self.joint_extremal),
             },
             "contagion_index": {
-                "value": num(self.contagion),
+                "value": float(self.contagion),
                 "exact": exact(self.contagion),
             },
             "stability_index": {
-                "value": num(self.stability),
+                "value": float(self.stability),
                 "exact": exact(self.stability),
             },
             "stability_bounds": {
-                "lower": num(self.stability_lower),
-                "upper": num(self.stability_upper),
+                "lower": float(self.stability_lower),
+                "upper": float(self.stability_upper),
             },
         }
 
@@ -234,22 +237,26 @@ def summarize(spec: M4Spec, region: Region, site: LatticePoint) -> DependenceSum
 
     The contagion and stability values are derived from one set of pairwise
     coefficients, so the summary satisfies the exact index identities."""
-    points = region.points
-    if not points:
-        raise ArgumentError("region must contain at least one point")
-    pairwise = tuple(
-        (j, extremal_coefficient(spec, Region((site, j)))) for j in points
-    )
-    pair_sum = _ksum(v for _, v in pairwise)
+    pairwise = _pairwise(partial(extremal_coefficient, spec), region, site)
     joint = extremal_coefficient(spec, Region((site,)).union(region))
-    numerator = pair_sum - len(points)
+    return _summary(site, region, pairwise, joint)
+
+
+def _summary(
+    site: LatticePoint, region: Region, pairwise: _Pairwise, joint: Weight
+) -> DependenceSummary:
+    """The indices of (region, site) from its |R| pairwise coefficients, in
+    region order, and its joint one; closed forms and plug-in estimates
+    both put their coefficients through here."""
+    pair_sum = _ksum(v for _, v in pairwise)
+    numerator = pair_sum - len(pairwise)
     return DependenceSummary(
         site=site,
         region=region,
         pairwise_extremal=pairwise,
         joint_extremal=joint,
-        contagion=2 * len(points) - pair_sum,
+        contagion=_contagion(len(pairwise), pair_sum),
         stability=numerator / joint,
-        stability_lower=numerator / (len(points) + 1),
+        stability_lower=numerator / (len(pairwise) + 1),
         stability_upper=numerator / max(v for _, v in pairwise),
     )

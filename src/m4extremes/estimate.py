@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .dependence import contagion_index, stability_index
+from .dependence import DependenceSummary, _contagion, _pairwise, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
@@ -147,14 +147,10 @@ class ExtremalCoefficientEstimate:
         return Fraction(self.numerator, self.denominator)
 
 
-def _region_columns(scores: UniformScores, region: Region) -> list[int]:
+def _epsilon_hat_fraction(scores: UniformScores, region: Region) -> Fraction:
     if not len(region):
         raise ArgumentError("region must contain at least one point")
-    return [scores.column_index(p) for p in region]
-
-
-def _epsilon_hat_fraction(scores: UniformScores, region: Region) -> Fraction:
-    cols = _region_columns(scores, region)
+    cols = [scores.column_index(p) for p in region]
     n = scores.n
     if n < 2:
         raise ArgumentError("need at least two replicates to estimate")
@@ -176,45 +172,63 @@ def estimate_extremal_coefficient(
 ) -> ExtremalCoefficientEstimate:
     """Estimate the region's extremal coefficient as m/(1-m), where m is the
     sample mean of the per-replicate maximum rank score over the region."""
-    frac = _epsilon_hat_fraction(scores, region)
+    return _as_estimate(_epsilon_hat_fraction(scores, region), len(region))
+
+
+def _as_estimate(frac: Fraction, region_size: int) -> ExtremalCoefficientEstimate:
     return ExtremalCoefficientEstimate(
-        value=float(frac),
-        numerator=frac.numerator,
-        denominator=frac.denominator,
-        region_size=len(region),
+        float(frac), frac.numerator, frac.denominator, region_size
     )
+
+
+def _pairwise_estimates(
+    summary: DependenceSummary,
+) -> dict[LatticePoint, ExtremalCoefficientEstimate]:
+    """The pairwise estimates of an estimated summary, by region point; the
+    pair of the site with itself is a region of size 1."""
+    return {
+        j: _as_estimate(v, len({summary.site, j})) for j, v in summary.pairwise_extremal
+    }
 
 
 def estimate_contagion(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> float:
     """Plug-in contagion index: 2|region| minus the summed pairwise estimates."""
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
-    total = Fraction(0)
-    for j in region:
-        total += _epsilon_hat_fraction(scores, Region((site, j)))
-    return float(2 * len(region) - total)
+    pairwise = _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
+    return float(_contagion(len(pairwise), sum(v for _, v in pairwise)))
 
 
 def estimate_stability(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> float:
     """Plug-in stability index from pairwise and joint coefficient estimates."""
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
-    pair_sum = Fraction(0)
-    for j in region:
-        pair_sum += _epsilon_hat_fraction(scores, Region((site, j)))
+    return float(_estimate_summary(scores, region, site, stacklevel=3).stability)
+
+
+def estimate_summary(
+    scores: UniformScores, region: Region, site: LatticePoint
+) -> DependenceSummary:
+    """Plug-in counterpart of `summarize`: the exact `Fraction` estimates of
+    the |R| pairwise and the joint coefficient, put through the same index
+    formulas.  Warns when the joint estimate is below 1."""
+    return _estimate_summary(scores, region, site, stacklevel=3)
+
+
+def _estimate_summary(
+    scores: UniformScores, region: Region, site: LatticePoint, stacklevel: int
+) -> DependenceSummary:
+    """`estimate_summary`; `stacklevel` makes the warning name its caller."""
+    pairwise = _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
     joint = _epsilon_hat_fraction(scores, Region((site,)).union(region))
     if joint < 1 - Fraction(1, 10**9):
         warnings.warn(
             f"joint coefficient estimate {float(joint):.6f} is below 1; "
             "the stability estimate may be unreliable",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    return float((pair_sum - len(region)) / joint)
+    return _summary(site, region, pairwise, joint)
 
 
 def estimate_contagion_region(
@@ -292,31 +306,15 @@ def monte_carlo_study(
     if replications < 2:
         raise ArgumentError("need at least two replications")
     locations = Region((site,)).union(region)
-    true_ci = float(contagion_index(spec, region, site))
-    true_si = float(stability_index(spec, region, site))
-    ci_estimates = np.empty(replications)
-    si_estimates = np.empty(replications)
+    true = summarize(spec, region, site)
+    estimates = np.empty((2, replications))  # contagion row, stability row
     for r in range(replications):
         sample = simulate_m4(spec, locations, sample_size, substream(seed, r))
-        scores = rank_transform(sample)
-        ci_estimates[r] = estimate_contagion(scores, region, site)
-        si_estimates[r] = estimate_stability(scores, region, site)
-    ci_result = StudyResult(
-        "CI",
-        true_ci,
-        float(ci_estimates.mean()),
-        float(np.mean((ci_estimates - true_ci) ** 2)),
-        replications,
-        sample_size,
-        seed,
+        summary = estimate_summary(rank_transform(sample), region, site)
+        estimates[:, r] = float(summary.contagion), float(summary.stability)
+    truths = float(true.contagion), float(true.stability)
+    return tuple(
+        StudyResult(name, truth, float(row.mean()), float(np.mean((row - truth) ** 2)),
+                    replications, sample_size, seed)
+        for name, truth, row in zip(("CI", "SI"), truths, estimates)
     )
-    si_result = StudyResult(
-        "SI",
-        true_si,
-        float(si_estimates.mean()),
-        float(np.mean((si_estimates - true_si) ** 2)),
-        replications,
-        sample_size,
-        seed,
-    )
-    return ci_result, si_result

@@ -253,15 +253,6 @@ class M4Spec:
         """Weight matrix at `point`; raises DomainError outside the domain."""
         return self.matrices[self.matrix_index(point)]
 
-    def coefficient(self, pattern: int, lag: int, point: LatticePoint) -> Weight:
-        """Weight for (pattern, lag) at `point`; zero outside the index box."""
-        matrix = self.patterns_at(point)
-        if not (1 <= pattern <= self.n_patterns) or not (
-            self.m_min <= lag <= self.m_max
-        ):
-            return Fraction(0)
-        return matrix[pattern - 1][lag - self.m_min]
-
     def is_exact(self) -> bool:
         """True when every weight is a Fraction (rational mode)."""
         return all(

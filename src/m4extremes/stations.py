@@ -19,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, UnknownStationError
-from .estimate import (
-    estimate_contagion,
-    estimate_extremal_coefficient,
-    estimate_stability,
-    scores_from_matrix,
-)
+from .estimate import _pairwise_estimates, estimate_summary, scores_from_matrix
 from .lattice import LatticePoint, Region
 from .simulate import FieldSample, _csv_rows
 
@@ -245,19 +240,20 @@ def station_indices(
     scores = scores_from_matrix(matrix, [points[c] for c in involved])
     site = points[cond_col]
     region = Region(points[c] for c in region_cols)
-    pairwise = []
-    for name, col in zip(region_names, region_cols):
-        est = estimate_extremal_coefficient(scores, Region((site, points[col])))
-        pairwise.append((name, est.value, est.out_of_range))
-    joint = estimate_extremal_coefficient(scores, Region((site,)).union(region))
+    summary = estimate_summary(scores, region, site)
+    estimates = _pairwise_estimates(summary)
+    pairwise = tuple(
+        (name, estimates[points[col]].value, estimates[points[col]].out_of_range)
+        for name, col in zip(region_names, region_cols)
+    )
     return StationIndicesReport(
         conditioning=conditioning,
         region=tuple(region_names),
         n=dataset.n,
-        contagion=estimate_contagion(scores, region, site),
-        stability=estimate_stability(scores, region, site),
-        pairwise=tuple(pairwise),
-        joint=joint.value,
+        contagion=float(summary.contagion),
+        stability=float(summary.stability),
+        pairwise=pairwise,
+        joint=float(summary.joint_extremal),
     )
 
 

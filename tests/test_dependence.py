@@ -27,7 +27,8 @@ from m4extremes import (
     summarize,
 )
 from m4extremes.dependence import _ksum
-from conftest import random_point, random_rational_spec, random_region
+import m4extremes.dependence as dependence_module
+from conftest import random_point, random_rational_spec, random_region, table_spec
 
 P = LatticePoint
 
@@ -396,3 +397,92 @@ class TestKsumOracle:
     def test_empty_and_integer_sums_are_fractions(self):
         assert type(_ksum([])) is F and _ksum([]) == 0
         assert type(_ksum([1, 2, True])) is F and _ksum([1, 2, True]) == 4
+
+
+def loop_pair_coefficients(spec, region, site):
+    """Reference: the pairwise loop each closed form ran for itself before
+    they shared one derivation."""
+    points = region.points
+    if not points:
+        raise ArgumentError("region must contain at least one point")
+    return [extremal_coefficient(spec, Region((site, j))) for j in points]
+
+
+def loop_contagion_index(spec, region, site):
+    pair_eps = loop_pair_coefficients(spec, region, site)
+    return 2 * len(pair_eps) - _ksum(pair_eps)
+
+
+def loop_stability_index(spec, region, site):
+    pair_eps = loop_pair_coefficients(spec, region, site)
+    joint = extremal_coefficient(spec, Region((site,)).union(region))
+    return (_ksum(pair_eps) - len(pair_eps)) / joint
+
+
+def loop_stability_bounds(spec, region, site):
+    pair_eps = loop_pair_coefficients(spec, region, site)
+    numerator = _ksum(pair_eps) - len(pair_eps)
+    return numerator / (len(pair_eps) + 1), numerator / max(pair_eps)
+
+
+def shared_derivation_cases():
+    """Random rule and table specifications, each also in float mode."""
+    rng = random.Random(2718)
+    for case in range(60):
+        if case % 2:
+            spec = random_rational_spec(rng)
+            region, site = random_region(rng), random_point(rng)
+        else:
+            spec = table_spec(rng.randint(1, 12), seed=case)
+            points = spec.domain_points()
+            region = Region(rng.choice(points) for _ in range(rng.randint(1, 8)))
+            site = rng.choice(points)
+        yield spec, region, site
+        yield spec.as_float(), region, site
+
+
+class TestSharedDerivationOracle:
+    def test_closed_forms_match_per_index_loops(self):
+        for spec, region, site in shared_derivation_cases():
+            ci = loop_contagion_index(spec, region, site)
+            si = loop_stability_index(spec, region, site)
+            bounds = loop_stability_bounds(spec, region, site)
+            assert repr(contagion_index(spec, region, site)) == repr(ci)
+            assert repr(stability_index(spec, region, site)) == repr(si)
+            assert repr(stability_bounds(spec, region, site)) == repr(bounds)
+            summary = summarize(spec, region, site)
+            pairwise = tuple(zip(region, loop_pair_coefficients(spec, region, site)))
+            assert repr(summary.pairwise_extremal) == repr(pairwise)
+            assert repr(summary.joint_extremal) == repr(
+                extremal_coefficient(spec, Region((site,)).union(region))
+            )
+            assert repr((summary.contagion, summary.stability)) == repr((ci, si))
+            assert repr((summary.stability_lower, summary.stability_upper)) == repr(bounds)
+
+    def test_contagion_needs_no_joint_coefficient(self):
+        # unvalidated all-zero weights: every coefficient is 0, so only the
+        # stability index divides by zero
+        spec = M4Spec.from_table(1, 1, 1, {P(0, 0): [[0]], P(1, 0): [[0]]}, check=False)
+        assert contagion_index(spec, Region([P(1, 0)]), P(0, 0)) == 2
+        with pytest.raises(ZeroDivisionError):
+            stability_index(spec, Region([P(1, 0)]), P(0, 0))
+
+    def test_each_coefficient_evaluated_once(self, monkeypatch, one_pattern_spec, site):
+        calls = []
+        real = dependence_module.extremal_coefficient
+
+        def counting(spec, region):
+            calls.append(region)
+            return real(spec, region)
+
+        monkeypatch.setattr(dependence_module, "extremal_coefficient", counting)
+        for region in (neighbors(site), Region([P(4, 3)]), Region([site, P(2, 4)])):
+            for function, expected in (
+                (summarize, len(region) + 1),
+                (stability_index, len(region) + 1),
+                (stability_bounds, len(region) + 1),
+                (contagion_index, len(region)),
+            ):
+                calls.clear()
+                function(one_pattern_spec, region, site)
+                assert len(calls) == expected

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 from fractions import Fraction as F
 
@@ -16,14 +17,18 @@ from m4extremes import (
     estimate_contagion_region,
     estimate_extremal_coefficient,
     estimate_stability,
+    estimate_summary,
+    extremal_coefficient,
     monte_carlo_study,
     neighbors,
     preset,
+    preset_two_pattern,
     rank_transform,
     scores_from_matrix,
     simulate_m4,
     substream,
 )
+import m4extremes.estimate as estimate_module
 from conftest import STUDY_SEED, table_spec
 
 P = LatticePoint
@@ -257,11 +262,20 @@ class TestPluginIndices:
     def test_stability_warns_on_small_joint(self):
         # rank counts from rank_transform always give joint estimates >= 1;
         # a sub-1 joint can only come from doctored scores, and is flagged
+        # at the line that called the public estimator
         doctored = UniformScores((P(0, 0), P(1, 0)), np.array([[1, 1], [1, 1]]))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            estimate_stability(doctored, Region([P(1, 0)]), P(0, 0))
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+        for estimator in (estimate_stability, estimate_summary):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = inspect.currentframe().f_lineno + 1
+                estimator(doctored, Region([P(1, 0)]), P(0, 0))
+            [warning] = caught
+            assert issubclass(warning.category, RuntimeWarning)
+            assert "below 1" in str(warning.message)
+            assert (warning.filename, warning.lineno) == (__file__, line)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_contagion(doctored, Region([P(1, 0)]), P(0, 0))
 
     def test_region_form_matches_site_form_for_singleton(self, one_pattern_spec, site, ring):
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 200, 2)
@@ -375,3 +389,159 @@ class TestColumnLookup:
         assert scores.column_index(P(0, 0)) == 0
         with pytest.raises(ArgumentError, match=r"location \(5,5\) not in scores"):
             scores.column_index(P(5, 5))
+
+
+def loop_contagion(scores, region, site):
+    """Reference: the per-pair loop `estimate_contagion` ran before the
+    plug-in indices went through the shared summary."""
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
+    total = F(0)
+    for j in region:
+        total += estimate_extremal_coefficient(scores, Region((site, j))).as_fraction()
+    return float(2 * len(region) - total)
+
+
+def loop_stability(scores, region, site):
+    """Reference: the per-pair and joint loop `estimate_stability` ran."""
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
+    pair_sum = F(0)
+    for j in region:
+        pair_sum += estimate_extremal_coefficient(scores, Region((site, j))).as_fraction()
+    joint = estimate_extremal_coefficient(scores, Region((site,)).union(region))
+    return float((pair_sum - len(region)) / joint.as_fraction())
+
+
+def loop_study(spec, region, site, replications, sample_size, seed):
+    """Reference: `monte_carlo_study` with its per-index loops, as
+    (index, true value, mean estimate, mse) rows."""
+    pair_sum = sum(extremal_coefficient(spec, Region((site, j))) for j in region)
+    joint = extremal_coefficient(spec, Region((site,)).union(region))
+    true_ci = float(2 * len(region) - pair_sum)
+    true_si = float((pair_sum - len(region)) / joint)
+    ci = np.empty(replications)
+    si = np.empty(replications)
+    locations = Region((site,)).union(region)
+    for r in range(replications):
+        scores = rank_transform(simulate_m4(spec, locations, sample_size, substream(seed, r)))
+        ci[r] = loop_contagion(scores, region, site)
+        si[r] = loop_stability(scores, region, site)
+    return [
+        (name, truth, float(e.mean()), float(np.mean((e - truth) ** 2)))
+        for name, truth, e in (("CI", true_ci, ci), ("SI", true_si, si))
+    ]
+
+
+def tie_heavy_cases():
+    """Scores of small-integer matrices (many ties) with a site and regions
+    that do and do not contain it."""
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 7, 40):
+        for k in (2, 4, 6):
+            values = rng.integers(0, 3, size=(n, k)).astype(float)
+            points = [P(c, 0) for c in range(k)]
+            scores = scores_from_matrix(values, points)
+            yield scores, Region(points[1:]), points[0]
+            yield scores, Region(points[::-1]), points[1]
+
+
+def simulated_cases():
+    site = P(3, 3)
+    for spec in (preset("one-pattern"), preset_two_pattern()):
+        for region in (neighbors(site), Region([P(4, 3)]), Region([P(2, 4), site, P(3, 4)])):
+            for seed in (1, 2):
+                sample = simulate_m4(spec, Region([site]).union(region), 300, seed)
+                yield rank_transform(sample), region, site
+
+
+class TestEstimateSummaryOracle:
+    @pytest.mark.parametrize("cases", [tie_heavy_cases, simulated_cases])
+    def test_fields_match_per_call_estimates(self, cases):
+        for scores, region, site in cases():
+            summary = estimate_summary(scores, region, site)
+            pairwise = tuple(
+                (j, estimate_extremal_coefficient(scores, Region((site, j))).as_fraction())
+                for j in region
+            )
+            joint = estimate_extremal_coefficient(
+                scores, Region((site,)).union(region)
+            ).as_fraction()
+            assert (summary.site, tuple(summary.region)) == (site, tuple(region))
+            assert summary.pairwise_extremal == pairwise
+            assert summary.joint_extremal == joint
+            values = [v for _, v in pairwise] + [joint]
+            assert all(type(v) is F for v in values)
+            numerator = sum(v for _, v in pairwise) - len(region)
+            assert summary.contagion == len(region) - numerator
+            assert summary.stability == numerator / joint
+            assert summary.stability_lower == numerator / (len(region) + 1)
+            assert summary.stability_upper == numerator / max(v for _, v in pairwise)
+            ci, si = loop_contagion(scores, region, site), loop_stability(scores, region, site)
+            assert repr(float(summary.contagion)) == repr(ci)
+            assert repr(float(summary.stability)) == repr(si)
+            assert repr(estimate_contagion(scores, region, site)) == repr(ci)
+            assert repr(estimate_stability(scores, region, site)) == repr(si)
+
+    def test_study_matches_per_index_loops(self, one_pattern_spec, site, ring):
+        spec = table_spec(12, seed=3)
+        for args in (
+            (spec, Region(p for p in spec.domain_points() if p != P(0, 0)), P(0, 0), 4, 60, 11),
+            (one_pattern_spec, ring, site, 3, 80, 5),
+        ):
+            got = [
+                (r.index_name, r.true_value, r.mean_estimate, r.mse)
+                for r in monte_carlo_study(*args)
+            ]
+            assert repr(got) == repr(loop_study(*args))
+
+    def test_empty_region_rejected(self):
+        scores = scores_from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]), (P(0, 0), P(1, 0)))
+        with pytest.raises(ArgumentError, match="region must contain at least one point"):
+            estimate_summary(scores, Region([]), P(0, 0))
+
+
+class TestEachCoefficientOnce:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        real = estimate_module._epsilon_hat_fraction
+
+        def counting(scores, region):
+            calls.append(region)
+            return real(scores, region)
+
+        monkeypatch.setattr(estimate_module, "_epsilon_hat_fraction", counting)
+        return calls
+
+    def test_estimator_calls(self, counted, one_pattern_spec, site, ring):
+        sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 100, 4)
+        scores = rank_transform(sample)
+        for region in (ring, Region([P(4, 3)]), Region([site, P(4, 3)])):
+            pairs = [Region((site, j)) for j in region]
+            joint = Region((site,)).union(region)
+            for estimator, expected in (
+                (estimate_summary, pairs + [joint]),
+                (estimate_stability, pairs + [joint]),
+                (estimate_contagion, pairs),
+            ):
+                counted.clear()
+                estimator(scores, region, site)
+                assert [tuple(r) for r in counted] == [tuple(r) for r in expected]
+
+    def test_study_estimates_each_coefficient_once(
+        self, counted, monkeypatch, one_pattern_spec, site, ring
+    ):
+        import m4extremes.dependence as dependence_module
+
+        evals = []
+        real = dependence_module.extremal_coefficient
+
+        def counting(spec, region):
+            evals.append(region)
+            return real(spec, region)
+
+        monkeypatch.setattr(dependence_module, "extremal_coefficient", counting)
+        monte_carlo_study(one_pattern_spec, ring, site, 3, 30, 1)
+        assert len(counted) == 3 * (len(ring) + 1)
+        assert len(evals) == len(ring) + 1

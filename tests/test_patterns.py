@@ -27,19 +27,20 @@ P = LatticePoint
 
 class TestPresets:
     def test_one_pattern_coefficients(self, one_pattern_spec):
-        assert one_pattern_spec.coefficient(1, 1, P(4, 3)) == F(4, 5)
-        assert one_pattern_spec.coefficient(1, 2, P(4, 3)) == F(1, 5)
-        assert one_pattern_spec.coefficient(1, 1, P(3, 3)) == F(1, 4)
-        assert one_pattern_spec.coefficient(1, 2, P(3, 3)) == F(3, 4)
+        # rows are patterns, columns are lags m_min..m_max (here 1..2)
+        assert one_pattern_spec.patterns_at(P(4, 3)) == ((F(4, 5), F(1, 5)),)
+        assert one_pattern_spec.patterns_at(P(3, 3)) == ((F(1, 4), F(3, 4)),)
 
     def test_two_pattern_coefficients(self, two_pattern_spec):
-        # both coordinates odd
-        assert two_pattern_spec.coefficient(2, 3, P(3, 3)) == F(1, 5)
-        assert two_pattern_spec.coefficient(2, 2, P(3, 3)) == F(1, 10)
-        assert two_pattern_spec.coefficient(1, 1, P(3, 3)) == F(1, 5)
+        # [pattern - 1][lag - 1]; both coordinates odd
+        odd = two_pattern_spec.patterns_at(P(3, 3))
+        assert odd[1][2] == F(1, 5)
+        assert odd[1][1] == F(1, 10)
+        assert odd[0][0] == F(1, 5)
         # everything else
-        assert two_pattern_spec.coefficient(1, 1, P(2, 4)) == F(1, 4)
-        assert two_pattern_spec.coefficient(2, 1, P(2, 4)) == F(1, 6)
+        other = two_pattern_spec.patterns_at(P(2, 4))
+        assert other[0][0] == F(1, 4)
+        assert other[1][0] == F(1, 6)
 
     def test_presets_validate(self, one_pattern_spec, two_pattern_spec):
         assert validate(one_pattern_spec).ok
@@ -59,14 +60,15 @@ class TestPresets:
 
 
 class TestCoefficientLookup:
-    def test_outside_lag_range_is_zero(self, one_pattern_spec):
-        assert one_pattern_spec.coefficient(1, 3, P(4, 3)) == 0
-        assert one_pattern_spec.coefficient(1, 0, P(4, 3)) == 0
-        assert one_pattern_spec.coefficient(2, 1, P(4, 3)) == 0
+    def test_matrix_shape_is_patterns_by_lags(self, one_pattern_spec, two_pattern_spec):
+        for spec in (one_pattern_spec, two_pattern_spec):
+            matrix = spec.patterns_at(P(4, 3))
+            assert len(matrix) == spec.n_patterns
+            assert all(len(row) == spec.m_max - spec.m_min + 1 for row in matrix)
 
     def test_outside_domain_raises(self, one_pattern_spec):
         with pytest.raises(DomainError):
-            one_pattern_spec.coefficient(1, 1, P(99, 0))
+            one_pattern_spec.patterns_at(P(99, 0))
         with pytest.raises(DomainError):
             one_pattern_spec.patterns_at(P(0, -99))
 
@@ -159,7 +161,7 @@ class TestJson:
             "rules": [{"predicate": "always", "patterns": [["4/5", "1/5"]]}],
         }
         spec = from_json_dict(doc)
-        assert spec.coefficient(1, 1, P(0, 0)) == F(4, 5)
+        assert spec.patterns_at(P(0, 0))[0][0] == F(4, 5)
         assert spec.is_exact()
 
     def test_decimal_weights_are_floats(self):
@@ -172,7 +174,7 @@ class TestJson:
         }
         spec = from_json_dict(doc)
         assert not spec.is_exact()
-        assert spec.coefficient(1, 1, P(0, 0)) == 0.8
+        assert spec.patterns_at(P(0, 0))[0][0] == 0.8
 
     def test_missing_final_always_rejected(self):
         doc = {
@@ -242,11 +244,7 @@ def test_domain_points_row_major(one_pattern_spec):
 def test_per_location_totals_are_one(one_pattern_spec, two_pattern_spec):
     for spec in (one_pattern_spec, two_pattern_spec):
         for point in (P(0, 0), P(3, 3), P(-1, 2), P(2, -2)):
-            total = sum(
-                spec.coefficient(l, m, point)
-                for l in range(1, spec.n_patterns + 1)
-                for m in range(spec.m_min, spec.m_max + 1)
-            )
+            total = sum(w for row in spec.patterns_at(point) for w in row)
             assert total == 1
 
 
@@ -272,9 +270,9 @@ class TestCompiledMatrices:
                       P(2, 0): [[0.0, 1.0]], P(3, 0): [[-0.0, 1.0]]},
         )
         assert len(spec.matrices) == 4
-        assert isinstance(spec.coefficient(1, 1, P(0, 0)), F)
-        assert isinstance(spec.coefficient(1, 1, P(1, 0)), float)
-        assert math.copysign(1, spec.coefficient(1, 1, P(3, 0))) == -1
+        assert isinstance(spec.patterns_at(P(0, 0))[0][0], F)
+        assert isinstance(spec.patterns_at(P(1, 0))[0][0], float)
+        assert math.copysign(1, spec.patterns_at(P(3, 0))[0][0]) == -1
         assert not spec.is_exact()
 
 

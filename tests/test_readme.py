@@ -1,0 +1,51 @@
+"""The README's library example runs and gives the values its comments state."""
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_example() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library example") :]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def expression_values(source: str) -> dict[int, object]:
+    """Run `source`, returning the value of each top-level expression
+    statement by its line number."""
+    namespace: dict = {}
+    values = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "<README>", "eval")
+            values[node.lineno] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "<README>", "exec"), namespace)
+    return values
+
+
+def test_library_example_values():
+    source = library_example()
+    values = expression_values(source)
+    comments = {
+        lineno: line.split("#", 1)[1].strip()
+        for lineno, line in enumerate(source.splitlines(), start=1)
+        if lineno in values
+    }
+    assert list(comments.values()) == [
+        "Fraction(47, 10)",
+        "Fraction(66, 31)",
+        "~4.5",
+        "~2.2, next to the exact 66/31",
+    ]
+    closed_ci, closed_si, plug_in_ci, plug_in_si = values.values()
+    assert type(closed_ci) is Fraction and closed_ci == Fraction(47, 10)
+    assert type(closed_si) is Fraction and closed_si == Fraction(66, 31)
+    assert plug_in_ci == pytest.approx(4.5, abs=0.1)
+    assert plug_in_si == pytest.approx(2.2, abs=0.1)

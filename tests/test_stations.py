@@ -7,6 +7,7 @@ from m4extremes import (
     Region,
     UnknownStationError,
     estimate_contagion,
+    estimate_extremal_coefficient,
     estimate_stability,
     field_sample_to_station_csv,
     ingest_stations,
@@ -155,6 +156,60 @@ class TestStationIndices:
             "pairwise_extremal_estimates",
             "joint_extremal_estimate",
         }
+
+
+def loop_station_indices(dataset, conditioning, region_names):
+    """Reference: `station_indices` with its own pairwise and joint loop
+    and separate contagion and stability estimators."""
+    cond_col = dataset.column(conditioning)
+    region_cols = [dataset.column(name) for name in region_names]
+    involved = [cond_col] + [c for c in region_cols if c != cond_col]
+    points = {col: P(i, 0) for i, col in enumerate(involved)}
+    scores = scores_from_matrix(dataset.maxima[:, involved], [points[c] for c in involved])
+    site = points[cond_col]
+    region = Region(points[c] for c in region_cols)
+    pairwise = []
+    for name, col in zip(region_names, region_cols):
+        est = estimate_extremal_coefficient(scores, Region((site, points[col])))
+        pairwise.append((name, est.value, est.out_of_range))
+    joint = estimate_extremal_coefficient(scores, Region((site,)).union(region))
+    return (
+        estimate_contagion(scores, region, site),
+        estimate_stability(scores, region, site),
+        tuple(pairwise),
+        joint.value,
+    )
+
+
+class TestStationIndicesOracle:
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ["vale_frio", "monte_claro"],
+            ["vale_frio", "planalto", "vale_frio"],  # a repeated name
+            ["serra_alta", "vale_frio"],  # the conditioning station itself
+            ["planalto", "serra_alta", "planalto", "serra_alta"],
+            ["serra_alta"],
+        ],
+    )
+    def test_matches_per_call_loop(self, names):
+        ds = ingest_stations(DATA_DIR / "stations_32y.csv")
+        report = station_indices(ds, "serra_alta", names)
+        got = (report.contagion, report.stability, report.pairwise, report.joint)
+        assert repr(got) == repr(loop_station_indices(ds, "serra_alta", names))
+        assert [s for s, _, _ in report.pairwise] == names
+
+    def test_conditioning_station_pair_is_the_singleton(self):
+        # ties in "c" put its singleton estimate at 11/9: outside [1, 1],
+        # though inside the [1, 2] of a true pair
+        ds = StationDataset(
+            stations=(Station("c"), Station("r")),
+            years=(2000, 2001, 2002, 2003),
+            maxima=np.array([[1.0, 4.0], [1.0, 3.0], [2.0, 2.0], [3.0, 1.0]]),
+        )
+        report = station_indices(ds, "c", ["r", "c", "c"])
+        assert report.pairwise[1:] == (("c", 11 / 9, True), ("c", 11 / 9, True))
+        assert repr(report.pairwise) == repr(loop_station_indices(ds, "c", ["r", "c", "c"])[2])
 
 
 class TestRoundTrip:
