@@ -12,7 +12,7 @@ so results are deterministic.
 Site-to-region indices have one derivation: `_summary` puts the |R| pairwise
 coefficients and the joint one into the contagion and stability formulas.
 `summarize` feeds it closed forms, `estimate.estimate_summary` max-mean ratio
-estimates; `contagion_index` needs only the pairwise coefficients.
+estimates; `contagion_index` and `stability_bounds` use the pairwise ones.
 """
 
 from __future__ import annotations
@@ -185,8 +185,16 @@ def stability_bounds(
     spec: M4Spec, region: Region, site: LatticePoint
 ) -> tuple[Weight, Weight]:
     """Sharp sandwich for the stability index from pairwise coefficients only."""
-    summary = summarize(spec, region, site)
-    return summary.stability_lower, summary.stability_upper
+    return _pair_terms(_pairwise(partial(extremal_coefficient, spec), region, site))[2:]
+
+
+def _pair_terms(pairwise: _Pairwise) -> tuple[Weight, Weight, Weight, Weight]:
+    """The pair sum, the stability numerator (the pair sum less |R|), and the
+    stability bounds: the numerator over |R| + 1 and over the largest pair."""
+    pair_sum = _ksum(v for _, v in pairwise)
+    numerator = pair_sum - len(pairwise)
+    joint_size, largest = len(pairwise) + 1, max(v for _, v in pairwise)
+    return pair_sum, numerator, numerator / joint_size, numerator / largest
 
 
 @dataclass(frozen=True)
@@ -248,8 +256,7 @@ def _summary(
     """The indices of (region, site) from its |R| pairwise coefficients, in
     region order, and its joint one; closed forms and plug-in estimates
     both put their coefficients through here."""
-    pair_sum = _ksum(v for _, v in pairwise)
-    numerator = pair_sum - len(pairwise)
+    pair_sum, numerator, lower, upper = _pair_terms(pairwise)
     return DependenceSummary(
         site=site,
         region=region,
@@ -257,6 +264,5 @@ def _summary(
         joint_extremal=joint,
         contagion=_contagion(len(pairwise), pair_sum),
         stability=numerator / joint,
-        stability_lower=numerator / (len(pairwise) + 1),
-        stability_upper=numerator / max(v for _, v in pairwise),
+        stability_lower=lower, stability_upper=upper,
     )

@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -261,30 +262,13 @@ def read_sample_csv(
     Replicates are sorted and locations keep their order of first appearance.
     A rejected file is read again row by row to name its first bad line.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not _plain_ascii(raw):
+    with _open_csv(path) as fh:
+        header = next(_csv_rows(path, fh), None)
+        bulk = _header_ok(header) and _bulk_problem(header, ()) is None
+        rows = _bulk_rows(path, fh, _SAMPLE_ROW, usecols=range(4)) if bulk else None
+    if rows is None:
         _raise_first_error(path)
-    del raw
-    with open(path, encoding="ascii") as fh:
-        if not _header_ok(next(_csv_rows(path, fh), None)):
-            _raise_first_error(path)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header-only file
-                # numpy 1.x reads "1.0" as an integer, with this warning
-                warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(
-                    fh, dtype=_SAMPLE_ROW, delimiter=",", quotechar='"',
-                    comments=None, usecols=range(4), ndmin=1,
-                )
-        except (ValueError, DeprecationWarning):
-            _raise_first_error(path)
     reps, x, y, cells = (rows[name] for name in _SAMPLE_ROW.names)
-    if not np.all((cells > 0) & (cells < np.inf)):
-        _raise_first_error(path)
     if not len(rows):
         raise ParseError(f"{path}: no data rows")
     replicates, row_of = np.unique(reps, return_inverse=True)
@@ -332,6 +316,13 @@ def _first_appearance(
     return points, col_of
 
 
+def _open_csv(path: str | Path) -> TextIO:
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def _csv_rows(path: str | Path, fh) -> Iterator[list[str]]:
     """The rows `csv.reader` reads from `fh`.  A row it cannot read (a field
     over `csv.field_size_limit()`) raises ParseError naming `path:line`."""
@@ -342,11 +333,40 @@ def _csv_rows(path: str | Path, fh) -> Iterator[list[str]]:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-def _plain_ascii(data: bytes) -> bool:
-    """ASCII without the separator controls U+001C-U+001F.  `np.loadtxt`
-    strips those around numbers where `int` and `float` do not, and reads
-    some non-ASCII characters in integers as digits."""
-    return data.isascii() and not any(c in data for c in b"\x1c\x1d\x1e\x1f")
+def _bulk_rows(path: str | Path, fh: TextIO, dtype: np.dtype, usecols=None, skip=None):
+    """The rows left in `fh` after its header, in one `np.loadtxt` pass, or
+    None when the bulk grammar rejects them or a value in the last field is
+    not positive and finite.  The bytes after the file's first line are
+    checked, also by `skip(raw, start)` if given, and dropped before the
+    parse, which reads `fh` itself."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    start = re.match(rb"[^\r\n]*", raw).end()
+    plain = _plain_ascii(raw, start) and not (skip and skip(raw, start))
+    del raw
+    if not plain:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            # numpy 1.x reads "1.0" as an integer, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, usecols=usecols, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    values = rows[dtype.names[-1]]
+    return rows if np.all((values > 0) & (values < np.inf)) else None
+
+
+def _plain_ascii(data: bytes, start: int = 0) -> bool:
+    """`data[start:]` is ASCII without the separator controls U+001C-U+001F.
+    `np.loadtxt` strips those around numbers where `int` and `float` do not,
+    and reads some non-ASCII characters in integers as digits."""
+    plain = data.isascii() or data[start:].isascii()  # a copy only if needed
+    return plain and all(data.find(c, start) < 0 for c in b"\x1c\x1d\x1e\x1f")
 
 
 def _header_ok(header: list[str] | None) -> bool:
@@ -368,11 +388,7 @@ def _raise_first_error(path: str | Path) -> NoReturn:
     the bulk grammar: ASCII without separator controls, no digit-group
     underscores in numbers, integers within 64 bits.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with _open_csv(path) as fh:
         reader = _csv_rows(path, fh)
         header = next(reader, None)
         if not _header_ok(header):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,9 +22,10 @@ import numpy as np
 from .errors import ParseError, UnknownStationError
 from .estimate import _pairwise_estimates, estimate_summary, scores_from_matrix
 from .lattice import LatticePoint, Region
-from .simulate import FieldSample, _csv_rows
+from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
+_EMPTY_CELL = re.compile(rb",[,\r\n]")
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,7 @@ class StationDataset:
 
 def _read_metadata(path: str | Path) -> dict[str, tuple[float, float]]:
     coords: dict[str, tuple[float, float]] = {}
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with _open_csv(path) as fh:
         reader = _csv_rows(path, fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["station", "x", "y"]:
@@ -83,9 +81,12 @@ def _read_metadata(path: str | Path) -> dict[str, tuple[float, float]]:
             if not row or not any(cell.strip() for cell in row):
                 continue
             try:
-                coords[row[0].strip()] = (float(row[1]), float(row[2]))
+                x, y = float(row[1]), float(row[2])
             except (IndexError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"{path}:{lineno}: non-finite coordinates {x}, {y}")
+            coords[row[0].strip()] = (x, y)
     return coords
 
 
@@ -121,6 +122,21 @@ def _classify_cells(
     return None if row_missing else cells
 
 
+def _scan_rows(raw: bytes, start: int) -> bool:
+    """Whether the data bytes `raw[start:]` skip the bulk pass: for a missing
+    cell (empty, or a token with an `n`), which it would reject only after
+    parsing the rows before it, or for a quoted field or one longer than
+    `csv.field_size_limit()`, which `csv.reader` rejects and it would not."""
+    if any(raw.find(c, start) >= 0 for c in b'nN"') or _EMPTY_CELL.search(raw, start):
+        return True
+    # an unquoted field over the limit covers a whole block of half the limit
+    block = csv.field_size_limit() // 2 + 1
+    return not all(
+        any(raw.find(c, i, i + block) >= 0 for c in b",\r\n")
+        for i in range(start, len(raw) - block + 1, block)
+    )
+
+
 def ingest_stations(
     csv_path: str | Path,
     *,
@@ -131,15 +147,13 @@ def ingest_stations(
 
     `missing` selects the policy for empty/NA cells: "error" rejects the
     file (default), "drop-year" removes the affected rows.  Non-numeric or
-    non-positive maxima always fail, naming the offending cell.
+    non-positive maxima always fail, naming the offending cell.  The data
+    rows are read in one `np.loadtxt` pass and checked as arrays; a file
+    with missing or quoted cells, or one that pass rejects, row by row.
     """
     if missing not in ("error", "drop-year"):
         raise ParseError(f"unknown missing-value policy {missing!r}")
-    try:
-        fh = open(csv_path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {csv_path}: {exc}") from exc
-    with fh:
+    with _open_csv(csv_path) as fh:
         reader = _csv_rows(csv_path, fh)
         header = next(reader, None)
         if header is None or not header or header[0].strip().lower() != "year":
@@ -149,9 +163,15 @@ def ingest_stations(
             raise ParseError(f"{csv_path}: no station columns")
         if len(set(names)) != len(names):
             raise ParseError(f"{csv_path}: duplicate station names in header")
-        years: list[int] = []
-        kept_rows: list[list[float]] = []
-        dropped: list[int] = []
+        row_type = np.dtype([("year", np.int64), ("maxima", np.float64, (len(names),))])
+        rows = _bulk_rows(csv_path, fh, row_type, skip=_scan_rows)
+        if rows is not None:  # no row is left to scan
+            years, kept_rows, dropped, reader = rows["year"].tolist(), rows["maxima"], [], ()
+        else:  # read again row by row, to drop years or name the first bad cell
+            fh.seek(0)
+            reader = _csv_rows(csv_path, fh)
+            next(reader)  # the header
+            years, kept_rows, dropped = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or not any(cell.strip() for cell in row):
                 continue
@@ -178,18 +198,11 @@ def ingest_stations(
                 continue
             years.append(year)
             kept_rows.append(cells)
-    if not kept_rows:
+    if not years:
         raise ParseError(f"{csv_path}: no usable year rows")
     coords = _read_metadata(metadata_path) if metadata_path is not None else {}
-    stations = tuple(
-        Station(name, *(coords.get(name) or (None, None))) for name in names
-    )
-    return StationDataset(
-        stations=stations,
-        years=tuple(years),
-        maxima=np.array(kept_rows),
-        dropped_years=tuple(dropped),
-    )
+    stations = tuple(Station(name, *coords.get(name, (None, None))) for name in names)
+    return StationDataset(stations, tuple(years), np.array(kept_rows), tuple(dropped))
 
 
 @dataclass(frozen=True)

@@ -465,6 +465,27 @@ class TestIngestReport:
         )
         assert code == 3
 
+    def test_non_finite_metadata_exits_3(self, capsys, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("station,x,y\nserra_alta,nan,inf\n")
+        code, out, err = run(
+            capsys, "ingest", "--data", str(DATA_DIR / "stations_32y.csv"),
+            "--meta", str(meta),
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {meta}:2: non-finite coordinates nan, inf\n"
+
+    def test_ingest_output_is_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = run(
+            capsys, "ingest", "--data", str(DATA_DIR / "stations_32y.csv"),
+            "--meta", str(DATA_DIR / "stations_meta.csv"),
+        )
+        assert code == 0
+        json.loads(out, parse_constant=reject)
+
 
 class TestOversizedField:
     """A field longer than the csv module accepts names its line, exit 3."""

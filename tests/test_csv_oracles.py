@@ -31,6 +31,7 @@ from m4extremes import (
     read_sample_csv,
     write_sample_csv,
 )
+from m4extremes import stations as stations_module
 from m4extremes.stations import Station, StationDataset
 
 P = LatticePoint
@@ -382,15 +383,48 @@ _CELL_MUTATIONS = [
     "", " ", "na", "NA", "n/a", "N/A", "nan", "NaN", " nan ", "null", "NULL", "none",
     "None", "-nan", "+nan", "inf", "-inf", "0", "-1", "-0.0", "1e400", "1e-400",
     "wet", "1,5", '"2.5"', " 2.5 ", "1_0", "0x10",
+    # outside the bulk grammar, but `float` reads the first three
+    "\u0662.\u0665", "7\x1c", "\x1f7", "5\x00", '"2.5\n"', '"2\r\n.5"',
 ]
 
 
 def _station_corpus() -> list[tuple[str, str]]:
     rng = random.Random(20261019)
     base = "\n".join(_STATIONS) + "\n"
+    header = _STATIONS[0]
     corpus = [
         ("base", base),
         ("base CRLF", base.replace("\n", "\r\n")),
+        ("base CR", base.replace("\n", "\r")),
+        ("non-ASCII names", base.replace(header, "year,Zürich,São Paulo,Ørsted", 1)),
+        ("non-ASCII names CR", base.replace(header, "year,Zürich,b,c", 1).replace("\n", "\r")),
+        ("separator control in a name", base.replace(header, "year,a\x1cb,b,c", 1)),
+        ("quoted names", base.replace(header, 'year,"a, north","b ""east""",c', 1)),
+        ("quoted newline in header", base.replace(header, 'year,"a\nb",b,c', 1)),
+        ("quoted CRLF in header", base.replace(header, 'year,"a\r\nb",b,c', 1)),
+        ("quoted non-ASCII newline in header", base.replace(header, 'year,"Zürich\nSüd",b,c', 1)),
+        ("quoted cell", base.replace("2002,4.0", '2002,"4.0"', 1)),
+        ("quoted year", base.replace("2002,4.0", '"2002",4.0', 1)),
+        ("quoted newline in a cell", base.replace("2001,0.5", '2001,"0.5\n"', 1)),
+        ("quoted newline in a cell CRLF", base.replace("2001,0.5", '2001,"0.5\r\n"', 1)
+         .replace("\n", "\r\n")),
+        ("year outside 64 bits", base.replace("2003", str(1 << 64), 1)),
+        ("20-digit year", base.replace("2003", "9" * 20, 1)),
+        ("negative year outside 64 bits", base.replace("2003", str(-(1 << 63) - 1), 1)),
+        ("64-bit year extremes", base.replace("2000", str((1 << 63) - 1), 1)
+         .replace("2003", str(-(1 << 63)), 1)),
+        ("Arabic-Indic year", base.replace("2002", "\u0662\u0660\u0660\u0662", 1)),
+        ("Arabic-Indic digits", base.replace("2.5,3.5", "\u0662.\u0665,3.\u0665", 1)),
+        ("separator controls around a cell", base.replace("5.5", "\x1c5.5\x1f", 1)),
+        ("NUL in a cell", base.replace("5.5", "5.5\x00", 1)),
+        ("NUL in a year", base.replace("2002", "2002\x00", 1)),
+        ("NUL line", base.replace("\n2001", "\n\x00\n2001", 1)),
+        ("non-ASCII space in a cell", base.replace("5.5", "5.5\xa0", 1)),
+        ("underscore year", base.replace("2002", "2_002", 1)),
+        ("exponent cell", base.replace("5.5", "5.5E0", 1)),
+        ("whitespace cells", base.replace("2002,4.0,5.5,6.0", " 2002 ,\t4.0, 5.5\x0b,\x0c6.0 ", 1)),
+        ("no final newline", base.rstrip("\n")),
+        ("header only, no newline", header),
         ("blank lines", base.replace("\n2001", "\n\n  \n,,,\n2001")),
         ("header only", _STATIONS[0] + "\n"),
         ("empty file", ""),
@@ -429,6 +463,143 @@ def test_station_reader_matches_oracle(tmp_path, text, missing):
     new = _outcome(ingest_stations, path, missing=missing)
     old = _outcome(oracle_ingest_stations, path, missing=missing)
     assert _same_dataset(new, old), (new, old)
+
+
+def test_station_corpus_has_both_outcomes(tmp_path):
+    accepted = 0
+    for _, text in _station_corpus():
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        accepted += not isinstance(_outcome(oracle_ingest_stations, path), Exception)
+    assert accepted >= 40 and len(_station_corpus()) - accepted >= 100
+
+
+# Single characters and tokens inserted or written over at random places in
+# small station files, both through the bulk pass and past it.
+_INSERTIONS = [
+    "\r", "\n", "\r\n", '"', ",", " ", "\t", "\x0b", "\x00", "_", "-", "+", ".", "e",
+    "0", "9", "\u0663", "\x1c", "\x1f", "\xa0", "é", "nan", "inf", "NA", "1e400",
+    "9" * 20, "#",
+]
+
+
+def test_station_reader_matches_oracle_on_insertions(tmp_path):
+    rng = random.Random(20261020)
+    headers = [_STATIONS[0], "year,Zürich,b,c", 'year,"a\nb",b,c']
+    path = tmp_path / "d.csv"
+    accepted = 0
+    for _ in range(1000):
+        lines = [rng.choice(headers)] + _STATIONS[1:]
+        text = rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["\n", "\r", ""])
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            cut = at + (rng.random() < 0.3)
+            text = text[:at] + rng.choice(_INSERTIONS) + text[cut:]
+        path.write_bytes(text.encode())
+        for missing in ("error", "drop-year"):
+            new = _outcome(ingest_stations, path, missing=missing)
+            old = _outcome(oracle_ingest_stations, path, missing=missing)
+            assert _same_dataset(new, old), (text, missing, new, old)
+            accepted += not isinstance(old, Exception)
+    assert 200 <= accepted <= 1800
+
+
+def test_station_reader_scans_rows_only_for_rejected_files(tmp_path, monkeypatch):
+    # every row `csv.reader` gives the station reader; the bulk pass reads
+    # only the header that way
+    rows = []
+    real = stations_module._csv_rows
+
+    def counting(path, fh):
+        for row in real(path, fh):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(stations_module, "_csv_rows", counting)
+    parses = []
+    real_loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or real_loadtxt(*a, **k))
+    base = "\n".join(_STATIONS) + "\n"
+    path = tmp_path / "d.csv"
+    expected = oracle_ingest_stations(_write(path, base))
+    for text in (
+        base,
+        base.replace("\n", "\r\n"),
+        base.replace("\n", "\r"),
+        base.replace("year,a,b,c", "year,Zürich,São Paulo,Ørsted"),
+        base.replace("year,a,b,c", "year,a\x1cb,b,c"),
+    ):
+        rows.clear()
+        parses.clear()
+        dataset = ingest_stations(_write(path, text), missing="drop-year")
+        assert rows == [next(csv.reader(io.StringIO(text, newline="")))]
+        assert parses == [1]
+        assert dataset.years == expected.years
+        assert np.array_equal(dataset.maxima, expected.maxima)
+        assert dataset.maxima.flags.c_contiguous
+    # missing cells and quoted fields show in the bytes: the row scan reads
+    # the header twice and every data row, and the bulk parse never runs
+    for cells in ("NA,1e2", "n/a,1e2", ",1e2", "0.5,", '"0.5",1e2'):
+        rows.clear()
+        parses.clear()
+        text = base.replace("0.5,1e2", cells).replace("\n2003,", "\r\n2003,")
+        dataset = ingest_stations(_write(path, text), missing="drop-year")
+        assert _same_dataset(dataset, oracle_ingest_stations(path, missing="drop-year"))
+        assert len(rows) == 2 + len(_STATIONS) - 1
+        assert parses == []
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_bytes(text.encode())
+    return path
+
+
+_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("missing", ["error", "drop-year"])
+@pytest.mark.parametrize(
+    "cell, other",
+    [
+        ("1." + "0" * (_LIMIT - 2), "2"),  # at the limit: read
+        ("1." + "0" * (_LIMIT - 1), "2"),  # one over
+        ("1." + "0" * 200_000, "2"),
+        ("1." + "0" * (_LIMIT - 1), "NA"),  # a missing cell sends it to the row scan
+        (" " * (_LIMIT + 1) + "1.5", "2"),
+        ('"' + "1." + "0" * _LIMIT + '"', "2"),
+        ('"' + "\n" * (_LIMIT + 1) + '1.5"', "2"),  # no line of it is long
+        ('"' + "\r\n 1.5" * (_LIMIT // 5) + '"', "2"),
+    ],
+    ids=["at limit", "over", "200,000 zeros", "over, NA elsewhere", "spaces",
+         "quoted", "quoted newlines", "quoted CRLFs"],
+)
+def test_station_reader_agrees_with_csv_on_long_fields(tmp_path, cell, other, missing):
+    # a field `csv.reader` rejects for its length is rejected on the bulk
+    # path as in the row scan, whatever the other cells hold
+    path = _write(tmp_path / "d.csv", f"year,a,b\n2000,{cell},2\n2001,3,{other}\n")
+    new = _outcome(ingest_stations, path, missing=missing)
+    old = _outcome(oracle_ingest_stations, path, missing=missing)
+    if isinstance(old, csv.Error):
+        assert isinstance(new, ParseError)
+        assert str(new).startswith(f"{path}:") and str(new).endswith(f": {old}")
+    else:
+        assert _same_dataset(new, old), (new, old)
+
+
+def test_station_long_field_check_at_every_alignment():
+    # an unquoted field over the limit sends the file to the row scan
+    # wherever it starts, at the end of the file too; a field under half
+    # the limit never does
+    old_limit = csv.field_size_limit(10)
+    try:
+        for pad in range(14):
+            for width, end in ((11, b"\n"), (11, b""), (30, b"\n"), (5, b"\n"), (5, b"")):
+                # a first row of short fields moves the second across the blocks
+                first = b"7" * (pad % 5 + 1) + b"," + b"7" * (pad // 5 + 1)
+                raw = b"year,a\n" + first + b"\n7," + b"9" * width + end
+                assert stations_module._scan_rows(raw, 6) is (width > 10), (pad, width, end)
+    finally:
+        csv.field_size_limit(old_limit)
 
 
 def test_station_writer_matches_csv_writer(tmp_path):
@@ -506,6 +677,17 @@ def test_sample_reader_names_older_errors_first(tmp_path, text, message):
         read_sample_csv(path)
     assert str(caught.value) == str(_outcome(oracle_read_sample_csv, path))
     assert str(caught.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("header", ["replicate\xa0,x,y,value", "replicate,x,y,value\x1c"])
+def test_sample_reader_rejects_outside_bulk_grammar_in_header(tmp_path, header):
+    path = _write(tmp_path / "s.csv", header + "\n0,0,0,1.5\n")
+    assert isinstance(oracle_read_sample_csv(path), FieldSample)
+    with pytest.raises(ParseError) as caught:
+        read_sample_csv(path)
+    assert str(caught.value) == (
+        f"{path}:1: malformed row: non-ASCII or separator control character"
+    )
 
 
 def test_sample_reader_takes_64_bit_extremes(tmp_path):

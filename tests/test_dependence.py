@@ -480,7 +480,7 @@ class TestSharedDerivationOracle:
             for function, expected in (
                 (summarize, len(region) + 1),
                 (stability_index, len(region) + 1),
-                (stability_bounds, len(region) + 1),
+                (stability_bounds, len(region)),
                 (contagion_index, len(region)),
             ):
                 calls.clear()

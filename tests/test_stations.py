@@ -93,6 +93,18 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest_stations(path, missing="interpolate")
 
+    @pytest.mark.parametrize("x, y", [("nan", "1"), ("1", "inf"), ("-inf", "NaN"), ("1e400", "2")])
+    def test_non_finite_coordinates_name_the_line(self, tmp_path, x, y):
+        # a NaN or infinite coordinate would print as NaN/Infinity, which is
+        # not JSON
+        meta = tmp_path / "meta.csv"
+        meta.write_text(f"station,x,y\nserra_alta,21550,93200\nvale_frio,{x},{y}\n")
+        with pytest.raises(ParseError) as caught:
+            ingest_stations(DATA_DIR / "stations_32y.csv", metadata_path=meta)
+        assert str(caught.value) == (
+            f"{meta}:3: non-finite coordinates {float(x)}, {float(y)}"
+        )
+
 
 class TestStationIndices:
     def test_column_lookup(self):
