@@ -29,23 +29,26 @@ from .simulate import FieldSample, simulate_m4
 class UniformScores:
     """Rank scores of a sample: values k/(n+1) in (0,1), one column per location.
 
-    `rank_counts` keeps the integer numerators k; estimators use them to
-    stay exact.
+    `rank_counts` keeps the integer numerators k; estimators and oracles
+    read only them, to stay exact.
     """
 
     locations: tuple[LatticePoint, ...]
     rank_counts: np.ndarray  # (n, k) int64: count of column values <= this one
-    scores: np.ndarray = None  # type: ignore[assignment]  # filled in __post_init__
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.rank_counts)
         if counts.ndim != 2 or counts.shape[1] != len(self.locations):
             raise ArgumentError("rank counts shape does not match locations")
-        scores = counts / (counts.shape[0] + 1)
-        scores.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "rank_counts", counts)
-        object.__setattr__(self, "scores", scores)
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """`rank_counts / (n + 1)` as floats, read-only; computed on first access."""
+        scores = self.rank_counts / (self.n + 1)
+        scores.setflags(write=False)
+        return scores
 
     @property
     def n(self) -> int:

@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -273,6 +274,10 @@ class M4Spec:
 
     def fingerprint(self) -> str:
         """Stable 64-bit content hash of the specification (hex)."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         payload = json.dumps(
             _canonical_dict(self), sort_keys=True, separators=(",", ":")
         )

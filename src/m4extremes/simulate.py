@@ -11,6 +11,7 @@ prefix-stable (the first rows of a longer run equal a shorter run).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -137,14 +138,26 @@ def simulate_m4(
     return sample
 
 
-def _score_columns(sample: FieldSample, scores) -> np.ndarray:
+def _exceedances(
+    sample: FieldSample, region: Region, site: LatticePoint, u: float, scores
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Which replicates score above `u` at the site, then at each region point
+    one column at a time: rank counts `k > t`, for the largest `t` in 0..n with
+    `t / (n + 1) <= u` (exact, as correctly rounded division is monotone)."""
+    if not 0.0 < u < 1.0:
+        raise ArgumentError(f"threshold must be in (0,1), got {u}")
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
     if scores is None:
         from .estimate import rank_transform  # local import; avoids module cycle
 
         scores = rank_transform(sample)
     if scores.locations != sample.locations:
         raise ArgumentError("scores were computed for different locations")
-    return scores.scores
+    counts, n = scores.rank_counts, scores.n
+    columns = [counts[:, sample.column_index(p)] for p in (site, *region)]
+    t = bisect.bisect_right(range(n + 1), u, key=lambda k: k / (n + 1)) - 1
+    return columns[0] > t, (c > t for c in columns[1:])
 
 
 def empirical_contagion(
@@ -161,21 +174,14 @@ def empirical_contagion(
     Pass precomputed `scores` (from rank_transform) to amortize ranking
     across repeated calls.
     """
-    if not 0.0 < u < 1.0:
-        raise ArgumentError(f"threshold must be in (0,1), got {u}")
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
-    s = _score_columns(sample, scores)
-    site_col = sample.column_index(site)
-    region_cols = [sample.column_index(p) for p in region]
-    conditioning = s[:, site_col] > u
-    m = int(conditioning.sum())
+    site_high, region_high = _exceedances(sample, region, site, u, scores)
+    m = int(np.count_nonzero(site_high))  # a Python int: the result is a Python float
     if m == 0:
         raise UndefinedConditionalError(
             f"no replicate has a site score above u={u}"
         )
-    exceed = s[np.ix_(conditioning, region_cols)] > u
-    return float(exceed.sum()) / m
+    exceed = sum(np.count_nonzero(high & site_high) for high in region_high)
+    return float(exceed) / m
 
 
 def empirical_stability(
@@ -192,24 +198,17 @@ def empirical_stability(
     Raises :class:`UndefinedConditionalError` when no crossing occurs at all
     (e.g. totally dependent columns, or `u` above every score).
     """
-    if not 0.0 < u < 1.0:
-        raise ArgumentError(f"threshold must be in (0,1), got {u}")
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
-    s = _score_columns(sample, scores)
-    site_scores = s[:, sample.column_index(site)]
-    # compare column by column: a copy of the region's scores is not needed
-    region_high = np.empty((len(site_scores), len(region)), dtype=bool, order="F")
-    for c, p in enumerate(region):
-        np.greater(s[:, sample.column_index(p)], u, out=region_high[:, c])
-    crossings = region_high[site_scores <= u]
-    total_crossings = int(crossings.sum())
-    if total_crossings == 0:
+    site_high, region_high = _exceedances(sample, region, site, u, scores)
+    site_low, any_high = ~site_high, site_high.copy()
+    crossings = 0
+    for high in region_high:
+        crossings += np.count_nonzero(high & site_low)
+        any_high |= high
+    if crossings == 0:
         raise UndefinedConditionalError(
             f"no replicate has a crossing at u={u}"
         )
-    any_high = int(((site_scores > u) | region_high.any(axis=1)).sum())
-    return total_crossings / any_high
+    return int(crossings) / int(np.count_nonzero(any_high))
 
 
 # -- CSV interchange ----------------------------------------------------------

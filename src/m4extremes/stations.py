@@ -26,6 +26,7 @@ from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 _EMPTY_CELL = re.compile(rb",[,\r\n]")
+_BLANK_CELL = re.compile(rb",[ \t\v\f]*[,\r\n]")  # slower: for data with blank bytes
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,11 @@ def _classify_cells(
 
 def _scan_rows(raw: bytes, start: int) -> bool:
     """Whether the data bytes `raw[start:]` skip the bulk pass: for a missing
-    cell (empty, or a token with an `n`), which it would reject only after
-    parsing the rows before it, or for a quoted field or one longer than
+    cell (empty, blank or a token with an `n`), which it would reject only
+    after parsing the rows before it, or for a quoted field or one longer than
     `csv.field_size_limit()`, which `csv.reader` rejects and it would not."""
-    if any(raw.find(c, start) >= 0 for c in b'nN"') or _EMPTY_CELL.search(raw, start):
+    cells = _BLANK_CELL if any(raw.find(c, start) >= 0 for c in b" \t\v\f") else _EMPTY_CELL
+    if any(raw.find(c, start) >= 0 for c in b'nN"') or cells.search(raw, start):
         return True
     # an unquoted field over the limit covers a whole block of half the limit
     block = csv.field_size_limit() // 2 + 1

@@ -528,6 +528,7 @@ def test_station_reader_scans_rows_only_for_rejected_files(tmp_path, monkeypatch
         base.replace("\n", "\r"),
         base.replace("year,a,b,c", "year,Zürich,São Paulo,Ørsted"),
         base.replace("year,a,b,c", "year,a\x1cb,b,c"),
+        base.replace("0.5,1e2", " 0.5 ,\t1e2"),  # blanks around values, no blank cell
     ):
         rows.clear()
         parses.clear()
@@ -537,16 +538,22 @@ def test_station_reader_scans_rows_only_for_rejected_files(tmp_path, monkeypatch
         assert dataset.years == expected.years
         assert np.array_equal(dataset.maxima, expected.maxima)
         assert dataset.maxima.flags.c_contiguous
-    # missing cells and quoted fields show in the bytes: the row scan reads
-    # the header twice and every data row, and the bulk parse never runs
-    for cells in ("NA,1e2", "n/a,1e2", ",1e2", "0.5,", '"0.5",1e2'):
-        rows.clear()
-        parses.clear()
+    # missing, blank and quoted cells show in the bytes: the bulk parse never
+    # runs, and a file that is read to its end has the header and every data
+    # row read by the row scan
+    for cells in ("NA,1e2", "n/a,1e2", ",1e2", "0.5,", '"0.5",1e2',
+                  " ,1e2", "\t,1e2", "0.5,\t\v\f "):
         text = base.replace("0.5,1e2", cells).replace("\n2003,", "\r\n2003,")
-        dataset = ingest_stations(_write(path, text), missing="drop-year")
-        assert _same_dataset(dataset, oracle_ingest_stations(path, missing="drop-year"))
-        assert len(rows) == 2 + len(_STATIONS) - 1
-        assert parses == []
+        for missing in ("error", "drop-year"):
+            rows.clear()
+            parses.clear()
+            dataset = _outcome(ingest_stations, _write(path, text), missing=missing)
+            assert _same_dataset(
+                dataset, _outcome(oracle_ingest_stations, path, missing=missing)
+            )
+            assert parses == []
+            if not isinstance(dataset, Exception):
+                assert len(rows) == 2 + len(_STATIONS) - 1
 
 
 def _write(path: Path, text: str) -> Path:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -16,11 +18,14 @@ from m4extremes import (
     dump_spec,
     from_json_dict,
     load_spec,
+    neighbors,
     preset,
+    simulate_m4,
     to_json_dict,
     validate,
 )
-from m4extremes.patterns import NegativeEntry, SumViolation, ValidationReport
+from m4extremes.patterns import NegativeEntry, SumViolation, ValidationReport, _canonical_dict
+from conftest import table_spec
 
 P = LatticePoint
 
@@ -232,6 +237,41 @@ class TestFingerprint:
         a = M4Spec.from_table(1, 1, 1, {P(0, 0): [[1]], P(1, 0): [[1]]})
         b = M4Spec.from_table(1, 1, 1, {P(1, 0): [[1]], P(0, 0): [[1]]})
         assert a.fingerprint() == b.fingerprint()
+
+    @staticmethod
+    def fresh_fingerprint(spec):
+        payload = json.dumps(_canonical_dict(spec), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+    def specs(self):
+        """Specs and copies; each copy is made after its original's hash is
+        cached, and two copies change the content."""
+        one, two, table = preset("one-pattern"), preset("two-pattern"), table_spec(3)
+        for spec in (one, two, table):
+            yield spec
+            yield spec.as_float()
+            yield dataclasses.replace(spec)
+        yield dataclasses.replace(one, rules=one.rules[-1:])
+        yield dataclasses.replace(table, table=table.table[:4])
+
+    def test_cached_value_is_the_canonical_hash(self):
+        hashes = set()
+        for spec in self.specs():
+            hashes.add(spec.fingerprint())
+            assert spec.fingerprint() == self.fresh_fingerprint(spec)
+        assert len(hashes) == 8  # 3 specs, 3 float copies, 2 changed copies
+
+    def test_simulation_hashes_each_spec_once(self, monkeypatch):
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(1) or real(*a, **k))
+        ring = neighbors(P(3, 3))
+        for spec in (preset("one-pattern"), preset("two-pattern", exact=False), table_spec(3)):
+            points = ring if spec.table is None else spec.domain_points()
+            calls.clear()
+            samples = [simulate_m4(spec, points, 3, seed) for seed in range(4)]
+            assert len(calls) == 1
+            assert {s.spec_fingerprint for s in samples} == {self.fresh_fingerprint(spec)}
 
 
 def test_domain_points_row_major(one_pattern_spec):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,12 @@ from m4extremes import (
     ParseError,
     Region,
     UndefinedConditionalError,
+    UniformScores,
     empirical_contagion,
     empirical_stability,
+    estimate_contagion,
+    estimate_stability,
+    estimate_summary,
     export_sample,
     neighbors,
     preset,
@@ -152,6 +157,183 @@ class TestEmpiricalStability:
         direct = empirical_stability(sample, ring, site, 0.95)
         cached = empirical_stability(sample, ring, site, 0.95, scores)
         assert direct == cached
+
+
+def loop_scores(sample, scores):
+    if scores is None:
+        scores = rank_transform(sample)
+    if scores.locations != sample.locations:
+        raise ArgumentError("scores were computed for different locations")
+    return scores.scores
+
+
+def loop_empirical_contagion(sample, region, site, u, scores=None):
+    """Reference contagion oracle: float scores compared with `u`, and the
+    region's conditioned rows copied out."""
+    if not 0.0 < u < 1.0:
+        raise ArgumentError(f"threshold must be in (0,1), got {u}")
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
+    s = loop_scores(sample, scores)
+    site_col = sample.column_index(site)
+    region_cols = [sample.column_index(p) for p in region]
+    conditioning = s[:, site_col] > u
+    m = int(conditioning.sum())
+    if m == 0:
+        raise UndefinedConditionalError(f"no replicate has a site score above u={u}")
+    exceed = s[np.ix_(conditioning, region_cols)] > u
+    return float(exceed.sum()) / m
+
+
+def loop_empirical_stability(sample, region, site, u, scores=None):
+    """Reference stability oracle: float scores compared with `u` into an
+    (n, |region|) buffer."""
+    if not 0.0 < u < 1.0:
+        raise ArgumentError(f"threshold must be in (0,1), got {u}")
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
+    s = loop_scores(sample, scores)
+    site_scores = s[:, sample.column_index(site)]
+    region_high = np.empty((len(site_scores), len(region)), dtype=bool, order="F")
+    for c, p in enumerate(region):
+        np.greater(s[:, sample.column_index(p)], u, out=region_high[:, c])
+    total_crossings = int(region_high[site_scores <= u].sum())
+    if total_crossings == 0:
+        raise UndefinedConditionalError(f"no replicate has a crossing at u={u}")
+    any_high = int(((site_scores > u) | region_high.any(axis=1)).sum())
+    return total_crossings / any_high
+
+
+def outcome(oracle, *args):
+    try:
+        value = oracle(*args)
+    except Exception as exc:  # the comparison is of the exception itself
+        return type(exc), str(exc)
+    assert type(value) is float
+    return value
+
+
+def u_grid(n):
+    """Every score k/(n+1), k in 0..n+1, and its two float neighbours."""
+    for k in range(n + 2):
+        u = k / (n + 1)
+        yield from (np.nextafter(u, 0.0).item(), u, np.nextafter(u, 1.0).item())
+
+
+def tie_heavy_sample(n, k=5, seed=0):
+    values = np.random.default_rng(seed).integers(1, 4, size=(n, k)).astype(float)
+    return FieldSample(tuple(P(x, 0) for x in range(k)), values)
+
+
+class TestOraclesAgainstLoops:
+    """The rank-count oracles return the reference's floats and errors."""
+
+    @staticmethod
+    def check(sample, region, site, us, scores=None):
+        for u in us:
+            for new, old in ((empirical_contagion, loop_empirical_contagion),
+                             (empirical_stability, loop_empirical_stability)):
+                got = outcome(new, sample, region, site, u, scores)
+                assert got == outcome(old, sample, region, site, u, scores), (u, new)
+
+    @pytest.mark.parametrize("name", ["one-pattern", "two-pattern"])
+    def test_presets(self, name):
+        site = P(3, 3)
+        ring = neighbors(site)
+        sample = simulate_m4(preset(name), Region([site]).union(ring), 3000, 17)
+        scores = rank_transform(sample)
+        us = [0.5, 0.9, 0.99, 0.999, 0.9999, 2999 / 3001, 3000 / 3001, 1 - 1e-9]
+        for region in (ring, Region([P(4, 3)]), ring.with_point(site)):
+            self.check(sample, region, site, us)
+            self.check(sample, region, site, us, scores)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 301])
+    def test_tie_heavy_samples(self, n):
+        sample = tie_heavy_sample(n, seed=n)
+        scores = rank_transform(sample)
+        site, region = P(0, 0), Region([P(3, 0), P(1, 0), P(4, 0)])
+        us = [u for u in u_grid(n) if n < 50 or u > 0.9] + [0.5]
+        self.check(sample, region, site, us, scores)
+        self.check(sample, region.with_point(site), site, us, scores)
+        self.check(sample, Region([P(2, 0)]), site, [0.25, 0.5, 0.75])
+
+    def test_doctored_scores(self):
+        n = 9
+        sample = tie_heavy_sample(n)
+        rng = np.random.default_rng(5)
+        site, region = P(1, 0), Region([P(0, 0), P(2, 0), P(4, 0)])
+        for counts in (
+            rng.integers(-3, n + 5, size=(n, 5)),
+            np.full((n, 5), n),
+            np.zeros((n, 5), dtype=np.int64),
+            np.full((n, 5), n + 1),
+            rng.integers(0, n + 2, size=(n, 5)).astype(np.uint8),
+            rng.choice([-(2**62), 2**62, 3], size=(n, 5)),
+        ):
+            scores = UniformScores(sample.locations, counts)
+            self.check(sample, region, site, u_grid(n), scores)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_every_score_and_its_neighbours(self, n):
+        sample = tie_heavy_sample(n, seed=100 + n)
+        scores = rank_transform(sample)
+        self.check(sample, Region([P(1, 0), P(2, 0), P(3, 0)]), P(0, 0), u_grid(n), scores)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_integer_threshold(self, n):
+        # column j holds the count j - 2 in every row: every count in -2..n+1
+        locations = tuple(P(j, 0) for j in range(n + 4))
+        sample = FieldSample(locations, np.ones((n, n + 4)))
+        counts = np.tile(np.arange(-2, n + 2), (n, 1))
+        scores = UniformScores(locations, counts)
+        site, region = locations[0], Region(locations[1:])
+        for u in u_grid(n):
+            if not 0.0 < u < 1.0:
+                continue
+            site_high, region_high = simulate._exceedances(sample, region, site, u, scores)
+            for p, high in zip((site, *region), (site_high, *region_high)):
+                assert np.array_equal(high, scores.scores[:, sample.column_index(p)] > u)
+
+    def test_other_real_thresholds(self):
+        sample = tie_heavy_sample(30)
+        scores = rank_transform(sample)
+        us = [Fraction(1, 2), Fraction(20, 31), np.float32(0.6), np.float64(20 / 31)]
+        self.check(sample, Region([P(1, 0), P(2, 0)]), P(0, 0), us, scores)
+
+    def test_unknown_region_point_before_undefined(self):
+        sample = identical_column_sample(n=100)
+        region = Region([P(1, 0), P(9, 9)])
+        for oracle in (empirical_contagion, empirical_stability):
+            with pytest.raises(ArgumentError, match=r"not in sample"):
+                oracle(sample, region, P(0, 0), 1 - 1e-9)
+        self.check(sample, region, P(0, 0), [1 - 1e-9, 0.5])
+
+    def test_float_scores_are_built_only_when_read(self, monkeypatch):
+        sample = tie_heavy_sample(40)
+        scores = rank_transform(sample)
+        site, region = P(0, 0), Region([P(1, 0), P(2, 0)])
+        monkeypatch.setattr(
+            UniformScores, "scores", property(lambda self: pytest.fail("scores read"))
+        )
+        for scores_arg in (None, scores):
+            empirical_contagion(sample, region, site, 0.5, scores_arg)
+            empirical_stability(sample, region, site, 0.5, scores_arg)
+        estimate_summary(scores, region, site)
+        estimate_contagion(scores, region, site)
+        estimate_stability(scores, region, site)
+        monkeypatch.undo()
+        assert "scores" not in vars(scores)
+        first = scores.scores
+        assert "scores" in vars(scores) and scores.scores is first
+        assert np.array_equal(first, scores.rank_counts / 41)
+        assert first.flags.f_contiguous and not first.flags.writeable
+
+    def test_scores_is_not_a_field(self):
+        counts = np.array([[1, 2], [2, 1]])
+        scores = UniformScores((P(0, 0), P(1, 0)), counts)
+        assert "scores" not in repr(scores)
+        with pytest.raises(TypeError):
+            UniformScores((P(0, 0), P(1, 0)), counts, scores=counts / 3)
 
 
 class TestCsvRoundTrip:
