@@ -67,7 +67,6 @@ from .simulate import (
     export_sample,
     read_sample_csv,
     simulate_m4,
-    unit_frechet_quantile,
     write_sample_csv,
 )
 from .stations import (

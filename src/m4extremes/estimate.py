@@ -11,7 +11,7 @@ identities exact rather than approximate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
 from typing import Sequence
@@ -29,17 +29,23 @@ from .simulate import FieldSample, simulate_m4
 class UniformScores:
     """Rank scores of a sample: values k/(n+1) in (0,1), one column per location.
 
-    `rank_counts` keeps the integer numerators k; estimators and oracles
-    read only them, to stay exact.
+    `rank_counts` keeps the integer numerators k (an integer dtype); estimators
+    and oracles read only them, to stay exact, and one column per group of equal
+    columns, so their cost scales with distinct weight matrices, not locations.
     """
 
     locations: tuple[LatticePoint, ...]
     rank_counts: np.ndarray  # (n, k) int64: count of column values <= this one
+    # each column's first equal column, set by _ranked if any repeat; max-sum memo
+    _representatives: tuple[int, ...] | None = field(default=None, init=False, repr=False)
+    _numerators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.rank_counts)
         if counts.ndim != 2 or counts.shape[1] != len(self.locations):
             raise ArgumentError("rank counts shape does not match locations")
+        if counts.dtype.kind not in "iu":
+            raise ArgumentError(f"rank counts must be integers, got {counts.dtype}")
         counts.setflags(write=False)
         object.__setattr__(self, "rank_counts", counts)
 
@@ -64,6 +70,9 @@ class UniformScores:
             return self._columns[point]
         except KeyError:
             raise ArgumentError(f"location {point} not in scores") from None
+
+    def _representative(self, column: int) -> int:
+        return column if self._representatives is None else self._representatives[column]
 
 
 def scores_from_matrix(
@@ -125,7 +134,11 @@ def _ranked(
         np.copyto(last[:-1], positions, where=run_end)
         np.minimum.accumulate(last[::-1], out=last[::-1])
         counts[c, order] = last
-    return UniformScores(tuple(locations), counts.T)
+    scores = UniformScores(tuple(locations), counts.T)
+    if len(first_of_group) < k:
+        representatives = tuple(first_of_group[group] for group in groups)
+        object.__setattr__(scores, "_representatives", representatives)
+    return scores
 
 
 @dataclass(frozen=True)
@@ -153,21 +166,27 @@ class ExtremalCoefficientEstimate:
 def _epsilon_hat_fraction(scores: UniformScores, region: Region) -> Fraction:
     if not len(region):
         raise ArgumentError("region must contain at least one point")
-    cols = [scores.column_index(p) for p in region]
+    cols = tuple(sorted({scores._representative(scores.column_index(p)) for p in region}))
     n = scores.n
     if n < 2:
         raise ArgumentError("need at least two replicates to estimate")
-    counts = scores.rank_counts
-    max_counts = counts[:, cols[0]].copy()
-    for c in cols[1:]:
-        np.maximum(max_counts, counts[:, c], out=max_counts)
-    numerator = int(max_counts.sum())  # sum of per-replicate max scores, times n+1
+    if cols not in scores._numerators:
+        scores._numerators[cols] = _max_sum(scores.rank_counts, cols)
+    numerator = scores._numerators[cols]  # sum of per-replicate max scores, times n+1
     total = n * (n + 1)
     if numerator >= total:
         raise EstimationError(
             "mean of maximal scores reached 1; impossible for modified-ECDF ranks"
         )
     return Fraction(numerator, total - numerator)
+
+
+def _max_sum(counts: np.ndarray, cols: tuple[int, ...]) -> int:
+    """The sum over rows of the largest count among `cols`, in one pass."""
+    max_counts = counts[:, cols[0]].copy()
+    for c in cols[1:]:
+        np.maximum(max_counts, counts[:, c], out=max_counts)
+    return int(max_counts.sum())
 
 
 def estimate_extremal_coefficient(

@@ -254,12 +254,6 @@ class M4Spec:
         """Weight matrix at `point`; raises DomainError outside the domain."""
         return self.matrices[self.matrix_index(point)]
 
-    def is_exact(self) -> bool:
-        """True when every weight is a Fraction (rational mode)."""
-        return all(
-            isinstance(w, Fraction) for matrix in self.matrices for row in matrix for w in row
-        )
-
     def as_float(self) -> "M4Spec":
         """A copy of this specification with all weights coerced to float."""
 

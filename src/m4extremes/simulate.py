@@ -82,13 +82,6 @@ class FieldSample:
             raise ArgumentError(f"location {point} not in sample") from None
 
 
-def unit_frechet_quantile(u: float) -> float:
-    """Inverse of the unit Frechet distribution exp(-1/x)."""
-    if not 0.0 < u < 1.0:
-        raise ArgumentError(f"quantile level must be in (0,1), got {u}")
-    return -1.0 / math.log(u)
-
-
 def simulate_m4(
     spec: M4Spec,
     locations: Region | Iterable[LatticePoint],
@@ -140,10 +133,10 @@ def simulate_m4(
 
 def _exceedances(
     sample: FieldSample, region: Region, site: LatticePoint, u: float, scores
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Which replicates score above `u` at the site, then at each region point
-    one column at a time: rank counts `k > t`, for the largest `t` in 0..n with
-    `t / (n + 1) <= u` (exact, as correctly rounded division is monotone)."""
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int]]]:
+    """Which replicates score above `u` at the site, then at each distinct region
+    column with its number of region points: counts `k > t`, for the largest `t`
+    in 0..n with `t / (n + 1) <= u` (exact, as correctly rounded division is monotone)."""
     if not 0.0 < u < 1.0:
         raise ArgumentError(f"threshold must be in (0,1), got {u}")
     if not len(region):
@@ -155,9 +148,11 @@ def _exceedances(
     if scores.locations != sample.locations:
         raise ArgumentError("scores were computed for different locations")
     counts, n = scores.rank_counts, scores.n
-    columns = [counts[:, sample.column_index(p)] for p in (site, *region)]
+    columns = [scores._representative(sample.column_index(p)) for p in (site, *region)]
     t = bisect.bisect_right(range(n + 1), u, key=lambda k: k / (n + 1)) - 1
-    return columns[0] > t, (c > t for c in columns[1:])
+    site_high = counts[:, columns[0]] > t
+    return site_high, ((site_high if c == columns[0] else counts[:, c] > t, mult)
+                       for c, mult in Counter(columns[1:]).items())
 
 
 def empirical_contagion(
@@ -172,7 +167,8 @@ def empirical_contagion(
     contagion index.
 
     Pass precomputed `scores` (from rank_transform) to amortize ranking
-    across repeated calls.
+    across repeated calls.  Region points that share a weight matrix share
+    one comparison: the cost scales with distinct matrices, not locations.
     """
     site_high, region_high = _exceedances(sample, region, site, u, scores)
     m = int(np.count_nonzero(site_high))  # a Python int: the result is a Python float
@@ -180,7 +176,7 @@ def empirical_contagion(
         raise UndefinedConditionalError(
             f"no replicate has a site score above u={u}"
         )
-    exceed = sum(np.count_nonzero(high & site_high) for high in region_high)
+    exceed = sum(mult * np.count_nonzero(high & site_high) for high, mult in region_high)
     return float(exceed) / m
 
 
@@ -196,13 +192,14 @@ def empirical_stability(
     is above `u`; finite-threshold check value for the stability index.
 
     Raises :class:`UndefinedConditionalError` when no crossing occurs at all
-    (e.g. totally dependent columns, or `u` above every score).
+    (e.g. totally dependent columns, or `u` above every score).  Points that
+    share a weight matrix share one comparison, as in `empirical_contagion`.
     """
     site_high, region_high = _exceedances(sample, region, site, u, scores)
     site_low, any_high = ~site_high, site_high.copy()
     crossings = 0
-    for high in region_high:
-        crossings += np.count_nonzero(high & site_low)
+    for high, mult in region_high:
+        crossings += mult * np.count_nonzero(high & site_low)
         any_high |= high
     if crossings == 0:
         raise UndefinedConditionalError(

@@ -129,7 +129,8 @@ def _scan_rows(raw: bytes, start: int) -> bool:
     after parsing the rows before it, or for a quoted field or one longer than
     `csv.field_size_limit()`, which `csv.reader` rejects and it would not."""
     cells = _BLANK_CELL if any(raw.find(c, start) >= 0 for c in b" \t\v\f") else _EMPTY_CELL
-    if any(raw.find(c, start) >= 0 for c in b'nN"') or cells.search(raw, start):
+    if (any(raw.find(c, start) >= 0 for c in b'nN"') or cells.search(raw, start)
+            or raw.rstrip(b" \t\v\f").endswith(b",", start)):  # empty last cell at EOF
         return True
     # an unquoted field over the limit covers a whole block of half the limit
     block = csv.field_size_limit() // 2 + 1

@@ -556,6 +556,33 @@ def test_station_reader_scans_rows_only_for_rejected_files(tmp_path, monkeypatch
                 assert len(rows) == 2 + len(_STATIONS) - 1
 
 
+@pytest.mark.parametrize("missing", ["error", "drop-year"])
+@pytest.mark.parametrize(
+    "last, parsed",
+    [("", False), (" ", False), ("\t\v\f ", False), ("4.5", True), ("4.5 \t", True)],
+    ids=["empty", "blank", "blanks", "value", "value and blanks"],
+)
+def test_station_reader_sees_the_last_cell_without_a_line_end(
+    tmp_path, monkeypatch, last, parsed, missing
+):
+    # a file with no final line end: an empty or blank last cell sends it to
+    # the row scan, with the same years or message, and no bulk parse
+    parses = []
+    real_loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or real_loadtxt(*a, **k))
+    path = _write(tmp_path / "d.csv", "\n".join(_STATIONS) + "\n2004,2.5,3.5," + last)
+    new = _outcome(ingest_stations, path, missing=missing)
+    assert parses == ([1] if parsed else [])
+    assert _same_dataset(new, _outcome(oracle_ingest_stations, path, missing=missing))
+    if parsed:
+        assert new.years == (2000, 2001, 2002, 2003, 2004)
+    elif missing == "drop-year":
+        assert (new.years, new.dropped_years) == ((2000, 2001, 2002, 2003), (2004,))
+    else:
+        assert str(new) == (f"{path}: missing value for year 2004, station 'c' "
+                            "(use --missing drop-year to skip)")
+
+
 def _write(path: Path, text: str) -> Path:
     path.write_bytes(text.encode())
     return path

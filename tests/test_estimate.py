@@ -545,3 +545,85 @@ class TestEachCoefficientOnce:
         monte_carlo_study(one_pattern_spec, ring, site, 3, 30, 1)
         assert len(counted) == 3 * (len(ring) + 1)
         assert len(evals) == len(ring) + 1
+
+
+def grouped_cases():
+    """Scores ranked from samples whose columns share weight matrices, each
+    with a region and a site; the ungrouped path ranks the same values."""
+    site = P(3, 3)
+    ring = neighbors(site)
+    for spec in (preset("one-pattern"), preset_two_pattern()):
+        # one-pattern: the site shares its weight matrix with (3,2) and (3,4)
+        sample = simulate_m4(spec, Region([site]).union(ring), 300, 12)
+        yield sample, ring, site
+    rng = np.random.default_rng(31)
+    labels = (0, 1, 0, 2, 1, 0)  # three distinct columns of small integers
+    for n in (1, 2, 3, 40):
+        values = rng.integers(1, 4, size=(n, 3)).astype(float)[:, labels]
+        points = tuple(P(c, 0) for c in range(len(labels)))
+        sample = FieldSample(points, values)
+        object.__setattr__(sample, "_column_groups", labels)
+        yield sample, Region(points[1:]), points[0]
+
+
+def result(estimator, *args):
+    try:
+        return estimator(*args)
+    except Exception as exc:  # the comparison is of the exception itself
+        return type(exc), str(exc)
+
+
+class TestGroupedEstimates:
+    """Scores that carry column groups give the ungrouped estimates exactly."""
+
+    def test_match_ungrouped(self):
+        for sample, region, site in grouped_cases():
+            scores = rank_transform(sample)
+            assert scores._representatives is not None
+
+            def plain():  # fresh each call: no numerator is reused
+                fresh = scores_from_matrix(sample.values, sample.locations)
+                assert fresh._representatives is None
+                return fresh
+
+            points = list(region)
+            regions = [region, region.with_point(site), Region(points[:1]),
+                       Region([site, points[-1]]), Region(points[1::2])]
+            for r in regions:
+                for estimator in (estimate_contagion, estimate_stability, estimate_summary):
+                    assert result(estimator, scores, r, site) == result(
+                        estimator, plain(), r, site
+                    ), (estimator, r)
+                assert result(estimate_extremal_coefficient, scores, r) == result(
+                    estimate_extremal_coefficient, plain(), r
+                )
+                for given in (Region([site]), region, Region(points[::3])):
+                    assert result(estimate_contagion_region, scores, r, given) == result(
+                        estimate_contagion_region, plain(), r, given
+                    )
+
+    def test_ring_estimates_make_at_most_two_passes(
+        self, monkeypatch, one_pattern_spec, site, ring
+    ):
+        passes = []
+        real = estimate_module._max_sum
+
+        def counting(counts, cols):
+            passes.append(cols)
+            return real(counts, cols)
+
+        sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 200, 6)
+        plain = scores_from_matrix(sample.values, sample.locations)
+        expected = loop_contagion(plain, ring, site), loop_stability(plain, ring, site)
+        monkeypatch.setattr(estimate_module, "_max_sum", counting)
+        for scores, count in (
+            # the site's weight matrix with the other one, and the site's alone
+            (rank_transform(sample), 2),
+            # no groups: each pair once, shared by both estimators, and the joint
+            (scores_from_matrix(sample.values, sample.locations), len(ring) + 1),
+        ):
+            passes.clear()
+            contagion = estimate_contagion(scores, ring, site)
+            stability = estimate_stability(scores, ring, site)
+            assert len(passes) == count and len(set(passes)) == count
+            assert (contagion, stability) == expected

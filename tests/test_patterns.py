@@ -30,6 +30,11 @@ from conftest import table_spec
 P = LatticePoint
 
 
+def all_fractions(spec: M4Spec) -> bool:
+    """Every weight is a Fraction (rational mode)."""
+    return all(isinstance(w, F) for matrix in spec.matrices for row in matrix for w in row)
+
+
 class TestPresets:
     def test_one_pattern_coefficients(self, one_pattern_spec):
         # rows are patterns, columns are lags m_min..m_max (here 1..2)
@@ -50,13 +55,13 @@ class TestPresets:
     def test_presets_validate(self, one_pattern_spec, two_pattern_spec):
         assert validate(one_pattern_spec).ok
         assert validate(two_pattern_spec).ok
-        assert one_pattern_spec.is_exact()
-        assert two_pattern_spec.is_exact()
+        assert all_fractions(one_pattern_spec)
+        assert all_fractions(two_pattern_spec)
 
     def test_float_variants_validate(self):
         for name in ("one-pattern", "two-pattern"):
             spec = preset(name, exact=False)
-            assert not spec.is_exact()
+            assert not all_fractions(spec)
             assert validate(spec).ok
 
     def test_preset_unknown_name(self):
@@ -167,7 +172,7 @@ class TestJson:
         }
         spec = from_json_dict(doc)
         assert spec.patterns_at(P(0, 0))[0][0] == F(4, 5)
-        assert spec.is_exact()
+        assert all_fractions(spec)
 
     def test_decimal_weights_are_floats(self):
         doc = {
@@ -178,7 +183,7 @@ class TestJson:
             "rules": [{"predicate": "always", "patterns": [[0.8, 0.2]]}],
         }
         spec = from_json_dict(doc)
-        assert not spec.is_exact()
+        assert not all_fractions(spec)
         assert spec.patterns_at(P(0, 0))[0][0] == 0.8
 
     def test_missing_final_always_rejected(self):
@@ -313,7 +318,7 @@ class TestCompiledMatrices:
         assert isinstance(spec.patterns_at(P(0, 0))[0][0], F)
         assert isinstance(spec.patterns_at(P(1, 0))[0][0], float)
         assert math.copysign(1, spec.patterns_at(P(3, 0))[0][0]) == -1
-        assert not spec.is_exact()
+        assert not all_fractions(spec)
 
 
 def brute_force_validate(spec):

@@ -25,8 +25,8 @@ from m4extremes import (
     preset,
     rank_transform,
     read_sample_csv,
+    scores_from_matrix,
     simulate_m4,
-    unit_frechet_quantile,
 )
 from m4extremes.rng import U64_MASK, uniform_block
 from conftest import table_spec
@@ -34,18 +34,14 @@ from conftest import table_spec
 P = LatticePoint
 
 
-class TestQuantile:
-    def test_known_points(self):
-        assert unit_frechet_quantile(math.exp(-1)) == pytest.approx(1.0, rel=1e-12)
-        assert unit_frechet_quantile(math.exp(-0.5)) == pytest.approx(2.0, rel=1e-12)
-        assert unit_frechet_quantile(0.5) == pytest.approx(
-            1.4426950408889634, rel=1e-12
-        )
+def test_dead_api_is_deleted():
+    # neither had a caller in the package, the benchmark or the README
+    import m4extremes
 
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.5])
-    def test_rejects_out_of_range(self, u):
-        with pytest.raises(ArgumentError):
-            unit_frechet_quantile(u)
+    assert not hasattr(simulate, "unit_frechet_quantile")
+    assert not hasattr(m4extremes, "unit_frechet_quantile")
+    assert "unit_frechet_quantile" not in m4extremes.__all__
+    assert not hasattr(M4Spec, "is_exact")
 
 
 class TestSimulate:
@@ -281,18 +277,41 @@ class TestOraclesAgainstLoops:
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_integer_threshold(self, n):
-        # column j holds the count j - 2 in every row: every count in -2..n+1
-        locations = tuple(P(j, 0) for j in range(n + 4))
-        sample = FieldSample(locations, np.ones((n, n + 4)))
-        counts = np.tile(np.arange(-2, n + 2), (n, 1))
-        scores = UniformScores(locations, counts)
-        site, region = locations[0], Region(locations[1:])
+        # column j holds the count j - 2 in every row: every count in -2..n+1;
+        # grouped, every count fills two columns that share a representative
+        for copies in (1, 2):
+            locations = tuple(P(j, 0) for j in range(copies * (n + 4)))
+            sample = FieldSample(locations, np.ones((n, len(locations))))
+            counts = np.tile(np.repeat(np.arange(-2, n + 2), copies), (n, 1))
+            scores = UniformScores(locations, counts)
+            if copies == 2:
+                object.__setattr__(scores, "_representatives",
+                                   tuple(c - c % 2 for c in range(len(locations))))
+            self.check_threshold(sample, scores, n)
+
+    @staticmethod
+    def check_threshold(sample, scores, n):
+        """Every point's comparison, read through its representative column,
+        is its float scores above `u`; each distinct column comes once, with
+        the number of region points that it holds."""
+        site, region = sample.locations[0], Region(sample.locations[1:])
+        column = {p: scores._representative(sample.column_index(p)) for p in (site, *region)}
+        distinct = list(dict.fromkeys(column[p] for p in region))
         for u in u_grid(n):
             if not 0.0 < u < 1.0:
                 continue
             site_high, region_high = simulate._exceedances(sample, region, site, u, scores)
-            for p, high in zip((site, *region), (site_high, *region_high)):
-                assert np.array_equal(high, scores.scores[:, sample.column_index(p)] > u)
+            region_high = list(region_high)
+            assert [mult for _, mult in region_high] == [
+                sum(column[p] == c for p in region) for c in distinct
+            ]
+            high_of = dict(zip(distinct, (high for high, _ in region_high)))
+            high_of.setdefault(column[site], site_high)
+            assert np.array_equal(site_high, high_of[column[site]])
+            for p in (site, *region):
+                assert np.array_equal(
+                    high_of[column[p]], scores.scores[:, sample.column_index(p)] > u
+                )
 
     def test_other_real_thresholds(self):
         sample = tie_heavy_sample(30)
@@ -328,12 +347,80 @@ class TestOraclesAgainstLoops:
         assert np.array_equal(first, scores.rank_counts / 41)
         assert first.flags.f_contiguous and not first.flags.writeable
 
+    def test_float_rank_counts_rejected(self):
+        # compared with the integer threshold 1, these counts gave 1.0, though
+        # no score (count / 3) is above u
+        sample = FieldSample((P(0, 0), P(1, 0)), np.ones((2, 2)))
+        counts = np.array([[1.5, 1.5], [0.5, 0.5]])
+        with pytest.raises(ArgumentError, match=r"rank counts must be integers, got float64"):
+            empirical_contagion(sample, Region([P(1, 0)]), P(0, 0), 0.55,
+                                UniformScores(sample.locations, counts))
+        for dtype in (np.float32, bool, complex, object):
+            with pytest.raises(ArgumentError, match=r"rank counts must be integers"):
+                UniformScores(sample.locations, np.ones((2, 2), dtype=dtype))
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+            assert UniformScores(sample.locations, np.ones((2, 2), dtype=dtype)).n == 2
+
     def test_scores_is_not_a_field(self):
         counts = np.array([[1, 2], [2, 1]])
         scores = UniformScores((P(0, 0), P(1, 0)), counts)
         assert "scores" not in repr(scores)
         with pytest.raises(TypeError):
             UniformScores((P(0, 0), P(1, 0)), counts, scores=counts / 3)
+
+
+def grouped_tie_heavy_sample(n, seed=0):
+    """Small integers (many ties) in three distinct columns, each repeated,
+    with the column groups that simulation would record."""
+    labels = (0, 1, 0, 2, 1, 0)
+    values = np.random.default_rng(seed).integers(1, 4, size=(n, 3)).astype(float)
+    sample = FieldSample(tuple(P(x, 0) for x in range(len(labels))), values[:, labels])
+    object.__setattr__(sample, "_column_groups", labels)
+    return sample
+
+
+class TestGroupedOracles:
+    """On a sample whose columns share weight matrices, the oracles read one
+    column per group and return the floats and errors of the same values
+    without groups."""
+
+    @staticmethod
+    def check(sample, region, site, us):
+        plain = FieldSample(sample.locations, sample.values)
+        scores, plain_scores = rank_transform(sample), scores_from_matrix(
+            sample.values, sample.locations
+        )
+        assert scores._representatives is not None and plain._column_groups is None
+        assert plain_scores._representatives is None
+        assert np.array_equal(scores.rank_counts, plain_scores.rank_counts)
+        for u in us:
+            for oracle in (empirical_contagion, empirical_stability):
+                got = outcome(oracle, sample, region, site, u, scores)
+                assert got == outcome(oracle, plain, region, site, u, plain_scores), u
+        for u in us[:: max(1, len(us) // 8)]:  # ranked by the oracle itself
+            for oracle in (empirical_contagion, empirical_stability):
+                got = outcome(oracle, sample, region, site, u)
+                assert got == outcome(oracle, plain, region, site, u), u
+
+    @pytest.mark.parametrize("name", ["one-pattern", "two-pattern"])
+    def test_presets(self, name):
+        # one-pattern: the site (3,3) shares a weight matrix with (3,2) and (3,4)
+        site = P(3, 3)
+        ring = neighbors(site)
+        sample = simulate_m4(preset(name), Region([site]).union(ring), 200, 23)
+        us = list(u_grid(200))
+        for region in (ring, Region([P(3, 4)]), Region([P(4, 3), P(3, 2)]),
+                       ring.with_point(site)):
+            self.check(sample, region, site, us)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
+    def test_tie_heavy_samples(self, n):
+        sample = grouped_tie_heavy_sample(n, seed=n)
+        points = sample.locations
+        for site in (points[0], points[3]):
+            for region in (Region(points[1:]), Region([points[2], points[5]]),
+                           Region(points), Region([points[4]])):
+                self.check(sample, region, site, list(u_grid(n)))
 
 
 class TestCsvRoundTrip:
