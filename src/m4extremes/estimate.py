@@ -46,6 +46,10 @@ class UniformScores:
             raise ArgumentError("rank counts shape does not match locations")
         if counts.dtype.kind not in "iu":
             raise ArgumentError(f"rank counts must be integers, got {counts.dtype}")
+        base = counts.base  # copy counts that a writable base could change
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        counts = counts if base is None else counts.copy(order="K")
         counts.setflags(write=False)
         object.__setattr__(self, "rank_counts", counts)
 
@@ -80,11 +84,10 @@ def scores_from_matrix(
 ) -> UniformScores:
     """Column-wise modified-ECDF rank transform of a replicates-by-locations matrix.
 
-    Each column is ranked by one argsort of a contiguous copy and a linear
-    pass over the sorted values: every element of a run of equal values gets
-    the 1-based position of the run's last element.  The counts are stored
-    column by column, so `rank_counts` and `scores` are F-contiguous.  NaN
-    cells are rejected; infinities rank as ordinary values.
+    All columns are ranked by one sort of packed `uint64` keys per call; every
+    element of a run of equal values gets the 1-based position of the run's
+    last element.  `rank_counts` and `scores` are F-contiguous.  NaN cells
+    are rejected; infinities rank as ordinary values, and -0.0 ties with 0.0.
     """
     return _ranked(values, locations, None)
 
@@ -110,35 +113,57 @@ def _ranked(
     n, k = values.shape
     if n < 1:
         raise ArgumentError("need at least one replicate")
-    counts = np.empty((k, n), dtype=np.int64)
-    col = np.empty(n)
-    srt = np.empty(n)
-    run_end = np.empty(n - 1, dtype=bool)
-    last = np.empty(n, dtype=np.int64)
-    positions = np.arange(1, n, dtype=np.int64)
-    first_of_group: dict[int, int] = {}
-    for c, group in enumerate(range(k) if groups is None else groups):
-        first = first_of_group.setdefault(group, c)
-        if first != c:
-            counts[c] = counts[first]
-            continue
-        np.copyto(col, values[:, c])
-        order = np.argsort(col)
-        np.take(col, order, out=srt)
-        if np.isnan(srt[-1]):  # argsort puts NaN last
-            row, column = np.argwhere(np.isnan(values))[0]
-            raise ArgumentError(f"NaN at row {row}, column {column}")
-        # last[i]: 1-based position of the end of the run holding sorted i
-        np.not_equal(srt[1:], srt[:-1], out=run_end)
-        last.fill(n)
-        np.copyto(last[:-1], positions, where=run_end)
-        np.minimum.accumulate(last[::-1], out=last[::-1])
-        counts[c, order] = last
+    first: dict[int, int] = {}  # each group's first column
+    representatives = tuple(first.setdefault(g, c) for c, g in enumerate(groups or range(k)))
+    firsts = list(first.values())
+    block = values.T[firsts] if len(firsts) < k else values.T
+    if np.isnan(block.min(initial=0.0)):  # NaN when any cell is
+        row, column = np.argwhere(np.isnan(values))[0]
+        raise ArgumentError(f"NaN at row {row}, column {column}")
+    counts = _rank_rows(block)
+    if len(firsts) < k:  # each column takes its group's row
+        counts = counts[np.searchsorted(firsts, representatives)]
+    counts.setflags(write=False)  # private, so UniformScores need not copy it
     scores = UniformScores(tuple(locations), counts.T)
-    if len(first_of_group) < k:
-        representatives = tuple(first_of_group[group] for group in groups)
+    if len(firsts) < k:
         object.__setattr__(scores, "_representatives", representatives)
     return scores
+
+
+def _rank_rows(rows: np.ndarray) -> np.ndarray:
+    """Modified-ECDF counts of each row of a float matrix without NaN, from one
+    sort of keys that hold the top bits of an order-preserving image of the float
+    above its flat position.  Where runs that tie in those bits are out of value
+    order, one argsort per row puts them in order; counts depend only on the
+    sorted values."""
+    m, n = rows.shape
+    flat = np.add(rows, 0.0, order="C").reshape(-1)  # -0.0 + 0.0 is 0.0: equal bits
+    mask = np.uint64((1 << (m * n - 1).bit_length()) - 1)  # the flat position
+    positions = np.arange(m * n, dtype=np.int64)
+    keys = (flat.view(np.int64) >> np.int64(63)).view(np.uint64)
+    keys |= np.uint64(1 << 63)
+    keys ^= flat.view(np.uint64)  # negatives flipped below the positives
+    keys &= ~mask
+    keys |= positions.view(np.uint64)
+    keys.reshape(m, n).sort(axis=1)  # each row apart, so a key needs no row field
+    order = (keys & mask).view(np.int64)
+    keys &= ~mask
+    run_end = keys[1:] != keys[:-1]
+    run_end[n - 1 :: n] = True  # a row ends every run
+    tied = np.flatnonzero(~run_end)
+    if np.any(flat[order[tied + 1]] < flat[order[tied]]):  # sort each row's ties by value
+        runs = np.flatnonzero(np.append(~run_end, False) | np.append(False, ~run_end))
+        for part in np.split(runs, np.searchsorted(runs, positions[n::n])):
+            order[part] = order[part[np.argsort(flat[order[part]])]]
+    run_end[tied] = flat[order[tied + 1]] != flat[order[tied]]
+    last = keys.view(np.int64)  # the 1-based flat position ending each run
+    last.fill(m * n)
+    np.copyto(last[:-1], positions[1:], where=run_end)
+    np.minimum.accumulate(last[::-1], out=last[::-1])
+    last.reshape(m, n)[1:] -= positions[n::n, None]  # counts within each row
+    counts = np.empty((m, n), dtype=np.int64)
+    np.put(counts, order, last)
+    return counts
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,17 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    seed_u = np.uint64(seed & U64_MASK)
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = seed_u + idx * np.uint64(GOLDEN_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_MUL_1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_MUL_2)
-    z = z ^ (z >> np.uint64(31))
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN_GAMMA)
+    z += np.uint64(seed & U64_MASK)
+    shifted = np.empty_like(z)  # the one temporary: every step works in place
+    for shift, multiplier in ((30, _MIX_MUL_1), (27, _MIX_MUL_2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(multiplier)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    u = np.add(z, 0.5, out=z.view(np.float64))  # each draw becomes its float in place
+    return np.multiply(u, _TO_UNIT, out=u)
 
 
 def substream(seed: int, index: int) -> int:

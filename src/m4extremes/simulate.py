@@ -31,7 +31,9 @@ from .lattice import LatticePoint, Region
 from .patterns import M4Spec
 from .rng import U64_MASK, uniform_block
 
-_CHUNK_ELEMENTS = 1 << 22  # ~32 MiB of float64 scratch per chunk
+# rows x locations x slots per chunk; each chunk allocates its rows x slots draws,
+# one shift temporary as large, and two (distinct matrices, rows) float blocks
+_CHUNK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +41,7 @@ class FieldSample:
     """Independent replicates of the field at a fixed list of locations.
 
     `values` has one row per replicate and one column per location, in
-    `locations` order; entries are strictly positive.
+    `locations` order (column-major if simulated); entries are strictly positive.
     """
 
     locations: tuple[LatticePoint, ...]
@@ -91,7 +93,9 @@ def simulate_m4(
     """Draw `n` independent replicates of the field at `locations`.
 
     Output is a pure function of (spec, locations, n, seed); the same call
-    reproduces bit-identical values.
+    reproduces bit-identical values.  Each chunk of rows takes the running
+    maximum as a (distinct weight matrices, rows) block and copies it to one
+    contiguous row per location; `values` is the transpose of those rows.
     """
     if n < 1:
         raise ArgumentError("replicate count must be at least 1")
@@ -109,24 +113,24 @@ def simulate_m4(
     k, draws_per_row = len(points), weights.shape[1]
     seed = seed & U64_MASK
 
-    values = np.empty((n, k))
+    values = np.empty((k, n))  # one contiguous row per location
     chunk_rows = max(1, _CHUNK_ELEMENTS // (k * draws_per_row))
     for r0 in range(0, n, chunk_rows):
         rows = min(chunk_rows, n - r0)
         u = uniform_block(seed, r0 * draws_per_row, rows * draws_per_row)
-        z = -1.0 / np.log(u.reshape(rows, draws_per_row))
+        z = np.divide(-1.0, np.log(u, out=u), out=u).reshape(rows, draws_per_row)
         # running maximum over the slots: the same products, in any order,
         # give the same bits (every location has a weight >= 1/K, so no
         # signed zero reaches the result)
-        block = np.multiply.outer(z[:, 0], weights[:, 0])  # (rows, distinct)
+        block = np.multiply.outer(weights[:, 0], z[:, 0])  # (distinct, rows)
         product = np.empty_like(block)
         for s in range(1, draws_per_row):
-            np.multiply.outer(z[:, s], weights[:, s], out=product)
+            np.multiply.outer(weights[:, s], z[:, s], out=product)
             np.maximum(block, product, out=block)
-        # mode="clip" (columns are in range) writes into `out` unbuffered
-        np.take(block, columns, axis=1, out=values[r0 : r0 + rows], mode="clip")
+        for c, column in enumerate(columns):
+            values[c, r0 : r0 + rows] = block[column]
 
-    sample = FieldSample(points, values, seed, spec.fingerprint())
+    sample = FieldSample(points, values.T, seed, spec.fingerprint())
     object.__setattr__(sample, "_column_groups", tuple(columns))
     return sample
 

@@ -144,18 +144,18 @@ class TestRankOracle:
         sample = simulate_m4(spec, Region(points), 120, 31)
         groups = sample._column_groups
         assert len(set(groups)) < len(groups)  # some columns are shared
-        argsorts = []
-        real_argsort = np.argsort
+        kernel_rows = []
+        real_rank_rows = estimate_module._rank_rows
 
-        def counting_argsort(a):
-            argsorts.append(a)
-            return real_argsort(a)
+        def counting_rank_rows(rows):
+            kernel_rows.append(rows.shape[0])
+            return real_rank_rows(rows)
 
-        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(estimate_module, "_rank_rows", counting_rank_rows)
         grouped = rank_transform(sample)
-        assert len(argsorts) == len(set(groups))  # one ranking per group
+        assert kernel_rows == [len(set(groups))]  # one row per group, in one call
         ungrouped = scores_from_matrix(sample.values, sample.locations)
-        assert len(argsorts) == len(set(groups)) + len(groups)
+        assert kernel_rows == [len(set(groups)), len(groups)]
         assert np.array_equal(grouped.rank_counts, ungrouped.rank_counts)
         assert np.array_equal(grouped.rank_counts, brute_force_counts(sample.values))
         assert grouped.rank_counts.flags.f_contiguous
@@ -178,6 +178,149 @@ class TestRankOracle:
         values = np.array([[1.0, 2.0], [3.0, np.nan], [np.nan, 4.0]])
         with pytest.raises(ArgumentError, match=r"NaN at row 1, column 1"):
             scores_from_matrix(values, points_for(values))
+
+
+def sorted_counts(values):
+    """O(n log n) reference for large columns: `searchsorted` of each value
+    in its sorted column counts the values <= it (-0.0 equals 0.0)."""
+    return np.column_stack(
+        [np.searchsorted(np.sort(col), col, side="right") for col in values.T]
+    )
+
+
+def tie_bits_column(n, rng, sign=1.0):
+    """Values 1 + j*2**-52 with random small j: they differ only in their
+    lowest mantissa bits, which the packed key drops, so they tie in it."""
+    return sign * (1.0 + rng.integers(0, 64, n) * 2.0**-52)
+
+
+class TestPackedKeyOracle:
+    """The packed-key rank against brute force, on the floats whose keys
+    tie or whose bits differ while they compare equal."""
+
+    SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+
+    def matrix(self, n, d, rng):
+        columns = [
+            tie_bits_column(n, rng),
+            tie_bits_column(n, rng, sign=-1.0),
+            rng.choice(self.SPECIALS, n),
+            np.repeat(rng.standard_normal(n // 7 + 1), 7)[:n],  # runs of repeats
+            np.full(n, 3.5),
+        ]
+        return np.column_stack([columns[c % len(columns)] for c in range(d)])
+
+    def check(self, values, reference):
+        expected = reference(values)
+        for layout in (values, np.asfortranarray(values), np.repeat(values, 2, axis=1)[:, ::2]):
+            scores = scores_from_matrix(layout, points_for(layout))
+            assert np.array_equal(scores.rank_counts, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 441])
+    def test_small_matrices_match_brute_force(self, n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        self.check(self.matrix(n, d, rng), brute_force_counts)
+
+    @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_large_columns_match_reference(self, n, d):
+        values = self.matrix(n, d, np.random.default_rng(n + d))
+        rows = np.arange(0, n, 997)  # the reference itself, on a sample of rows
+        brute = np.column_stack([(col[None, :] <= col[rows, None]).sum(1) for col in values.T])
+        assert np.array_equal(sorted_counts(values)[rows], brute)
+        self.check(values, sorted_counts)
+
+    def test_ties_in_kept_bits_are_sorted_by_value(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        values = np.column_stack([tie_bits_column(300, rng), tie_bits_column(300, rng, -1.0)])
+        argsorts = []
+        real_argsort = np.argsort
+
+        def counting_argsort(a):
+            argsorts.append(len(a))
+            return real_argsort(a)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        scores = scores_from_matrix(values, points_for(values))
+        assert argsorts == [300, 300]  # every value ties in its kept bits
+        assert np.array_equal(scores.rank_counts, brute_force_counts(values))
+
+    def test_few_value_bits_survive_in_the_key(self):
+        # d*n just under 2**20: the flat position takes 20 bits of the key, and
+        # the values differ only in their lowest 20 mantissa bits
+        d, n = 16, 2**16 - 1
+        rng = np.random.default_rng(6)
+        j = rng.integers(0, 2**20, (n, d))
+        values = (1.0 + j * 2.0**-52) * np.where(np.arange(d) % 2, -1.0, 1.0)
+        scores = scores_from_matrix(values, points_for(values))
+        assert np.array_equal(scores.rank_counts, sorted_counts(values))
+
+    def test_runs_end_with_their_row(self):
+        # each column's maximum equals the next column's minimum
+        values = np.array([[1.0, 3.0, 5.0], [3.0, 5.0, 7.0], [2.0, 4.0, 5.0]])
+        scores = scores_from_matrix(values, points_for(values))
+        assert np.array_equal(scores.rank_counts, brute_force_counts(values))
+
+    def test_signed_zeros_tie(self):
+        values = np.array([[0.0], [-0.0], [5e-324], [-5e-324], [np.inf], [-np.inf], [0.0]])
+        scores = scores_from_matrix(values, points_for(values))
+        assert scores.rank_counts[:, 0].tolist() == [5, 5, 6, 2, 7, 1, 5]
+
+    @pytest.mark.parametrize("nan", [np.nan, -np.nan, np.frombuffer(
+        np.uint64(0xFFF0000000000001).tobytes(), np.float64)[0]])
+    def test_nan_message_names_first_in_row_major_order(self, nan):
+        values = np.ones((4, 3))
+        values[3, 0] = values[1, 2] = values[2, 1] = nan
+        for layout in (values, np.asfortranarray(values)):
+            with pytest.raises(ArgumentError, match=r"NaN at row 1, column 2"):
+                scores_from_matrix(layout, points_for(layout))
+
+
+class TestCountsBase:
+    """Counts that another array could still change are copied."""
+
+    LOCATIONS = (P(0, 0), P(1, 0))
+
+    def test_view_of_writable_base_is_copied(self):
+        base = np.array([[1, 2], [2, 1], [3, 3]])
+        scores = UniformScores(self.LOCATIONS, base[:, :])
+        region = Region(self.LOCATIONS)
+        assert estimate_extremal_coefficient(scores, region).as_fraction() == F(7, 5)
+        base[:, 1] = base[:, 0]
+        assert scores.rank_counts.tolist() == [[1, 2], [2, 1], [3, 3]]
+        assert estimate_extremal_coefficient(scores, region).as_fraction() == F(7, 5)
+        fresh = UniformScores(self.LOCATIONS, np.array(scores.rank_counts))
+        assert estimate_extremal_coefficient(fresh, region).as_fraction() == F(7, 5)
+        changed = UniformScores(self.LOCATIONS, base.copy())  # the base's new counts
+        assert estimate_extremal_coefficient(changed, region).as_fraction() == 1
+        assert not scores.rank_counts.flags.writeable
+
+    def test_layout_is_kept_and_read_only_bases_are_shared(self):
+        base = np.array([[1, 2], [3, 1], [2, 3]])
+        scores = UniformScores(self.LOCATIONS + (P(2, 0),), base.T)
+        assert scores.rank_counts.flags.f_contiguous
+        assert not np.shares_memory(scores.rank_counts, base)
+        frozen = np.array([[1, 2], [2, 1]])
+        frozen.setflags(write=False)
+        view = frozen.T
+        assert UniformScores(self.LOCATIONS, view).rank_counts is view
+
+    def test_rank_transform_counts_are_not_copied(self, monkeypatch, one_pattern_spec):
+        passed = []
+
+        class Spy(UniformScores):
+            def __post_init__(self):
+                passed.append(self.rank_counts)
+                super().__post_init__()
+
+        monkeypatch.setattr(estimate_module, "UniformScores", Spy)
+        points = [P(3, 3), P(4, 3), P(3, 4), P(2, 2)]
+        sample = simulate_m4(one_pattern_spec, Region(points), 50, 8)
+        for rank in (rank_transform, lambda s: scores_from_matrix(s.values, points)):
+            passed.clear()
+            scores = rank(sample)
+            assert len(passed) == 1 and scores.rank_counts is passed[0]
 
 
 class TestExtremalCoefficientEstimate:

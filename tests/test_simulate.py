@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -524,6 +525,7 @@ class TestSharedColumnOracle:
         cells = len(points) * spec.n_patterns * spec.lag_count
         monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", self.ROWS_PER_CHUNK * cells)
         got = simulate_m4(spec, Region(points), self.N, seed).values
+        assert got.flags.f_contiguous and not got.flags.writeable  # column-major
         assert np.array_equal(got, cube_simulation(spec, points, self.N, seed))
 
     @pytest.mark.parametrize("exact", [True, False])
@@ -580,3 +582,30 @@ class TestSharedColumnOracle:
         assert (spec.n_patterns, spec.lag_count) == (3, 2)
         self.check(monkeypatch, spec, points)
         self.check(monkeypatch, spec, [points[6], points[1], points[2]], seed=77)
+
+
+def sha256_of(array, dtype):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+class TestReferenceDigests:
+    """Bits recorded from the row-major, argsort-ranking build: every numpy
+    version must give them.  numpy 1.x's value-based casting would turn a
+    `uint64` mixed with a Python or `int64` integer into `float64`."""
+
+    def test_ring_sample_and_counts(self, one_pattern_spec, site, ring):
+        sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 2**16 + 3, seed=1)
+        assert sha256_of(sample.values, "<f8") == (
+            "ee94db0b40f6056fdc05e339b657011e3e4eb8ad772bac4c4189e0dcb292dbbf"
+        )
+        assert sha256_of(rank_transform(sample).rank_counts, "<i8") == (
+            "05796bf57a4e50210f17f2b26944facfc72fb7a109121c127a6b0e0574f03e1a"
+        )
+
+    def test_uniform_span_across_a_ring_chunk_boundary(self, one_pattern_spec, site, ring):
+        draws = one_pattern_spec.n_patterns * one_pattern_spec.lag_count
+        boundary = simulate._CHUNK_ELEMENTS // ((len(ring) + 1) * draws) * draws
+        assert boundary == 466032
+        assert sha256_of(uniform_block(1, boundary - 2048, 4096), "<f8") == (
+            "74f3f7b8e06d0e2a4dd3f8cae5a7fe2dc20cc802de4cfa25b510e8eeff959e51"
+        )
