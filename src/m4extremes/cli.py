@@ -80,7 +80,7 @@ def _load_spec_arg(value: str) -> M4Spec:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -151,11 +151,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if args.format == "csv":
         lines = _csv_meta_lines(spec)
         lines.append("quantity,value")
-        lines.append(f"contagion_index,{doc['contagion_index']['value']!r}")
-        lines.append(f"stability_index,{doc['stability_index']['value']!r}")
-        lines.append(
-            f"joint_extremal_coefficient,{doc['joint_extremal_coefficient']['value']!r}"
-        )
+        for key in ("contagion_index", "stability_index", "joint_extremal_coefficient"):
+            lines.append(f"{key},{doc[key]['value']!r}")
         _emit_csv(lines, args.out)
     else:
         _emit_json(doc, args.out)
@@ -282,71 +279,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preset", help="write a built-in specification as JSON")
+    # options that several commands share, each defined once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default: stdout)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", required=True, help="spec file or preset name")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--site", required=True, help="x,y")
+    point.add_argument("--region", required=True, help="'neighbors' or 'x,y;x,y;...'")
+    draws = argparse.ArgumentParser(add_help=False)
+    draws.add_argument("--n", required=True, type=int)
+    draws.add_argument("--seed", required=True, type=int)
+    station = argparse.ArgumentParser(add_help=False)
+    station.add_argument("--data", required=True)
+    station.add_argument("--meta", help="station coordinate CSV (station,x,y)")
+    station.add_argument("--missing", choices=("error", "drop-year"), default="error")
+
+    p = sub.add_parser("preset", parents=[out],
+                       help="write a built-in specification as JSON")
     p.add_argument("name", choices=sorted(PRESETS))
-    p.add_argument("--out")
     p.set_defaults(func=cmd_preset)
 
-    p = sub.add_parser("validate", help="check a specification file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("validate", parents=[spec, out],
+                       help="check a specification file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("exact", help="closed-form indices for a site and region")
-    p.add_argument("--spec", required=True, help="spec file or preset name")
-    p.add_argument("--site", required=True, help="x,y")
-    p.add_argument("--region", required=True, help="'neighbors' or 'x,y;x,y;...'")
+    p = sub.add_parser("exact", parents=[spec, point, fmt, out],
+                       help="closed-form indices for a site and region")
     p.add_argument("--given", help="conditioning region for region-to-region contagion")
     p.add_argument("--matrix", action="store_true",
                    help="include the 3x3 neighbor coefficient matrix")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("simulate", help="draw replicates of the field to CSV")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("simulate", parents=[spec, draws],
+                       help="draw replicates of the field to CSV")
     p.add_argument("--locations", default="domain",
                    help="'domain' (default) or 'x,y;x,y;...'")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate", help="rank-based indices from a sample CSV")
+    p = sub.add_parser("estimate", parents=[point, out],
+                       help="rank-based indices from a sample CSV")
     p.add_argument("--sample", required=True)
     p.add_argument("--meta", help="metadata sidecar JSON")
-    p.add_argument("--site", required=True)
-    p.add_argument("--region", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("mc-study", help="Monte Carlo study of the estimators")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--site", required=True)
-    p.add_argument("--region", required=True)
+    p = sub.add_parser("mc-study", parents=[spec, point, draws, fmt, out],
+                       help="Monte Carlo study of the estimators")
     p.add_argument("--reps", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_mc_study)
 
-    p = sub.add_parser("ingest", help="parse and summarize a station CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--meta", help="station coordinate CSV (station,x,y)")
-    p.add_argument("--missing", choices=("error", "drop-year"), default="error")
-    p.add_argument("--out")
+    p = sub.add_parser("ingest", parents=[station, out],
+                       help="parse and summarize a station CSV")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("report", help="station-to-region index estimates")
-    p.add_argument("--data", required=True)
-    p.add_argument("--meta")
-    p.add_argument("--missing", choices=("error", "drop-year"), default="error")
+    p = sub.add_parser("report", parents=[station, fmt, out],
+                       help="station-to-region index estimates")
     p.add_argument("--condition", required=True, help="conditioning station name")
     p.add_argument("--region", required=True, action="append",
                    help="comma-separated station names (repeatable)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 
     return parser

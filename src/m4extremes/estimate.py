@@ -250,7 +250,7 @@ def estimate_stability(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> float:
     """Plug-in stability index from pairwise and joint coefficient estimates."""
-    return float(_estimate_summary(scores, region, site, stacklevel=3).stability)
+    return float(_estimate_summary(scores, region, site).stability)
 
 
 def estimate_summary(
@@ -259,13 +259,13 @@ def estimate_summary(
     """Plug-in counterpart of `summarize`: the exact `Fraction` estimates of
     the |R| pairwise and the joint coefficient, put through the same index
     formulas.  Warns when the joint estimate is below 1."""
-    return _estimate_summary(scores, region, site, stacklevel=3)
+    return _estimate_summary(scores, region, site)
 
 
 def _estimate_summary(
-    scores: UniformScores, region: Region, site: LatticePoint, stacklevel: int
+    scores: UniformScores, region: Region, site: LatticePoint
 ) -> DependenceSummary:
-    """`estimate_summary`; `stacklevel` makes the warning name its caller."""
+    """`estimate_summary`, for the two public functions that call it."""
     pairwise = _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
     joint = _epsilon_hat_fraction(scores, Region((site,)).union(region))
     if joint < 1 - Fraction(1, 10**9):
@@ -273,7 +273,7 @@ def _estimate_summary(
             f"joint coefficient estimate {float(joint):.6f} is below 1; "
             "the stability estimate may be unreliable",
             RuntimeWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,  # the public function's caller
         )
     return _summary(site, region, pairwise, joint)
 

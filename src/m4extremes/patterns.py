@@ -77,7 +77,7 @@ class PatternRule:
     patterns: PatternMatrix
 
     def __post_init__(self) -> None:
-        if self.predicate not in PREDICATES:
+        if not isinstance(self.predicate, str) or self.predicate not in PREDICATES:
             raise ArgumentError(
                 f"unknown predicate {self.predicate!r}; "
                 f"expected one of {sorted(PREDICATES)}"
@@ -156,7 +156,7 @@ class M4Spec:
         if self.rules is not None:
             if self.domain is None:
                 raise ArgumentError("rule-based specifications need a domain")
-            if self.rules[-1].predicate != "always":
+            if not self.rules or self.rules[-1].predicate != "always":
                 raise ArgumentError("the final rule must have predicate 'always'")
             for rule in self.rules:
                 got = (len(rule.patterns), len(rule.patterns[0]))
@@ -298,7 +298,7 @@ def _matrix_problems(
     if exact:
         bad_sum = total != 1
     else:
-        bad_sum = abs(total - 1) > SUM_TOLERANCE
+        bad_sum = not abs(total - 1) <= SUM_TOLERANCE  # also a NaN total
     return (total if bad_sum else None), negatives
 
 
@@ -428,16 +428,6 @@ def to_json_dict(spec: M4Spec) -> dict:
     return _canonical_dict(spec)
 
 
-def _decode_weight(raw: object) -> Weight:
-    if isinstance(raw, bool):
-        raise ParseError(f"invalid weight {raw!r}")
-    if isinstance(raw, (int, str)):
-        return as_weight(raw)
-    if isinstance(raw, float):
-        return raw
-    raise ParseError(f"invalid weight {raw!r}")
-
-
 def from_json_dict(doc: Mapping, *, check: bool = True) -> M4Spec:
     try:
         n_patterns = int(doc["L"])
@@ -455,16 +445,9 @@ def from_json_dict(doc: Mapping, *, check: bool = True) -> M4Spec:
     rules = []
     for i, raw in enumerate(raw_rules):
         try:
-            predicate = raw["predicate"]
-            patterns = [[_decode_weight(w) for w in row] for row in raw["patterns"]]
-        except (KeyError, TypeError) as exc:
+            rules.append(PatternRule(raw["predicate"], tuple(map(tuple, raw["patterns"]))))
+        except (KeyError, TypeError, ArgumentError) as exc:
             raise ParseError(f"malformed rule #{i}: {exc}") from exc
-        try:
-            rules.append(PatternRule(predicate, tuple(map(tuple, patterns))))
-        except ArgumentError as exc:
-            raise ParseError(f"malformed rule #{i}: {exc}") from exc
-    if rules[-1].predicate != "always":
-        raise ParseError("the final rule must have predicate 'always'")
     try:
         return M4Spec.from_rules(
             n_patterns, m_min, m_max, domain, rules, check=check
@@ -479,8 +462,8 @@ def dump_spec(spec: M4Spec) -> str:
 
 def load_spec(path: str | Path, *, check: bool = True) -> M4Spec:
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc

@@ -227,7 +227,7 @@ def write_sample_csv(sample: FieldSample, path: str | Path) -> None:
     Each replicate is formatted and written at once.
     """
     prefixes = [f"{p.x},{p.y}," for p in sample.locations]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("replicate,x,y,value\r\n")
         for r in range(sample.n_replicates):
             row = zip(prefixes, sample.values[r].tolist())
@@ -249,7 +249,8 @@ def export_sample(sample: FieldSample, csv_path: str | Path) -> tuple[Path, Path
     csv_path = Path(csv_path)
     meta_path = csv_path.with_suffix(".meta.json")
     write_sample_csv(sample, csv_path)
-    meta_path.write_text(json.dumps(metadata_dict(sample), indent=2) + "\n")
+    meta = json.dumps(metadata_dict(sample), indent=2) + "\n"
+    meta_path.write_text(meta, encoding="utf-8")
     return csv_path, meta_path
 
 
@@ -266,29 +267,24 @@ def read_sample_csv(
         header = next(_csv_rows(path, fh), None)
         bulk = _header_ok(header) and _bulk_problem(header, ()) is None
         rows = _bulk_rows(path, fh, _SAMPLE_ROW, usecols=range(4)) if bulk else None
-    if rows is None:
+    if rows is None or not len(rows):
         _raise_first_error(path)
     reps, x, y, cells = (rows[name] for name in _SAMPLE_ROW.names)
-    if not len(rows):
-        raise ParseError(f"{path}: no data rows")
     replicates, row_of = np.unique(reps, return_inverse=True)
     locations, col_of = _first_appearance(x, y)
     k = len(locations)
     cell_ids = np.sort(row_of * k + col_of)
-    if np.any(cell_ids[1:] == cell_ids[:-1]):
-        _raise_first_error(path)  # a duplicate cell
     counts = np.bincount(row_of, minlength=len(replicates))
-    short = np.flatnonzero(counts != k)
-    if short.size:
-        raise _ragged(path, replicates[short[0]], counts[short[0]], k)
+    if np.any(cell_ids[1:] == cell_ids[:-1]) or np.any(counts != k):
+        _raise_first_error(path)  # a repeated cell, or a replicate missing a location
     values = np.empty((len(replicates), k))
     values[row_of, col_of] = cells
     seed = None
     fingerprint = None
     if metadata_path is not None:
         try:
-            meta = json.loads(Path(metadata_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            meta = json.loads(Path(metadata_path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # also not UTF-8, or not JSON
             raise ParseError(f"cannot read metadata {metadata_path}: {exc}") from exc
         if not isinstance(meta, dict):
             raise ParseError(f"metadata {metadata_path} is not a JSON object")
@@ -318,7 +314,7 @@ def _first_appearance(
 
 def _open_csv(path: str | Path) -> TextIO:
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
@@ -331,6 +327,8 @@ def _csv_rows(path: str | Path, fh) -> Iterator[list[str]]:
         yield from reader
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # decoded in blocks: no line to name
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _bulk_rows(path: str | Path, fh: TextIO, dtype: np.dtype, usecols=None, skip=None):
@@ -371,10 +369,6 @@ def _plain_ascii(data: bytes, start: int = 0) -> bool:
 
 def _header_ok(header: list[str] | None) -> bool:
     return header is not None and [h.strip() for h in header] == _SAMPLE_HEADER
-
-
-def _ragged(path: str | Path, rep: int, count: int, k: int) -> ParseError:
-    return ParseError(f"{path}: replicate {rep} covers {count} of {k} locations")
 
 
 def _raise_first_error(path: str | Path) -> NoReturn:
@@ -421,7 +415,9 @@ def _raise_first_error(path: str | Path) -> NoReturn:
     counts = Counter(cell[0] for cell in seen)
     for rep in sorted(counts):
         if counts[rep] != k:
-            raise _ragged(path, rep, counts[rep], k)
+            raise ParseError(
+                f"{path}: replicate {rep} covers {counts[rep]} of {k} locations"
+            )
     if strict is not None:
         raise ParseError(f"{path}:{strict[0]}: malformed row: {strict[1]}")
     raise ParseError(f"{path}: the file changed while it was read")

@@ -288,7 +288,7 @@ def field_sample_to_station_csv(
         names = [f"s{p.x}_{p.y}" for p in sample.locations]
     if len(names) != len(sample.locations):
         raise ParseError("one name per location is required")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["year"] + list(names))  # quotes names as needed
         for r in range(sample.n_replicates):
             row = sample.values[r].tolist()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,11 @@ settings.register_profile("suite", max_examples=50, deadline=None, derandomize=T
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def raises_exactly(exc_type: type[BaseException], message: str):
+    """`pytest.raises` for `exc_type` whose whole message is `message`."""
+    return pytest.raises(exc_type, match=f"^{re.escape(message)}$")
 
 # Frozen seeds: chosen once, verified to satisfy every tolerance gate with
 # margin; all stochastic assertions below are deterministic given these.

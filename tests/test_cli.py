@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ from m4extremes import contagion_index, contagion_index_region
 from m4extremes import estimate_contagion, rank_transform, read_sample_csv
 from m4extremes.cli import main
 from conftest import DATA_DIR
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 P = LatticePoint
 
@@ -548,3 +555,207 @@ class TestUsage:
         )
         assert code == 3
         assert "preset" in err
+
+
+def one_rule_spec(tmp_path, predicate="always", patterns=(("1/4", "3/4"),)) -> Path:
+    """A one-rule spec file over the 3 x 3 square around (0,0)."""
+    doc = {
+        "L": 1, "m_min": 1, "m_max": 2,
+        "domain": {"x_min": -1, "x_max": 1, "y_min": -1, "y_max": 1},
+        "rules": [{"predicate": predicate, "patterns": [list(r) for r in patterns]}],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestSpecInput:
+    """A bad spec exits 3 with one error line, whichever command reads it."""
+
+    def test_nan_weight_is_invalid(self, capsys, tmp_path):
+        path = one_rule_spec(tmp_path, patterns=[[0.5, float("nan")]])
+        code, out, _ = run(capsys, "validate", "--spec", str(path))
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert doc["problems"].startswith("weights at (-1,-1) sum to nan, expected 1; ")
+
+    def test_exact_prints_no_nan(self, capsys, tmp_path):
+        path = one_rule_spec(tmp_path, patterns=[[0.5, float("nan")]])
+        code, out, err = run(capsys, "exact", "--spec", str(path), "--site", "0,0",
+                             "--region", "neighbors")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: weights at (-1,-1) sum to nan, expected 1; ")
+
+    def test_list_predicate(self, capsys, tmp_path):
+        path = one_rule_spec(tmp_path, predicate=["always"])
+        code, out, err = run(capsys, "validate", "--spec", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: malformed rule #0: unknown predicate ['always']; "
+            "expected one of ['abscissa_even', 'always', 'both_odd']\n"
+        )
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [(True, "booleans are not weights"), (None, "unsupported weight type NoneType")],
+    )
+    def test_json_weight_that_is_not_a_number(self, capsys, tmp_path, weight, message):
+        path = one_rule_spec(tmp_path, patterns=[["1/4", weight]])
+        code, out, err = run(capsys, "validate", "--spec", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: malformed rule #0: {message}\n"
+
+    def test_exact_reads_a_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        run(capsys, "preset", "one-pattern", "--out", str(path))
+        argv = ["--site", "3,3", "--region", "neighbors", "--matrix"]
+        from_file = run(capsys, "exact", "--spec", str(path), *argv)
+        assert from_file[0] == 0
+        assert from_file == run(capsys, "exact", "--spec", "one-pattern", *argv)
+
+
+class TestPointArguments:
+    def test_non_integer_coordinates(self, capsys):
+        code, out, err = run(capsys, "exact", "--spec", "one-pattern", "--site", "1,a",
+                             "--region", "neighbors")
+        assert (code, out) == (3, "")
+        assert err == "error: expected integer coordinates, got '1,a'\n"
+
+    def test_neighbors_needs_a_site(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simulate", "--spec", "one-pattern", "--locations",
+                             "neighbors", "--n", "5", "--seed", "1",
+                             "--out", str(tmp_path / "s.csv"))
+        assert (code, out) == (3, "")
+        assert err == "error: --region neighbors requires --site\n"
+
+    def test_region_without_points(self, capsys):
+        code, out, err = run(capsys, "exact", "--spec", "one-pattern", "--site", "0,0",
+                             "--region", ";")
+        assert (code, out) == (3, "")
+        assert err == "error: region must name at least one point\n"
+
+
+class TestNotUtf8:
+    """Every file is UTF-8: one that is not exits 3 with one line naming it."""
+
+    @pytest.fixture
+    def sample(self, capsys, tmp_path):
+        path = tmp_path / "sample.csv"
+        run(capsys, "simulate", "--spec", "one-pattern", "--locations", "3,3;4,3",
+            "--n", "20", "--seed", "5", "--out", str(path))
+        return path
+
+    @staticmethod
+    def latin1(tmp_path, text):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text.encode("latin-1"))
+        return path
+
+    def expect(self, capsys, path, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert "'utf-8' codec can't decode byte" in err
+
+    def test_station_data(self, capsys, tmp_path):
+        path = self.latin1(tmp_path, "year,Zürich\n2000,1.5\n2001,ÿ\n")
+        self.expect(capsys, path, "ingest", "--data", str(path))
+
+    def test_station_metadata(self, capsys, tmp_path):
+        path = self.latin1(tmp_path, "station,x,y\nserra_alta,1,2\nÿ,3,4\n")
+        self.expect(capsys, path, "ingest", "--data", str(DATA_DIR / "stations_32y.csv"),
+                    "--meta", str(path))
+
+    def test_sample(self, capsys, tmp_path):
+        path = self.latin1(tmp_path, "replicate,x,y,value\n0,0,0,1.0\n1,0,0,ÿ\n")
+        self.expect(capsys, path, "estimate", "--sample", str(path), "--site", "0,0",
+                    "--region", "0,0")
+
+    def test_sample_sidecar(self, capsys, tmp_path, sample):
+        path = self.latin1(tmp_path, '{"seed": "ÿ"}')
+        self.expect(capsys, path, "estimate", "--sample", str(sample), "--meta", str(path),
+                    "--site", "3,3", "--region", "4,3")
+
+    def test_spec(self, capsys, tmp_path):
+        path = self.latin1(tmp_path, '{"L": "ÿ"}')
+        self.expect(capsys, path, "validate", "--spec", str(path))
+
+
+ENCODING_SCRIPT = """
+import sys
+from m4extremes import field_sample_to_station_csv, ingest_stations, read_sample_csv
+from m4extremes.cli import main
+
+data = sys.argv[1]
+commands = [
+    ["preset", "one-pattern", "--out", "spec.json"],
+    ["validate", "--spec", "spec.json", "--out", "valid.json"],
+    ["simulate", "--spec", "spec.json", "--locations", "3,3;4,3", "--n", "50",
+     "--seed", "7", "--out", "sample.csv"],
+    ["estimate", "--sample", "sample.csv", "--meta", "sample.meta.json",
+     "--site", "3,3", "--region", "4,3", "--out", "estimate.json"],
+    ["ingest", "--data", data + "/stations_32y.csv",
+     "--meta", data + "/stations_meta.csv", "--out", "ingest.json"],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+names = field_sample_to_station_csv(read_sample_csv("sample.csv"), "st.csv",
+                                    names=["Zürich", "São Brás"])
+assert ingest_stations("st.csv").station_names == tuple(names)
+"""
+
+
+def test_every_file_names_its_encoding(tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", ENCODING_SCRIPT, str(DATA_DIR)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+# the options that several commands share, by the commands that take them
+SHARED_OPTIONS = {
+    "preset": ["--out"],
+    "validate": ["--spec", "--out"],
+    "exact": ["--spec", "--site", "--region", "--format", "--out"],
+    "simulate": ["--spec", "--n", "--seed"],
+    "estimate": ["--site", "--region", "--out"],
+    "mc-study": ["--spec", "--site", "--region", "--n", "--seed", "--format", "--out"],
+    "ingest": ["--data", "--meta", "--missing", "--out"],
+    "report": ["--data", "--meta", "--missing", "--format", "--out"],
+}
+
+
+def option_help(help_text: str) -> dict[str, str]:
+    """Each option's help entry, whitespace collapsed, by option name."""
+    entries: dict[str, str] = {}
+    for line in help_text.splitlines():
+        if re.match(r"  --?\w", line):
+            name = line.split()[0].rstrip(",")
+            entries[name] = " ".join(line.split())
+        elif line.startswith("      ") and entries:  # a help text on its own line
+            entries[name] += " " + " ".join(line.split())
+    return entries
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(SHARED_OPTIONS))
+    def test_help_lists_shared_options(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert set(SHARED_OPTIONS[command]) <= set(option_help(out))
+
+    def test_shared_options_read_the_same_everywhere(self, capsys):
+        seen: dict[str, set[str]] = {}
+        for command, options in SHARED_OPTIONS.items():
+            entries = option_help(run(capsys, command, "--help")[1])
+            for option in options:
+                seen.setdefault(option, set()).add(entries[option])
+        assert {option: len(texts) for option, texts in seen.items()} == {
+            option: 1 for option in seen
+        }

@@ -28,7 +28,13 @@ from m4extremes import (
 )
 from m4extremes.dependence import _ksum
 import m4extremes.dependence as dependence_module
-from conftest import random_point, random_rational_spec, random_region, table_spec
+from conftest import (
+    raises_exactly,
+    random_point,
+    random_rational_spec,
+    random_region,
+    table_spec,
+)
 
 P = LatticePoint
 
@@ -107,6 +113,10 @@ class TestExtremalCoefficient:
     def test_singleton_is_one(self, one_pattern_spec, two_pattern_spec):
         for spec in (one_pattern_spec, two_pattern_spec):
             assert extremal_coefficient(spec, Region([P(3, 3)])) == 1
+
+    def test_empty_region(self, one_pattern_spec):
+        with raises_exactly(ArgumentError, "region must contain at least one point"):
+            extremal_coefficient(one_pattern_spec, Region(()))
 
     def test_pair_value(self, one_pattern_spec):
         assert extremal_coefficient(
@@ -244,6 +254,12 @@ class TestContagionIndexRegion:
             assert contagion_index_region(
                 one_pattern_spec, region, Region([i])
             ) == contagion_index(one_pattern_spec, region, i)
+
+    def test_empty_regions(self, one_pattern_spec, ring):
+        with raises_exactly(ArgumentError, "regions must be non-empty"):
+            contagion_index_region(one_pattern_spec, Region(()), ring)
+        with raises_exactly(ArgumentError, "regions must be non-empty"):
+            contagion_index_region(one_pattern_spec, ring, Region(()))
 
     def test_singleton_fragility(self, one_pattern_spec):
         i = P(3, 3)

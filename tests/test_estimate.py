@@ -29,7 +29,7 @@ from m4extremes import (
     substream,
 )
 import m4extremes.estimate as estimate_module
-from conftest import STUDY_SEED, table_spec
+from conftest import STUDY_SEED, raises_exactly, table_spec
 
 P = LatticePoint
 A2 = Region([P(0, 0), P(1, 0)])
@@ -306,6 +306,13 @@ class TestCountsBase:
         view = frozen.T
         assert UniformScores(self.LOCATIONS, view).rank_counts is view
 
+    def test_shape_must_match_locations(self):
+        message = "rank counts shape does not match locations"
+        with raises_exactly(ArgumentError, message):
+            UniformScores(self.LOCATIONS, np.array([[1, 2, 3]]))
+        with raises_exactly(ArgumentError, message):
+            UniformScores(self.LOCATIONS, np.array([1, 2]))
+
     def test_rank_transform_counts_are_not_copied(self, monkeypatch, one_pattern_spec):
         passed = []
 
@@ -330,6 +337,11 @@ class TestExtremalCoefficientEstimate:
         assert est.value == 1.0
         assert est.as_fraction() == 1
         assert not est.out_of_range
+
+    def test_empty_region(self):
+        scores = rank_transform(sample_of([[1.0, 2.0], [2.0, 1.0]]))
+        with raises_exactly(ArgumentError, "region must contain at least one point"):
+            estimate_extremal_coefficient(scores, Region(()))
 
     def test_antithetic_pair_reaches_two(self):
         scores = rank_transform(sample_of([[1.0, 2.0], [2.0, 1.0]]))

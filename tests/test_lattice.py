@@ -102,3 +102,21 @@ def test_rect_membership_and_points():
 def test_rect_rejects_degenerate_bounds():
     with pytest.raises(ArgumentError):
         LatticeRect(1, 0, 0, 0)
+
+
+def test_region_equality_with_other_types():
+    region = Region([LatticePoint(1, 2)])
+    assert region.__eq__((LatticePoint(1, 2),)) is NotImplemented
+    assert region != (LatticePoint(1, 2),)
+
+
+def test_region_repr():
+    region = Region([LatticePoint(1, 2), LatticePoint(-3, 4)])
+    assert repr(region) == "Region((1,2), (-3,4))"
+
+
+def test_rect_contains_only_points():
+    rect = LatticeRect(0, 1, 0, 1)
+    assert LatticePoint(0, 0) in rect
+    assert (0, 0) not in rect
+    assert "a" not in rect

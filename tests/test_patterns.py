@@ -24,8 +24,9 @@ from m4extremes import (
     to_json_dict,
     validate,
 )
+from m4extremes.patterns import as_weight
 from m4extremes.patterns import NegativeEntry, SumViolation, ValidationReport, _canonical_dict
-from conftest import table_spec
+from conftest import raises_exactly, table_spec
 
 P = LatticePoint
 
@@ -218,6 +219,25 @@ class TestJson:
         with pytest.raises(ParseError):
             load_spec(missing)
 
+    def test_rules_not_a_list(self):
+        for rules in ([], {"predicate": "always"}):
+            doc = {**json.loads(dump_spec(preset("one-pattern"))), "rules": rules}
+            with raises_exactly(ParseError, "'rules' must be a non-empty list"):
+                from_json_dict(doc)
+
+    def test_top_level_value_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with raises_exactly(ParseError, f"{path}: top-level JSON value must be an object"):
+            load_spec(path)
+
+    def test_spec_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"L": "\xff"}')
+        message = "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"
+        with raises_exactly(ParseError, f"cannot read {path}: {message}"):
+            load_spec(path)
+
     def test_table_specs_have_no_json_form(self):
         spec = M4Spec.from_table(1, 1, 1, {P(0, 0): [[F(1, 1)]]})
         with pytest.raises(ArgumentError):
@@ -388,3 +408,108 @@ class TestValidationOracle:
         assert [e.location for e in report.negative_entries] == [P(2, 0), P(5, 0)]
         all_float = spec.as_float()
         assert validate(all_float) == brute_force_validate(all_float)
+
+
+def one_rule_doc(predicate, patterns, **fields) -> dict:
+    """A one-rule spec document over a 2 x 2 domain, with `fields` replaced."""
+    doc = {
+        "L": 1,
+        "m_min": 1,
+        "m_max": 2,
+        "domain": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+        "rules": [{"predicate": predicate, "patterns": patterns}],
+    }
+    return {**doc, **fields}
+
+
+class TestRuleLoading:
+    """Each spec rule is checked where it is defined; the JSON loader only
+    names the rule that failed."""
+
+    PREDICATE_ERROR = (
+        "unknown predicate ['always']; "
+        "expected one of ['abscissa_even', 'always', 'both_odd']"
+    )
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [(True, "booleans are not weights"), (None, "unsupported weight type NoneType")],
+    )
+    def test_json_weights_go_through_as_weight(self, weight, message):
+        with raises_exactly(ArgumentError, message):
+            as_weight(weight)
+        doc = one_rule_doc("always", [["1/2", weight]])
+        with raises_exactly(ParseError, f"malformed rule #0: {message}"):
+            from_json_dict(doc)
+
+    def test_predicate_that_is_not_a_string(self):
+        with raises_exactly(ArgumentError, self.PREDICATE_ERROR):
+            PatternRule(["always"], ((F(1),),))
+        doc = one_rule_doc(["always"], [["1/2", "1/2"]])
+        with raises_exactly(ParseError, f"malformed rule #0: {self.PREDICATE_ERROR}"):
+            from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ({"predicate": "always"}, "'patterns'"),
+            ({"patterns": [["1/2", "1/2"]]}, "'predicate'"),
+            ({"predicate": "always", "patterns": 5}, "'int' object is not iterable"),
+            ({"predicate": "always", "patterns": [[]]}, "pattern matrix must be non-empty"),
+        ],
+    )
+    def test_malformed_rule_is_named(self, rule, message):
+        doc = one_rule_doc("abscissa_even", [["1/2", "1/2"]])
+        doc["rules"].append(rule)
+        with raises_exactly(ParseError, f"malformed rule #1: {message}"):
+            from_json_dict(doc)
+
+    def test_empty_rule_list(self):
+        with raises_exactly(ArgumentError, "the final rule must have predicate 'always'"):
+            M4Spec.from_rules(1, 1, 1, LatticeRect(0, 0, 0, 0), [])
+
+    def test_final_rule_checked_once(self):
+        doc = one_rule_doc("abscissa_even", [["1/2", "1/2"]])
+        with raises_exactly(ParseError, "the final rule must have predicate 'always'"):
+            from_json_dict(doc)
+        # the spec's own checks run in their order: the pattern count comes first
+        with raises_exactly(ParseError, "need at least one signature pattern"):
+            from_json_dict({**doc, "L": 0})
+
+    def test_nan_weight_is_invalid(self):
+        one_site = {"x_min": 0, "x_max": 0, "y_min": 0, "y_max": 0}
+        doc = one_rule_doc("always", [[0.5, math.nan]], domain=one_site)
+        spec = from_json_dict(doc, check=False)
+        report = validate(spec)
+        assert not report.ok
+        assert str(report) == "weights at (0,0) sum to nan, expected 1"
+        with raises_exactly(SpecValidationError, str(report)):
+            from_json_dict(doc)
+
+
+class TestSpecRules:
+    def test_matrices_empty_or_ragged(self):
+        with raises_exactly(ArgumentError, "pattern matrix must be non-empty"):
+            PatternRule("always", ())
+        with raises_exactly(ArgumentError, "pattern rows must all have the same length"):
+            PatternRule("always", ((F(1, 2),), (F(1, 4), F(1, 4))))
+
+    def test_spec_shape_and_domain(self):
+        rules = (PatternRule("always", ((F(1),),)),)
+        domain = LatticeRect(0, 0, 0, 0)
+        with raises_exactly(ArgumentError, "need at least one signature pattern"):
+            M4Spec.from_rules(0, 1, 1, domain, rules)
+        with raises_exactly(ArgumentError, "empty lag range"):
+            M4Spec.from_rules(1, 2, 1, domain, rules)
+        with raises_exactly(ArgumentError, "rule-based specifications need a domain"):
+            M4Spec(1, 1, 1, None, rules=rules)
+        message = "table entry at (0,0) has shape (1, 1), expected (1, 2)"
+        with raises_exactly(ArgumentError, message):
+            M4Spec.from_table(1, 1, 2, {P(0, 0): [[1]]})
+
+    def test_report_text(self):
+        assert str(ValidationReport(ok=True)) == "valid"
+        rules = (PatternRule("always", ((F(2), F(-1)),)),)
+        spec = M4Spec.from_rules(1, 1, 2, LatticeRect(0, 0, 0, 0), rules, check=False)
+        report = validate(spec)
+        assert str(report) == "negative weight -1 at pattern 1, lag 2, location (0,0)"

@@ -1,11 +1,16 @@
-"""The README's library example runs and gives the values its comments state."""
+"""The README's library example runs and gives the values its comments
+state, and its command-line examples run."""
 
 import ast
 import re
+import shlex
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from m4extremes.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,3 +54,24 @@ def test_library_example_values():
     assert type(closed_si) is Fraction and closed_si == Fraction(66, 31)
     assert plug_in_ci == pytest.approx(4.5, abs=0.1)
     assert plug_in_si == pytest.approx(2.2, abs=0.1)
+
+
+def cli_examples() -> list[list[str]]:
+    """The argument lists of the commands in the README's `## Command line` block."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command line") :]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    examples = cli_examples()
+    assert [argv[:2] for argv in examples] == [
+        ["m4extremes", command]
+        for command in ("preset", "validate", "exact", "simulate", "estimate",
+                        "mc-study", "ingest", "report")
+    ]
+    shutil.copytree(Path(__file__).parent / "data", tmp_path / "tests" / "data")
+    monkeypatch.chdir(tmp_path)
+    codes = [main(argv[1:]) for argv in examples]
+    assert codes == [0] * len(examples), capsys.readouterr().err

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from m4extremes.rng import GOLDEN_GAMMA, mix64, substream, uniform_block
 
@@ -66,3 +67,8 @@ def test_substream_deterministic_and_distinct():
 
 def test_negative_seed_wraps():
     assert np.array_equal(uniform_block(-1, 0, 4), uniform_block(U64, 0, 4))
+
+
+def test_negative_count_rejected():
+    with pytest.raises(ValueError, match="^count must be non-negative$"):
+        uniform_block(1, 0, -1)

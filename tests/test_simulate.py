@@ -30,7 +30,7 @@ from m4extremes import (
     simulate_m4,
 )
 from m4extremes.rng import U64_MASK, uniform_block
-from conftest import table_spec
+from conftest import raises_exactly, table_spec
 
 P = LatticePoint
 
@@ -468,6 +468,19 @@ class TestFieldSampleInvariants:
         with pytest.raises(ArgumentError):
             FieldSample((P(0, 0),), np.array([[1.0, 2.0]]))
 
+    def test_rejects_values_that_are_not_2d(self):
+        message = "values must be a 2-d array (replicates x locations)"
+        with raises_exactly(ArgumentError, message):
+            FieldSample((P(0, 0),), np.array([1.0]))
+
+    def test_rejects_zero_replicates(self):
+        with raises_exactly(ArgumentError, "need at least one replicate"):
+            FieldSample((P(0, 0),), np.empty((0, 1)))
+
+    def test_rejects_duplicate_locations(self):
+        with raises_exactly(ArgumentError, "duplicate locations in sample"):
+            FieldSample((P(0, 0), P(0, 0)), np.ones((2, 2)))
+
     def test_values_read_only(self, one_pattern_spec):
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0)]), 5, 1)
         with pytest.raises(ValueError):
@@ -609,3 +622,29 @@ class TestReferenceDigests:
         assert sha256_of(uniform_block(1, boundary - 2048, 4096), "<f8") == (
             "74f3f7b8e06d0e2a4dd3f8cae5a7fe2dc20cc802de4cfa25b510e8eeff959e51"
         )
+
+
+class TestOracleArguments:
+    @pytest.mark.parametrize("oracle", [empirical_contagion, empirical_stability])
+    def test_empty_region(self, oracle, one_pattern_spec):
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 20, 1)
+        with raises_exactly(ArgumentError, "region must contain at least one point"):
+            oracle(sample, Region(()), P(0, 0), 0.5)
+
+    @pytest.mark.parametrize("oracle", [empirical_contagion, empirical_stability])
+    def test_scores_ranked_for_other_locations(self, oracle, one_pattern_spec):
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 20, 1)
+        other = simulate_m4(one_pattern_spec, Region([P(1, 0), P(0, 0)]), 20, 1)
+        message = "scores were computed for different locations"
+        with raises_exactly(ArgumentError, message):
+            oracle(sample, Region([P(1, 0)]), P(0, 0), 0.5, rank_transform(other))
+
+
+class TestSidecarEncoding:
+    def test_sidecar_not_utf8(self, one_pattern_spec, tmp_path):
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
+        csv_path, meta_path = export_sample(sample, tmp_path / "s.csv")
+        meta_path.write_bytes(b'{"seed": "\xff"}')
+        decode = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+        with raises_exactly(ParseError, f"cannot read metadata {meta_path}: {decode}"):
+            read_sample_csv(csv_path, meta_path)

@@ -19,7 +19,7 @@ from m4extremes import (
 )
 from m4extremes.rng import uniform_block
 from m4extremes.stations import Station, StationDataset
-from conftest import DATA_DIR
+from conftest import DATA_DIR, raises_exactly
 
 P = LatticePoint
 
@@ -104,6 +104,29 @@ class TestIngest:
         assert str(caught.value) == (
             f"{meta}:3: non-finite coordinates {float(x)}, {float(y)}"
         )
+
+
+class TestStationMetadata:
+    DATA = DATA_DIR / "stations_32y.csv"
+
+    def test_bad_header(self, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("name,x,y\nserra_alta,1,2\n")
+        with raises_exactly(ParseError, f"{meta}: expected header station,x,y"):
+            ingest_stations(self.DATA, metadata_path=meta)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("station,x,y\n\n , ,\nserra_alta,1,2\n")
+        dataset = ingest_stations(self.DATA, metadata_path=meta)
+        assert dataset.stations[0] == Station("serra_alta", 1.0, 2.0)
+
+    def test_malformed_row(self, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("station,x,y\nserra_alta,1,2\nvale_frio,1\n")
+        message = f"{meta}:3: malformed row: list index out of range"
+        with raises_exactly(ParseError, message):
+            ingest_stations(self.DATA, metadata_path=meta)
 
 
 class TestStationIndices:
@@ -245,6 +268,18 @@ class TestRoundTrip:
         direct_si = estimate_stability(scores, ring, site)
         assert report.contagion == direct_ci
         assert report.stability == direct_si
+
+    def test_one_name_per_location(self, one_pattern_spec, tmp_path):
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
+        with raises_exactly(ParseError, "one name per location is required"):
+            field_sample_to_station_csv(sample, tmp_path / "s.csv", names=["a"])
+
+    def test_names_are_utf8(self, one_pattern_spec, tmp_path):
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
+        path = tmp_path / "s.csv"
+        field_sample_to_station_csv(sample, path, names=["Zürich", "São Brás"])
+        assert path.read_bytes().startswith("year,Zürich,São Brás\r\n".encode())
+        assert ingest_stations(path).station_names == ("Zürich", "São Brás")
 
     def test_ingestion_equals_in_memory_estimation(self, tmp_path):
         # no I/O-path drift: writing the matrix out and re-ingesting yields
