@@ -57,8 +57,8 @@ def _parse_point(text: str) -> LatticePoint:
 def _parse_region(text: str, site: LatticePoint | None = None) -> Region:
     text = text.strip()
     if text == "neighbors":
-        if site is None:
-            raise ParseError("--region neighbors requires --site")
+        if site is None:  # only simulate's --locations comes without a site
+            raise ParseError("--locations takes 'domain' or 'x,y;x,y;...', not 'neighbors'")
         return neighbors(site)
     points = [_parse_point(part) for part in text.split(";") if part.strip()]
     if not points:

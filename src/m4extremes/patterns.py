@@ -56,7 +56,10 @@ def as_weight(value: Weight | int | str) -> Weight:
 
 
 def _normalize_matrix(raw: Iterable[Iterable[Weight | int | str]]) -> PatternMatrix:
-    matrix = tuple(tuple(as_weight(w) for w in row) for row in raw)
+    rows = tuple(raw)
+    if any(isinstance(row, str) for row in rows):
+        raise ArgumentError("a pattern row must be a list of weights, not a string")
+    matrix = tuple(tuple(as_weight(w) for w in row) for row in rows)
     if not matrix or not matrix[0]:
         raise ArgumentError("pattern matrix must be non-empty")
     width = len(matrix[0])
@@ -445,7 +448,7 @@ def from_json_dict(doc: Mapping, *, check: bool = True) -> M4Spec:
     rules = []
     for i, raw in enumerate(raw_rules):
         try:
-            rules.append(PatternRule(raw["predicate"], tuple(map(tuple, raw["patterns"]))))
+            rules.append(PatternRule(raw["predicate"], raw["patterns"]))
         except (KeyError, TypeError, ArgumentError) as exc:
             raise ParseError(f"malformed rule #{i}: {exc}") from exc
     try:

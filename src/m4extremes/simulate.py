@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -234,23 +234,19 @@ def write_sample_csv(sample: FieldSample, path: str | Path) -> None:
             fh.write("".join([f"{r},{prefix}{v!r}\r\n" for prefix, v in row]))
 
 
-def metadata_dict(sample: FieldSample) -> dict:
-    return {
+def export_sample(sample: FieldSample, csv_path: str | Path) -> tuple[Path, Path]:
+    """Write the CSV plus its metadata sidecar; returns both paths."""
+    csv_path = Path(csv_path)
+    meta_path = csv_path.with_suffix(".meta.json")
+    write_sample_csv(sample, csv_path)
+    meta = {
         "seed": sample.seed,
         "n": sample.n_replicates,
         "spec_fingerprint": sample.spec_fingerprint,
         "tool": "m4extremes",
         "version": __version__,
     }
-
-
-def export_sample(sample: FieldSample, csv_path: str | Path) -> tuple[Path, Path]:
-    """Write the CSV plus its metadata sidecar; returns both paths."""
-    csv_path = Path(csv_path)
-    meta_path = csv_path.with_suffix(".meta.json")
-    write_sample_csv(sample, csv_path)
-    meta = json.dumps(metadata_dict(sample), indent=2) + "\n"
-    meta_path.write_text(meta, encoding="utf-8")
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return csv_path, meta_path
 
 
@@ -259,28 +255,13 @@ def read_sample_csv(
 ) -> FieldSample:
     """Rebuild a FieldSample from the long-format CSV (and optional sidecar).
 
-    The data rows are parsed in one `np.loadtxt` pass and checked as arrays.
     Replicates are sorted and locations keep their order of first appearance.
-    A rejected file is read again row by row to name its first bad line.
+    The grammar is that of `_read_rows`, one row at a time; most files are
+    read in one `np.loadtxt` pass instead (`_bulk_table`), and any file that
+    pass leaves is read row by row, which names its first bad line.
     """
-    with _open_csv(path) as fh:
-        header = next(_csv_rows(path, fh), None)
-        bulk = _header_ok(header) and _bulk_problem(header, ()) is None
-        rows = _bulk_rows(path, fh, _SAMPLE_ROW, usecols=range(4)) if bulk else None
-    if rows is None or not len(rows):
-        _raise_first_error(path)
-    reps, x, y, cells = (rows[name] for name in _SAMPLE_ROW.names)
-    replicates, row_of = np.unique(reps, return_inverse=True)
-    locations, col_of = _first_appearance(x, y)
-    k = len(locations)
-    cell_ids = np.sort(row_of * k + col_of)
-    counts = np.bincount(row_of, minlength=len(replicates))
-    if np.any(cell_ids[1:] == cell_ids[:-1]) or np.any(counts != k):
-        _raise_first_error(path)  # a repeated cell, or a replicate missing a location
-    values = np.empty((len(replicates), k))
-    values[row_of, col_of] = cells
-    seed = None
-    fingerprint = None
+    locations, values = _bulk_table(path) or _read_rows(path)
+    meta = {}
     if metadata_path is not None:
         try:
             meta = json.loads(Path(metadata_path).read_text(encoding="utf-8"))
@@ -288,9 +269,72 @@ def read_sample_csv(
             raise ParseError(f"cannot read metadata {metadata_path}: {exc}") from exc
         if not isinstance(meta, dict):
             raise ParseError(f"metadata {metadata_path} is not a JSON object")
-        seed = meta.get("seed")
-        fingerprint = meta.get("spec_fingerprint")
-    return FieldSample(locations, values, seed, fingerprint)
+    return FieldSample(locations, values, meta.get("seed"), meta.get("spec_fingerprint"))
+
+
+def _bulk_table(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray] | None:
+    """The sample's locations and values from one `np.loadtxt` pass, or None
+    when the header is not the sample's, the pass rejects the file or finds
+    no data rows, or a cell repeats or a replicate misses a location."""
+    with _open_csv(path) as fh:
+        if not _header_ok(next(_csv_rows(path, fh), None)):
+            return None
+        rows = _bulk_rows(path, fh, _SAMPLE_ROW, usecols=range(4))
+    if rows is None or not len(rows):
+        return None
+    reps, x, y, cells = (rows[name] for name in _SAMPLE_ROW.names)
+    replicates, row_of = np.unique(reps, return_inverse=True)
+    locations, col_of = _first_appearance(x, y)
+    k = len(locations)
+    cell_ids = np.sort(row_of * k + col_of)
+    counts = np.bincount(row_of, minlength=len(replicates))
+    if np.any(cell_ids[1:] == cell_ids[:-1]) or np.any(counts != k):
+        return None
+    values = np.empty((len(replicates), k))
+    values[row_of, col_of] = cells
+    return locations, values
+
+
+def _read_rows(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
+    """The sample's locations and values, read one `csv.reader` row and one
+    `int`/`float` call at a time: the grammar of the sample CSV.
+
+    The first bad line in file order is named: malformed, then a bad value,
+    then a repeated cell.  Then come the checks on the whole file: no data
+    rows, then the first replicate (in sorted order) that misses a location.
+    """
+    with _open_csv(path) as fh:
+        reader = _csv_rows(path, fh)
+        if not _header_ok(next(reader, None)):
+            raise ParseError(f"{path}: expected header replicate,x,y,value")
+        replicates: dict[int, dict[LatticePoint, float]] = {}
+        locations: dict[LatticePoint, None] = {}  # in order of first appearance
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                rep, point = int(row[0]), LatticePoint(int(row[1]), int(row[2]))
+                value = float(row[3])
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if value <= 0 or not math.isfinite(value):
+                raise ParseError(
+                    f"{path}:{lineno}: field value must be positive and finite"
+                )
+            cells = replicates.setdefault(rep, {})
+            if point in cells:
+                raise ParseError(f"{path}:{lineno}: duplicate cell {point}")
+            cells[point] = value
+            locations.setdefault(point)
+    if not replicates:
+        raise ParseError(f"{path}: no data rows")
+    k = len(locations)
+    values = np.empty((len(replicates), k))
+    for r, (rep, cells) in enumerate(sorted(replicates.items())):
+        if len(cells) != k:
+            raise ParseError(f"{path}: replicate {rep} covers {len(cells)} of {k} locations")
+        values[r] = [cells[point] for point in locations]
+    return tuple(locations), values
 
 
 def _first_appearance(
@@ -333,16 +377,15 @@ def _csv_rows(path: str | Path, fh) -> Iterator[list[str]]:
 
 def _bulk_rows(path: str | Path, fh: TextIO, dtype: np.dtype, usecols=None, skip=None):
     """The rows left in `fh` after its header, in one `np.loadtxt` pass, or
-    None when the bulk grammar rejects them or a value in the last field is
-    not positive and finite.  The bytes after the file's first line are
-    checked, also by `skip(raw, start)` if given, and dropped before the
-    parse, which reads `fh` itself."""
+    None when the bytes after the file's first line are not `_bulk_safe` or
+    `skip(raw, start)` holds, when the pass rejects them, or when a value in
+    the last field is not positive and finite.  The parse reads `fh` itself."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     start = re.match(rb"[^\r\n]*", raw).end()
-    plain = _plain_ascii(raw, start) and not (skip and skip(raw, start))
+    plain = _bulk_safe(raw, start) and not (skip and skip(raw, start))
     del raw
     if not plain:
         return None
@@ -351,84 +394,32 @@ def _bulk_rows(path: str | Path, fh: TextIO, dtype: np.dtype, usecols=None, skip
             warnings.simplefilter("ignore", UserWarning)  # no data rows
             # numpy 1.x reads "1.0" as an integer, with this warning
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, usecols=usecols, ndmin=1)
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                              usecols=usecols, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
     values = rows[dtype.names[-1]]
     return rows if np.all((values > 0) & (values < np.inf)) else None
 
 
-def _plain_ascii(data: bytes, start: int = 0) -> bool:
-    """`data[start:]` is ASCII without the separator controls U+001C-U+001F.
-    `np.loadtxt` strips those around numbers where `int` and `float` do not,
-    and reads some non-ASCII characters in integers as digits."""
-    plain = data.isascii() or data[start:].isascii()  # a copy only if needed
-    return plain and all(data.find(c, start) < 0 for c in b"\x1c\x1d\x1e\x1f")
+def _bulk_safe(data: bytes, start: int) -> bool:
+    """Whether `np.loadtxt` reads the fields of `data[start:]` as `csv.reader`,
+    `int` and `float` do, or rejects them.  The bytes must be ASCII (it reads
+    some other characters as digits) without the separator controls
+    U+001C-U+001F (it strips them around numbers) and without quotes, and no
+    field may be longer than `csv.field_size_limit()`, which only `csv.reader`
+    checks.  A quoted field can hide its length behind line ends; an unquoted
+    field over the limit covers a whole block of half the limit."""
+    if not (data.isascii() or data[start:].isascii()):  # a copy only if needed
+        return False
+    if any(data.find(c, start) >= 0 for c in b'"\x1c\x1d\x1e\x1f'):
+        return False
+    block = csv.field_size_limit() // 2 + 1
+    return all(
+        any(data.find(c, i, i + block) >= 0 for c in b",\r\n")
+        for i in range(start, len(data) - block + 1, block)
+    )
 
 
 def _header_ok(header: list[str] | None) -> bool:
     return header is not None and [h.strip() for h in header] == _SAMPLE_HEADER
-
-
-def _raise_first_error(path: str | Path) -> NoReturn:
-    """Raise the error of a sample CSV that the bulk read rejected.
-
-    Rows are read one at a time, as `csv.reader` gives them, and the first
-    bad line in file order is named: malformed, then a bad value, then a
-    repeated cell.  Then come the checks on the whole file: no data rows,
-    then the first replicate (in sorted order) that misses a location.  Only
-    a file that passes all of them is rejected for its first line outside
-    the bulk grammar: ASCII without separator controls, no digit-group
-    underscores in numbers, integers within 64 bits.
-    """
-    with _open_csv(path) as fh:
-        reader = _csv_rows(path, fh)
-        header = next(reader, None)
-        if not _header_ok(header):
-            raise ParseError(f"{path}: expected header replicate,x,y,value")
-        problem = _bulk_problem(header, ())
-        strict = None if problem is None else (1, problem)
-        seen: set[tuple[int, int, int]] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                cell = (int(row[0]), int(row[1]), int(row[2]))
-                value = float(row[3])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if value <= 0 or not math.isfinite(value):
-                raise ParseError(
-                    f"{path}:{lineno}: field value must be positive and finite"
-                )
-            if cell in seen:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate cell {LatticePoint(*cell[1:])}"
-                )
-            seen.add(cell)
-            if strict is None and (problem := _bulk_problem(row, cell)) is not None:
-                strict = (lineno, problem)
-    if not seen:
-        raise ParseError(f"{path}: no data rows")
-    k = len({cell[1:] for cell in seen})
-    counts = Counter(cell[0] for cell in seen)
-    for rep in sorted(counts):
-        if counts[rep] != k:
-            raise ParseError(
-                f"{path}: replicate {rep} covers {counts[rep]} of {k} locations"
-            )
-    if strict is not None:
-        raise ParseError(f"{path}:{strict[0]}: malformed row: {strict[1]}")
-    raise ParseError(f"{path}: the file changed while it was read")
-
-
-def _bulk_problem(row: list[str], ints: tuple[int, ...]) -> str | None:
-    """Why the bulk read rejects a row that `int` and `float` accept, if it does."""
-    if not _plain_ascii(",".join(row).encode()):
-        return "non-ASCII or separator control character"
-    if "_" in ",".join(row[:4]):
-        return "underscore in a number"
-    if any(not -(1 << 63) <= v < 1 << 63 for v in ints):
-        return "integer outside the 64-bit range"
-    return None

@@ -124,20 +124,12 @@ def _classify_cells(
 
 
 def _scan_rows(raw: bytes, start: int) -> bool:
-    """Whether the data bytes `raw[start:]` skip the bulk pass: for a missing
-    cell (empty, blank or a token with an `n`), which it would reject only
-    after parsing the rows before it, or for a quoted field or one longer than
-    `csv.field_size_limit()`, which `csv.reader` rejects and it would not."""
+    """Whether the data bytes `raw[start:]` show a missing cell (empty, blank
+    or a token with an `n`), which the bulk pass would reject only after
+    parsing the rows before it."""
     cells = _BLANK_CELL if any(raw.find(c, start) >= 0 for c in b" \t\v\f") else _EMPTY_CELL
-    if (any(raw.find(c, start) >= 0 for c in b'nN"') or cells.search(raw, start)
-            or raw.rstrip(b" \t\v\f").endswith(b",", start)):  # empty last cell at EOF
-        return True
-    # an unquoted field over the limit covers a whole block of half the limit
-    block = csv.field_size_limit() // 2 + 1
-    return not all(
-        any(raw.find(c, i, i + block) >= 0 for c in b",\r\n")
-        for i in range(start, len(raw) - block + 1, block)
-    )
+    return bool(any(raw.find(c, start) >= 0 for c in b"nN") or cells.search(raw, start)
+                or raw.rstrip(b" \t\v\f").endswith(b",", start))  # empty last cell at EOF
 
 
 def ingest_stations(
@@ -152,7 +144,7 @@ def ingest_stations(
     file (default), "drop-year" removes the affected rows.  Non-numeric or
     non-positive maxima always fail, naming the offending cell.  The data
     rows are read in one `np.loadtxt` pass and checked as arrays; a file
-    with missing or quoted cells, or one that pass rejects, row by row.
+    with missing cells, or one that pass leaves, row by row.
     """
     if missing not in ("error", "drop-year"):
         raise ParseError(f"unknown missing-value policy {missing!r}")

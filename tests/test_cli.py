@@ -11,9 +11,10 @@ import pytest
 
 from m4extremes import LatticePoint, Region, load_spec, neighbors, preset
 from m4extremes import contagion_index, contagion_index_region
-from m4extremes import estimate_contagion, rank_transform, read_sample_csv
+from m4extremes import estimate_contagion, ingest_stations, rank_transform, read_sample_csv
+from m4extremes import ParseError
 from m4extremes.cli import main
-from conftest import DATA_DIR
+from conftest import DATA_DIR, raises_exactly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -532,6 +533,43 @@ class TestOversizedField:
         self.expect(capsys, sample, 2, "estimate", "--sample", str(sample),
                     "--site", "0,0", "--region", "1,0")
 
+    def test_sample_value_cell(self, capsys, tmp_path):
+        # a file with no other fault: the bulk pass leaves it to the row reader
+        sample = tmp_path / "s.csv"
+        sample.write_text(f"replicate,x,y,value\n0,0,0,1.0\n1,0,0,{self.LONG}\n")
+        self.expect(capsys, sample, 3, "estimate", "--sample", str(sample),
+                    "--site", "0,0", "--region", "0,0")
+
+
+class TestReadFailsAfterOpen:
+    """A CSV that opens but whose bytes cannot then be read exits 3, naming it."""
+
+    @pytest.fixture(autouse=True)
+    def unreadable(self, monkeypatch):
+        def fail(path):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(Path, "read_bytes", fail)
+
+    def test_sample(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("replicate,x,y,value\n0,0,0,1.0\n")
+        message = f"cannot read {path}: [Errno 5] Input/output error"
+        with raises_exactly(ParseError, message):
+            read_sample_csv(path)
+        code, out, err = run(capsys, "estimate", "--sample", str(path), "--site", "0,0",
+                             "--region", "0,0")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_station_data(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("year,a\n2000,1.5\n")
+        message = f"cannot read {path}: [Errno 5] Input/output error"
+        with raises_exactly(ParseError, message):
+            ingest_stations(path)
+        code, out, err = run(capsys, "ingest", "--data", str(path))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -606,6 +644,16 @@ class TestSpecInput:
         assert (code, out) == (3, "")
         assert err == f"error: malformed rule #0: {message}\n"
 
+    def test_row_that_is_a_string(self, capsys, tmp_path):
+        path = one_rule_spec(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["rules"][0]["patterns"] = ["12"]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--spec", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("error: malformed rule #0: "
+                       "a pattern row must be a list of weights, not a string\n")
+
     def test_exact_reads_a_spec_file(self, capsys, tmp_path):
         path = tmp_path / "one.json"
         run(capsys, "preset", "one-pattern", "--out", str(path))
@@ -627,7 +675,7 @@ class TestPointArguments:
                              "neighbors", "--n", "5", "--seed", "1",
                              "--out", str(tmp_path / "s.csv"))
         assert (code, out) == (3, "")
-        assert err == "error: --region neighbors requires --site\n"
+        assert err == "error: --locations takes 'domain' or 'x,y;x,y;...', not 'neighbors'\n"
 
     def test_region_without_points(self, capsys):
         code, out, err = run(capsys, "exact", "--spec", "one-pattern", "--site", "0,0",

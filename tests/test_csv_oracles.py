@@ -31,6 +31,7 @@ from m4extremes import (
     read_sample_csv,
     write_sample_csv,
 )
+from m4extremes import simulate as simulate_module
 from m4extremes import stations as stations_module
 from m4extremes.stations import Station, StationDataset
 
@@ -45,7 +46,7 @@ def oracle_read_sample_csv(path, metadata_path=None) -> FieldSample:
     order: list[LatticePoint] = []
     seen: set[LatticePoint] = set()
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -91,7 +92,7 @@ def oracle_read_sample_csv(path, metadata_path=None) -> FieldSample:
     fingerprint = None
     if metadata_path is not None:
         try:
-            meta = json.loads(Path(metadata_path).read_text())
+            meta = json.loads(Path(metadata_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read metadata {metadata_path}: {exc}") from exc
         if not isinstance(meta, dict):
@@ -108,7 +109,7 @@ def oracle_ingest_stations(csv_path, *, missing="error") -> StationDataset:
     if missing not in ("error", "drop-year"):
         raise ParseError(f"unknown missing-value policy {missing!r}")
     try:
-        fh = open(csv_path, newline="")
+        fh = open(csv_path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {csv_path}: {exc}") from exc
     with fh:
@@ -504,6 +505,26 @@ def test_station_reader_matches_oracle_on_insertions(tmp_path):
     assert 200 <= accepted <= 1800
 
 
+def test_sample_reader_matches_oracle_on_insertions(tmp_path):
+    # the same insertions in small sample files: the bulk pass and the row
+    # reader between them read what the oracle reads
+    rng = random.Random(20261018)
+    path = tmp_path / "s.csv"
+    accepted = 0
+    for _ in range(1000):
+        text = rng.choice(["\n", "\r\n", "\r"]).join(_BASE) + rng.choice(["\n", "\r", ""])
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            cut = at + (rng.random() < 0.3)
+            text = text[:at] + rng.choice(_INSERTIONS) + text[cut:]
+        path.write_bytes(text.encode())
+        new = _outcome(read_sample_csv, path)
+        old = _outcome(oracle_read_sample_csv, path)
+        assert _same_sample(new, old), (text, new, old)
+        accepted += not isinstance(old, Exception)
+    assert 50 <= accepted <= 950
+
+
 def test_station_reader_scans_rows_only_for_rejected_files(tmp_path, monkeypatch):
     # every row `csv.reader` gives the station reader; the bulk pass reads
     # only the header that way
@@ -590,9 +611,8 @@ def _write(path: Path, text: str) -> Path:
 
 _LIMIT = csv.field_size_limit()
 
-
-@pytest.mark.parametrize("missing", ["error", "drop-year"])
-@pytest.mark.parametrize(
+# a field `csv.reader` rejects for its length, and the cells around it
+_LONG_FIELDS = pytest.mark.parametrize(
     "cell, other",
     [
         ("1." + "0" * (_LIMIT - 2), "2"),  # at the limit: read
@@ -607,31 +627,67 @@ _LIMIT = csv.field_size_limit()
     ids=["at limit", "over", "200,000 zeros", "over, NA elsewhere", "spaces",
          "quoted", "quoted newlines", "quoted CRLFs"],
 )
+
+
+def _same_or_csv_error(new, old, path) -> bool:
+    """The oracles raise `csv.Error` itself; the readers name its line."""
+    if isinstance(old, csv.Error):
+        return (isinstance(new, ParseError) and str(new).startswith(f"{path}:")
+                and str(new).endswith(f": {old}"))
+    if isinstance(old, StationDataset):
+        return _same_dataset(new, old)
+    return _same_sample(new, old)
+
+
+@pytest.mark.parametrize("missing", ["error", "drop-year"])
+@_LONG_FIELDS
 def test_station_reader_agrees_with_csv_on_long_fields(tmp_path, cell, other, missing):
     # a field `csv.reader` rejects for its length is rejected on the bulk
     # path as in the row scan, whatever the other cells hold
     path = _write(tmp_path / "d.csv", f"year,a,b\n2000,{cell},2\n2001,3,{other}\n")
     new = _outcome(ingest_stations, path, missing=missing)
     old = _outcome(oracle_ingest_stations, path, missing=missing)
-    if isinstance(old, csv.Error):
-        assert isinstance(new, ParseError)
-        assert str(new).startswith(f"{path}:") and str(new).endswith(f": {old}")
-    else:
-        assert _same_dataset(new, old), (new, old)
+    assert _same_or_csv_error(new, old, path), (new, old)
 
 
-def test_station_long_field_check_at_every_alignment():
-    # an unquoted field over the limit sends the file to the row scan
-    # wherever it starts, at the end of the file too; a field under half
-    # the limit never does
+@_LONG_FIELDS
+def test_sample_reader_agrees_with_csv_on_long_fields(tmp_path, cell, other):
+    path = _write(tmp_path / "s.csv", f"replicate,x,y,value\n0,0,0,{cell}\n1,0,0,{other}\n")
+    new = _outcome(read_sample_csv, path)
+    old = _outcome(oracle_read_sample_csv, path)
+    assert _same_or_csv_error(new, old, path), (new, old)
+
+
+def test_long_field_check_at_every_alignment(tmp_path, monkeypatch):
+    # an unquoted field over the limit keeps the file from the bulk pass
+    # wherever it starts, at the end of the file too, and the reader names
+    # its line; a field under half the limit never does
+    parses = []
+    real_loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or real_loadtxt(*a, **k))
+    readers = [
+        (b"year,a\n", b"7,", ingest_stations, oracle_ingest_stations),
+        (b"replicate,x,y,value\n", b"0,0,0,", read_sample_csv, oracle_read_sample_csv),
+    ]
     old_limit = csv.field_size_limit(10)
     try:
-        for pad in range(14):
-            for width, end in ((11, b"\n"), (11, b""), (30, b"\n"), (5, b"\n"), (5, b"")):
-                # a first row of short fields moves the second across the blocks
-                first = b"7" * (pad % 5 + 1) + b"," + b"7" * (pad // 5 + 1)
-                raw = b"year,a\n" + first + b"\n7," + b"9" * width + end
-                assert stations_module._scan_rows(raw, 6) is (width > 10), (pad, width, end)
+        for header, cells, read, oracle in readers:
+            for pad in range(14):
+                for width, end in ((11, b"\n"), (11, b""), (30, b"\n"), (5, b"\n"), (5, b"")):
+                    # a first row of short fields moves the second across the blocks
+                    first = b"7" * (pad % 5 + 1) + b"," + b"7" * (pad // 5 + 1)
+                    if read is read_sample_csv:
+                        first = first.replace(b",", b",0,0,")
+                    raw = header + first + b"\n" + cells + b"9" * width + end
+                    where = (header, pad, width, end)
+                    start = len(header) - 1
+                    assert simulate_module._bulk_safe(raw, start) is (width <= 10), where
+                    path = _write(tmp_path / "f.csv", raw.decode())
+                    parses.clear()
+                    new, old = _outcome(read, path), _outcome(oracle, path)
+                    assert _same_or_csv_error(new, old, path), where
+                    assert isinstance(old, csv.Error) is (width > 10), where
+                    assert parses == ([] if width > 10 else [1]), where
     finally:
         csv.field_size_limit(old_limit)
 
@@ -665,33 +721,32 @@ def test_sample_writer_matches_csv_writer(tmp_path):
     assert path.read_bytes() == expected.getvalue().encode()
 
 
-# -- where the bulk sample reader is stricter ----------------------------------
+# -- outside the bulk grammar ---------------------------------------------------
 #
 # `np.loadtxt` reads no digit-group underscores, no integers beyond 64 bits and
 # no non-ASCII digits, and its whitespace differs from `int`'s and `float`'s for
-# non-ASCII and separator characters.  A file that `int` and `float` accepted
-# only through one of these is now rejected, naming its first such line.
+# non-ASCII and separator characters.  A file that `int` and `float` accept only
+# through one of these is read row by row, to the same sample as the oracle's.
 
 
 @pytest.mark.parametrize(
-    "line, reason",
+    "line",
     [
-        ("1_0,1,0,1.0", "underscore in a number"),
-        ("1,1,0,1_0.5", "underscore in a number"),
-        (f"{1 << 63},1,0,1.0", "integer outside the 64-bit range"),
-        (f"1,{-(1 << 63) - 1},0,1.0", "integer outside the 64-bit range"),
-        ("1,1,0,1.0\xa0", "non-ASCII or separator control character"),
-        ("١,1,0,1.0", "non-ASCII or separator control character"),
-        ("1,1,0,1.0,\x1c", "non-ASCII or separator control character"),
+        "1_0,1,0,1.0",
+        "1,1,0,1_0.5",
+        f"{1 << 63},1,0,1.0",
+        f"1,{-(1 << 63) - 1},0,1.0",
+        "1,1,0,1.0\xa0",
+        "١,1,0,1.0",
+        "1,1,0,1.0,\x1c",
     ],
 )
-def test_sample_reader_rejects_outside_bulk_grammar(tmp_path, line, reason):
+def test_sample_reader_reads_outside_bulk_grammar(tmp_path, line):
     path = tmp_path / "s.csv"
     path.write_text(f"replicate,x,y,value\n\n\n{line}\n", encoding="utf-8")
-    assert isinstance(oracle_read_sample_csv(path), FieldSample)
-    with pytest.raises(ParseError) as caught:
-        read_sample_csv(path)
-    assert str(caught.value) == f"{path}:4: malformed row: {reason}"
+    new = read_sample_csv(path)
+    assert _same_sample(new, oracle_read_sample_csv(path))
+    assert new.values.tolist() == [[10.5 if "1_0.5" in line else 1.0]]
 
 
 @pytest.mark.parametrize(
@@ -704,7 +759,7 @@ def test_sample_reader_rejects_outside_bulk_grammar(tmp_path, line, reason):
     ],
 )
 def test_sample_reader_names_older_errors_first(tmp_path, text, message):
-    # every error of the row-by-row reader outranks the stricter grammar
+    # a file outside the bulk grammar gets the row-by-row reader's error
     path = tmp_path / "s.csv"
     path.write_text("replicate,x,y,value\n" + text)
     with pytest.raises(ParseError) as caught:
@@ -714,14 +769,27 @@ def test_sample_reader_names_older_errors_first(tmp_path, text, message):
 
 
 @pytest.mark.parametrize("header", ["replicate\xa0,x,y,value", "replicate,x,y,value\x1c"])
-def test_sample_reader_rejects_outside_bulk_grammar_in_header(tmp_path, header):
+def test_sample_reader_reads_outside_bulk_grammar_in_header(tmp_path, header):
+    # blanks around the header's names are dropped, as in the station header
     path = _write(tmp_path / "s.csv", header + "\n0,0,0,1.5\n")
-    assert isinstance(oracle_read_sample_csv(path), FieldSample)
-    with pytest.raises(ParseError) as caught:
-        read_sample_csv(path)
-    assert str(caught.value) == (
-        f"{path}:1: malformed row: non-ASCII or separator control character"
-    )
+    new = read_sample_csv(path)
+    assert _same_sample(new, oracle_read_sample_csv(path))
+    assert new.values.tolist() == [[1.5]]
+
+
+@pytest.mark.parametrize("char", ["\u01fe", "\u04ff", "\u0761", "\u1170"])
+def test_readers_keep_non_ascii_from_bulk_pass(tmp_path, char):
+    # `np.loadtxt` reads each of these characters in an integer as a digit,
+    # where `int` rejects it: the bulk pass never sees a non-ASCII data byte
+    sample = _write(tmp_path / "s.csv", f"replicate,x,y,value\n1{char},0,0,1.5\n")
+    new = _outcome(read_sample_csv, sample)
+    assert isinstance(new, ParseError)
+    assert _same_sample(new, _outcome(oracle_read_sample_csv, sample))
+    stations = _write(tmp_path / "d.csv", f"year,a\n200{char},1.5\n")
+    for missing in ("error", "drop-year"):
+        new = _outcome(ingest_stations, stations, missing=missing)
+        assert isinstance(new, ParseError)
+        assert _same_dataset(new, _outcome(oracle_ingest_stations, stations, missing=missing))
 
 
 def test_sample_reader_takes_64_bit_extremes(tmp_path):
@@ -731,13 +799,3 @@ def test_sample_reader_takes_64_bit_extremes(tmp_path):
     sample = read_sample_csv(path)
     assert sample.locations == (P(lo, hi),)
     assert sample.values.tolist() == [[1.5], [2.5]]
-
-
-def test_sample_reader_reads_fields_past_csv_limit(tmp_path):
-    # `csv.reader` raised `_csv.Error` (not a ParseError) on a field over
-    # 131,072 characters; the bulk read takes the row like any other
-    path = tmp_path / "s.csv"
-    path.write_text("replicate,x,y,value\n0,0,0,1." + "0" * 200_000 + ",note\n")
-    with pytest.raises(csv.Error):
-        oracle_read_sample_csv(path)
-    assert read_sample_csv(path).values.tolist() == [[1.0]]

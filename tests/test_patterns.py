@@ -464,6 +464,22 @@ class TestRuleLoading:
         with raises_exactly(ParseError, f"malformed rule #1: {message}"):
             from_json_dict(doc)
 
+    ROW_ERROR = "a pattern row must be a list of weights, not a string"
+
+    @pytest.mark.parametrize(
+        "patterns, m_max", [(["1"], 1), (["12"], 2)], ids=["one lag", "two lags"]
+    )
+    def test_row_that_is_a_string(self, patterns, m_max):
+        # once read as a row of its characters: ["1"] as the valid row (1,),
+        # ["12"] as (1, 2), with weights summing to 3
+        doc = one_rule_doc("always", patterns, m_max=m_max)
+        with raises_exactly(ParseError, f"malformed rule #0: {self.ROW_ERROR}"):
+            from_json_dict(doc)
+
+    def test_table_row_that_is_a_string(self):
+        with raises_exactly(ArgumentError, self.ROW_ERROR):
+            M4Spec.from_table(1, 1, 1, {P(0, 0): ["1"]})
+
     def test_empty_rule_list(self):
         with raises_exactly(ArgumentError, "the final rule must have predicate 'always'"):
             M4Spec.from_rules(1, 1, 1, LatticeRect(0, 0, 0, 0), [])
