@@ -120,7 +120,8 @@ def _ranked(
     if np.isnan(block.min(initial=0.0)):  # NaN when any cell is
         row, column = np.argwhere(np.isnan(values))[0]
         raise ArgumentError(f"NaN at row {row}, column {column}")
-    counts = _rank_rows(block)
+    # C-contiguous, with -0.0 + 0.0 = 0.0 for equal bits; in place in a private copy
+    counts = _rank_rows(np.add(block, 0.0, out=block if len(firsts) < k else None, order="C"))
     if len(firsts) < k:  # each column takes its group's row
         counts = counts[np.searchsorted(firsts, representatives)]
     counts.setflags(write=False)  # private, so UniformScores need not copy it
@@ -135,9 +136,9 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     sort of keys that hold the top bits of an order-preserving image of the float
     above its flat position.  Where runs that tie in those bits are out of value
     order, one argsort per row puts them in order; counts depend only on the
-    sorted values."""
+    sorted values.  `rows` is C-contiguous without -0.0: equal values, equal bits."""
     m, n = rows.shape
-    flat = np.add(rows, 0.0, order="C").reshape(-1)  # -0.0 + 0.0 is 0.0: equal bits
+    flat = rows.reshape(-1)
     mask = np.uint64((1 << (m * n - 1).bit_length()) - 1)  # the flat position
     positions = np.arange(m * n, dtype=np.int64)
     keys = (flat.view(np.int64) >> np.int64(63)).view(np.uint64)

@@ -20,6 +20,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -229,9 +230,19 @@ def write_sample_csv(sample: FieldSample, path: str | Path) -> None:
     prefixes = [f"{p.x},{p.y}," for p in sample.locations]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("replicate,x,y,value\r\n")
-        for r in range(sample.n_replicates):
-            row = zip(prefixes, sample.values[r].tolist())
-            fh.write("".join([f"{r},{prefix}{v!r}\r\n" for prefix, v in row]))
+        for r, cells in enumerate(_value_texts(sample, "\r\n")):
+            fh.write("".join(chain.from_iterable(zip(repeat(f"{r},"), prefixes, cells))))
+
+
+def _value_texts(sample: FieldSample, end: str = "") -> Iterator[Iterator[str]]:
+    """Each replicate's `repr` texts ending in `end`, in location order; equal
+    columns hold equal bits, so each group of `_column_groups` is formatted once."""
+    groups = sample._column_groups or range(len(sample.locations))
+    _, firsts, slots = np.unique(groups, return_index=True, return_inverse=True)
+    slots = slots.tolist()  # each column's index into `firsts`
+    for row in sample.values:
+        texts = [f"{v!r}{end}" for v in row[firsts].tolist()]
+        yield map(texts.__getitem__, slots)
 
 
 def export_sample(sample: FieldSample, csv_path: str | Path) -> tuple[Path, Path]:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParseError, UnknownStationError
 from .estimate import _pairwise_estimates, estimate_summary, scores_from_matrix
 from .lattice import LatticePoint, Region
-from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv
+from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv, _value_texts
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 _EMPTY_CELL = re.compile(rb",[,\r\n]")
@@ -282,7 +282,6 @@ def field_sample_to_station_csv(
         raise ParseError("one name per location is required")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["year"] + list(names))  # quotes names as needed
-        for r in range(sample.n_replicates):
-            row = sample.values[r].tolist()
-            fh.write(",".join([f"{start_year + r}"] + [repr(v) for v in row]) + "\r\n")
+        for year, cells in enumerate(_value_texts(sample), start=start_year):
+            fh.write(",".join([f"{year}", *cells]) + "\r\n")
     return list(names)

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,13 @@ from m4extremes import (
     FieldSample,
     LatticePoint,
     ParseError,
+    Region,
     field_sample_to_station_csv,
     ingest_stations,
+    neighbors,
+    preset,
     read_sample_csv,
+    simulate_m4,
     write_sample_csv,
 )
 from m4extremes import simulate as simulate_module
@@ -692,33 +697,93 @@ def test_long_field_check_at_every_alignment(tmp_path, monkeypatch):
         csv.field_size_limit(old_limit)
 
 
-def test_station_writer_matches_csv_writer(tmp_path):
-    values = np.array([[1.5, 2.0 / 3.0, 1e308], [5e-324, 0.1, 7.0]])
-    sample = FieldSample((P(0, 0), P(-1, 2), P(3, -4)), values)
-    names = ["plain", 'quoted "name"', "comma, name"]
+def _grouped(locations, values, labels) -> FieldSample:
+    """A sample whose columns carry the group labels simulation would record."""
+    sample = FieldSample(tuple(locations), np.asarray(values)[:, list(labels)])
+    object.__setattr__(sample, "_column_groups", tuple(labels))
+    return sample
+
+
+def _writer_samples() -> dict[str, FieldSample]:
+    # a region around (3, 3) where several sites share a weight matrix
+    region = Region([*neighbors(P(3, 3)), P(3, 3), P(-6, -6), P(6, 6)])
+    samples = {
+        "plain": FieldSample(
+            (P(0, 0), P(-1, 2), P(3, -4)),
+            np.array([[1.5, 2.0 / 3.0, 1e308], [5e-324, 0.1, 7.0]]),
+        ),
+        "one location": simulate_m4(preset("two-pattern"), [P(0, 0)], 5, 3),
+        "one replicate": simulate_m4(preset("two-pattern"), region, 1, 4),
+        "hand-grouped": _grouped(
+            [P(x, 1) for x in range(7)],
+            [[1e16, 5e-324, math.inf, 1e-5], [0.1, 2.0 / 3.0, 1e308, 1.0]],
+            (2, 0, 2, 1, 3, 0, 2),
+        ),
+    }
+    for name in ("one-pattern", "two-pattern"):
+        samples[name] = simulate_m4(preset(name), region, 6, 5)
+    return samples
+
+
+WRITER_SAMPLES = _writer_samples()
+
+
+def test_writer_samples_share_columns():
+    shared = [name for name, sample in WRITER_SAMPLES.items()
+              if len(set(sample._column_groups or ())) < len(sample._column_groups or ())]
+    assert shared == ["one replicate", "hand-grouped", "one-pattern", "two-pattern"]
+
+
+@pytest.mark.parametrize("name", list(WRITER_SAMPLES))
+def test_station_writer_matches_csv_writer(tmp_path, name):
+    sample = WRITER_SAMPLES[name]
+    k = len(sample.locations)
+    names = (["plain", 'quoted "name"', "comma, name"] + [f"s{c}" for c in range(3, k)])[:k]
     path = tmp_path / "st.csv"
     assert field_sample_to_station_csv(sample, path, names=names, start_year=1990) == names
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["year"] + names)
-    for r, row in enumerate(values):
+    for r, row in enumerate(sample.values):
         writer.writerow([1990 + r] + [repr(float(v)) for v in row])
     assert path.read_bytes() == expected.getvalue().encode()
     assert b"\r\n" in path.read_bytes()
+    plain = tmp_path / "plain.csv"
+    field_sample_to_station_csv(FieldSample(sample.locations, sample.values), plain,
+                                names=names, start_year=1990)
+    assert plain.read_bytes() == path.read_bytes()
 
 
-def test_sample_writer_matches_csv_writer(tmp_path):
-    values = np.array([[1.5, 2.0 / 3.0, 1e308], [5e-324, 0.1, 7.0]])
-    sample = FieldSample((P(0, 0), P(-1, 2), P(3, -4)), values)
+@pytest.mark.parametrize("name", list(WRITER_SAMPLES))
+def test_sample_writer_matches_csv_writer(tmp_path, name):
+    sample = WRITER_SAMPLES[name]
     path = tmp_path / "s.csv"
     write_sample_csv(sample, path)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["replicate", "x", "y", "value"])
-    for r in range(2):
-        for c, point in enumerate(sample.locations):
-            writer.writerow([r, point.x, point.y, repr(float(values[r, c]))])
+    for r, row in enumerate(sample.values):
+        for point, v in zip(sample.locations, row):
+            writer.writerow([r, point.x, point.y, repr(float(v))])
     assert path.read_bytes() == expected.getvalue().encode()
+    plain = tmp_path / "plain.csv"
+    write_sample_csv(FieldSample(sample.locations, sample.values), plain)
+    assert plain.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("write", [write_sample_csv, field_sample_to_station_csv])
+def test_writers_stream_one_replicate_at_a_time(tmp_path, write):
+    spec = preset("two-pattern")
+    sample = simulate_m4(spec, Region(spec.domain_points()), 200, 6)
+    path = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        write(sample, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1_500_000
+    assert peak < 1_000_000  # bytes: a few replicates' text, not the whole file
 
 
 # -- outside the bulk grammar ---------------------------------------------------
