@@ -135,8 +135,8 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     """Modified-ECDF counts of each row of a float matrix without NaN, from one
     sort of keys that hold the top bits of an order-preserving image of the float
     above its flat position.  Where runs that tie in those bits are out of value
-    order, one argsort per row puts them in order; counts depend only on the
-    sorted values.  `rows` is C-contiguous without -0.0: equal values, equal bits."""
+    order, one argsort per row puts them in order; counts depend only on the sorted
+    values.  `rows` is C-contiguous without -0.0: equal values, equal bits."""
     m, n = rows.shape
     flat = rows.reshape(-1)
     mask = np.uint64((1 << (m * n - 1).bit_length()) - 1)  # the flat position
@@ -151,19 +151,22 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     keys &= ~mask
     run_end = keys[1:] != keys[:-1]
     run_end[n - 1 :: n] = True  # a row ends every run
-    tied = np.flatnonzero(~run_end)
-    if np.any(flat[order[tied + 1]] < flat[order[tied]]):  # sort each row's ties by value
-        runs = np.flatnonzero(np.append(~run_end, False) | np.append(False, ~run_end))
-        for part in np.split(runs, np.searchsorted(runs, positions[n::n])):
-            order[part] = order[part[np.argsort(flat[order[part]])]]
-    run_end[tied] = flat[order[tied + 1]] != flat[order[tied]]
-    last = keys.view(np.int64)  # the 1-based flat position ending each run
-    last.fill(m * n)
-    np.copyto(last[:-1], positions[1:], where=run_end)
-    np.minimum.accumulate(last[::-1], out=last[::-1])
-    last.reshape(m, n)[1:] -= positions[n::n, None]  # counts within each row
+    last = keys.view(np.int64)  # the count of each sorted element
+    if run_end.all():  # every run one value long: each sorted row counts 1..n
+        last.reshape(m, n)[:] = np.arange(1, n + 1)
+    else:
+        tied = np.flatnonzero(~run_end)
+        if np.any(flat[order[tied + 1]] < flat[order[tied]]):  # sort each row's ties by value
+            runs = np.flatnonzero(np.append(~run_end, False) | np.append(False, ~run_end))
+            for part in np.split(runs, np.searchsorted(runs, positions[n::n])):
+                order[part] = order[part[np.argsort(flat[order[part]])]]
+        run_end[tied] = flat[order[tied + 1]] != flat[order[tied]]
+        last.fill(m * n)  # the 1-based flat position ending each run
+        np.copyto(last[:-1], positions[1:], where=run_end)
+        np.minimum.accumulate(last[::-1], out=last[::-1])
+        last.reshape(m, n)[1:] -= positions[n::n, None]  # counts within each row
     counts = np.empty((m, n), dtype=np.int64)
-    np.put(counts, order, last)
+    counts.reshape(-1)[order] = last
     return counts
 
 
@@ -193,26 +196,40 @@ def _epsilon_hat_fraction(scores: UniformScores, region: Region) -> Fraction:
     if not len(region):
         raise ArgumentError("region must contain at least one point")
     cols = tuple(sorted({scores._representative(scores.column_index(p)) for p in region}))
-    n = scores.n
+    return _epsilon_hat_fractions(scores, [cols])[0]
+
+
+def _epsilon_hat_fractions(scores: UniformScores, column_sets: list) -> list[Fraction]:
+    """The estimate of each sorted tuple of representative columns, in order;
+    one pass fills the `_numerators` memo for the tuples it lacks."""
+    n, memo = scores.n, scores._numerators  # sums of per-replicate max scores, times n+1
     if n < 2:
         raise ArgumentError("need at least two replicates to estimate")
-    if cols not in scores._numerators:
-        scores._numerators[cols] = _max_sum(scores.rank_counts, cols)
-    numerator = scores._numerators[cols]  # sum of per-replicate max scores, times n+1
+    missing = [cols for cols in dict.fromkeys(column_sets) if cols not in memo]
+    if missing:
+        memo.update(_max_sums(scores.rank_counts, missing))
     total = n * (n + 1)
-    if numerator >= total:
+    if any(memo[cols] >= total for cols in column_sets):
         raise EstimationError(
             "mean of maximal scores reached 1; impossible for modified-ECDF ranks"
         )
-    return Fraction(numerator, total - numerator)
+    return [Fraction(memo[cols], total - memo[cols]) for cols in column_sets]
 
 
-def _max_sum(counts: np.ndarray, cols: tuple[int, ...]) -> int:
-    """The sum over rows of the largest count among `cols`, in one pass."""
-    max_counts = counts[:, cols[0]].copy()
-    for c in cols[1:]:
-        np.maximum(max_counts, counts[:, c], out=max_counts)
-    return int(max_counts.sum())
+def _max_sums(counts: np.ndarray, column_sets: list) -> dict[tuple, int]:
+    """The sum over rows of the largest count in each column set, in one pass over
+    chunks of about 2^18 gathered cells; the sets of one size share a gather."""
+    sizes: dict[int, list] = {}
+    for cols in column_sets:
+        sizes.setdefault(len(cols), []).append(cols)
+    step, sums = max(1, 2**18 // sum(map(len, column_sets))), dict.fromkeys(column_sets, 0)
+    for start in range(0, len(counts), step):
+        block = counts[start : start + step].T  # (columns, rows)
+        for sets in sizes.values():  # a (size, sets, rows) gather
+            part = block[np.array(sets).T].max(axis=0).sum(axis=1)
+            for cols, value in zip(sets, part.tolist()):
+                sums[cols] += value
+    return sums
 
 
 def estimate_extremal_coefficient(
@@ -267,8 +284,16 @@ def _estimate_summary(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> DependenceSummary:
     """`estimate_summary`, for the two public functions that call it."""
-    pairwise = _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
-    joint = _epsilon_hat_fraction(scores, Region((site,)).union(region))
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
+    try:
+        site_col, *cols = map(scores._representative,
+                              map(scores.column_index, (site, *region)))
+    except ArgumentError:  # the per-pair loop raises the first error in region order
+        _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
+        raise
+    sets = [tuple(sorted({site_col, c})) for c in cols] + [tuple(sorted({site_col, *cols}))]
+    *estimates, joint = _epsilon_hat_fractions(scores, sets)  # in one pass over the counts
     if joint < 1 - Fraction(1, 10**9):
         warnings.warn(
             f"joint coefficient estimate {float(joint):.6f} is below 1; "
@@ -276,7 +301,7 @@ def _estimate_summary(
             RuntimeWarning,
             stacklevel=3,  # the public function's caller
         )
-    return _summary(site, region, pairwise, joint)
+    return _summary(site, region, tuple(zip(region, estimates)), joint)
 
 
 def estimate_contagion_region(

@@ -41,8 +41,8 @@ _CHUNK_ELEMENTS = 1 << 22
 class FieldSample:
     """Independent replicates of the field at a fixed list of locations.
 
-    `values` has one row per replicate and one column per location, in
-    `locations` order (column-major if simulated); entries are strictly positive.
+    `values` has one row per replicate and one column per location (at least
+    one), in `locations` order (column-major if simulated); entries are positive and finite.
     """
 
     locations: tuple[LatticePoint, ...]
@@ -65,8 +65,12 @@ class FieldSample:
             )
         if len(set(self.locations)) != len(self.locations):
             raise ArgumentError("duplicate locations in sample")
-        if not np.all(values > 0):
-            raise ArgumentError("field values must be strictly positive")
+        if not (values.size and 0 < values.min() and values.max() < np.inf):  # NaN fails too
+            if not values.size:
+                raise ArgumentError("need at least one location")
+            r, c = np.argwhere(~((values > 0) & (values < np.inf)))[0]
+            raise ArgumentError(f"replicate {r}, location {self.locations[c]}: field "
+                                f"value must be positive and finite, got {values[r, c]}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

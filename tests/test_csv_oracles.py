@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from m4extremes import (
+    ArgumentError,
     FieldSample,
     LatticePoint,
     ParseError,
@@ -375,6 +376,56 @@ def test_sample_round_trip(tmp_path_factory, rows, rnd):
     assert np.array_equal(back.values, sample.values)
 
 
+@st.composite
+def _field_samples(draw) -> FieldSample:
+    """A sample the constructor accepts: 1-6 locations, each holding one of up
+    to three distinct columns when grouped, as simulation records them."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    grouped = draw(st.booleans())
+    labels = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)) if grouped else range(k)
+    columns = max(labels) + 1
+    rows = draw(st.lists(st.lists(_POSITIVE_DOUBLES, min_size=columns, max_size=columns),
+                         min_size=n, max_size=n))
+    points = draw(st.permutations([P(x, y) for x in range(-2, 3) for y in range(-2, 3)]))
+    if grouped:
+        return _grouped(points[:k], rows, tuple(labels))
+    return FieldSample(tuple(points[:k]), np.array(rows))
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values).tobytes()
+
+
+@given(_field_samples())
+def test_accepted_samples_round_trip_through_both_formats(tmp_path_factory, sample):
+    folder = tmp_path_factory.mktemp("rt")
+    write_sample_csv(sample, folder / "s.csv")
+    back = read_sample_csv(folder / "s.csv")
+    assert back.locations == sample.locations
+    assert _bits(back.values) == _bits(sample.values)
+    names = field_sample_to_station_csv(sample, folder / "d.csv", start_year=1990)
+    dataset = ingest_stations(folder / "d.csv")
+    assert dataset.station_names == tuple(names)
+    assert dataset.years == tuple(range(1990, 1990 + sample.n_replicates))
+    assert _bits(dataset.maxima) == _bits(sample.values)
+
+
+@given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=4))
+def test_constructor_takes_only_what_the_readers_read(rows):
+    values = np.array(rows)
+    bad = ~((values > 0) & (values < math.inf))
+    points = (P(0, 0), P(1, 0), P(2, 0))
+    if not bad.any():
+        assert _bits(FieldSample(points, values).values) == _bits(values)
+        return
+    r, c = np.argwhere(bad)[0]
+    with pytest.raises(ArgumentError) as caught:
+        FieldSample(points, values)
+    assert str(caught.value) == (f"replicate {r}, location {points[c]}: "
+                                 f"field value must be positive and finite, got {values[r, c]}")
+
+
 # -- station CSV corpus --------------------------------------------------------
 
 _STATIONS = [
@@ -716,7 +767,7 @@ def _writer_samples() -> dict[str, FieldSample]:
         "one replicate": simulate_m4(preset("two-pattern"), region, 1, 4),
         "hand-grouped": _grouped(
             [P(x, 1) for x in range(7)],
-            [[1e16, 5e-324, math.inf, 1e-5], [0.1, 2.0 / 3.0, 1e308, 1.0]],
+            [[1e16, 5e-324, 1.7976931348623157e308, 1e-5], [0.1, 2.0 / 3.0, 1e308, 1.0]],
             (2, 0, 2, 1, 3, 0, 2),
         ),
     }

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -266,6 +267,40 @@ class TestPackedKeyOracle:
         values = np.array([[0.0], [-0.0], [5e-324], [-5e-324], [np.inf], [-np.inf], [0.0]])
         scores = scores_from_matrix(values, points_for(values))
         assert scores.rank_counts[:, 0].tolist() == [5, 5, 6, 2, 7, 1, 5]
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_tie_free_and_tied_rows_match_brute_force(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        distinct = rng.permutation(n)[:, None] + rng.random((n, m))  # no two equal
+        cases = {
+            "tie-free": distinct,
+            "tie-free, signed": distinct - n / 2,
+            "rounded to 0.1": np.round(rng.standard_normal((n, m)), 1),
+            "signed zeros": rng.choice([0.0, -0.0, 1.0], (n, m)),
+            "all equal": np.full((n, m), 2.5),
+            "one tied column": np.column_stack([distinct[:, :-1], np.zeros(n)]),
+        }
+        for values in cases.values():
+            self.check(values, brute_force_counts)
+
+    def test_run_pass_only_for_tied_keys(self, monkeypatch):
+        copies = []
+        real_copyto = np.copyto
+
+        def counting_copyto(*args, **kwargs):
+            copies.append(args[0].size)
+            return real_copyto(*args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", counting_copyto)
+        rng = np.random.default_rng(8)
+        tie_free = rng.permutation(4000).reshape(1000, 4) + 0.5
+        for values, runs in ((tie_free, []), (tie_free.round(-2), [3999])):
+            for layout in (values, np.asfortranarray(values), np.repeat(values, 2, 1)[:, ::2]):
+                copies.clear()
+                scores = scores_from_matrix(layout, points_for(layout))
+                assert copies == runs  # the run pass fills one position per element
+                assert np.array_equal(scores.rank_counts, sorted_counts(values))
 
     @pytest.mark.parametrize("nan", [np.nan, -np.nan, np.frombuffer(
         np.uint64(0xFFF0000000000001).tobytes(), np.float64)[0]])
@@ -656,37 +691,112 @@ class TestEstimateSummaryOracle:
             estimate_summary(scores, Region([]), P(0, 0))
 
 
+SATURATED = "mean of maximal scores reached 1; impossible for modified-ECDF ranks"
+
+
+class TestSummaryFirstError:
+    """The one-pass summary raises the error the per-pair loop raised first:
+    the region, then each pair in region order (its points, the replicate
+    count, its sum), then the joint."""
+
+    # site s, a fair column a, b whose pair with s saturates, and d and e whose
+    # pairs with s do not while their joint with s does; (7,7) is not in them
+    S, A, B, D, E, MISSING = P(0, 0), P(1, 0), P(2, 0), P(3, 0), P(4, 0), P(7, 7)
+    COUNTS = [[1, 1, 4, 5, 1], [1, 2, 4, 1, 5], [1, 3, 4, 5, 1]]
+
+    def scores(self, rows):
+        return UniformScores((self.S, self.A, self.B, self.D, self.E), np.array(rows))
+
+    def check(self, scores, region, site, message):
+        for estimator, reference in (
+            (estimate_summary, loop_stability),
+            (estimate_stability, loop_stability),
+            (estimate_contagion, loop_contagion),
+        ):
+            got = result(estimator, scores, Region(region), site)
+            assert got == result(reference, scores, Region(region), site), estimator
+            if estimator is not estimate_contagion:  # its per-pair path is unchanged
+                assert got[1] == message, estimator
+
+    @pytest.mark.parametrize("region, site, message", [
+        ([], P(9, 9), "region must contain at least one point"),
+        ([A], P(9, 9), "location (9,9) not in scores"),
+        ([MISSING, B], S, "location (7,7) not in scores"),
+        ([A, B, MISSING], S, SATURATED),
+        ([A, MISSING, B], S, "location (7,7) not in scores"),
+        ([B, A], S, SATURATED),
+    ])
+    def test_first_error_in_region_order(self, region, site, message):
+        self.check(self.scores(self.COUNTS), region, site, message)
+
+    @pytest.mark.parametrize("region, site, message", [
+        ([A, MISSING], P(9, 9), "location (9,9) not in scores"),
+        ([MISSING, A], S, "location (7,7) not in scores"),
+        # the replicate count is checked after the first pair's points
+        ([A, MISSING], S, "need at least two replicates to estimate"),
+        ([A, B], S, "need at least two replicates to estimate"),
+    ])
+    def test_missing_point_with_one_replicate(self, region, site, message):
+        self.check(self.scores(self.COUNTS[:1]), region, site, message)
+
+    def test_saturated_joint_only(self):
+        scores = self.scores(self.COUNTS)
+        self.check(scores, [self.D, self.E], self.S, SATURATED)
+        # contagion reads no joint, so it does not raise
+        assert isinstance(estimate_contagion(scores, Region([self.D, self.E]), self.S), float)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The column sets of each pass over the rank counts, one list per pass."""
+    calls = []
+    real = estimate_module._max_sums
+
+    def counting(counts, column_sets):
+        calls.append(list(column_sets))
+        return real(counts, column_sets)
+
+    monkeypatch.setattr(estimate_module, "_max_sums", counting)
+    return calls
+
+
 class TestEachCoefficientOnce:
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        calls = []
-        real = estimate_module._epsilon_hat_fraction
-
-        def counting(scores, region):
-            calls.append(region)
-            return real(scores, region)
-
-        monkeypatch.setattr(estimate_module, "_epsilon_hat_fraction", counting)
-        return calls
-
-    def test_estimator_calls(self, counted, one_pattern_spec, site, ring):
+    def test_passes_per_estimator(self, passes, one_pattern_spec, site, ring):
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 100, 4)
-        scores = rank_transform(sample)
+        columns = {p: c for c, p in enumerate(sample.locations)}
         for region in (ring, Region([P(4, 3)]), Region([site, P(4, 3)])):
-            pairs = [Region((site, j)) for j in region]
-            joint = Region((site,)).union(region)
+            pairs = [tuple(sorted({columns[site], columns[j]})) for j in region]
+            joint = tuple(sorted({columns[site], *(columns[j] for j in region)}))
             for estimator, expected in (
-                (estimate_summary, pairs + [joint]),
-                (estimate_stability, pairs + [joint]),
-                (estimate_contagion, pairs),
+                # one pass makes every pair and the joint
+                (estimate_summary, [list(dict.fromkeys(pairs + [joint]))]),
+                (estimate_stability, [list(dict.fromkeys(pairs + [joint]))]),
+                # the per-pair loop: one pass per pair not yet summed
+                (estimate_contagion, [[cols] for cols in dict.fromkeys(pairs)]),
             ):
-                counted.clear()
+                scores = scores_from_matrix(sample.values, sample.locations)
+                passes.clear()
                 estimator(scores, region, site)
-                assert [tuple(r) for r in counted] == [tuple(r) for r in expected]
+                assert passes == expected, (estimator, region)
+                passes.clear()
+                estimator(scores, region, site)
+                assert passes == []  # the memo holds every sum
 
-    def test_study_estimates_each_coefficient_once(
-        self, counted, monkeypatch, one_pattern_spec, site, ring
-    ):
+    def test_summary_pass_is_chunked(self, one_pattern_spec, site, ring):
+        sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 200_000, 9)
+        scores = scores_from_matrix(sample.values, sample.locations)  # no groups
+        tracemalloc.start()
+        try:
+            estimate_summary(scores, ring, site)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # bytes: a few chunks of gathered counts, where one gather of every
+        # pair's two columns at once would take 200_000 * 16 * 8 = 25.6 MB
+        assert peak < 4_000_000
+        assert len(scores._numerators) == len(ring) + 1
+
+    def test_study_makes_one_pass_per_replication(self, passes, monkeypatch):
         import m4extremes.dependence as dependence_module
 
         evals = []
@@ -697,9 +807,11 @@ class TestEachCoefficientOnce:
             return real(spec, region)
 
         monkeypatch.setattr(dependence_module, "extremal_coefficient", counting)
-        monte_carlo_study(one_pattern_spec, ring, site, 3, 30, 1)
-        assert len(counted) == 3 * (len(ring) + 1)
-        assert len(evals) == len(ring) + 1
+        spec = table_spec(12)  # every point its own weight matrix
+        region = Region(p for p in spec.domain_points() if p != P(0, 0))
+        monte_carlo_study(spec, region, P(0, 0), 3, 30, 1)
+        assert [len(sets) for sets in passes] == [len(region) + 1] * 3
+        assert len(evals) == len(region) + 1
 
 
 def grouped_cases():
@@ -757,28 +869,24 @@ class TestGroupedEstimates:
                         estimate_contagion_region, plain(), r, given
                     )
 
-    def test_ring_estimates_make_at_most_two_passes(
-        self, monkeypatch, one_pattern_spec, site, ring
-    ):
-        passes = []
-        real = estimate_module._max_sum
-
-        def counting(counts, cols):
-            passes.append(cols)
-            return real(counts, cols)
-
-        sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 200, 6)
+    @pytest.mark.parametrize("site_last", [False, True])
+    def test_ring_estimates_make_two_passes(self, passes, one_pattern_spec, site, ring,
+                                            site_last):
+        # with the site's column last, the summary's pair keys are still sorted tuples
+        locations = ring.union([site]) if site_last else Region([site]).union(ring)
+        sample = simulate_m4(one_pattern_spec, locations, 200, 6)
         plain = scores_from_matrix(sample.values, sample.locations)
         expected = loop_contagion(plain, ring, site), loop_stability(plain, ring, site)
-        monkeypatch.setattr(estimate_module, "_max_sum", counting)
-        for scores, count in (
-            # the site's weight matrix with the other one, and the site's alone
-            (rank_transform(sample), 2),
-            # no groups: each pair once, shared by both estimators, and the joint
-            (scores_from_matrix(sample.values, sample.locations), len(ring) + 1),
+        for scores, counts in (
+            # the site's weight matrix with the other one, and the site's alone;
+            # the joint is the first of them, so stability makes no pass
+            (rank_transform(sample), [1, 1]),
+            # no groups: each pair once, shared by stability, which sums the joint
+            (scores_from_matrix(sample.values, sample.locations), [1] * len(ring) + [1]),
         ):
             passes.clear()
             contagion = estimate_contagion(scores, ring, site)
             stability = estimate_stability(scores, ring, site)
-            assert len(passes) == count and len(set(passes)) == count
+            assert [len(sets) for sets in passes] == counts
+            assert len({cols for sets in passes for cols in sets}) == len(counts)
             assert (contagion, stability) == expected

@@ -464,6 +464,22 @@ class TestFieldSampleInvariants:
         with pytest.raises(ArgumentError):
             FieldSample((P(0, 0),), np.array([[0.0]]))
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -5e-324, math.inf, -math.inf, math.nan])
+    def test_names_first_cell_that_is_not_positive_and_finite(self, bad):
+        # the first in replicate order, then location order, as the readers meet it
+        values = np.full((3, 3), 2.0)
+        values[2, 0] = values[1, 2] = bad
+        values[1, 1] = 1.7976931348623157e308
+        values[0, 0] = 5e-324
+        message = f"replicate 1, location (5,0): field value must be positive and finite, got {bad}"
+        for layout in (values, np.asfortranarray(values)):
+            with raises_exactly(ArgumentError, message):
+                FieldSample((P(3, 0), P(4, 0), P(5, 0)), layout)
+
+    def test_rejects_zero_locations(self):
+        with raises_exactly(ArgumentError, "need at least one location"):
+            FieldSample((), np.empty((3, 0)))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ArgumentError):
             FieldSample((P(0, 0),), np.array([[1.0, 2.0]]))
