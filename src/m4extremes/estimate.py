@@ -256,12 +256,25 @@ def _pairwise_estimates(
     }
 
 
+def _column_sets(scores: UniformScores, region: Region, site: LatticePoint) -> tuple[list, tuple]:
+    """The memo keys of each pair {site, j} in region order, and of the joint set."""
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
+    try:
+        site_col, *cols = map(scores._representative,
+                              map(scores.column_index, (site, *region)))
+    except ArgumentError:  # the per-pair loop raises the first error in region order
+        _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
+        raise
+    return [tuple(sorted({site_col, c})) for c in cols], tuple(sorted({site_col, *cols}))
+
+
 def estimate_contagion(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> float:
     """Plug-in contagion index: 2|region| minus the summed pairwise estimates."""
-    pairwise = _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
-    return float(_contagion(len(pairwise), sum(v for _, v in pairwise)))
+    pairs, _ = _column_sets(scores, region, site)
+    return float(_contagion(len(pairs), sum(_epsilon_hat_fractions(scores, pairs))))
 
 
 def estimate_stability(
@@ -284,16 +297,8 @@ def _estimate_summary(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> DependenceSummary:
     """`estimate_summary`, for the two public functions that call it."""
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
-    try:
-        site_col, *cols = map(scores._representative,
-                              map(scores.column_index, (site, *region)))
-    except ArgumentError:  # the per-pair loop raises the first error in region order
-        _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
-        raise
-    sets = [tuple(sorted({site_col, c})) for c in cols] + [tuple(sorted({site_col, *cols}))]
-    *estimates, joint = _epsilon_hat_fractions(scores, sets)  # in one pass over the counts
+    pairs, joint_set = _column_sets(scores, region, site)
+    *estimates, joint = _epsilon_hat_fractions(scores, [*pairs, joint_set])  # in one pass
     if joint < 1 - Fraction(1, 10**9):
         warnings.warn(
             f"joint coefficient estimate {float(joint):.6f} is below 1; "

@@ -271,9 +271,9 @@ def read_sample_csv(
     """Rebuild a FieldSample from the long-format CSV (and optional sidecar).
 
     Replicates are sorted and locations keep their order of first appearance.
-    The grammar is that of `_read_rows`, one row at a time; most files are
-    read in one `np.loadtxt` pass instead (`_bulk_table`), and any file that
-    pass leaves is read row by row, which names its first bad line.
+    The grammar is that of `_read_rows`, one row at a time.  A file in the
+    writer's layout is read in one `np.loadtxt` pass instead (`_bulk_table`);
+    any other file is read row by row, slower, which names its first bad line.
     """
     locations, values = _bulk_table(path) or _read_rows(path)
     meta = {}
@@ -288,26 +288,27 @@ def read_sample_csv(
 
 
 def _bulk_table(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray] | None:
-    """The sample's locations and values from one `np.loadtxt` pass, or None
-    when the header is not the sample's, the pass rejects the file or finds
-    no data rows, or a cell repeats or a replicate misses a location."""
+    """The sample's locations and values from one `np.loadtxt` pass over a file
+    in `write_sample_csv`'s layout: equal blocks of rows, one replicate each and
+    in increasing order, each holding the first block's distinct locations in its
+    order.  None for any other file, and when the header is not the sample's or
+    the pass rejects the file or finds no data rows."""
     with _open_csv(path) as fh:
         if not _header_ok(next(_csv_rows(path, fh), None)):
             return None
         rows = _bulk_rows(path, fh, _SAMPLE_ROW, usecols=range(4))
     if rows is None or not len(rows):
         return None
-    reps, x, y, cells = (rows[name] for name in _SAMPLE_ROW.names)
-    replicates, row_of = np.unique(reps, return_inverse=True)
-    locations, col_of = _first_appearance(x, y)
-    k = len(locations)
-    cell_ids = np.sort(row_of * k + col_of)
-    counts = np.bincount(row_of, minlength=len(replicates))
-    if np.any(cell_ids[1:] == cell_ids[:-1]) or np.any(counts != k):
+    k = int(np.argmax(rows["replicate"] != rows["replicate"][0])) or len(rows)
+    if len(rows) % k:
         return None
-    values = np.empty((len(replicates), k))
-    values[row_of, col_of] = cells
-    return locations, values
+    reps, x, y, cells = (rows[name].reshape(-1, k) for name in _SAMPLE_ROW.names)
+    locations = tuple(map(LatticePoint, x[0].tolist(), y[0].tolist()))
+    if (len(set(locations)) < k or np.any(reps != reps[:, :1])
+            or np.any(reps[1:, 0] <= reps[:-1, 0])  # not np.diff, which wraps at 64 bits
+            or np.any(x != x[0]) or np.any(y != y[0])):
+        return None
+    return locations, np.ascontiguousarray(cells)
 
 
 def _read_rows(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
@@ -350,25 +351,6 @@ def _read_rows(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
             raise ParseError(f"{path}: replicate {rep} covers {len(cells)} of {k} locations")
         values[r] = [cells[point] for point in locations]
     return tuple(locations), values
-
-
-def _first_appearance(
-    x: np.ndarray, y: np.ndarray
-) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
-    """Distinct (x, y) points in order of first appearance, and each row's
-    index into them."""
-    order = np.lexsort((y, x))  # stable: equal points keep their file order
-    xs, ys = x[order], y[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    first = order[starts]  # each point's first row
-    column = np.empty(len(first), dtype=np.int64)
-    column[np.argsort(first)] = np.arange(len(first))
-    col_of = np.empty(len(order), dtype=np.int64)
-    col_of[order] = column[np.cumsum(starts) - 1]
-    first.sort()
-    points = tuple(map(LatticePoint, x[first].tolist(), y[first].tolist()))
-    return points, col_of
 
 
 def _open_csv(path: str | Path) -> TextIO:

@@ -293,6 +293,7 @@ def _sample_corpus() -> list[tuple[str, str]]:
         ("shuffled rows", "\n".join(_BASE[:1] + rng.sample(_BASE[1:], len(_BASE) - 1)) + "\n")
     )
     corpus.append(("ragged", "\n".join(_BASE[:-1]) + "\n"))
+    corpus.extend((name, text) for name, (text, _) in _layout_samples().items())
     corpus.append(("ragged first", "\n".join(_BASE[:1] + _BASE[2:]) + "\n"))
     corpus.append(("extra location", base + "2,9,9,1.0\n"))
     corpus.append(("quoted everything", "\n".join(
@@ -318,6 +319,34 @@ def _sample_corpus() -> list[tuple[str, str]]:
         ending = rng.choice(["\n", "\r\n"])
         corpus.append((f"two faults {lines!r}", ending.join(lines) + ending))
     return corpus
+
+
+def _layout_samples() -> dict[str, tuple[str, bool]]:
+    """Small files at the edges of `write_sample_csv`'s layout, each with whether
+    it is in that layout: equal blocks of rows, one replicate each and in
+    increasing order, each listing the first block's distinct locations in its
+    order."""
+    header, blocks = _BASE[0], [_BASE[1:4], _BASE[4:7], _BASE[7:10]]
+    files = {
+        "one location": ([[line] for line in _BASE[1::3]], True),
+        "one replicate": ([blocks[0]], True),
+        "one cell": ([[_BASE[1]]], True),
+        "replicate-descending blocks": (blocks[::-1], False),
+        "permuted blocks": ([blocks[0], blocks[2], blocks[1]], False),
+        "one block reordered": ([blocks[0], [blocks[1][i] for i in (1, 2, 0)], blocks[2]], False),
+        "one block reordered in x": ([blocks[0], [blocks[1][i] for i in (1, 0, 2)], blocks[2]],
+                                     False),
+        "one block reordered in y": ([["0,0,0,1.5", "0,0,1,2.5"], ["1,0,1,3.0", "1,0,0,3.5"]],
+                                     False),
+        "ragged last block": ([blocks[0], blocks[1], blocks[2][1:]], False),
+        "one location, descending": ([[line] for line in _BASE[7:0:-3]], False),
+        "one replicate, repeated cell": ([blocks[0] + ["0,0,0,9"]], False),
+        "location repeated in every block": ([[line, line + "1"] for line in _BASE[1::3]], False),
+        "block of two replicates": ([["0,0,0,1.5", "0,1,0,2.25"], ["1,0,0,3.0", "2,1,0,0.125"],
+                                     ["3,0,0,7", "3,1,0,7"]], False),
+    }
+    return {name: ("\n".join([header] + sum(rows, [])) + "\n", in_layout)
+            for name, (rows, in_layout) in files.items()}
 
 
 @pytest.mark.parametrize(
@@ -820,6 +849,32 @@ def test_sample_writer_matches_csv_writer(tmp_path, name):
     plain = tmp_path / "plain.csv"
     write_sample_csv(FieldSample(sample.locations, sample.values), plain)
     assert plain.read_bytes() == path.read_bytes()
+
+
+def test_sample_reader_reads_rows_only_outside_the_writer_layout(tmp_path, monkeypatch):
+    # what `write_sample_csv` writes, grouped or not, takes the bulk pass alone;
+    # a file in another layout falls to the row reader after it
+    parses, reads = [], []
+    real_loadtxt, real_read_rows = np.loadtxt, simulate_module._read_rows
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or real_loadtxt(*a, **k))
+    monkeypatch.setattr(simulate_module, "_read_rows",
+                        lambda path: reads.append(1) or real_read_rows(path))
+    path = tmp_path / "s.csv"
+    for name, sample in WRITER_SAMPLES.items():
+        for written in (sample, FieldSample(sample.locations, sample.values)):
+            write_sample_csv(written, path)
+            parses.clear()
+            reads.clear()
+            back = read_sample_csv(path)
+            assert (parses, reads) == ([1], []), name
+            assert back.locations == sample.locations, name
+            assert _bits(back.values) == _bits(sample.values), name
+    for name, (text, in_layout) in _layout_samples().items():
+        parses.clear()
+        reads.clear()
+        new = _outcome(read_sample_csv, _write(path, text))
+        assert (parses, reads) == ([1], [] if in_layout else [1]), name
+        assert _same_sample(new, _outcome(oracle_read_sample_csv, path)), name
 
 
 @pytest.mark.parametrize("write", [write_sample_csv, field_sample_to_station_csv])

@@ -715,7 +715,7 @@ class TestSummaryFirstError:
         ):
             got = result(estimator, scores, Region(region), site)
             assert got == result(reference, scores, Region(region), site), estimator
-            if estimator is not estimate_contagion:  # its per-pair path is unchanged
+            if estimator is not estimate_contagion:  # it sums no joint
                 assert got[1] == message, estimator
 
     @pytest.mark.parametrize("region, site, message", [
@@ -765,14 +765,14 @@ class TestEachCoefficientOnce:
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 100, 4)
         columns = {p: c for c, p in enumerate(sample.locations)}
         for region in (ring, Region([P(4, 3)]), Region([site, P(4, 3)])):
-            pairs = [tuple(sorted({columns[site], columns[j]})) for j in region]
+            pairs = list(dict.fromkeys(tuple(sorted({columns[site], columns[j]})) for j in region))
             joint = tuple(sorted({columns[site], *(columns[j] for j in region)}))
             for estimator, expected in (
                 # one pass makes every pair and the joint
                 (estimate_summary, [list(dict.fromkeys(pairs + [joint]))]),
                 (estimate_stability, [list(dict.fromkeys(pairs + [joint]))]),
-                # the per-pair loop: one pass per pair not yet summed
-                (estimate_contagion, [[cols] for cols in dict.fromkeys(pairs)]),
+                # one pass makes every pair, and no joint
+                (estimate_contagion, [pairs]),
             ):
                 scores = scores_from_matrix(sample.values, sample.locations)
                 passes.clear()
@@ -781,6 +781,12 @@ class TestEachCoefficientOnce:
                 passes.clear()
                 estimator(scores, region, site)
                 assert passes == []  # the memo holds every sum
+            # after contagion, stability sums only the joint, unless it is a pair
+            scores = scores_from_matrix(sample.values, sample.locations)
+            estimate_contagion(scores, region, site)
+            passes.clear()
+            estimate_stability(scores, region, site)
+            assert passes == ([] if joint in pairs else [[joint]]), region
 
     def test_summary_pass_is_chunked(self, one_pattern_spec, site, ring):
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 200_000, 9)
@@ -870,23 +876,23 @@ class TestGroupedEstimates:
                     )
 
     @pytest.mark.parametrize("site_last", [False, True])
-    def test_ring_estimates_make_two_passes(self, passes, one_pattern_spec, site, ring,
-                                            site_last):
-        # with the site's column last, the summary's pair keys are still sorted tuples
+    def test_ring_estimates_share_the_pair_pass(self, passes, one_pattern_spec, site, ring,
+                                                site_last):
+        # with the site's column last, the pair keys are still sorted tuples
         locations = ring.union([site]) if site_last else Region([site]).union(ring)
         sample = simulate_m4(one_pattern_spec, locations, 200, 6)
         plain = scores_from_matrix(sample.values, sample.locations)
         expected = loop_contagion(plain, ring, site), loop_stability(plain, ring, site)
-        for scores, counts in (
-            # the site's weight matrix with the other one, and the site's alone;
-            # the joint is the first of them, so stability makes no pass
-            (rank_transform(sample), [1, 1]),
-            # no groups: each pair once, shared by stability, which sums the joint
-            (scores_from_matrix(sample.values, sample.locations), [1] * len(ring) + [1]),
+        for scores, sizes in (
+            # one pass of the site's weight matrix alone and with the other one;
+            # the joint is the two-matrix pair, so stability makes no pass
+            (rank_transform(sample), [2]),
+            # no groups: one pass of every pair, then stability sums the joint alone
+            (scores_from_matrix(sample.values, sample.locations), [len(ring), 1]),
         ):
             passes.clear()
             contagion = estimate_contagion(scores, ring, site)
             stability = estimate_stability(scores, ring, site)
-            assert [len(sets) for sets in passes] == counts
-            assert len({cols for sets in passes for cols in sets}) == len(counts)
+            assert [len(sets) for sets in passes] == sizes
+            assert len({cols for sets in passes for cols in sets}) == sum(sizes)
             assert (contagion, stability) == expected
