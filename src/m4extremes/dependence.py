@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ArgumentError, DegenerateConditioningError
 from .lattice import LatticePoint, Region, neighbors
@@ -128,13 +127,11 @@ def multivariate_tail_dependence(
     return numerator / denominator
 
 
-def _pairwise(
-    coefficient: Callable[[Region], Weight], region: Region, site: LatticePoint
-) -> _Pairwise:
-    """(j, coefficient of {site, j}) for each j of the region, in order."""
+def _pairwise(spec: M4Spec, region: Region, site: LatticePoint) -> _Pairwise:
+    """(j, extremal coefficient of {site, j}) for each j of the region, in order."""
     if not len(region):
         raise ArgumentError("region must contain at least one point")
-    return tuple((j, coefficient(Region((site, j)))) for j in region)
+    return tuple((j, extremal_coefficient(spec, Region((site, j)))) for j in region)
 
 
 def _contagion(size: int, pair_sum: Weight) -> Weight:
@@ -148,7 +145,7 @@ def contagion_index(spec: M4Spec, region: Region, site: LatticePoint) -> Weight:
     Ranges from 0 (independence) to |region| (total dependence); `site`
     need not belong to the region.
     """
-    pairwise = _pairwise(partial(extremal_coefficient, spec), region, site)
+    pairwise = _pairwise(spec, region, site)
     return _contagion(len(pairwise), _ksum(v for _, v in pairwise))
 
 
@@ -185,7 +182,7 @@ def stability_bounds(
     spec: M4Spec, region: Region, site: LatticePoint
 ) -> tuple[Weight, Weight]:
     """Sharp sandwich for the stability index from pairwise coefficients only."""
-    return _pair_terms(_pairwise(partial(extremal_coefficient, spec), region, site))[2:]
+    return _pair_terms(_pairwise(spec, region, site))[2:]
 
 
 def _pair_terms(pairwise: _Pairwise) -> tuple[Weight, Weight, Weight, Weight]:
@@ -245,7 +242,7 @@ def summarize(spec: M4Spec, region: Region, site: LatticePoint) -> DependenceSum
 
     The contagion and stability values are derived from one set of pairwise
     coefficients, so the summary satisfies the exact index identities."""
-    pairwise = _pairwise(partial(extremal_coefficient, spec), region, site)
+    pairwise = _pairwise(spec, region, site)
     joint = extremal_coefficient(spec, Region((site,)).union(region))
     return _summary(site, region, pairwise, joint)
 

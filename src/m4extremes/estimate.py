@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .dependence import DependenceSummary, _contagion, _pairwise, _summary, summarize
+from .dependence import DependenceSummary, _contagion, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
@@ -192,19 +192,17 @@ class ExtremalCoefficientEstimate:
         return Fraction(self.numerator, self.denominator)
 
 
-def _epsilon_hat_fraction(scores: UniformScores, region: Region) -> Fraction:
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
-    cols = tuple(sorted({scores._representative(scores.column_index(p)) for p in region}))
-    return _epsilon_hat_fractions(scores, [cols])[0]
-
-
-def _epsilon_hat_fractions(scores: UniformScores, column_sets: list) -> list[Fraction]:
-    """The estimate of each sorted tuple of representative columns, in order;
-    one pass fills the `_numerators` memo for the tuples it lacks."""
+def _coefficients(
+    scores: UniformScores, points: Sequence[LatticePoint], index_sets: list
+) -> list[Fraction]:
+    """The estimate of each set of indices into `points`, in order.  Each point
+    is looked up once, in order; one pass fills the `_numerators` memo for the
+    sorted tuples of representative columns it lacks."""
+    columns = [scores._representative(scores.column_index(p)) for p in points]
     n, memo = scores.n, scores._numerators  # sums of per-replicate max scores, times n+1
     if n < 2:
         raise ArgumentError("need at least two replicates to estimate")
+    column_sets = [tuple(sorted({columns[i] for i in s})) for s in index_sets]
     missing = [cols for cols in dict.fromkeys(column_sets) if cols not in memo]
     if missing:
         memo.update(_max_sums(scores.rank_counts, missing))
@@ -237,7 +235,10 @@ def estimate_extremal_coefficient(
 ) -> ExtremalCoefficientEstimate:
     """Estimate the region's extremal coefficient as m/(1-m), where m is the
     sample mean of the per-replicate maximum rank score over the region."""
-    return _as_estimate(_epsilon_hat_fraction(scores, region), len(region))
+    if not len(region):
+        raise ArgumentError("region must contain at least one point")
+    [frac] = _coefficients(scores, region.points, [range(len(region))])
+    return _as_estimate(frac, len(region))
 
 
 def _as_estimate(frac: Fraction, region_size: int) -> ExtremalCoefficientEstimate:
@@ -256,25 +257,19 @@ def _pairwise_estimates(
     }
 
 
-def _column_sets(scores: UniformScores, region: Region, site: LatticePoint) -> tuple[list, tuple]:
-    """The memo keys of each pair {site, j} in region order, and of the joint set."""
+def _pairs(region: Region) -> list[tuple[int, int]]:
+    """The indices into (site, *region) of each pair {site, j}, in region order."""
     if not len(region):
         raise ArgumentError("region must contain at least one point")
-    try:
-        site_col, *cols = map(scores._representative,
-                              map(scores.column_index, (site, *region)))
-    except ArgumentError:  # the per-pair loop raises the first error in region order
-        _pairwise(partial(_epsilon_hat_fraction, scores), region, site)
-        raise
-    return [tuple(sorted({site_col, c})) for c in cols], tuple(sorted({site_col, *cols}))
+    return [(0, i) for i in range(1, len(region) + 1)]
 
 
 def estimate_contagion(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> float:
     """Plug-in contagion index: 2|region| minus the summed pairwise estimates."""
-    pairs, _ = _column_sets(scores, region, site)
-    return float(_contagion(len(pairs), sum(_epsilon_hat_fractions(scores, pairs))))
+    pairs = _pairs(region)
+    return float(_contagion(len(pairs), sum(_coefficients(scores, (site, *region), pairs))))
 
 
 def estimate_stability(
@@ -297,8 +292,8 @@ def _estimate_summary(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> DependenceSummary:
     """`estimate_summary`, for the two public functions that call it."""
-    pairs, joint_set = _column_sets(scores, region, site)
-    *estimates, joint = _epsilon_hat_fractions(scores, [*pairs, joint_set])  # in one pass
+    pairs = _pairs(region)
+    *estimates, joint = _coefficients(scores, (site, *region), [*pairs, range(len(pairs) + 1)])
     if joint < 1 - Fraction(1, 10**9):
         warnings.warn(
             f"joint coefficient estimate {float(joint):.6f} is below 1; "
@@ -321,15 +316,12 @@ def estimate_contagion_region(
     """
     if not len(region) or not len(given):
         raise ArgumentError("regions must be non-empty")
-    theta_given = _epsilon_hat_fraction(scores, given)
-    numerator = Fraction(0)
-    for j in region:
-        numerator += (
-            _epsilon_hat_fraction(scores, Region((j,)))
-            + theta_given
-            - _epsilon_hat_fraction(scores, given.with_point(j))
-        )
-    return float(numerator / theta_given)
+    g, k = len(given), len(region)
+    js = range(g, g + k)  # the region's indices into (*given, *region)
+    # in one pass: the given set, each singleton {j}, then each given + j
+    sets = [range(g), *((j,) for j in js), *((*range(g), j) for j in js)]
+    theta_given, *thetas = _coefficients(scores, (*given, *region), sets)
+    return float((sum(thetas[:k]) + k * theta_given - sum(thetas[k:])) / theta_given)
 
 
 @dataclass(frozen=True)

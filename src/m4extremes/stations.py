@@ -240,6 +240,7 @@ def station_indices(
     if not region_names:
         raise UnknownStationError("region must name at least one station")
     cond_col = dataset.column(conditioning)
+    region_names = tuple(dict.fromkeys(region_names))  # a repeated name counts once, as in Region
     region_cols = [dataset.column(name) for name in region_names]
     # one synthetic lattice point per involved station, in column order
     involved = [cond_col] + [c for c in region_cols if c != cond_col]
@@ -256,7 +257,7 @@ def station_indices(
     )
     return StationIndicesReport(
         conditioning=conditioning,
-        region=tuple(region_names),
+        region=region_names,
         n=dataset.n,
         contagion=float(summary.contagion),
         stability=float(summary.stability),

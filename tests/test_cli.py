@@ -454,6 +454,18 @@ class TestIngestReport:
         assert rep["n"] == 32
         assert 0 <= rep["contagion_index_estimate"] <= 2.5
 
+    def test_report_repeated_region_name_counts_once(self, capsys):
+        outputs = []
+        for region in ("vale_frio,vale_frio", "vale_frio"):
+            code, out, _ = run(
+                capsys, "report", "--data", str(DATA_DIR / "stations_32y.csv"),
+                "--condition", "serra_alta", "--region", region,
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["reports"][0]["region"] == ["vale_frio"]
+
     def test_unknown_station_exits_3(self, capsys):
         code, _, err = run(
             capsys,

@@ -695,9 +695,9 @@ SATURATED = "mean of maximal scores reached 1; impossible for modified-ECDF rank
 
 
 class TestSummaryFirstError:
-    """The one-pass summary raises the error the per-pair loop raised first:
-    the region, then each pair in region order (its points, the replicate
-    count, its sum), then the joint."""
+    """Every plug-in estimator raises the first error of one rule: an empty
+    region, then the first missing point (the site, then region order), then
+    fewer than two replicates, then a saturated set."""
 
     # site s, a fair column a, b whose pair with s saturates, and d and e whose
     # pairs with s do not while their joint with s does; (7,7) is not in them
@@ -707,43 +707,82 @@ class TestSummaryFirstError:
     def scores(self, rows):
         return UniformScores((self.S, self.A, self.B, self.D, self.E), np.array(rows))
 
-    def check(self, scores, region, site, message):
-        for estimator, reference in (
-            (estimate_summary, loop_stability),
-            (estimate_stability, loop_stability),
-            (estimate_contagion, loop_contagion),
-        ):
-            got = result(estimator, scores, Region(region), site)
-            assert got == result(reference, scores, Region(region), site), estimator
-            if estimator is not estimate_contagion:  # it sums no joint
-                assert got[1] == message, estimator
+    def outcomes(self, scores, region, site):
+        """Each estimator's result or error for (site, region).  The joint
+        coefficient reads {site} + region and the region-to-region index is
+        given {site}, so all five look up the same points in the same order."""
+        region = Region(region)
+        return {
+            estimator: result(estimator, scores, *args)
+            for estimator, args in (
+                (estimate_summary, (region, site)),
+                (estimate_stability, (region, site)),
+                (estimate_contagion, (region, site)),
+                (estimate_extremal_coefficient, (Region([site]).union(region),)),
+                (estimate_contagion_region, (region, Region([site]))),
+            )
+        }
+
+    def check(self, scores, region, site, error, message):
+        outcomes = self.outcomes(scores, region, site)
+        assert outcomes == dict.fromkeys(outcomes, (error, message))
 
     @pytest.mark.parametrize("region, site, message", [
-        ([], P(9, 9), "region must contain at least one point"),
         ([A], P(9, 9), "location (9,9) not in scores"),
         ([MISSING, B], S, "location (7,7) not in scores"),
-        ([A, B, MISSING], S, SATURATED),
+        # every point is looked up before any set is summed
+        ([A, B, MISSING], S, "location (7,7) not in scores"),
         ([A, MISSING, B], S, "location (7,7) not in scores"),
-        ([B, A], S, SATURATED),
     ])
-    def test_first_error_in_region_order(self, region, site, message):
-        self.check(self.scores(self.COUNTS), region, site, message)
+    def test_first_missing_point(self, region, site, message):
+        self.check(self.scores(self.COUNTS), region, site, ArgumentError, message)
+
+    def test_saturated_set(self):
+        self.check(self.scores(self.COUNTS), [self.B, self.A], self.S, EstimationError, SATURATED)
 
     @pytest.mark.parametrize("region, site, message", [
         ([A, MISSING], P(9, 9), "location (9,9) not in scores"),
         ([MISSING, A], S, "location (7,7) not in scores"),
-        # the replicate count is checked after the first pair's points
-        ([A, MISSING], S, "need at least two replicates to estimate"),
+        # every point is looked up before the replicate count is checked
+        ([A, MISSING], S, "location (7,7) not in scores"),
+        # and the replicate count before any set is summed
         ([A, B], S, "need at least two replicates to estimate"),
     ])
     def test_missing_point_with_one_replicate(self, region, site, message):
-        self.check(self.scores(self.COUNTS[:1]), region, site, message)
+        self.check(self.scores(self.COUNTS[:1]), region, site, ArgumentError, message)
+
+    def test_empty_region_comes_first(self):
+        scores = self.scores(self.COUNTS[:1])  # one replicate, and (9,9) is missing
+        empty, missing = Region([]), P(9, 9)
+        for estimator in (estimate_summary, estimate_stability, estimate_contagion):
+            with raises_exactly(ArgumentError, "region must contain at least one point"):
+                estimator(scores, empty, missing)
+        with raises_exactly(ArgumentError, "region must contain at least one point"):
+            estimate_extremal_coefficient(scores, empty)
+        for region, given in ((empty, Region([missing])), (Region([missing]), empty)):
+            with raises_exactly(ArgumentError, "regions must be non-empty"):
+                estimate_contagion_region(scores, region, given)
 
     def test_saturated_joint_only(self):
         scores = self.scores(self.COUNTS)
-        self.check(scores, [self.D, self.E], self.S, SATURATED)
-        # contagion reads no joint, so it does not raise
-        assert isinstance(estimate_contagion(scores, Region([self.D, self.E]), self.S), float)
+        outcomes = self.outcomes(scores, [self.D, self.E], self.S)
+        for estimator in (estimate_summary, estimate_stability, estimate_extremal_coefficient):
+            assert outcomes.pop(estimator) == (EstimationError, SATURATED), estimator
+        # contagion reads no joint, and the region-to-region index given {site}
+        # only the site's pairs and singletons, so neither raises
+        assert all(isinstance(value, float) for value in outcomes.values())
+
+    def test_region_to_region_looks_up_every_point_first(self):
+        scores, saturated = self.scores(self.COUNTS), Region([self.S, self.B])
+        with raises_exactly(ArgumentError, "location (7,7) not in scores"):
+            estimate_contagion_region(scores, Region([self.A, self.MISSING]), saturated)
+        with raises_exactly(EstimationError, SATURATED):
+            estimate_contagion_region(scores, Region([self.A]), saturated)
+        # the given points come before the region's
+        with raises_exactly(ArgumentError, "location (9,9) not in scores"):
+            estimate_contagion_region(scores, Region([self.MISSING]), Region([self.S, P(9, 9)]))
+        with raises_exactly(ArgumentError, "need at least two replicates to estimate"):
+            estimate_contagion_region(self.scores(self.COUNTS[:1]), Region([self.A]), saturated)
 
 
 @pytest.fixture
@@ -787,6 +826,42 @@ class TestEachCoefficientOnce:
             passes.clear()
             estimate_stability(scores, region, site)
             assert passes == ([] if joint in pairs else [[joint]]), region
+
+    def test_extremal_coefficient_makes_one_pass(self, passes, one_pattern_spec, site, ring):
+        sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 100, 4)
+        scores = scores_from_matrix(sample.values, sample.locations)  # no groups
+        first, middle, last = sample.locations[0], sample.locations[4], sample.locations[-1]
+        for region in (Region([first, last]), Region([first, middle, last]),
+                       Region(sample.locations)):
+            passes.clear()
+            estimate_extremal_coefficient(scores, region)
+            assert passes == [[tuple(sorted(sample.column_index(p) for p in region))]]
+            passes.clear()
+            estimate_extremal_coefficient(scores, region)
+            # the memo key is the set of columns, not their order
+            estimate_extremal_coefficient(scores, Region(region.points[::-1]))
+            assert passes == []
+
+    def test_region_to_region_makes_one_pass(self, passes, one_pattern_spec, site, ring):
+        sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 100, 4)
+        column = sample.column_index
+        points = list(ring)
+        for region, given in (
+            (ring, Region([site])),
+            (Region(points[:3]), Region([site, *points[5:]])),
+            (Region(points[::-1]), ring),  # every given + j is the given set
+        ):
+            scores = scores_from_matrix(sample.values, sample.locations)  # no groups
+            given_cols = tuple(sorted(map(column, given)))
+            sets = [given_cols, *((column(j),) for j in region),
+                    *(tuple(sorted({*given_cols, column(j)})) for j in region)]
+            passes.clear()
+            estimate_contagion_region(scores, region, given)
+            # the given set, each singleton and each given + j, in one pass
+            assert passes == [list(dict.fromkeys(sets))], (region, given)
+            passes.clear()
+            estimate_contagion_region(scores, region, given)
+            assert passes == []
 
     def test_summary_pass_is_chunked(self, one_pattern_spec, site, ring):
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 200_000, 9)

@@ -174,6 +174,16 @@ class TestStationIndices:
         with pytest.raises(UnknownStationError):
             station_indices(ds, "a", [])
 
+    def test_repeated_names_count_once(self):
+        ds = ingest_stations(DATA_DIR / "stations_32y.csv")
+        once = station_indices(ds, "serra_alta", ["vale_frio"]).to_json_dict()
+        twice = station_indices(ds, "serra_alta", ["vale_frio", "vale_frio"]).to_json_dict()
+        assert twice == once
+        assert twice["region"] == ["vale_frio"]
+        assert len(twice["pairwise_extremal_estimates"]) == 1
+        mixed = station_indices(ds, "serra_alta", ["planalto", "vale_frio", "planalto"])
+        assert mixed.region == ("planalto", "vale_frio")  # first-appearance order
+
     def test_report_fields(self):
         ds = ingest_stations(DATA_DIR / "stations_32y.csv")
         report = station_indices(ds, "serra_alta", ["vale_frio", "monte_claro"])
@@ -195,7 +205,8 @@ class TestStationIndices:
 
 def loop_station_indices(dataset, conditioning, region_names):
     """Reference: `station_indices` with its own pairwise and joint loop
-    and separate contagion and stability estimators."""
+    and separate contagion and stability estimators; a repeated name counts once."""
+    region_names = list(dict.fromkeys(region_names))
     cond_col = dataset.column(conditioning)
     region_cols = [dataset.column(name) for name in region_names]
     involved = [cond_col] + [c for c in region_cols if c != cond_col]
@@ -232,7 +243,7 @@ class TestStationIndicesOracle:
         report = station_indices(ds, "serra_alta", names)
         got = (report.contagion, report.stability, report.pairwise, report.joint)
         assert repr(got) == repr(loop_station_indices(ds, "serra_alta", names))
-        assert [s for s, _, _ in report.pairwise] == names
+        assert [s for s, _, _ in report.pairwise] == list(dict.fromkeys(names))
 
     def test_conditioning_station_pair_is_the_singleton(self):
         # ties in "c" put its singleton estimate at 11/9: outside [1, 1],
@@ -243,7 +254,7 @@ class TestStationIndicesOracle:
             maxima=np.array([[1.0, 4.0], [1.0, 3.0], [2.0, 2.0], [3.0, 1.0]]),
         )
         report = station_indices(ds, "c", ["r", "c", "c"])
-        assert report.pairwise[1:] == (("c", 11 / 9, True), ("c", 11 / 9, True))
+        assert report.pairwise[1:] == (("c", 11 / 9, True),)
         assert repr(report.pairwise) == repr(loop_station_indices(ds, "c", ["r", "c", "c"])[2])
 
 
