@@ -141,7 +141,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         doc["extremal_coefficient_matrix"] = [
             [float(v) for v in row] for row in extremal_coefficient_matrix(spec, site)
         ]
-    if args.given:
+    if args.given is not None:
         given = _parse_region(args.given, site)
         doc["region_to_region_contagion"] = float(
             contagion_index_region(spec, region, given)

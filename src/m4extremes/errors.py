@@ -39,3 +39,5 @@ class ParseError(M4Error, ValueError):
 
 class UnknownStationError(M4Error, KeyError):
     """A station name does not resolve against the dataset."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it

@@ -16,8 +16,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .dependence import DependenceSummary, _contagion, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region

@@ -22,7 +22,7 @@ the derived keys behave as independent seeds.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 U64_MASK = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15

@@ -24,8 +24,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
+from ._numpy import np
 from ._version import __version__
 from .errors import ArgumentError, ParseError, UndefinedConditionalError
 from .lattice import LatticePoint, Region
@@ -220,9 +219,7 @@ def empirical_stability(
 # -- CSV interchange ----------------------------------------------------------
 
 _SAMPLE_HEADER = ["replicate", "x", "y", "value"]
-_SAMPLE_ROW = np.dtype(
-    [("replicate", np.int64), ("x", np.int64), ("y", np.int64), ("value", np.float64)]
-)
+_SAMPLE_ROW = [("replicate", "<i8"), ("x", "<i8"), ("y", "<i8"), ("value", "<f8")]
 
 
 def write_sample_csv(sample: FieldSample, path: str | Path) -> None:
@@ -302,7 +299,7 @@ def _bulk_table(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]
     k = int(np.argmax(rows["replicate"] != rows["replicate"][0])) or len(rows)
     if len(rows) % k:
         return None
-    reps, x, y, cells = (rows[name].reshape(-1, k) for name in _SAMPLE_ROW.names)
+    reps, x, y, cells = (rows[name].reshape(-1, k) for name in _SAMPLE_HEADER)
     locations = tuple(map(LatticePoint, x[0].tolist(), y[0].tolist()))
     if (len(set(locations)) < k or np.any(reps != reps[:, :1])
             or np.any(reps[1:, 0] <= reps[:-1, 0])  # not np.diff, which wraps at 64 bits
@@ -372,7 +369,7 @@ def _csv_rows(path: str | Path, fh) -> Iterator[list[str]]:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _bulk_rows(path: str | Path, fh: TextIO, dtype: np.dtype, usecols=None, skip=None):
+def _bulk_rows(path: str | Path, fh: TextIO, dtype, usecols=None, skip=None):
     """The rows left in `fh` after its header, in one `np.loadtxt` pass, or
     None when the bytes after the file's first line are not `_bulk_safe` or
     `skip(raw, start)` holds, when the pass rejects them, or when a value in
@@ -395,7 +392,7 @@ def _bulk_rows(path: str | Path, fh: TextIO, dtype: np.dtype, usecols=None, skip
                               usecols=usecols, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
-    values = rows[dtype.names[-1]]
+    values = rows[rows.dtype.names[-1]]
     return rows if np.all((values > 0) & (values < np.inf)) else None
 
 

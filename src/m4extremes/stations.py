@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ParseError, UnknownStationError
 from .estimate import _pairwise_estimates, estimate_summary, scores_from_matrix
 from .lattice import LatticePoint, Region
@@ -68,7 +67,7 @@ class StationDataset:
         try:
             return self._columns[name]
         except KeyError:
-            raise UnknownStationError(name) from None
+            raise UnknownStationError(f"unknown station {name!r}") from None
 
 
 def _read_metadata(path: str | Path) -> dict[str, tuple[float, float]]:

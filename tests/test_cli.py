@@ -478,6 +478,13 @@ class TestIngestReport:
             "planalto",
         )
         assert code == 3
+        assert err == "error: unknown station 'atlantis'\n"
+
+    def test_empty_region_exits_3(self, capsys):
+        code, out, err = run(capsys, "report", "--data", str(DATA_DIR / "stations_32y.csv"),
+                             "--condition", "serra_alta", "--region=")
+        assert (code, out) == (3, "")
+        assert err == "error: region must name at least one station\n"
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(
@@ -692,6 +699,12 @@ class TestPointArguments:
     def test_region_without_points(self, capsys):
         code, out, err = run(capsys, "exact", "--spec", "one-pattern", "--site", "0,0",
                              "--region", ";")
+        assert (code, out) == (3, "")
+        assert err == "error: region must name at least one point\n"
+
+    def test_empty_given(self, capsys):
+        code, out, err = run(capsys, "exact", "--spec", "two-pattern", "--site=3,3",
+                             "--region", "neighbors", "--given=")
         assert (code, out) == (3, "")
         assert err == "error: region must name at least one point\n"
 

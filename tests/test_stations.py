@@ -167,11 +167,12 @@ class TestStationIndices:
         path = tmp_path / "d.csv"
         path.write_text("year,a,b\n2000,1.0,2.0\n2001,2.0,1.0\n")
         ds = ingest_stations(path)
-        with pytest.raises(UnknownStationError):
+        with raises_exactly(UnknownStationError, "unknown station 'nowhere'") as info:
             station_indices(ds, "nowhere", ["b"])
-        with pytest.raises(UnknownStationError):
+        assert isinstance(info.value, KeyError)  # still a lookup failure to callers
+        with raises_exactly(UnknownStationError, "unknown station 'nowhere'"):
             station_indices(ds, "a", ["nowhere"])
-        with pytest.raises(UnknownStationError):
+        with raises_exactly(UnknownStationError, "region must name at least one station"):
             station_indices(ds, "a", [])
 
     def test_repeated_names_count_once(self):
