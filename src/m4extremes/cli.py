@@ -60,16 +60,13 @@ def _parse_region(text: str, site: LatticePoint | None = None) -> Region:
         if site is None:  # only simulate's --locations comes without a site
             raise ParseError("--locations takes 'domain' or 'x,y;x,y;...', not 'neighbors'")
         return neighbors(site)
-    points = [_parse_point(part) for part in text.split(";") if part.strip()]
-    if not points:
-        raise ParseError("region must name at least one point")
-    return Region(points)
+    return Region(_parse_point(part) for part in text.split(";") if part.strip())
 
 
-def _load_spec_arg(value: str) -> M4Spec:
-    """A validated specification from a spec file or a preset name."""
+def _load_spec_arg(value: str, check: bool = True) -> M4Spec:
+    """A specification from a spec file (validated if `check`) or a preset name."""
     if Path(value).exists():
-        return load_spec(value)
+        return load_spec(value, check=check)
     if value in PRESETS:
         return preset(value)
     raise ParseError(
@@ -120,8 +117,7 @@ def cmd_preset(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.spec)
-    spec = load_spec(path, check=False) if path.exists() else _load_spec_arg(args.spec)
+    spec = _load_spec_arg(args.spec, check=False)
     report = validate(spec)
     doc = _meta(spec)
     doc["valid"] = report.ok
@@ -250,7 +246,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         station_indices(dataset, args.condition, names) for names in regions
     ]
     if args.format == "csv":
-        lines = [f"# m4extremes={__version__}"]
+        lines = _csv_meta_lines()
         lines.append("region,contagion_index_estimate,stability_index_estimate,n")
         for rep in reports:
             region_label = ";".join(rep.region)

@@ -57,25 +57,19 @@ def exponent_value(spec: M4Spec, region: Region, scales: Sequence[Weight]) -> We
     Equals the sum over (pattern, lag) of the largest weight-to-scale ratio
     across the region; homogeneous of degree -1 in the scales.
     """
-    points = region.points
-    if not points:
-        raise ArgumentError("region must contain at least one point")
-    if len(scales) != len(points):
+    if len(scales) != len(region):
         raise ArgumentError(
-            f"got {len(scales)} scales for {len(points)} region points"
+            f"got {len(scales)} scales for {len(region)} region points"
         )
     if any(s <= 0 for s in scales):
         raise ArgumentError("scales must be strictly positive")
-    slots = zip(*(_slot_weights(spec, p) for p in points))
+    slots = zip(*(_slot_weights(spec, p) for p in region))
     return _ksum(max(w / s for w, s in zip(ws, scales)) for ws in slots)
 
 
 def extremal_coefficient(spec: M4Spec, region: Region) -> Weight:
     """Effective number of independent sites in `region` (in [1, |region|])."""
-    points = region.points
-    if not points:
-        raise ArgumentError("region must contain at least one point")
-    return _ksum(map(max, zip(*(_slot_weights(spec, p) for p in points))))
+    return _ksum(map(max, zip(*(_slot_weights(spec, p) for p in region))))
 
 
 def extremal_coefficient_matrix(
@@ -114,8 +108,6 @@ def multivariate_tail_dependence(
     weight; a conditioning set whose rate vanishes (e.g. independent sites)
     raises :class:`DegenerateConditioningError`.
     """
-    if not len(target) or not len(given):
-        raise ArgumentError("target and conditioning regions must be non-empty")
     union = target.union(given)
     numerator = _ksum(map(min, zip(*(_slot_weights(spec, p) for p in union))))
     denominator = _ksum(map(min, zip(*(_slot_weights(spec, p) for p in given))))
@@ -129,8 +121,6 @@ def multivariate_tail_dependence(
 
 def _pairwise(spec: M4Spec, region: Region, site: LatticePoint) -> _Pairwise:
     """(j, extremal coefficient of {site, j}) for each j of the region, in order."""
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
     return tuple((j, extremal_coefficient(spec, Region((site, j)))) for j in region)
 
 
@@ -156,8 +146,6 @@ def contagion_index_region(spec: M4Spec, region: Region, given: Region) -> Weigh
     The rate of "j and any of `given`" exceed is the sum over slots of
     min(w_j, max over `given`), so no subset of `given` is enumerated.
     """
-    if not len(region) or not len(given):
-        raise ArgumentError("regions must be non-empty")
     given_max = tuple(map(max, zip(*(_slot_weights(spec, p) for p in given))))
     numerator = _ksum(
         _ksum(map(min, _slot_weights(spec, j), given_max)) for j in region

@@ -234,8 +234,6 @@ def estimate_extremal_coefficient(
 ) -> ExtremalCoefficientEstimate:
     """Estimate the region's extremal coefficient as m/(1-m), where m is the
     sample mean of the per-replicate maximum rank score over the region."""
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
     [frac] = _coefficients(scores, region.points, [range(len(region))])
     return _as_estimate(frac, len(region))
 
@@ -258,8 +256,6 @@ def _pairwise_estimates(
 
 def _pairs(region: Region) -> list[tuple[int, int]]:
     """The indices into (site, *region) of each pair {site, j}, in region order."""
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
     return [(0, i) for i in range(1, len(region) + 1)]
 
 
@@ -313,8 +309,6 @@ def estimate_contagion_region(
     (not 1, which it differs from under ties).  No external benchmark exists
     for this quantity; it is provided for exploratory use.
     """
-    if not len(region) or not len(given):
-        raise ArgumentError("regions must be non-empty")
     g, k = len(given), len(region)
     js = range(g, g + k)  # the region's indices into (*given, *region)
     # in one pass: the given set, each singleton {j}, then each given + j

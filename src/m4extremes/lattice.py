@@ -27,18 +27,20 @@ class LatticePoint:
 
 
 class Region:
-    """A finite, duplicate-free, order-preserving set of lattice points.
+    """A finite, non-empty, duplicate-free, order-preserving set of lattice points.
 
     Iteration follows insertion order so downstream reductions are
     deterministic; equality and hashing ignore order (regions are sets).
-    A region may be empty as a container, but index computations reject
-    empty regions at call time.
+    Every index is defined for a region with a point, so construction
+    rejects an empty one and no index checks again.
     """
 
     __slots__ = ("_points", "_members")
 
-    def __init__(self, points: Iterable[LatticePoint] = ()):
+    def __init__(self, points: Iterable[LatticePoint]):
         ordered = tuple(dict.fromkeys(points))
+        if not ordered:
+            raise ArgumentError("region must contain at least one point")
         object.__setattr__(self, "_points", ordered)
         object.__setattr__(self, "_members", frozenset(ordered))
 
@@ -50,8 +52,7 @@ class Region:
         return self._points
 
     def union(self, other: "Region | Iterable[LatticePoint]") -> "Region":
-        extra = other.points if isinstance(other, Region) else tuple(other)
-        return Region(self._points + extra)
+        return Region(self._points + tuple(other))
 
     def with_point(self, point: LatticePoint) -> "Region":
         return Region(self._points + (point,))

@@ -105,8 +105,6 @@ def simulate_m4(
         raise ArgumentError("replicate count must be at least 1")
     region = locations if isinstance(locations, Region) else Region(locations)
     points = region.points
-    if not points:
-        raise ArgumentError("need at least one location")
     # one column per distinct matrix, copied to every location that shares it;
     # `columns` is also the sample's column groups
     distinct: dict[int, int] = {}  # row of spec.matrices -> column of `block`
@@ -147,8 +145,6 @@ def _exceedances(
     in 0..n with `t / (n + 1) <= u` (exact, as correctly rounded division is monotone)."""
     if not 0.0 < u < 1.0:
         raise ArgumentError(f"threshold must be in (0,1), got {u}")
-    if not len(region):
-        raise ArgumentError("region must contain at least one point")
     if scores is None:
         from .estimate import rank_transform  # local import; avoids module cycle
 

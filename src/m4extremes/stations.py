@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 
 from ._numpy import np
-from .errors import ParseError, UnknownStationError
+from .errors import ArgumentError, ParseError, UnknownStationError
 from .estimate import _pairwise_estimates, estimate_summary, scores_from_matrix
 from .lattice import LatticePoint, Region
 from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv, _value_texts
@@ -37,8 +37,8 @@ class Station:
 
 @dataclass(frozen=True, eq=False)
 class StationDataset:
-    """Annual maxima for a set of stations; rows are years (treated as
-    independent replicates), columns are stations."""
+    """Annual maxima for a set of stations: `maxima` has one row per year (an
+    independent replicate) and one column per station, and no other shape."""
 
     stations: tuple[Station, ...]
     years: tuple[int, ...]
@@ -47,6 +47,9 @@ class StationDataset:
 
     def __post_init__(self) -> None:
         maxima = np.asarray(self.maxima, dtype=np.float64)
+        if maxima.shape != (len(self.years), len(self.stations)):
+            raise ArgumentError(f"maxima of shape {maxima.shape} for {len(self.years)} "
+                                f"years and {len(self.stations)} stations")
         maxima.setflags(write=False)
         object.__setattr__(self, "maxima", maxima)
 
@@ -272,14 +275,15 @@ def field_sample_to_station_csv(
     names: list[str] | None = None,
     start_year: int = 1,
 ) -> list[str]:
-    """Export a simulated sample in the station CSV schema (years = replicates).
-
-    Returns the station names used for the columns.
-    """
+    """Export a simulated sample in the station CSV schema (years = replicates)
+    and return its column names.  `ingest_stations` reads them back as given,
+    so names that repeat or carry blanks around them raise, writing nothing."""
     if names is None:
         names = [f"s{p.x}_{p.y}" for p in sample.locations]
     if len(names) != len(sample.locations):
         raise ParseError("one name per location is required")
+    if len(set(names)) < len(names) or any(name != name.strip() for name in names):
+        raise ParseError("station names must be distinct, without blanks around them")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["year"] + list(names))  # quotes names as needed
         for year, cells in enumerate(_value_texts(sample), start=start_year):

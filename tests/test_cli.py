@@ -696,17 +696,18 @@ class TestPointArguments:
         assert (code, out) == (3, "")
         assert err == "error: --locations takes 'domain' or 'x,y;x,y;...', not 'neighbors'\n"
 
-    def test_region_without_points(self, capsys):
-        code, out, err = run(capsys, "exact", "--spec", "one-pattern", "--site", "0,0",
-                             "--region", ";")
+    @pytest.mark.parametrize("argv", [
+        ("exact", "--spec", "one-pattern", "--site", "0,0", "--region", ";"),
+        ("exact", "--spec", "two-pattern", "--site=3,3", "--region", "neighbors", "--given="),
+        ("simulate", "--spec", "one-pattern", "--locations", ";", "--n", "5", "--seed", "1",
+         "--out", "never-written.csv"),
+    ], ids=["region", "given", "locations"])
+    def test_region_without_points(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert not any(tmp_path.iterdir())
         assert (code, out) == (3, "")
-        assert err == "error: region must name at least one point\n"
-
-    def test_empty_given(self, capsys):
-        code, out, err = run(capsys, "exact", "--spec", "two-pattern", "--site=3,3",
-                             "--region", "neighbors", "--given=")
-        assert (code, out) == (3, "")
-        assert err == "error: region must name at least one point\n"
+        assert err == "error: region must contain at least one point\n"
 
 
 class TestNotUtf8:

@@ -29,7 +29,6 @@ from m4extremes import (
 from m4extremes.dependence import _ksum
 import m4extremes.dependence as dependence_module
 from conftest import (
-    raises_exactly,
     random_point,
     random_rational_spec,
     random_region,
@@ -105,18 +104,12 @@ class TestExponentValue:
             exponent_value(one_pattern_spec, region, (1, -2))
         with pytest.raises(ArgumentError):
             exponent_value(one_pattern_spec, region, (1,))
-        with pytest.raises(ArgumentError):
-            exponent_value(one_pattern_spec, Region([]), ())
 
 
 class TestExtremalCoefficient:
     def test_singleton_is_one(self, one_pattern_spec, two_pattern_spec):
         for spec in (one_pattern_spec, two_pattern_spec):
             assert extremal_coefficient(spec, Region([P(3, 3)])) == 1
-
-    def test_empty_region(self, one_pattern_spec):
-        with raises_exactly(ArgumentError, "region must contain at least one point"):
-            extremal_coefficient(one_pattern_spec, Region(()))
 
     def test_pair_value(self, one_pattern_spec):
         assert extremal_coefficient(
@@ -214,10 +207,6 @@ class TestMultivariateTailDependence:
         for mode in (spec, spec.as_float()):
             assert multivariate_tail_dependence(mode, Region([P(0, 0)]), both) == 1
 
-    def test_empty_regions_rejected(self, one_pattern_spec):
-        with pytest.raises(ArgumentError):
-            multivariate_tail_dependence(one_pattern_spec, Region([]), Region([P(0, 0)]))
-
 
 class TestContagionIndex:
     def test_one_pattern_ring(self, one_pattern_spec, site, ring):
@@ -229,10 +218,6 @@ class TestContagionIndex:
     def test_polar_cases(self):
         assert contagion_index(DEPENDENT3, PAIR_A, P(0, 0)) == 2
         assert contagion_index(INDEPENDENT3, PAIR_A, P(0, 0)) == 0
-
-    def test_empty_region_rejected(self, one_pattern_spec):
-        with pytest.raises(ArgumentError):
-            contagion_index(one_pattern_spec, Region([]), P(0, 0))
 
     def test_monotone_in_region(self, one_pattern_spec):
         rng = random.Random(11)
@@ -254,12 +239,6 @@ class TestContagionIndexRegion:
             assert contagion_index_region(
                 one_pattern_spec, region, Region([i])
             ) == contagion_index(one_pattern_spec, region, i)
-
-    def test_empty_regions(self, one_pattern_spec, ring):
-        with raises_exactly(ArgumentError, "regions must be non-empty"):
-            contagion_index_region(one_pattern_spec, Region(()), ring)
-        with raises_exactly(ArgumentError, "regions must be non-empty"):
-            contagion_index_region(one_pattern_spec, ring, Region(()))
 
     def test_singleton_fragility(self, one_pattern_spec):
         i = P(3, 3)

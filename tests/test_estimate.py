@@ -373,11 +373,6 @@ class TestExtremalCoefficientEstimate:
         assert est.as_fraction() == 1
         assert not est.out_of_range
 
-    def test_empty_region(self):
-        scores = rank_transform(sample_of([[1.0, 2.0], [2.0, 1.0]]))
-        with raises_exactly(ArgumentError, "region must contain at least one point"):
-            estimate_extremal_coefficient(scores, Region(()))
-
     def test_antithetic_pair_reaches_two(self):
         scores = rank_transform(sample_of([[1.0, 2.0], [2.0, 1.0]]))
         est = estimate_extremal_coefficient(scores, A2)
@@ -474,17 +469,6 @@ class TestPluginIndices:
         direct = estimate_contagion(scores, small, site)
         via_region = estimate_contagion_region(scores, small, Region([site]))
         assert via_region == pytest.approx(direct, rel=1e-12)
-
-    def test_empty_region_rejected(self):
-        scores = rank_transform(sample_of([[1.0, 5.0, 2.0], [3.0, 1.0, 2.0]]))
-        message = "region must contain at least one point"
-        with pytest.raises(ArgumentError, match=message):
-            estimate_contagion(scores, Region([]), P(0, 0))
-        with pytest.raises(ArgumentError, match=message):
-            estimate_stability(scores, Region([]), P(0, 0))
-        for region, given in ((Region([]), A2), (A2, Region([]))):
-            with pytest.raises(ArgumentError, match="regions must be non-empty"):
-                estimate_contagion_region(scores, region, given)
 
 
 class TestMonteCarloStudy:
@@ -685,19 +669,14 @@ class TestEstimateSummaryOracle:
             ]
             assert repr(got) == repr(loop_study(*args))
 
-    def test_empty_region_rejected(self):
-        scores = scores_from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]), (P(0, 0), P(1, 0)))
-        with pytest.raises(ArgumentError, match="region must contain at least one point"):
-            estimate_summary(scores, Region([]), P(0, 0))
-
 
 SATURATED = "mean of maximal scores reached 1; impossible for modified-ECDF ranks"
 
 
 class TestSummaryFirstError:
-    """Every plug-in estimator raises the first error of one rule: an empty
-    region, then the first missing point (the site, then region order), then
-    fewer than two replicates, then a saturated set."""
+    """Every plug-in estimator raises the first error of one rule: the first
+    missing point (the site, then region order), then fewer than two
+    replicates, then a saturated set.  An empty region cannot be built."""
 
     # site s, a fair column a, b whose pair with s saturates, and d and e whose
     # pairs with s do not while their joint with s does; (7,7) is not in them
@@ -750,18 +729,6 @@ class TestSummaryFirstError:
     ])
     def test_missing_point_with_one_replicate(self, region, site, message):
         self.check(self.scores(self.COUNTS[:1]), region, site, ArgumentError, message)
-
-    def test_empty_region_comes_first(self):
-        scores = self.scores(self.COUNTS[:1])  # one replicate, and (9,9) is missing
-        empty, missing = Region([]), P(9, 9)
-        for estimator in (estimate_summary, estimate_stability, estimate_contagion):
-            with raises_exactly(ArgumentError, "region must contain at least one point"):
-                estimator(scores, empty, missing)
-        with raises_exactly(ArgumentError, "region must contain at least one point"):
-            estimate_extremal_coefficient(scores, empty)
-        for region, given in ((empty, Region([missing])), (Region([missing]), empty)):
-            with raises_exactly(ArgumentError, "regions must be non-empty"):
-                estimate_contagion_region(scores, region, given)
 
     def test_saturated_joint_only(self):
         scores = self.scores(self.COUNTS)

@@ -4,6 +4,8 @@ import pytest
 
 from m4extremes import ArgumentError, LatticePoint, LatticeRect, Region, neighbors
 
+from conftest import raises_exactly
+
 coords = st.integers(min_value=-1000, max_value=1000)
 
 
@@ -79,6 +81,14 @@ def test_region_union_and_with_point():
     assert Region([a]).union(Region([b, a])).points == (a, b)
     assert Region([a]).with_point(c).points == (a, c)
     assert Region([a]).with_point(a).points == (a,)
+
+
+def test_region_is_never_empty():
+    for points in ([], (), iter(())):
+        with raises_exactly(ArgumentError, "region must contain at least one point"):
+            Region(points)
+    with pytest.raises(TypeError):
+        Region()
 
 
 def test_region_is_immutable():

@@ -80,8 +80,6 @@ class TestSimulate:
     def test_rejects_bad_arguments(self, one_pattern_spec, ring):
         with pytest.raises(ArgumentError):
             simulate_m4(one_pattern_spec, ring, 0, 1)
-        with pytest.raises(ArgumentError):
-            simulate_m4(one_pattern_spec, Region([]), 10, 1)
 
     def test_marginals_are_unit_frechet(self, one_pattern_spec, ring):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -641,12 +639,6 @@ class TestReferenceDigests:
 
 
 class TestOracleArguments:
-    @pytest.mark.parametrize("oracle", [empirical_contagion, empirical_stability])
-    def test_empty_region(self, oracle, one_pattern_spec):
-        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 20, 1)
-        with raises_exactly(ArgumentError, "region must contain at least one point"):
-            oracle(sample, Region(()), P(0, 0), 0.5)
-
     @pytest.mark.parametrize("oracle", [empirical_contagion, empirical_stability])
     def test_scores_ranked_for_other_locations(self, oracle, one_pattern_spec):
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 20, 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from m4extremes import (
+    ArgumentError,
     LatticePoint,
     ParseError,
     Region,
@@ -127,6 +128,14 @@ class TestStationMetadata:
         message = f"{meta}:3: malformed row: list index out of range"
         with raises_exactly(ParseError, message):
             ingest_stations(self.DATA, metadata_path=meta)
+
+
+class TestStationDataset:
+    @pytest.mark.parametrize("shape", [(5, 2), (3, 1), (2, 3), (3,), (3, 2, 1)])
+    def test_maxima_shape_must_be_years_by_stations(self, shape):
+        message = f"maxima of shape {shape} for 3 years and 2 stations"
+        with raises_exactly(ArgumentError, message):
+            StationDataset((Station("a"), Station("b")), (2000, 2001, 2002), np.ones(shape))
 
 
 class TestStationIndices:
@@ -285,6 +294,24 @@ class TestRoundTrip:
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
         with raises_exactly(ParseError, "one name per location is required"):
             field_sample_to_station_csv(sample, tmp_path / "s.csv", names=["a"])
+
+    @pytest.mark.parametrize("names", [["a", "a"], [" a", "b "], ["a", "a\t"], ["a\n", "b"]])
+    def test_names_the_reader_would_refuse_or_change(self, one_pattern_spec, tmp_path, names):
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
+        path = tmp_path / "s.csv"
+        message = "station names must be distinct, without blanks around them"
+        with raises_exactly(ParseError, message):
+            field_sample_to_station_csv(sample, path, names=names)
+        assert not path.exists()
+
+    def test_accepted_names_round_trip_unchanged(self, one_pattern_spec, tmp_path):
+        names = ["a b", "a", "c,d", 'say "hi"', "line\nbreak", "A"]
+        sample = simulate_m4(one_pattern_spec, Region(P(x, 0) for x in range(6)), 5, 1)
+        path = tmp_path / "s.csv"
+        assert field_sample_to_station_csv(sample, path, names=names) == names
+        ds = ingest_stations(path)
+        assert ds.station_names == tuple(names)
+        assert np.array_equal(ds.maxima, sample.values)
 
     def test_names_are_utf8(self, one_pattern_spec, tmp_path):
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
