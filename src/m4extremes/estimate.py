@@ -21,7 +21,7 @@ from .dependence import DependenceSummary, _contagion, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
-from .simulate import FieldSample, simulate_m4
+from .simulate import FieldSample, _read_only, simulate_m4
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,12 +45,7 @@ class UniformScores:
             raise ArgumentError("rank counts shape does not match locations")
         if counts.dtype.kind not in "iu":
             raise ArgumentError(f"rank counts must be integers, got {counts.dtype}")
-        base = counts.base  # copy counts that a writable base could change
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        counts = counts if base is None else counts.copy(order="K")
-        counts.setflags(write=False)
-        object.__setattr__(self, "rank_counts", counts)
+        object.__setattr__(self, "rank_counts", _read_only(counts))
 
     @cached_property
     def scores(self) -> np.ndarray:

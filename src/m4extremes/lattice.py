@@ -31,18 +31,21 @@ class Region:
 
     Iteration follows insertion order so downstream reductions are
     deterministic; equality and hashing ignore order (regions are sets).
-    Every index is defined for a region with a point, so construction
-    rejects an empty one and no index checks again.
+    Every index is defined for a non-empty set of `LatticePoint`s, so
+    construction rejects any other region and no index checks again.
     """
 
     __slots__ = ("_points", "_members")
 
     def __init__(self, points: Iterable[LatticePoint]):
-        ordered = tuple(dict.fromkeys(points))
-        if not ordered:
+        points = tuple(points)  # checked before a repeat is dropped
+        if not points:
             raise ArgumentError("region must contain at least one point")
-        object.__setattr__(self, "_points", ordered)
-        object.__setattr__(self, "_members", frozenset(ordered))
+        for point in points:
+            if not isinstance(point, LatticePoint):
+                raise ArgumentError(f"region point {point!r} is not a LatticePoint")
+        object.__setattr__(self, "_points", tuple(dict.fromkeys(points)))
+        object.__setattr__(self, "_members", frozenset(points))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Region is immutable")

@@ -335,9 +335,7 @@ def validate(spec: M4Spec) -> ValidationReport:
 _DEFAULT_DOMAIN = LatticeRect(-10, 10, -10, 10)
 
 
-def preset_one_pattern(
-    domain: LatticeRect = _DEFAULT_DOMAIN, *, exact: bool = True
-) -> M4Spec:
+def preset_one_pattern() -> M4Spec:
     """Single signature pattern over two lags, branching on abscissa parity.
 
     Even-abscissa sites put weight (4/5, 1/5) on the lags; all other sites
@@ -347,13 +345,10 @@ def preset_one_pattern(
         PatternRule("abscissa_even", ((Fraction(4, 5), Fraction(1, 5)),)),
         PatternRule("always", ((Fraction(1, 4), Fraction(3, 4)),)),
     )
-    spec = M4Spec.from_rules(1, 1, 2, domain, rules)
-    return spec if exact else spec.as_float()
+    return M4Spec.from_rules(1, 1, 2, _DEFAULT_DOMAIN, rules)
 
 
-def preset_two_pattern(
-    domain: LatticeRect = _DEFAULT_DOMAIN, *, exact: bool = True
-) -> M4Spec:
+def preset_two_pattern() -> M4Spec:
     """Two signature patterns over three lags, branching on both-odd parity.
 
     Sites with both coordinates odd weigh the patterns (1/5, 1/5, 1/5) and
@@ -376,24 +371,23 @@ def preset_two_pattern(
             ),
         ),
     )
-    spec = M4Spec.from_rules(2, 1, 3, domain, rules)
-    return spec if exact else spec.as_float()
+    return M4Spec.from_rules(2, 1, 3, _DEFAULT_DOMAIN, rules)
 
 
-PRESETS: dict[str, Callable[..., M4Spec]] = {
+PRESETS: dict[str, Callable[[], M4Spec]] = {
     "one-pattern": preset_one_pattern,
     "two-pattern": preset_two_pattern,
 }
 
 
-def preset(name: str, *, exact: bool = True) -> M4Spec:
+def preset(name: str) -> M4Spec:
     try:
         builder = PRESETS[name]
     except KeyError:
         raise ArgumentError(
             f"unknown preset {name!r}; expected one of {sorted(PRESETS)}"
         ) from None
-    return builder(exact=exact)
+    return builder()
 
 
 # -- JSON wire format --------------------------------------------------------

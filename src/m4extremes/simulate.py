@@ -36,6 +36,17 @@ from .rng import U64_MASK, uniform_block
 _CHUNK_ELEMENTS = 1 << 22
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array` made read-only, or a read-only copy when it views memory that a
+    writable array, or an object that is not an array, could still change."""
+    base = array.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    array = array if base is None else array.copy(order="K")
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class FieldSample:
     """Independent replicates of the field at a fixed list of locations.
@@ -70,8 +81,7 @@ class FieldSample:
             r, c = np.argwhere(~((values > 0) & (values < np.inf)))[0]
             raise ArgumentError(f"replicate {r}, location {self.locations[c]}: field "
                                 f"value must be positive and finite, got {values[r, c]}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
 
     @property
     def n_replicates(self) -> int:
@@ -132,6 +142,7 @@ def simulate_m4(
         for c, column in enumerate(columns):
             values[c, r0 : r0 + rows] = block[column]
 
+    values.setflags(write=False)  # private, so FieldSample need not copy it
     sample = FieldSample(points, values.T, seed, spec.fingerprint())
     object.__setattr__(sample, "_column_groups", tuple(columns))
     return sample
@@ -365,17 +376,17 @@ def _csv_rows(path: str | Path, fh) -> Iterator[list[str]]:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _bulk_rows(path: str | Path, fh: TextIO, dtype, usecols=None, skip=None):
+def _bulk_rows(path: str | Path, fh: TextIO, dtype, usecols=None):
     """The rows left in `fh` after its header, in one `np.loadtxt` pass, or
-    None when the bytes after the file's first line are not `_bulk_safe` or
-    `skip(raw, start)` holds, when the pass rejects them, or when a value in
-    the last field is not positive and finite.  The parse reads `fh` itself."""
+    None when the bytes after the file's first line are not `_bulk_safe`, when
+    the pass rejects them (an empty or blank field, or a token such as `NA`),
+    or when a value in the last field is not positive and finite (`nan` too).
+    The parse reads `fh` itself."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    start = re.match(rb"[^\r\n]*", raw).end()
-    plain = _bulk_safe(raw, start) and not (skip and skip(raw, start))
+    plain = _bulk_safe(raw, re.match(rb"[^\r\n]*", raw).end())
     del raw
     if not plain:
         return None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,11 +20,9 @@ from ._numpy import np
 from .errors import ArgumentError, ParseError, UnknownStationError
 from .estimate import _pairwise_estimates, estimate_summary, scores_from_matrix
 from .lattice import LatticePoint, Region
-from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv, _value_texts
+from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv, _read_only, _value_texts
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
-_EMPTY_CELL = re.compile(rb",[,\r\n]")
-_BLANK_CELL = re.compile(rb",[ \t\v\f]*[,\r\n]")  # slower: for data with blank bytes
 
 
 @dataclass(frozen=True)
@@ -50,8 +47,7 @@ class StationDataset:
         if maxima.shape != (len(self.years), len(self.stations)):
             raise ArgumentError(f"maxima of shape {maxima.shape} for {len(self.years)} "
                                 f"years and {len(self.stations)} stations")
-        maxima.setflags(write=False)
-        object.__setattr__(self, "maxima", maxima)
+        object.__setattr__(self, "maxima", _read_only(maxima))
 
     @property
     def n(self) -> int:
@@ -125,15 +121,6 @@ def _classify_cells(
     return None if row_missing else cells
 
 
-def _scan_rows(raw: bytes, start: int) -> bool:
-    """Whether the data bytes `raw[start:]` show a missing cell (empty, blank
-    or a token with an `n`), which the bulk pass would reject only after
-    parsing the rows before it."""
-    cells = _BLANK_CELL if any(raw.find(c, start) >= 0 for c in b" \t\v\f") else _EMPTY_CELL
-    return bool(any(raw.find(c, start) >= 0 for c in b"nN") or cells.search(raw, start)
-                or raw.rstrip(b" \t\v\f").endswith(b",", start))  # empty last cell at EOF
-
-
 def ingest_stations(
     csv_path: str | Path,
     *,
@@ -145,8 +132,9 @@ def ingest_stations(
     `missing` selects the policy for empty/NA cells: "error" rejects the
     file (default), "drop-year" removes the affected rows.  Non-numeric or
     non-positive maxima always fail, naming the offending cell.  The data
-    rows are read in one `np.loadtxt` pass and checked as arrays; a file
-    with missing cells, or one that pass leaves, row by row.
+    rows are read in one `np.loadtxt` pass and checked as arrays.  A file
+    that pass refuses, such as one with a missing cell, is read again row by
+    row, which drops the years or names the first bad cell.
     """
     if missing not in ("error", "drop-year"):
         raise ParseError(f"unknown missing-value policy {missing!r}")
@@ -161,7 +149,7 @@ def ingest_stations(
         if len(set(names)) != len(names):
             raise ParseError(f"{csv_path}: duplicate station names in header")
         row_type = np.dtype([("year", np.int64), ("maxima", np.float64, (len(names),))])
-        rows = _bulk_rows(csv_path, fh, row_type, skip=_scan_rows)
+        rows = _bulk_rows(csv_path, fh, row_type)
         if rows is not None:  # no row is left to scan
             years, kept_rows, dropped, reader = rows["year"].tolist(), rows["maxima"], [], ()
         else:  # read again row by row, to drop years or name the first bad cell

@@ -96,7 +96,7 @@ def test_criterion_1_exact_indices_one_pattern(one_exact):
         (e, 1, e),
         (e, 1, e),
     )
-    spec_float = preset_one_pattern(exact=False)
+    spec_float = preset_one_pattern().as_float()
     assert contagion_index(spec_float, RING, SITE) == pytest.approx(
         float(CI_ONE), rel=1e-12
     )
@@ -112,7 +112,7 @@ def test_criterion_2_exact_indices_two_pattern(two_exact):
     start = time.perf_counter()
     assert contagion_index(two_exact, ROW, SITE) == CI_TWO
     assert stability_index(two_exact, ROW, SITE) == SI_TWO
-    spec_float = preset_two_pattern(exact=False)
+    spec_float = preset_two_pattern().as_float()
     assert contagion_index(spec_float, ROW, SITE) == pytest.approx(
         float(CI_TWO), rel=1e-12
     )

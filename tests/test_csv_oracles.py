@@ -610,6 +610,22 @@ def test_sample_reader_matches_oracle_on_insertions(tmp_path):
     assert 50 <= accepted <= 950
 
 
+def _spy_bulk_pass(monkeypatch) -> tuple[list, list]:
+    """Two lists the station reader fills: one entry per `np.loadtxt` parse,
+    and for each bulk pass whether it took the file's rows."""
+    parses, taken = [], []
+    real_loadtxt, real_bulk_rows = np.loadtxt, stations_module._bulk_rows
+
+    def bulk_rows(*args, **kwargs):
+        rows = real_bulk_rows(*args, **kwargs)
+        taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or real_loadtxt(*a, **k))
+    monkeypatch.setattr(stations_module, "_bulk_rows", bulk_rows)
+    return parses, taken
+
+
 def test_station_reader_scans_rows_only_for_rejected_files(tmp_path, monkeypatch):
     # every row `csv.reader` gives the station reader; the bulk pass reads
     # only the header that way
@@ -622,9 +638,7 @@ def test_station_reader_scans_rows_only_for_rejected_files(tmp_path, monkeypatch
             yield row
 
     monkeypatch.setattr(stations_module, "_csv_rows", counting)
-    parses = []
-    real_loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or real_loadtxt(*a, **k))
+    parses, taken = _spy_bulk_pass(monkeypatch)
     base = "\n".join(_STATIONS) + "\n"
     path = tmp_path / "d.csv"
     expected = oracle_ingest_stations(_write(path, base))
@@ -638,49 +652,63 @@ def test_station_reader_scans_rows_only_for_rejected_files(tmp_path, monkeypatch
     ):
         rows.clear()
         parses.clear()
+        taken.clear()
         dataset = ingest_stations(_write(path, text), missing="drop-year")
         assert rows == [next(csv.reader(io.StringIO(text, newline="")))]
-        assert parses == [1]
+        assert (parses, taken) == ([1], [True])
         assert dataset.years == expected.years
         assert np.array_equal(dataset.maxima, expected.maxima)
         assert dataset.maxima.flags.c_contiguous
-    # missing, blank and quoted cells show in the bytes: the bulk parse never
-    # runs, and a file that is read to its end has the header and every data
-    # row read by the row scan
-    for cells in ("NA,1e2", "n/a,1e2", ",1e2", "0.5,", '"0.5",1e2',
-                  " ,1e2", "\t,1e2", "0.5,\t\v\f "):
+    # a missing cell fails the one bulk parse (`nan` fails the value check
+    # after it), and the row scan reads the file again: the header and every
+    # data row when it drops the year, or up to the year it names
+    for cells, station in [("NA,1e2", "a"), ("n/a,1e2", "a"), ("N/A,1e2", "a"),
+                           ("nan,1e2", "a"), ("null,1e2", "a"), ("None,1e2", "a"),
+                           (",1e2", "a"), (" ,1e2", "a"), ("\t,1e2", "a"),
+                           ("0.5,", "b"), ("0.5,\t\v\f ", "b")]:
         text = base.replace("0.5,1e2", cells).replace("\n2003,", "\r\n2003,")
         for missing in ("error", "drop-year"):
             rows.clear()
             parses.clear()
+            taken.clear()
             dataset = _outcome(ingest_stations, _write(path, text), missing=missing)
             assert _same_dataset(
                 dataset, _outcome(oracle_ingest_stations, path, missing=missing)
-            )
-            assert parses == []
-            if not isinstance(dataset, Exception):
+            ), (cells, missing)
+            assert (parses, taken) == ([1], [False]), cells
+            if missing == "drop-year":
+                assert (dataset.years, dataset.dropped_years) == ((2000, 2002, 2003), (2001,))
                 assert len(rows) == 2 + len(_STATIONS) - 1
+            else:
+                assert str(dataset) == (f"{path}: missing value for year 2001, station "
+                                        f"{station!r} (use --missing drop-year to skip)")
+                assert len(rows) == 2 + 2
+    # a quoted cell keeps the file from the parse: the row scan alone reads it
+    rows.clear()
+    parses.clear()
+    taken.clear()
+    dataset = ingest_stations(_write(path, base.replace("0.5,1e2", '"0.5",1e2')))
+    assert (parses, taken, len(rows)) == ([], [False], 2 + len(_STATIONS) - 1)
+    assert np.array_equal(dataset.maxima, expected.maxima)
 
 
 @pytest.mark.parametrize("missing", ["error", "drop-year"])
 @pytest.mark.parametrize(
-    "last, parsed",
-    [("", False), (" ", False), ("\t\v\f ", False), ("4.5", True), ("4.5 \t", True)],
+    "last, missing_cell",
+    [("", True), (" ", True), ("\t\v\f ", True), ("4.5", False), ("4.5 \t", False)],
     ids=["empty", "blank", "blanks", "value", "value and blanks"],
 )
 def test_station_reader_sees_the_last_cell_without_a_line_end(
-    tmp_path, monkeypatch, last, parsed, missing
+    tmp_path, monkeypatch, last, missing_cell, missing
 ):
-    # a file with no final line end: an empty or blank last cell sends it to
-    # the row scan, with the same years or message, and no bulk parse
-    parses = []
-    real_loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or real_loadtxt(*a, **k))
+    # a file with no final line end: an empty or blank last cell fails the one
+    # bulk parse and goes to the row scan, with the same years or message
+    parses, taken = _spy_bulk_pass(monkeypatch)
     path = _write(tmp_path / "d.csv", "\n".join(_STATIONS) + "\n2004,2.5,3.5," + last)
     new = _outcome(ingest_stations, path, missing=missing)
-    assert parses == ([1] if parsed else [])
+    assert (parses, taken) == ([1], [not missing_cell])
     assert _same_dataset(new, _outcome(oracle_ingest_stations, path, missing=missing))
-    if parsed:
+    if not missing_cell:
         assert new.years == (2000, 2001, 2002, 2003, 2004)
     elif missing == "drop-year":
         assert (new.years, new.dropped_years) == ((2000, 2001, 2002, 2003), (2004,))

@@ -2,7 +2,16 @@ from hypothesis import given, strategies as st
 
 import pytest
 
-from m4extremes import ArgumentError, LatticePoint, LatticeRect, Region, neighbors
+from m4extremes import (
+    ArgumentError,
+    LatticePoint,
+    LatticeRect,
+    Region,
+    contagion_index,
+    neighbors,
+    preset_one_pattern,
+    simulate_m4,
+)
 
 from conftest import raises_exactly
 
@@ -89,6 +98,24 @@ def test_region_is_never_empty():
             Region(points)
     with pytest.raises(TypeError):
         Region()
+
+
+def test_region_holds_only_lattice_points():
+    # a tuple inside the domain was once looked up as a location and missed,
+    # which raised a DomainError naming the wrong fault
+    spec = preset_one_pattern()
+    with raises_exactly(ArgumentError, "region point (4, 3) is not a LatticePoint"):
+        contagion_index(spec, Region([(4, 3)]), LatticePoint(3, 3))
+    with raises_exactly(ArgumentError, "region point (0, 0) is not a LatticePoint"):
+        simulate_m4(spec, [(0, 0)], 3, 1)
+    # the first such member in iteration order is named
+    for points, bad in [([LatticePoint(1, 2), (4, 3), "a"], "(4, 3)"),
+                        (iter([LatticePoint(0, 0), None, (1, 1)]), "None"),
+                        ([LatticePoint(4, 3), (4, 3)], "(4, 3)"),
+                        ([LatticePoint(4, 3), [4, 3]], "[4, 3]"),
+                        ([LatticePoint(0, 0), "a", LatticePoint(0, 0), (1, 1)], "'a'")]:
+        with raises_exactly(ArgumentError, f"region point {bad} is not a LatticePoint"):
+            Region(points)
 
 
 def test_region_is_immutable():

@@ -61,7 +61,7 @@ class TestPresets:
 
     def test_float_variants_validate(self):
         for name in ("one-pattern", "two-pattern"):
-            spec = preset(name, exact=False)
+            spec = preset(name).as_float()
             assert not all_fractions(spec)
             assert validate(spec).ok
 
@@ -256,7 +256,7 @@ class TestFingerprint:
         assert fp == preset("one-pattern").fingerprint()
         assert len(fp) == 16
         assert fp != preset("two-pattern").fingerprint()
-        assert fp != preset("one-pattern", exact=False).fingerprint()
+        assert fp != preset("one-pattern").as_float().fingerprint()
 
     def test_table_fingerprint_order_independent(self):
         a = M4Spec.from_table(1, 1, 1, {P(0, 0): [[1]], P(1, 0): [[1]]})
@@ -291,7 +291,7 @@ class TestFingerprint:
         real = json.dumps
         monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(1) or real(*a, **k))
         ring = neighbors(P(3, 3))
-        for spec in (preset("one-pattern"), preset("two-pattern", exact=False), table_spec(3)):
+        for spec in (preset("one-pattern"), preset("two-pattern").as_float(), table_spec(3)):
             points = ring if spec.table is None else spec.domain_points()
             calls.clear()
             samples = [simulate_m4(spec, points, 3, seed) for seed in range(4)]

@@ -500,6 +500,32 @@ class TestFieldSampleInvariants:
         with pytest.raises(ValueError):
             sample.values[0, 0] = 3.0
 
+    def test_view_of_writable_base_is_copied(self):
+        base = np.ones((3, 2))
+        sample = FieldSample((P(0, 0), P(1, 0)), base[:])
+        base[0, 0] = -5.0
+        assert sample.values.tolist() == [[1.0, 1.0]] * 3
+        assert rank_transform(sample).rank_counts.tolist() == [[3, 3]] * 3
+        assert not sample.values.flags.writeable
+
+    def test_owned_and_read_only_values_are_shared(self):
+        owned = np.ones((3, 2))
+        assert FieldSample((P(0, 0), P(1, 0)), owned).values is owned
+        with pytest.raises(ValueError):  # the caller's array is now read-only too
+            owned[0, 0] = -5.0
+        frozen = np.ones((2, 3))
+        frozen.setflags(write=False)
+        view = frozen.T
+        assert FieldSample((P(0, 0), P(1, 0)), view).values is view
+
+    def test_simulated_values_are_not_copied(self, one_pattern_spec):
+        # the values are a view of simulate_m4's own buffer, one row per location
+        points = [P(0, 0), P(1, 0), P(2, 0)]
+        values = simulate_m4(one_pattern_spec, Region(points), 7, 1).values
+        buffer = values.base
+        assert buffer is not None and buffer.base is None and buffer.shape == (3, 7)
+        assert values.flags.f_contiguous and not buffer.flags.writeable
+
 
 class TestColumnGroups:
     """Only simulation records which columns hold equal values."""
@@ -558,7 +584,7 @@ class TestSharedColumnOracle:
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("name", ["one-pattern", "two-pattern"])
     def test_presets(self, monkeypatch, name, exact):
-        spec = preset(name, exact=exact)
+        spec = preset(name) if exact else preset(name).as_float()
         domain = spec.domain_points()
         ring = list(neighbors(P(3, 3)))
         self.check(monkeypatch, spec, ring)

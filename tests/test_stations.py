@@ -137,6 +137,13 @@ class TestStationDataset:
         with raises_exactly(ArgumentError, message):
             StationDataset((Station("a"), Station("b")), (2000, 2001, 2002), np.ones(shape))
 
+    def test_view_of_writable_base_is_copied(self):
+        base = np.ones((3, 2))
+        dataset = StationDataset((Station("a"), Station("b")), (2000, 2001, 2002), base[:])
+        base[0, 0] = -5.0
+        assert dataset.maxima.tolist() == [[1.0, 1.0]] * 3
+        assert not dataset.maxima.flags.writeable
+
 
 class TestStationIndices:
     def test_column_lookup(self):
