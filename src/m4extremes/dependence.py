@@ -12,7 +12,8 @@ so results are deterministic.
 Site-to-region indices have one derivation: `_summary` puts the |R| pairwise
 coefficients and the joint one into the contagion and stability formulas.
 `summarize` feeds it closed forms, `estimate.estimate_summary` max-mean ratio
-estimates; `contagion_index` and `stability_bounds` use the pairwise ones.
+estimates; `contagion_index`, `stability_index` and `stability_bounds` read
+`summarize`.
 """
 
 from __future__ import annotations
@@ -119,24 +120,13 @@ def multivariate_tail_dependence(
     return numerator / denominator
 
 
-def _pairwise(spec: M4Spec, region: Region, site: LatticePoint) -> _Pairwise:
-    """(j, extremal coefficient of {site, j}) for each j of the region, in order."""
-    return tuple((j, extremal_coefficient(spec, Region((site, j)))) for j in region)
-
-
-def _contagion(size: int, pair_sum: Weight) -> Weight:
-    """The contagion formula: 2|R| minus the summed pairwise coefficients."""
-    return 2 * size - pair_sum
-
-
 def contagion_index(spec: M4Spec, region: Region, site: LatticePoint) -> Weight:
     """Limiting expected number of region exceedances given `site` exceeds.
 
     Ranges from 0 (independence) to |region| (total dependence); `site`
     need not belong to the region.
     """
-    pairwise = _pairwise(spec, region, site)
-    return _contagion(len(pairwise), _ksum(v for _, v in pairwise))
+    return summarize(spec, region, site).contagion
 
 
 def contagion_index_region(spec: M4Spec, region: Region, given: Region) -> Weight:
@@ -169,17 +159,10 @@ def stability_index(spec: M4Spec, region: Region, site: LatticePoint) -> Weight:
 def stability_bounds(
     spec: M4Spec, region: Region, site: LatticePoint
 ) -> tuple[Weight, Weight]:
-    """Sharp sandwich for the stability index from pairwise coefficients only."""
-    return _pair_terms(_pairwise(spec, region, site))[2:]
-
-
-def _pair_terms(pairwise: _Pairwise) -> tuple[Weight, Weight, Weight, Weight]:
-    """The pair sum, the stability numerator (the pair sum less |R|), and the
-    stability bounds: the numerator over |R| + 1 and over the largest pair."""
-    pair_sum = _ksum(v for _, v in pairwise)
-    numerator = pair_sum - len(pairwise)
-    joint_size, largest = len(pairwise) + 1, max(v for _, v in pairwise)
-    return pair_sum, numerator, numerator / joint_size, numerator / largest
+    """Sharp sandwich for the stability index.  The bounds depend on the
+    pairwise coefficients only, but are read from `summarize`."""
+    summary = summarize(spec, region, site)
+    return summary.stability_lower, summary.stability_upper
 
 
 @dataclass(frozen=True)
@@ -230,7 +213,7 @@ def summarize(spec: M4Spec, region: Region, site: LatticePoint) -> DependenceSum
 
     The contagion and stability values are derived from one set of pairwise
     coefficients, so the summary satisfies the exact index identities."""
-    pairwise = _pairwise(spec, region, site)
+    pairwise = tuple((j, extremal_coefficient(spec, Region((site, j)))) for j in region)
     joint = extremal_coefficient(spec, Region((site,)).union(region))
     return _summary(site, region, pairwise, joint)
 
@@ -240,14 +223,18 @@ def _summary(
 ) -> DependenceSummary:
     """The indices of (region, site) from its |R| pairwise coefficients, in
     region order, and its joint one; closed forms and plug-in estimates
-    both put their coefficients through here."""
-    pair_sum, numerator, lower, upper = _pair_terms(pairwise)
+    both put their coefficients through here.  Contagion is 2|R| less the
+    pair sum; stability is the pair sum less |R|, over the joint, and its
+    bounds are the same over |R| + 1 and over the largest pair."""
+    pair_sum = _ksum(v for _, v in pairwise)
+    numerator = pair_sum - len(pairwise)
     return DependenceSummary(
         site=site,
         region=region,
         pairwise_extremal=pairwise,
         joint_extremal=joint,
-        contagion=_contagion(len(pairwise), pair_sum),
+        contagion=2 * len(pairwise) - pair_sum,
         stability=numerator / joint,
-        stability_lower=lower, stability_upper=upper,
+        stability_lower=numerator / (len(pairwise) + 1),
+        stability_upper=numerator / max(v for _, v in pairwise),
     )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._numpy import np
-from .dependence import DependenceSummary, _contagion, _summary, summarize
+from .dependence import DependenceSummary, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
@@ -249,17 +249,11 @@ def _pairwise_estimates(
     }
 
 
-def _pairs(region: Region) -> list[tuple[int, int]]:
-    """The indices into (site, *region) of each pair {site, j}, in region order."""
-    return [(0, i) for i in range(1, len(region) + 1)]
-
-
 def estimate_contagion(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> float:
     """Plug-in contagion index: 2|region| minus the summed pairwise estimates."""
-    pairs = _pairs(region)
-    return float(_contagion(len(pairs), sum(_coefficients(scores, (site, *region), pairs))))
+    return float(_estimate_summary(scores, region, site).contagion)
 
 
 def estimate_stability(
@@ -281,8 +275,8 @@ def estimate_summary(
 def _estimate_summary(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> DependenceSummary:
-    """`estimate_summary`, for the two public functions that call it."""
-    pairs = _pairs(region)
+    """`estimate_summary`, for the three public functions that call it."""
+    pairs = [(0, i) for i in range(1, len(region) + 1)]  # {site, j} in (site, *region)
     *estimates, joint = _coefficients(scores, (site, *region), [*pairs, range(len(pairs) + 1)])
     if joint < 1 - Fraction(1, 10**9):
         warnings.warn(

@@ -37,9 +37,10 @@ _CHUNK_ELEMENTS = 1 << 22
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    """`array` made read-only, or a read-only copy when it views memory that a
-    writable array, or an object that is not an array, could still change."""
-    base = array.base
+    """`array` itself when it and every array it views are read-only, else a
+    read-only copy.  An array that its caller froze is shared: that caller
+    could still make it writable again."""
+    base = array
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
     array = array if base is None else array.copy(order="K")
@@ -52,7 +53,8 @@ class FieldSample:
     """Independent replicates of the field at a fixed list of locations.
 
     `values` has one row per replicate and one column per location (at least
-    one), in `locations` order (column-major if simulated); entries are positive and finite.
+    one), in `locations` order (column-major if simulated); entries are positive
+    and finite.  They are read-only, and shared only with a caller that froze them.
     """
 
     locations: tuple[LatticePoint, ...]
@@ -280,6 +282,7 @@ def read_sample_csv(
     any other file is read row by row, slower, which names its first bad line.
     """
     locations, values = _bulk_table(path) or _read_rows(path)
+    values.setflags(write=False)  # fresh, so FieldSample need not copy it
     meta = {}
     if metadata_path is not None:
         try:

@@ -34,8 +34,8 @@ class Station:
 
 @dataclass(frozen=True, eq=False)
 class StationDataset:
-    """Annual maxima for a set of stations: `maxima` has one row per year (an
-    independent replicate) and one column per station, and no other shape."""
+    """Annual maxima, positive and finite, for a set of stations: `maxima` has
+    one row per year (an independent replicate) and one column per station."""
 
     stations: tuple[Station, ...]
     years: tuple[int, ...]
@@ -47,6 +47,10 @@ class StationDataset:
         if maxima.shape != (len(self.years), len(self.stations)):
             raise ArgumentError(f"maxima of shape {maxima.shape} for {len(self.years)} "
                                 f"years and {len(self.stations)} stations")
+        if maxima.size and not (0 < maxima.min() and maxima.max() < np.inf):  # NaN fails too
+            y, c = np.argwhere(~((maxima > 0) & (maxima < np.inf)))[0]
+            raise ArgumentError(f"year {self.years[y]}, station {self.stations[c].name!r}: "
+                                f"maxima must be positive and finite, got {maxima[y, c]}")
         object.__setattr__(self, "maxima", _read_only(maxima))
 
     @property
@@ -187,7 +191,9 @@ def ingest_stations(
         raise ParseError(f"{csv_path}: no usable year rows")
     coords = _read_metadata(metadata_path) if metadata_path is not None else {}
     stations = tuple(Station(name, *coords.get(name, (None, None))) for name in names)
-    return StationDataset(stations, tuple(years), np.array(kept_rows), tuple(dropped))
+    maxima = np.array(kept_rows)
+    maxima.setflags(write=False)  # fresh, so StationDataset need not copy it
+    return StationDataset(stations, tuple(years), maxima, tuple(dropped))
 
 
 @dataclass(frozen=True)

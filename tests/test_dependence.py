@@ -454,13 +454,15 @@ class TestSharedDerivationOracle:
             assert repr((summary.contagion, summary.stability)) == repr((ci, si))
             assert repr((summary.stability_lower, summary.stability_upper)) == repr(bounds)
 
-    def test_contagion_needs_no_joint_coefficient(self):
-        # unvalidated all-zero weights: every coefficient is 0, so only the
-        # stability index divides by zero
+    @pytest.mark.parametrize(
+        "function", [summarize, contagion_index, stability_index, stability_bounds]
+    )
+    def test_zero_spec_raises_in_every_closed_form(self, function):
+        # unvalidated all-zero weights: every coefficient is 0, and each index
+        # reads the one summary, which divides by the joint coefficient
         spec = M4Spec.from_table(1, 1, 1, {P(0, 0): [[0]], P(1, 0): [[0]]}, check=False)
-        assert contagion_index(spec, Region([P(1, 0)]), P(0, 0)) == 2
         with pytest.raises(ZeroDivisionError):
-            stability_index(spec, Region([P(1, 0)]), P(0, 0))
+            function(spec, Region([P(1, 0)]), P(0, 0))
 
     def test_each_coefficient_evaluated_once(self, monkeypatch, one_pattern_spec, site):
         calls = []
@@ -472,12 +474,9 @@ class TestSharedDerivationOracle:
 
         monkeypatch.setattr(dependence_module, "extremal_coefficient", counting)
         for region in (neighbors(site), Region([P(4, 3)]), Region([site, P(2, 4)])):
-            for function, expected in (
-                (summarize, len(region) + 1),
-                (stability_index, len(region) + 1),
-                (stability_bounds, len(region)),
-                (contagion_index, len(region)),
-            ):
+            # the |R| pairs in region order, then the joint
+            expected = [Region((site, j)) for j in region] + [Region((site,)).union(region)]
+            for function in (summarize, stability_index, stability_bounds, contagion_index):
                 calls.clear()
                 function(one_pattern_spec, region, site)
-                assert len(calls) == expected
+                assert calls == expected, function

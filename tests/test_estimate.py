@@ -444,23 +444,22 @@ class TestPluginIndices:
         assert estimate_contagion(scores, ring, site) == float(ci_frac)
         assert estimate_stability(scores, ring, site) == float(si_frac)
 
-    def test_stability_warns_on_small_joint(self):
+    @pytest.mark.parametrize(
+        "estimator", [estimate_contagion, estimate_stability, estimate_summary]
+    )
+    def test_site_estimators_warn_on_small_joint(self, estimator):
         # rank counts from rank_transform always give joint estimates >= 1;
         # a sub-1 joint can only come from doctored scores, and is flagged
         # at the line that called the public estimator
         doctored = UniformScores((P(0, 0), P(1, 0)), np.array([[1, 1], [1, 1]]))
-        for estimator in (estimate_stability, estimate_summary):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                line = inspect.currentframe().f_lineno + 1
-                estimator(doctored, Region([P(1, 0)]), P(0, 0))
-            [warning] = caught
-            assert issubclass(warning.category, RuntimeWarning)
-            assert "below 1" in str(warning.message)
-            assert (warning.filename, warning.lineno) == (__file__, line)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            estimate_contagion(doctored, Region([P(1, 0)]), P(0, 0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            estimator(doctored, Region([P(1, 0)]), P(0, 0))
+        [warning] = caught
+        assert issubclass(warning.category, RuntimeWarning)
+        assert "below 1" in str(warning.message)
+        assert (warning.filename, warning.lineno) == (__file__, line)
 
     def test_region_form_matches_site_form_for_singleton(self, one_pattern_spec, site, ring):
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 200, 2)
@@ -733,11 +732,11 @@ class TestSummaryFirstError:
     def test_saturated_joint_only(self):
         scores = self.scores(self.COUNTS)
         outcomes = self.outcomes(scores, [self.D, self.E], self.S)
-        for estimator in (estimate_summary, estimate_stability, estimate_extremal_coefficient):
-            assert outcomes.pop(estimator) == (EstimationError, SATURATED), estimator
-        # contagion reads no joint, and the region-to-region index given {site}
-        # only the site's pairs and singletons, so neither raises
-        assert all(isinstance(value, float) for value in outcomes.values())
+        # the three site estimators read one summary, which needs the joint
+        assert isinstance(outcomes.pop(estimate_contagion_region), float)
+        # given {site}, the region-to-region index reads only the site's pairs
+        # and singletons, so it alone does not raise
+        assert outcomes == dict.fromkeys(outcomes, (EstimationError, SATURATED))
 
     def test_region_to_region_looks_up_every_point_first(self):
         scores, saturated = self.scores(self.COUNTS), Region([self.S, self.B])
@@ -773,13 +772,9 @@ class TestEachCoefficientOnce:
         for region in (ring, Region([P(4, 3)]), Region([site, P(4, 3)])):
             pairs = list(dict.fromkeys(tuple(sorted({columns[site], columns[j]})) for j in region))
             joint = tuple(sorted({columns[site], *(columns[j] for j in region)}))
-            for estimator, expected in (
-                # one pass makes every pair and the joint
-                (estimate_summary, [list(dict.fromkeys(pairs + [joint]))]),
-                (estimate_stability, [list(dict.fromkeys(pairs + [joint]))]),
-                # one pass makes every pair, and no joint
-                (estimate_contagion, [pairs]),
-            ):
+            # one pass makes every pair and the joint
+            expected = [list(dict.fromkeys(pairs + [joint]))]
+            for estimator in (estimate_summary, estimate_stability, estimate_contagion):
                 scores = scores_from_matrix(sample.values, sample.locations)
                 passes.clear()
                 estimator(scores, region, site)
@@ -787,12 +782,12 @@ class TestEachCoefficientOnce:
                 passes.clear()
                 estimator(scores, region, site)
                 assert passes == []  # the memo holds every sum
-            # after contagion, stability sums only the joint, unless it is a pair
+            # after contagion, stability sums nothing
             scores = scores_from_matrix(sample.values, sample.locations)
             estimate_contagion(scores, region, site)
             passes.clear()
             estimate_stability(scores, region, site)
-            assert passes == ([] if joint in pairs else [[joint]]), region
+            assert passes == [], region
 
     def test_extremal_coefficient_makes_one_pass(self, passes, one_pattern_spec, site, ring):
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 100, 4)
@@ -918,8 +913,8 @@ class TestGroupedEstimates:
                     )
 
     @pytest.mark.parametrize("site_last", [False, True])
-    def test_ring_estimates_share_the_pair_pass(self, passes, one_pattern_spec, site, ring,
-                                                site_last):
+    def test_ring_estimates_share_one_pass(self, passes, one_pattern_spec, site, ring,
+                                           site_last):
         # with the site's column last, the pair keys are still sorted tuples
         locations = ring.union([site]) if site_last else Region([site]).union(ring)
         sample = simulate_m4(one_pattern_spec, locations, 200, 6)
@@ -929,8 +924,8 @@ class TestGroupedEstimates:
             # one pass of the site's weight matrix alone and with the other one;
             # the joint is the two-matrix pair, so stability makes no pass
             (rank_transform(sample), [2]),
-            # no groups: one pass of every pair, then stability sums the joint alone
-            (scores_from_matrix(sample.values, sample.locations), [len(ring), 1]),
+            # no groups: one pass of every pair and the joint, then stability none
+            (scores_from_matrix(sample.values, sample.locations), [len(ring) + 1]),
         ):
             passes.clear()
             contagion = estimate_contagion(scores, ring, site)

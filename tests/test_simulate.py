@@ -30,7 +30,8 @@ from m4extremes import (
     simulate_m4,
 )
 from m4extremes.rng import U64_MASK, uniform_block
-from conftest import raises_exactly, table_spec
+from m4extremes.stations import Station, StationDataset
+from conftest import keeps, raises_exactly, table_spec
 
 P = LatticePoint
 
@@ -508,15 +509,41 @@ class TestFieldSampleInvariants:
         assert rank_transform(sample).rank_counts.tolist() == [[3, 3]] * 3
         assert not sample.values.flags.writeable
 
-    def test_owned_and_read_only_values_are_shared(self):
-        owned = np.ones((3, 2))
-        assert FieldSample((P(0, 0), P(1, 0)), owned).values is owned
-        with pytest.raises(ValueError):  # the caller's array is now read-only too
-            owned[0, 0] = -5.0
+    def test_read_only_values_are_shared(self):
         frozen = np.ones((2, 3))
         frozen.setflags(write=False)
         view = frozen.T
         assert FieldSample((P(0, 0), P(1, 0)), view).values is view
+
+    @pytest.mark.parametrize("build, dtype", [
+        (lambda a: FieldSample((P(0, 0), P(1, 0)), a).values, np.float64),
+        (lambda a: StationDataset((Station("a"), Station("b")), (1, 2, 3), a).maxima,
+         np.float64),
+        (lambda a: UniformScores((P(0, 0), P(1, 0)), a).rank_counts, np.int64),
+    ], ids=["FieldSample", "StationDataset", "UniformScores"])
+    def test_view_made_before_construction_cannot_change_values(self, build, dtype):
+        owned = np.ones((3, 2), dtype=dtype)
+        view = owned[:]
+        kept = build(owned)
+        assert kept is not owned and not kept.flags.writeable
+        view[0, 0] = 5
+        owned[1, 1] = 7  # the caller's array stays writable
+        assert kept.tolist() == [[1, 1]] * 3
+
+    def test_read_values_are_not_copied(self, monkeypatch, one_pattern_spec, tmp_path):
+        kept = keeps(monkeypatch, simulate)
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 4, 1)
+        path = tmp_path / "s.csv"
+        simulate.write_sample_csv(sample, path)
+        lines = path.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"  # not the writer's row order: read row by row
+        shuffled.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        for csv_path in (path, shuffled):
+            kept.clear()
+            got = read_sample_csv(csv_path)
+            columns = [got.column_index(p) for p in sample.locations]
+            assert np.array_equal(got.values[:, columns], sample.values)
+            assert kept == [True], csv_path
 
     def test_simulated_values_are_not_copied(self, one_pattern_spec):
         # the values are a view of simulate_m4's own buffer, one row per location

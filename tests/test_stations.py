@@ -18,9 +18,10 @@ from m4extremes import (
     simulate_m4,
     station_indices,
 )
+from m4extremes import stations as stations_module
 from m4extremes.rng import uniform_block
 from m4extremes.stations import Station, StationDataset
-from conftest import DATA_DIR, raises_exactly
+from conftest import DATA_DIR, keeps, raises_exactly
 
 P = LatticePoint
 
@@ -136,6 +137,35 @@ class TestStationDataset:
         message = f"maxima of shape {shape} for 3 years and 2 stations"
         with raises_exactly(ArgumentError, message):
             StationDataset((Station("a"), Station("b")), (2000, 2001, 2002), np.ones(shape))
+
+    def test_maxima_must_be_positive_and_finite(self):
+        stations = (Station("a"), Station("b"), Station("c"))
+        maxima = np.ones((3, 3))
+        maxima[1, 1] = np.nan
+        maxima[2, 0] = -1.0  # a later year: the first bad cell is named
+        message = "year 2, station 'b': maxima must be positive and finite, got nan"
+        with raises_exactly(ArgumentError, message):
+            StationDataset(stations, (1, 2, 3), maxima)
+        maxima[1, 1] = 1.0
+        maxima[2, 1] = 0.0
+        message = "year 3, station 'a': maxima must be positive and finite, got -1.0"
+        with raises_exactly(ArgumentError, message):
+            StationDataset(stations, (1, 2, 3), maxima)
+        maxima[2, 0] = np.inf
+        message = "year 3, station 'a': maxima must be positive and finite, got inf"
+        with raises_exactly(ArgumentError, message):
+            StationDataset(stations, (1, 2, 3), maxima)
+
+    def test_read_maxima_are_not_copied(self, monkeypatch, tmp_path):
+        kept = keeps(monkeypatch, stations_module)
+        path = tmp_path / "d.csv"
+        # one pass of the whole file, then row by row to drop the NA year
+        for text in ("year,a,b\n2000,1.0,2.0\n2001,1.5,2.5\n",
+                     "year,a,b\n2000,1.0,2.0\n2001,NA,2.5\n2002,3.0,1.5\n"):
+            path.write_text(text)
+            kept.clear()
+            ingest_stations(path, missing="drop-year")
+            assert kept == [True], text
 
     def test_view_of_writable_base_is_copied(self):
         base = np.ones((3, 2))
