@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except M4Error as exc:
+    except (M4Error, OSError) as exc:  # reads fail as ParseError: OSError is a write
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -45,7 +45,7 @@ class UniformScores:
             raise ArgumentError("rank counts shape does not match locations")
         if counts.dtype.kind not in "iu":
             raise ArgumentError(f"rank counts must be integers, got {counts.dtype}")
-        object.__setattr__(self, "rank_counts", _read_only(counts))
+        object.__setattr__(self, "rank_counts", _read_only(counts, self.rank_counts))
 
     @cached_property
     def scores(self) -> np.ndarray:
@@ -187,41 +187,45 @@ class ExtremalCoefficientEstimate:
 
 
 def _coefficients(
-    scores: UniformScores, points: Sequence[LatticePoint], index_sets: list
+    scores: UniformScores, base: Sequence[LatticePoint], extras: Sequence[LatticePoint]
 ) -> list[Fraction]:
-    """The estimate of each set of indices into `points`, in order.  Each point
-    is looked up once, in order; one pass fills the `_numerators` memo for the
-    sorted tuples of representative columns it lacks."""
-    columns = [scores._representative(scores.column_index(p)) for p in points]
+    """The estimates of `base`, of `base` + j for each j in `extras`, in order, and of
+    `base` + `extras`.  Each point is looked up once, base then extras; an extra in the
+    base adds nothing.  One pass fills the `_numerators` memo entry of the request."""
+    columns = [scores._representative(scores.column_index(p)) for p in (*base, *extras)]
     n, memo = scores.n, scores._numerators  # sums of per-replicate max scores, times n+1
     if n < 2:
         raise ArgumentError("need at least two replicates to estimate")
-    column_sets = [tuple(sorted({columns[i] for i in s})) for s in index_sets]
-    missing = [cols for cols in dict.fromkeys(column_sets) if cols not in memo]
-    if missing:
-        memo.update(_max_sums(scores.rank_counts, missing))
+    base_cols, extra_cols = tuple(sorted(set(columns[: len(base)]))), columns[len(base) :]
+    key = base_cols, tuple(c for c in dict.fromkeys(extra_cols) if c not in base_cols)
+    if key not in memo:
+        memo[key] = _max_sums(scores.rank_counts, *key)
+    base_sum, with_j, top = memo[key]
     total = n * (n + 1)
-    if any(memo[cols] >= total for cols in column_sets):
+    if top >= total:  # no sum of the request exceeds the top's
         raise EstimationError(
             "mean of maximal scores reached 1; impossible for modified-ECDF ranks"
         )
-    return [Fraction(memo[cols], total - memo[cols]) for cols in column_sets]
+    sums = (base_sum, *(with_j.get(c, base_sum) for c in extra_cols), top)
+    return [Fraction(s, total - s) for s in sums]
 
 
-def _max_sums(counts: np.ndarray, column_sets: list) -> dict[tuple, int]:
-    """The sum over rows of the largest count in each column set, in one pass over
-    chunks of about 2^18 gathered cells; the sets of one size share a gather."""
-    sizes: dict[int, list] = {}
-    for cols in column_sets:
-        sizes.setdefault(len(cols), []).append(cols)
-    step, sums = max(1, 2**18 // sum(map(len, column_sets))), dict.fromkeys(column_sets, 0)
+def _max_sums(counts: np.ndarray, base: tuple, extras: tuple) -> tuple[int, dict, int]:
+    """Over rows, the sums of the largest count in `base`, in `base` + j for each j in
+    `extras` (by j), and in both, in one pass over chunks of about 2^18 cells (gathered,
+    and two row maxima).  The base's row maxima raise the extras in place, if any."""
+    b, step = len(base), max(1, 2**18 // (len(base) + len(extras) + 2))
+    base_sum = sums = top = 0
     for start in range(0, len(counts), step):
-        block = counts[start : start + step].T  # (columns, rows)
-        for sets in sizes.values():  # a (size, sets, rows) gather
-            part = block[np.array(sets).T].max(axis=0).sum(axis=1)
-            for cols, value in zip(sets, part.tolist()):
-                sums[cols] += value
-    return sums
+        block = counts.T[[*base, *extras], start : start + step]  # (columns, rows)
+        if b:
+            row_max = block[:b].max(axis=0)
+            base_sum += int(row_max.sum())
+            np.maximum(block[b:], row_max, out=block[b:])
+        sums += block[b:].sum(axis=1)
+        top += int(block.max(axis=0).sum())
+        del block  # before the next gather: one block at a time
+    return base_sum, dict(zip(extras, sums.tolist())), top
 
 
 def estimate_extremal_coefficient(
@@ -229,7 +233,7 @@ def estimate_extremal_coefficient(
 ) -> ExtremalCoefficientEstimate:
     """Estimate the region's extremal coefficient as m/(1-m), where m is the
     sample mean of the per-replicate maximum rank score over the region."""
-    [frac] = _coefficients(scores, region.points, [range(len(region))])
+    *_, frac = _coefficients(scores, region.points, ())
     return _as_estimate(frac, len(region))
 
 
@@ -276,8 +280,7 @@ def _estimate_summary(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> DependenceSummary:
     """`estimate_summary`, for the three public functions that call it."""
-    pairs = [(0, i) for i in range(1, len(region) + 1)]  # {site, j} in (site, *region)
-    *estimates, joint = _coefficients(scores, (site, *region), [*pairs, range(len(pairs) + 1)])
+    _, *estimates, joint = _coefficients(scores, (site,), region.points)
     if joint < 1 - Fraction(1, 10**9):
         warnings.warn(
             f"joint coefficient estimate {float(joint):.6f} is below 1; "
@@ -293,17 +296,14 @@ def estimate_contagion_region(
 ) -> float:
     """Plug-in region-to-region contagion index.
 
-    Mirrors the exact reduction: the rate of "j and any of `given`" exceed
-    is theta_j + theta_G - theta_(G+j), with the singleton estimate theta_j
-    (not 1, which it differs from under ties).  No external benchmark exists
-    for this quantity; it is provided for exploratory use.
+    Mirrors the exact reduction: the rate of "j and any of `given`" exceed is
+    theta_j + theta_G - theta_(G+j), with the singleton estimate theta_j (not 1,
+    which it differs from under ties); two passes, linear in |G| + |R|, read them.
+    No external benchmark exists for this quantity; it is for exploratory use.
     """
-    g, k = len(given), len(region)
-    js = range(g, g + k)  # the region's indices into (*given, *region)
-    # in one pass: the given set, each singleton {j}, then each given + j
-    sets = [range(g), *((j,) for j in js), *((*range(g), j) for j in js)]
-    theta_given, *thetas = _coefficients(scores, (*given, *region), sets)
-    return float((sum(thetas[:k]) + k * theta_given - sum(thetas[k:])) / theta_given)
+    theta_given, *with_given, _ = _coefficients(scores, given.points, region.points)
+    _, *thetas, _ = _coefficients(scores, (), region.points)  # each singleton {j}
+    return float((sum(thetas) + len(region) * theta_given - sum(with_given)) / theta_given)
 
 
 @dataclass(frozen=True)

@@ -425,17 +425,21 @@ def to_json_dict(spec: M4Spec) -> dict:
     return _canonical_dict(spec)
 
 
+def _json_int(doc: Mapping, key: str) -> int:
+    """`doc[key]`, which must be a JSON integer: not a bool, float or string."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(doc: Mapping, *, check: bool = True) -> M4Spec:
     try:
-        n_patterns = int(doc["L"])
-        m_min = int(doc["m_min"])
-        m_max = int(doc["m_max"])
+        n_patterns, m_min, m_max = (_json_int(doc, key) for key in ("L", "m_min", "m_max"))
         dom = doc["domain"]
-        domain = LatticeRect(
-            int(dom["x_min"]), int(dom["x_max"]), int(dom["y_min"]), int(dom["y_max"])
-        )
+        domain = LatticeRect(*(_json_int(dom, k) for k in ("x_min", "x_max", "y_min", "y_max")))
         raw_rules = doc["rules"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed specification document: {exc}") from exc
     if not isinstance(raw_rules, list) or not raw_rules:
         raise ParseError("'rules' must be a non-empty list")

@@ -36,11 +36,14 @@ from .rng import U64_MASK, uniform_block
 _CHUNK_ELEMENTS = 1 << 22
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """`array` itself when it and every array it views are read-only, else a
-    read-only copy.  An array that its caller froze is shared: that caller
-    could still make it writable again."""
-    base = array
+def _read_only(array: np.ndarray, source: object = None) -> np.ndarray:
+    """`array` itself when it and every array it views are read-only, or when
+    `np.asarray` made it afresh from `source` (a list or tuple, or an array of
+    another dtype); else a read-only copy.  An array that its caller froze is
+    shared: that caller could still make it writable again."""
+    fresh = isinstance(source, (list, tuple)) or (
+        isinstance(source, np.ndarray) and source.dtype != array.dtype)
+    base = None if fresh else array
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
     array = array if base is None else array.copy(order="K")
@@ -83,7 +86,7 @@ class FieldSample:
             r, c = np.argwhere(~((values > 0) & (values < np.inf)))[0]
             raise ArgumentError(f"replicate {r}, location {self.locations[c]}: field "
                                 f"value must be positive and finite, got {values[r, c]}")
-        object.__setattr__(self, "values", _read_only(values))
+        object.__setattr__(self, "values", _read_only(values, self.values))
 
     @property
     def n_replicates(self) -> int:

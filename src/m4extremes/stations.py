@@ -51,7 +51,7 @@ class StationDataset:
             y, c = np.argwhere(~((maxima > 0) & (maxima < np.inf)))[0]
             raise ArgumentError(f"year {self.years[y]}, station {self.stations[c].name!r}: "
                                 f"maxima must be positive and finite, got {maxima[y, c]}")
-        object.__setattr__(self, "maxima", _read_only(maxima))
+        object.__setattr__(self, "maxima", _read_only(maxima, self.maxima))
 
     @property
     def n(self) -> int:

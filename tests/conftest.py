@@ -35,8 +35,8 @@ def keeps(monkeypatch, module) -> list[bool]:
     copying it, in call order."""
     calls, real = [], module._read_only
 
-    def spy(array):
-        out = real(array)
+    def spy(array, *source):
+        out = real(array, *source)
         calls.append(out is array)
         return out
 

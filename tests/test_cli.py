@@ -673,6 +673,16 @@ class TestSpecInput:
         assert err == ("error: malformed rule #0: "
                        "a pattern row must be a list of weights, not a string\n")
 
+    def test_non_integer_field(self, capsys, tmp_path):
+        # int() would read 1.9 as 1: the preset one-pattern, fingerprint and all
+        _, preset_json, _ = run(capsys, "preset", "one-pattern")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**json.loads(preset_json), "L": 1.9}))
+        for command in ("validate", "exact --site=3,3 --region neighbors"):
+            code, out, err = run(capsys, *command.split(), "--spec", str(path))
+            assert (code, out) == (3, "")
+            assert err == "error: malformed specification document: 'L' must be an integer, got 1.9\n"
+
     def test_exact_reads_a_spec_file(self, capsys, tmp_path):
         path = tmp_path / "one.json"
         run(capsys, "preset", "one-pattern", "--out", str(path))
@@ -680,6 +690,23 @@ class TestSpecInput:
         from_file = run(capsys, "exact", "--spec", str(path), *argv)
         assert from_file[0] == 0
         assert from_file == run(capsys, "exact", "--spec", "one-pattern", *argv)
+
+
+class TestWriteFailure:
+    """A file a command cannot write exits 3 with one error line that names it."""
+
+    @pytest.mark.parametrize("argv", [
+        "preset one-pattern",
+        "exact --spec one-pattern --site=3,3 --region neighbors",
+        "simulate --spec one-pattern --locations 3,3;4,3 --n 5 --seed 1",
+    ], ids=["preset", "exact", "simulate"])
+    def test_missing_directory(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run(capsys, *argv.split(), "--out", str(path))
+        assert (code, out) == (3, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and repr(str(path)) in line
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPointArguments:

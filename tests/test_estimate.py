@@ -586,6 +586,17 @@ def loop_stability(scores, region, site):
     return float((pair_sum - len(region)) / joint.as_fraction())
 
 
+def loop_contagion_region(scores, region, given):
+    """Reference: the region-to-region index from one estimate per set, the given
+    set, each singleton {j} and each given + j."""
+
+    def theta(points):
+        return estimate_extremal_coefficient(scores, Region(points)).as_fraction()
+
+    theta_given = theta(given)
+    return float(sum(theta([j]) + theta_given - theta([*given, j]) for j in region) / theta_given)
+
+
 def loop_study(spec, region, site, replications, sample_size, seed):
     """Reference: `monte_carlo_study` with its per-index loops, as
     (index, true value, mean estimate, mse) rows."""
@@ -732,10 +743,9 @@ class TestSummaryFirstError:
     def test_saturated_joint_only(self):
         scores = self.scores(self.COUNTS)
         outcomes = self.outcomes(scores, [self.D, self.E], self.S)
-        # the three site estimators read one summary, which needs the joint
-        assert isinstance(outcomes.pop(estimate_contagion_region), float)
-        # given {site}, the region-to-region index reads only the site's pairs
-        # and singletons, so it alone does not raise
+        # the three site estimators read one summary, which needs the joint; given
+        # {site}, the region-to-region index's first request ({site}, region) tops
+        # out at the same joint, so it raises too
         assert outcomes == dict.fromkeys(outcomes, (EstimationError, SATURATED))
 
     def test_region_to_region_looks_up_every_point_first(self):
@@ -753,16 +763,28 @@ class TestSummaryFirstError:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The column sets of each pass over the rank counts, one list per pass."""
+    """The (base, extras) columns of each pass over the rank counts, in order."""
     calls = []
     real = estimate_module._max_sums
 
-    def counting(counts, column_sets):
-        calls.append(list(column_sets))
-        return real(counts, column_sets)
+    def counting(counts, base, extras):
+        calls.append((base, extras))
+        return real(counts, base, extras)
 
     monkeypatch.setattr(estimate_module, "_max_sums", counting)
     return calls
+
+
+class Gathered(np.ndarray):
+    """Rank counts that add the size of every copy an index makes to `cells`."""
+
+    cells = 0
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        if isinstance(out, np.ndarray) and not np.may_share_memory(out, self):
+            Gathered.cells += out.size
+        return out
 
 
 class TestEachCoefficientOnce:
@@ -770,10 +792,9 @@ class TestEachCoefficientOnce:
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 100, 4)
         columns = {p: c for c, p in enumerate(sample.locations)}
         for region in (ring, Region([P(4, 3)]), Region([site, P(4, 3)])):
-            pairs = list(dict.fromkeys(tuple(sorted({columns[site], columns[j]})) for j in region))
-            joint = tuple(sorted({columns[site], *(columns[j] for j in region)}))
-            # one pass makes every pair and the joint
-            expected = [list(dict.fromkeys(pairs + [joint]))]
+            # one pass makes every pair and the joint: the site's column, raised by
+            # each other column of the region; the site's own pair is the site
+            expected = [((columns[site],), tuple(columns[j] for j in region if j != site))]
             for estimator in (estimate_summary, estimate_stability, estimate_contagion):
                 scores = scores_from_matrix(sample.values, sample.locations)
                 passes.clear()
@@ -797,14 +818,14 @@ class TestEachCoefficientOnce:
                        Region(sample.locations)):
             passes.clear()
             estimate_extremal_coefficient(scores, region)
-            assert passes == [[tuple(sorted(sample.column_index(p) for p in region))]]
+            assert passes == [(tuple(sorted(sample.column_index(p) for p in region)), ())]
             passes.clear()
             estimate_extremal_coefficient(scores, region)
             # the memo key is the set of columns, not their order
             estimate_extremal_coefficient(scores, Region(region.points[::-1]))
             assert passes == []
 
-    def test_region_to_region_makes_one_pass(self, passes, one_pattern_spec, site, ring):
+    def test_region_to_region_makes_two_passes(self, passes, one_pattern_spec, site, ring):
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 100, 4)
         column = sample.column_index
         points = list(ring)
@@ -815,12 +836,11 @@ class TestEachCoefficientOnce:
         ):
             scores = scores_from_matrix(sample.values, sample.locations)  # no groups
             given_cols = tuple(sorted(map(column, given)))
-            sets = [given_cols, *((column(j),) for j in region),
-                    *(tuple(sorted({*given_cols, column(j)})) for j in region)]
+            outside = tuple(column(j) for j in region if j not in given)
             passes.clear()
             estimate_contagion_region(scores, region, given)
-            # the given set, each singleton and each given + j, in one pass
-            assert passes == [list(dict.fromkeys(sets))], (region, given)
+            # the given set with each given + j, then each singleton {j}
+            assert passes == [(given_cols, outside), ((), tuple(map(column, region)))]
             passes.clear()
             estimate_contagion_region(scores, region, given)
             assert passes == []
@@ -837,7 +857,7 @@ class TestEachCoefficientOnce:
         # bytes: a few chunks of gathered counts, where one gather of every
         # pair's two columns at once would take 200_000 * 16 * 8 = 25.6 MB
         assert peak < 4_000_000
-        assert len(scores._numerators) == len(ring) + 1
+        assert len(scores._numerators) == 1  # one request: the site, raised by the ring
 
     def test_study_makes_one_pass_per_replication(self, passes, monkeypatch):
         import m4extremes.dependence as dependence_module
@@ -853,8 +873,56 @@ class TestEachCoefficientOnce:
         spec = table_spec(12)  # every point its own weight matrix
         region = Region(p for p in spec.domain_points() if p != P(0, 0))
         monte_carlo_study(spec, region, P(0, 0), 3, 30, 1)
-        assert [len(sets) for sets in passes] == [len(region) + 1] * 3
+        assert [(len(base), len(extras)) for base, extras in passes] == [(1, len(region))] * 3
         assert len(evals) == len(region) + 1
+
+
+class TestRegionToRegion:
+    """`estimate_contagion_region` from its two passes equals the per-set loop."""
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_shared_columns_match_loop(self, grouped):
+        site = P(3, 3)
+        ring = neighbors(site)
+        points = list(ring)
+        # one-pattern: the site shares its weight matrix with (3,2) and (3,4)
+        sample = simulate_m4(preset("one-pattern"), Region([site]).union(ring), 300, 12)
+        scores = rank_transform(sample)
+        if not grouped:
+            scores = scores_from_matrix(sample.values, sample.locations)
+        assert (scores._representatives is not None) == grouped
+        for region, given in (
+            (ring, Region([site])),  # the given set shares a weight matrix with R
+            (Region([P(3, 2)]), Region([P(3, 4)])),  # G and R: one weight matrix
+            (Region([site, points[0]]), Region([site, points[3]])),  # a point inside G
+            (Region(points[:4]), ring),  # every point inside G
+        ):
+            got = estimate_contagion_region(scores, region, given)
+            assert repr(got) == repr(loop_contagion_region(scores, region, given))
+
+    def test_empty_base_is_no_floor(self):
+        # hand-built negative counts: the singletons' pass takes no maximum with 0
+        counts = np.array([[3, -2, 1, 4], [1, -5, 2, 2], [2, 1, 3, 1], [4, 3, 4, 3]])
+        scores = UniformScores(tuple(P(c, 0) for c in range(4)), counts)
+        region, given = Region([P(1, 0)]), Region([P(2, 0), P(3, 0)])
+        got = estimate_contagion_region(scores, region, given)
+        assert repr(got) == repr(loop_contagion_region(scores, region, given))
+        assert repr(got) == "-0.07023411371237458"
+
+    @pytest.mark.parametrize("size", [6, 24])
+    def test_gathered_cells_are_linear(self, monkeypatch, size):
+        real = estimate_module._max_sums
+        monkeypatch.setattr(estimate_module, "_max_sums",
+                            lambda counts, *request: real(counts.view(Gathered), *request))
+        monkeypatch.setattr(Gathered, "cells", 0)
+        n, points = 50, [P(c, 0) for c in range(2 * size)]
+        scores = scores_from_matrix(np.random.default_rng(size).random((n, 2 * size)), points)
+        region, given = Region(points[size:]), Region(points[:size])
+        got = estimate_contagion_region(scores, region, given)
+        # |G| + |R| columns per row for the given set's pass, |R| for the singletons';
+        # one gather per set of G + j would take |R| (|G| + 1)
+        assert Gathered.cells <= n * (len(given) + 2 * len(region))
+        assert repr(got) == repr(loop_contagion_region(scores, region, given))
 
 
 def grouped_cases():
@@ -915,21 +983,21 @@ class TestGroupedEstimates:
     @pytest.mark.parametrize("site_last", [False, True])
     def test_ring_estimates_share_one_pass(self, passes, one_pattern_spec, site, ring,
                                            site_last):
-        # with the site's column last, the pair keys are still sorted tuples
+        # with the site's column last, the base is still the site's column alone
         locations = ring.union([site]) if site_last else Region([site]).union(ring)
         sample = simulate_m4(one_pattern_spec, locations, 200, 6)
         plain = scores_from_matrix(sample.values, sample.locations)
         expected = loop_contagion(plain, ring, site), loop_stability(plain, ring, site)
-        for scores, sizes in (
-            # one pass of the site's weight matrix alone and with the other one;
-            # the joint is the two-matrix pair, so stability makes no pass
-            (rank_transform(sample), [2]),
-            # no groups: one pass of every pair and the joint, then stability none
-            (scores_from_matrix(sample.values, sample.locations), [len(ring) + 1]),
+        for scores, extras in (
+            # one pass of the site's weight matrix raised by the other one; the
+            # joint is the two-matrix pair, so stability makes no pass
+            (rank_transform(sample), 1),
+            # no groups: one pass of the site raised by every ring column
+            (scores_from_matrix(sample.values, sample.locations), len(ring)),
         ):
+            site_column = scores._representative(scores.column_index(site))
             passes.clear()
             contagion = estimate_contagion(scores, ring, site)
             stability = estimate_stability(scores, ring, site)
-            assert [len(sets) for sets in passes] == sizes
-            assert len({cols for sets in passes for cols in sets}) == sum(sizes)
+            assert [(base, len(cols)) for base, cols in passes] == [((site_column,), extras)]
             assert (contagion, stability) == expected

@@ -219,6 +219,15 @@ class TestJson:
         with pytest.raises(ParseError):
             load_spec(missing)
 
+    @pytest.mark.parametrize("field", ["L", "m_min", "m_max", "x_min", "x_max", "y_min", "y_max"])
+    @pytest.mark.parametrize("value", [1.9, 1.0, True, "2", None])
+    def test_integer_fields_must_be_json_integers(self, field, value):
+        doc = json.loads(dump_spec(preset("one-pattern")))
+        (doc["domain"] if field in doc["domain"] else doc)[field] = value
+        message = f"malformed specification document: {field!r} must be an integer, got {value!r}"
+        with raises_exactly(ParseError, message):
+            from_json_dict(doc)
+
     def test_rules_not_a_list(self):
         for rules in ([], {"predicate": "always"}):
             doc = {**json.loads(dump_spec(preset("one-pattern"))), "rules": rules}

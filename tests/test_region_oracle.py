@@ -25,8 +25,13 @@ from m4extremes import (
     estimate_contagion_region,
     estimate_extremal_coefficient,
     fragility_index,
+    UniformScores,
     multivariate_tail_dependence,
+    neighbors,
+    preset,
+    rank_transform,
     scores_from_matrix,
+    simulate_m4,
 )
 
 P = LatticePoint
@@ -156,3 +161,37 @@ def test_plugin_contagion_matches_oracle_on_ties():
         )
         got = estimate_contagion_region(scores, region, given)
         assert got == float(oracle.contagion(region, given))
+
+
+def estimate_oracle(scores) -> InclusionExclusion:
+    return InclusionExclusion(
+        lambda pts: estimate_extremal_coefficient(scores, Region(pts)).as_fraction()
+    )
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_plugin_contagion_matches_oracle_on_shared_columns(grouped):
+    site = P(3, 3)
+    points = list(neighbors(site))
+    # one-pattern: the site shares its weight matrix with (3,2) and (3,4)
+    sample = simulate_m4(preset("one-pattern"), Region([site, *points]), 200, 5)
+    scores = rank_transform(sample)
+    if not grouped:
+        scores = scores_from_matrix(sample.values, sample.locations)
+    oracle = estimate_oracle(scores)
+    for region, given in (
+        (Region([P(3, 2), P(4, 3)]), Region([site])),  # G shares R's weight matrix
+        (Region([site, points[0]]), Region([site, points[3]])),  # a point inside G
+        (Region(points[:3]), Region(points[1:5])),
+    ):
+        got = estimate_contagion_region(scores, region, given)
+        assert got == float(oracle.contagion(region, given))
+
+
+def test_plugin_contagion_matches_oracle_on_negative_counts():
+    # hand-built counts: the singleton estimates must not floor a row at 0
+    counts = np.array([[3, -2, 1, 4], [1, -5, 2, 2], [2, 1, 3, 1], [4, 3, 4, 3]])
+    scores = UniformScores(tuple(P(c, 0) for c in range(4)), counts)
+    region, given = Region([P(1, 0)]), Region([P(2, 0), P(3, 0)])
+    got = estimate_contagion_region(scores, region, given)
+    assert got == float(estimate_oracle(scores).contagion(region, given))

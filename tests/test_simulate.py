@@ -530,6 +530,21 @@ class TestFieldSampleInvariants:
         owned[1, 1] = 7  # the caller's array stays writable
         assert kept.tolist() == [[1, 1]] * 3
 
+    def test_fresh_values_are_frozen_not_copied(self, monkeypatch):
+        kept = keeps(monkeypatch, simulate)
+        single = np.ones((3, 2), dtype=np.float32)
+        for source in ([[1.0, 2.0]] * 3, ((1, 2), (3, 4)), single):
+            sample = FieldSample((P(0, 0), P(1, 0)), source)
+            assert not sample.values.flags.writeable
+        # np.asarray made each float64 array afresh: no one else holds it
+        assert kept == [True, True, True]
+        assert single.flags.writeable  # the caller's array is not frozen
+        single[0, 0] = 5.0
+        assert sample.values.tolist() == [[1.0, 1.0]] * 3
+        kept.clear()
+        FieldSample((P(0, 0), P(1, 0)), np.ones((3, 2)))  # float64: the caller's
+        assert kept == [False]
+
     def test_read_values_are_not_copied(self, monkeypatch, one_pattern_spec, tmp_path):
         kept = keeps(monkeypatch, simulate)
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 4, 1)

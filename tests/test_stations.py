@@ -167,6 +167,19 @@ class TestStationDataset:
             ingest_stations(path, missing="drop-year")
             assert kept == [True], text
 
+    def test_fresh_maxima_are_frozen_not_copied(self, monkeypatch):
+        kept = keeps(monkeypatch, stations_module)
+        stations, years = (Station("a"), Station("b")), (2000, 2001)
+        single = np.ones((2, 2), dtype=np.float32)
+        for source in ([[1.0, 2.0], [3.0, 4.0]], single):
+            assert not StationDataset(stations, years, source).maxima.flags.writeable
+        # np.asarray made each float64 array afresh: no one else holds it
+        assert kept == [True, True]
+        assert single.flags.writeable  # the caller's array is not frozen
+        kept.clear()
+        StationDataset(stations, years, np.ones((2, 2)))  # float64: the caller's
+        assert kept == [False]
+
     def test_view_of_writable_base_is_copied(self):
         base = np.ones((3, 2))
         dataset = StationDataset((Station("a"), Station("b")), (2000, 2001, 2002), base[:])
