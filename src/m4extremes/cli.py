@@ -100,12 +100,9 @@ def _meta(spec: M4Spec | None = None, seed: int | None = None) -> dict:
 
 
 def _csv_meta_lines(spec: M4Spec | None = None, seed: int | None = None) -> list[str]:
-    lines = [f"# m4extremes={__version__}"]
-    if spec is not None:
-        lines.append(f"# spec_fingerprint={spec.fingerprint()}")
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    return lines
+    doc = _meta(spec, seed)
+    head = f"# {doc.pop('tool')}={doc.pop('version')}"
+    return [head] + [f"# {key}={value}" for key, value in doc.items()]
 
 
 # -- commands -----------------------------------------------------------------
@@ -235,9 +232,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    dataset = ingest_stations(
-        args.data, missing=args.missing, metadata_path=args.meta
-    )
+    dataset = ingest_stations(args.data, missing=args.missing)
     regions = [
         [name.strip() for name in region.split(",") if name.strip()]
         for region in args.region
@@ -290,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     draws.add_argument("--seed", required=True, type=int)
     station = argparse.ArgumentParser(add_help=False)
     station.add_argument("--data", required=True)
-    station.add_argument("--meta", help="station coordinate CSV (station,x,y)")
     station.add_argument("--missing", choices=("error", "drop-year"), default="error")
 
     p = sub.add_parser("preset", parents=[out],
@@ -329,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[station, out],
                        help="parse and summarize a station CSV")
+    p.add_argument("--meta", help="station coordinate CSV (station,x,y)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("report", parents=[station, fmt, out],

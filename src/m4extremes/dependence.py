@@ -81,15 +81,12 @@ def extremal_coefficient_matrix(
     Returned in compass layout (north up, east right); the center entry is
     the singleton coefficient of `site` itself.
     """
-    ring = neighbors(site).points
-    e = [extremal_coefficient(spec, Region((site, p))) for p in ring]
-    center = extremal_coefficient(spec, Region((site,)))
-    # ring order is E, NE, N, NW, W, SW, S, SE
-    return (
-        (e[3], e[2], e[1]),
-        (e[4], center, e[0]),
-        (e[5], e[6], e[7]),
-    )
+    by_offset = {
+        (p.x - site.x, p.y - site.y): extremal_coefficient(spec, Region((site, p)))
+        for p in neighbors(site)
+    }
+    by_offset[0, 0] = extremal_coefficient(spec, Region((site,)))
+    return tuple(tuple(by_offset[dx, dy] for dx in (-1, 0, 1)) for dy in (1, 0, -1))
 
 
 def pairwise_tail_dependence(
@@ -179,28 +176,19 @@ class DependenceSummary:
     stability_upper: Weight
 
     def to_json_dict(self) -> dict:
-        def exact(value: Weight) -> str | None:
-            return str(value) if isinstance(value, Fraction) else None
+        def entry(value: Weight, **fields: str) -> dict:
+            exact = str(value) if isinstance(value, Fraction) else None
+            return {**fields, "value": float(value), "exact": exact}
 
         return {
             "site": str(self.site),
             "region": [str(p) for p in self.region],
             "pairwise_extremal_coefficients": [
-                {"point": str(p), "value": float(v), "exact": exact(v)}
-                for p, v in self.pairwise_extremal
+                entry(v, point=str(p)) for p, v in self.pairwise_extremal
             ],
-            "joint_extremal_coefficient": {
-                "value": float(self.joint_extremal),
-                "exact": exact(self.joint_extremal),
-            },
-            "contagion_index": {
-                "value": float(self.contagion),
-                "exact": exact(self.contagion),
-            },
-            "stability_index": {
-                "value": float(self.stability),
-                "exact": exact(self.stability),
-            },
+            "joint_extremal_coefficient": entry(self.joint_extremal),
+            "contagion_index": entry(self.contagion),
+            "stability_index": entry(self.stability),
             "stability_bounds": {
                 "lower": float(self.stability_lower),
                 "upper": float(self.stability_upper),

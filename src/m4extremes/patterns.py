@@ -439,7 +439,7 @@ def from_json_dict(doc: Mapping, *, check: bool = True) -> M4Spec:
         dom = doc["domain"]
         domain = LatticeRect(*(_json_int(dom, k) for k in ("x_min", "x_max", "y_min", "y_max")))
         raw_rules = doc["rules"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ArgumentError) as exc:
         raise ParseError(f"malformed specification document: {exc}") from exc
     if not isinstance(raw_rules, list) or not raw_rules:
         raise ParseError("'rules' must be a non-empty list")

@@ -235,21 +235,16 @@ def station_indices(
     """
     if not region_names:
         raise UnknownStationError("region must name at least one station")
-    cond_col = dataset.column(conditioning)
     region_names = tuple(dict.fromkeys(region_names))  # a repeated name counts once, as in Region
-    region_cols = [dataset.column(name) for name in region_names]
-    # one synthetic lattice point per involved station, in column order
-    involved = [cond_col] + [c for c in region_cols if c != cond_col]
-    points = {col: LatticePoint(i, 0) for i, col in enumerate(involved)}
-    matrix = dataset.maxima[:, involved]
-    scores = scores_from_matrix(matrix, [points[c] for c in involved])
-    site = points[cond_col]
-    region = Region(points[c] for c in region_cols)
+    # each station's synthetic lattice point has its dataset column as x
+    site = LatticePoint(dataset.column(conditioning), 0)
+    region = Region(LatticePoint(dataset.column(name), 0) for name in region_names)
+    involved = Region((site,)).union(region).points
+    scores = scores_from_matrix(dataset.maxima[:, [p.x for p in involved]], involved)
     summary = estimate_summary(scores, region, site)
-    estimates = _pairwise_estimates(summary)
     pairwise = tuple(
-        (name, estimates[points[col]].value, estimates[points[col]].out_of_range)
-        for name, col in zip(region_names, region_cols)
+        (name, est.value, est.out_of_range)
+        for name, est in zip(region_names, _pairwise_estimates(summary).values())
     )
     return StationIndicesReport(
         conditioning=conditioning,

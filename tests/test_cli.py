@@ -13,6 +13,7 @@ from m4extremes import LatticePoint, Region, load_spec, neighbors, preset
 from m4extremes import contagion_index, contagion_index_region
 from m4extremes import estimate_contagion, ingest_stations, rank_transform, read_sample_csv
 from m4extremes import ParseError
+from m4extremes import __version__
 from m4extremes.cli import main
 from conftest import DATA_DIR, raises_exactly
 
@@ -466,6 +467,14 @@ class TestIngestReport:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["reports"][0]["region"] == ["vale_frio"]
 
+    def test_report_takes_no_meta(self, capsys):
+        code, out, _ = run(
+            capsys, "report", "--data", str(DATA_DIR / "stations_32y.csv"),
+            "--meta", str(DATA_DIR / "stations_meta.csv"),
+            "--condition", "serra_alta", "--region", "vale_frio",
+        )
+        assert (code, out) == (2, "")
+
     def test_unknown_station_exits_3(self, capsys):
         code, _, err = run(
             capsys,
@@ -512,6 +521,30 @@ class TestIngestReport:
         )
         assert code == 0
         json.loads(out, parse_constant=reject)
+
+
+class TestCsvProvenance:
+    """A CSV output opens with `_meta`'s record, one comment line per field."""
+
+    STATIONS = str(DATA_DIR / "stations_32y.csv")
+
+    @pytest.mark.parametrize("argv, spec, seed", [
+        ("exact --spec two-pattern --site=3,3 --region neighbors", "two-pattern", None),
+        ("mc-study --spec one-pattern --site=3,3 --region 4,3;2,3 --reps 2 --n 30 "
+         "--seed 42", "one-pattern", 42),
+        (f"report --data {STATIONS} --condition serra_alta --region vale_frio", None, None),
+    ])
+    def test_comment_block(self, capsys, argv, spec, seed):
+        code, out, _ = run(capsys, *argv.split(), "--format", "csv")
+        assert code == 0
+        expected = [f"# m4extremes={__version__}"]
+        if spec is not None:
+            expected.append(f"# spec_fingerprint={preset(spec).fingerprint()}")
+        if seed is not None:
+            expected.append(f"# seed={seed}")
+        lines = out.splitlines()
+        assert lines[: len(expected)] == expected
+        assert not lines[len(expected)].startswith("#")  # the block ends there
 
 
 class TestOversizedField:
@@ -683,6 +716,18 @@ class TestSpecInput:
             assert (code, out) == (3, "")
             assert err == "error: malformed specification document: 'L' must be an integer, got 1.9\n"
 
+    def test_degenerate_domain(self, capsys, tmp_path):
+        _, preset_json, _ = run(capsys, "preset", "one-pattern")
+        doc = json.loads(preset_json)
+        doc["domain"]["x_min"] = 99
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "exact --site=3,3 --region neighbors"):
+            code, out, err = run(capsys, *command.split(), "--spec", str(path))
+            assert (code, out) == (3, "")
+            assert err == ("error: malformed specification document: "
+                           "degenerate rectangle [99,10]x[-10,10]\n")
+
     def test_exact_reads_a_spec_file(self, capsys, tmp_path):
         path = tmp_path / "one.json"
         run(capsys, "preset", "one-pattern", "--out", str(path))
@@ -828,7 +873,7 @@ SHARED_OPTIONS = {
     "estimate": ["--site", "--region", "--out"],
     "mc-study": ["--spec", "--site", "--region", "--n", "--seed", "--format", "--out"],
     "ingest": ["--data", "--meta", "--missing", "--out"],
-    "report": ["--data", "--meta", "--missing", "--format", "--out"],
+    "report": ["--data", "--missing", "--format", "--out"],
 }
 
 

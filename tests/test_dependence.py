@@ -29,6 +29,7 @@ from m4extremes import (
 from m4extremes.dependence import _ksum
 import m4extremes.dependence as dependence_module
 from conftest import (
+    raises_exactly,
     random_point,
     random_rational_spec,
     random_region,
@@ -159,6 +160,30 @@ class TestCoefficientMatrix:
     def test_domain_error_near_edge(self, one_pattern_spec):
         with pytest.raises(DomainError):
             extremal_coefficient_matrix(one_pattern_spec, P(10, 10))
+
+    def test_compass_orientation(self, site):
+        # one distinct 1 x 2 matrix per location, as in the mc_study workload;
+        # the site's first weight is the smallest, so all eight pairs differ
+        locations = Region((site,)).union(neighbors(site))
+        spec = M4Spec.from_table(
+            1, 1, 2, {p: [[F(k, 11), F(11 - k, 11)]] for k, p in enumerate(locations, 1)}
+        )
+        got = extremal_coefficient_matrix(spec, site)
+        assert len({v for row in got for v in row}) == 9
+        assert got == tuple(
+            tuple(
+                extremal_coefficient(spec, Region((site, site.translated(dx, dy))))
+                for dx in (-1, 0, 1)
+            )
+            for dy in (1, 0, -1)
+        )
+
+    @pytest.mark.parametrize("site", [P(10, 0), P(10, 10)])
+    def test_domain_error_names_the_east_neighbor(self, one_pattern_spec, site):
+        east = site.translated(1, 0)
+        message = f"location {east} outside domain {one_pattern_spec.domain!r}"
+        with raises_exactly(DomainError, message):
+            extremal_coefficient_matrix(one_pattern_spec, site)
 
 
 class TestPairwiseTailDependence:

@@ -228,6 +228,17 @@ class TestJson:
         with raises_exactly(ParseError, message):
             from_json_dict(doc)
 
+    @pytest.mark.parametrize("bounds, rectangle", [
+        ({"x_min": 99}, "[99,10]x[-10,10]"),
+        ({"y_min": 11, "y_max": -11}, "[-10,10]x[11,-11]"),
+    ])
+    def test_degenerate_domain(self, bounds, rectangle):
+        doc = json.loads(dump_spec(preset("one-pattern")))
+        doc["domain"].update(bounds)
+        message = f"malformed specification document: degenerate rectangle {rectangle}"
+        with raises_exactly(ParseError, message):
+            from_json_dict(doc)
+
     def test_rules_not_a_list(self):
         for rules in ([], {"predicate": "always"}):
             doc = {**json.loads(dump_spec(preset("one-pattern"))), "rules": rules}
