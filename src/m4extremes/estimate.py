@@ -21,7 +21,7 @@ from .dependence import DependenceSummary, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
-from .simulate import FieldSample, _read_only, simulate_m4
+from .simulate import _CACHE_ELEMENTS, FieldSample, _read_only, simulate_m4
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,12 +110,11 @@ def _ranked(
     first: dict[int, int] = {}  # each group's first column
     representatives = tuple(first.setdefault(g, c) for c, g in enumerate(groups or range(k)))
     firsts = list(first.values())
-    block = values.T[firsts] if len(firsts) < k else values.T
+    block = values.T[: len(firsts)] if firsts == list(range(len(firsts))) else values.T[firsts]
     if np.isnan(block.min(initial=0.0)):  # NaN when any cell is
         row, column = np.argwhere(np.isnan(values))[0]
         raise ArgumentError(f"NaN at row {row}, column {column}")
-    # C-contiguous, with -0.0 + 0.0 = 0.0 for equal bits; in place in a private copy
-    counts = _rank_rows(np.add(block, 0.0, out=block if len(firsts) < k else None, order="C"))
+    counts = _rank_rows(np.ascontiguousarray(block))
     if len(firsts) < k:  # each column takes its group's row
         counts = counts[np.searchsorted(firsts, representatives)]
     counts.setflags(write=False)  # private, so UniformScores need not copy it
@@ -128,39 +127,46 @@ def _ranked(
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
     """Modified-ECDF counts of each row of a float matrix without NaN, from one
     sort of keys that hold the top bits of an order-preserving image of the float
-    above its flat position.  Where runs that tie in those bits are out of value
-    order, one argsort per row puts them in order; counts depend only on the sorted
-    values.  `rows` is C-contiguous without -0.0: equal values, equal bits."""
+    above its flat position, built and split in cache-sized blocks.  One argsort per
+    row puts runs that tie in those bits in value order if they are not.  Each sorted
+    row counts 1..n; only elements that tie by value take their run's last count, in
+    one pass where ties are dense.  `rows` is C-contiguous; keys read `x + 0.0`, so
+    -0.0 ties with 0.0."""
     m, n = rows.shape
-    flat = rows.reshape(-1)
-    mask = np.uint64((1 << (m * n - 1).bit_length()) - 1)  # the flat position
-    positions = np.arange(m * n, dtype=np.int64)
-    keys = (flat.view(np.int64) >> np.int64(63)).view(np.uint64)
-    keys |= np.uint64(1 << 63)
-    keys ^= flat.view(np.uint64)  # negatives flipped below the positives
-    keys &= ~mask
-    keys |= positions.view(np.uint64)
+    flat, size, step = rows.reshape(-1), m * n, _CACHE_ELEMENTS
+    mask = np.uint64((1 << (size - 1).bit_length()) - 1)  # the flat position
+    keys, order = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.int64)
+    for start in range(0, size, step):
+        x, key = flat[start : start + step] + 0.0, keys[start : start + step]
+        np.right_shift(x.view(np.int64), np.int64(63), out=key.view(np.int64))
+        key |= np.uint64(1 << 63)
+        key ^= x.view(np.uint64)  # negatives flipped below the positives
+        key &= ~mask
+        key |= np.arange(start, start + len(key), dtype=np.uint64)
     keys.reshape(m, n).sort(axis=1)  # each row apart, so a key needs no row field
-    order = (keys & mask).view(np.int64)
-    keys &= ~mask
+    for start in range(0, size, step):
+        key = keys[start : start + step]
+        np.bitwise_and(key, mask, out=order[start : start + step].view(np.uint64))
+        key &= ~mask
     run_end = keys[1:] != keys[:-1]
     run_end[n - 1 :: n] = True  # a row ends every run
-    last = keys.view(np.int64)  # the count of each sorted element
-    if run_end.all():  # every run one value long: each sorted row counts 1..n
-        last.reshape(m, n)[:] = np.arange(1, n + 1)
-    else:
-        tied = np.flatnonzero(~run_end)
+    tied = (~run_end).nonzero()[0]  # each element whose key ties with the next
+    if len(tied):
         if np.any(flat[order[tied + 1]] < flat[order[tied]]):  # sort each row's ties by value
             runs = np.flatnonzero(np.append(~run_end, False) | np.append(False, ~run_end))
-            for part in np.split(runs, np.searchsorted(runs, positions[n::n])):
+            for part in np.split(runs, np.searchsorted(runs, np.arange(n, size, n))):
                 order[part] = order[part[np.argsort(flat[order[part]])]]
         run_end[tied] = flat[order[tied + 1]] != flat[order[tied]]
-        last.fill(m * n)  # the 1-based flat position ending each run
-        np.copyto(last[:-1], positions[1:], where=run_end)
-        np.minimum.accumulate(last[::-1], out=last[::-1])
-        last.reshape(m, n)[1:] -= positions[n::n, None]  # counts within each row
+    last = keys.view(np.int64).reshape(m, n)  # the count of each sorted element
+    last[:] = np.arange(1, n + 1)  # each sorted row counts 1..n
+    if len(tied) > size // 8:  # dense ties: one pass gives each element its run's last count
+        np.copyto(last.reshape(-1)[:-1], n, where=~run_end)
+        np.minimum.accumulate(last[:, ::-1], axis=1, out=last[:, ::-1])
+    elif len(tied) and len(tied := tied[~run_end[tied]]):  # else only ties by value
+        ends = tied[np.diff(tied, append=size) > 1] + 1  # the last element of each run
+        last.reshape(-1)[tied] = ends[np.searchsorted(ends, tied)] % n + 1
     counts = np.empty((m, n), dtype=np.int64)
-    counts.reshape(-1)[order] = last
+    counts.reshape(-1)[order] = last.reshape(-1)
     return counts
 
 

@@ -31,9 +31,9 @@ from .lattice import LatticePoint, Region
 from .patterns import M4Spec
 from .rng import U64_MASK, uniform_block
 
-# rows x locations x slots per chunk; each chunk allocates its rows x slots draws,
-# one shift temporary as large, and two (distinct matrices, rows) float blocks
-_CHUNK_ELEMENTS = 1 << 22
+# 8-byte elements that one pass keeps in a per-core cache: a chunk of simulate_m4
+# (draws, shift temporary and two blocks per row), a block of the rank kernel's keys
+_CACHE_ELEMENTS = 1 << 16
 
 
 def _read_only(array: np.ndarray, source: object = None) -> np.ndarray:
@@ -114,7 +114,8 @@ def simulate_m4(
     Output is a pure function of (spec, locations, n, seed); the same call
     reproduces bit-identical values.  Each chunk of rows takes the running
     maximum as a (distinct weight matrices, rows) block and copies it to one
-    contiguous row per location; `values` is the transpose of those rows.
+    contiguous row per location; `values` is the transpose of those rows.  A
+    chunk's `2 * slots + 2 * distinct` floats per row fit in `_CACHE_ELEMENTS`.
     """
     if n < 1:
         raise ArgumentError("replicate count must be at least 1")
@@ -125,17 +126,15 @@ def simulate_m4(
     distinct: dict[int, int] = {}  # row of spec.matrices -> column of `block`
     columns = [distinct.setdefault(spec.matrix_index(p), len(distinct)) for p in points]
     # one row per distinct matrix, flattened pattern-major like the draws
-    weights = np.array([spec.matrices[row] for row in distinct], dtype=float)
-    weights = weights.reshape(len(distinct), -1)
+    weights = np.array([spec.matrices[row] for row in distinct], float).reshape(len(distinct), -1)
     k, draws_per_row = len(points), weights.shape[1]
     seed = seed & U64_MASK
 
     values = np.empty((k, n))  # one contiguous row per location
-    chunk_rows = max(1, _CHUNK_ELEMENTS // (k * draws_per_row))
+    chunk_rows = max(1, _CACHE_ELEMENTS // (2 * draws_per_row + 2 * len(distinct)))
     for r0 in range(0, n, chunk_rows):
-        rows = min(chunk_rows, n - r0)
-        u = uniform_block(seed, r0 * draws_per_row, rows * draws_per_row)
-        z = np.divide(-1.0, np.log(u, out=u), out=u).reshape(rows, draws_per_row)
+        u = uniform_block(seed, r0 * draws_per_row, min(chunk_rows, n - r0) * draws_per_row)
+        z = np.divide(-1.0, np.log(u, out=u), out=u).reshape(-1, draws_per_row)
         # running maximum over the slots: the same products, in any order,
         # give the same bits (every location has a weight >= 1/K, so no
         # signed zero reaches the result)
@@ -145,7 +144,7 @@ def simulate_m4(
             np.multiply.outer(weights[:, s], z[:, s], out=product)
             np.maximum(block, product, out=block)
         for c, column in enumerate(columns):
-            values[c, r0 : r0 + rows] = block[column]
+            values[c, r0 : r0 + chunk_rows] = block[column]
 
     values.setflags(write=False)  # private, so FieldSample need not copy it
     sample = FieldSample(points, values.T, seed, spec.fingerprint())

@@ -175,6 +175,10 @@ class TestRankOracle:
             duplicate[0] = 7
         assert scores.scores.flags.f_contiguous
 
+    def test_no_columns(self):
+        scores = scores_from_matrix(np.ones((3, 0)), [])
+        assert scores.rank_counts.shape == (3, 0)
+
     def test_nan_cell_is_named(self):
         values = np.array([[1.0, 2.0], [3.0, np.nan], [np.nan, 4.0]])
         with pytest.raises(ArgumentError, match=r"NaN at row 1, column 1"):
@@ -301,6 +305,56 @@ class TestPackedKeyOracle:
                 scores = scores_from_matrix(layout, points_for(layout))
                 assert copies == runs  # the run pass fills one position per element
                 assert np.array_equal(scores.rank_counts, sorted_counts(values))
+
+    BLOCK = estimate_module._CACHE_ELEMENTS  # keys are built and split in blocks
+
+    def few_ties(self, n, d, rng):
+        """Distinct values but for one repeat in about 997 in each column."""
+        values = rng.permutation(n * d).reshape(n, d) + rng.random((n, d))
+        rows = np.arange(0, n - 1, 997)
+        values[rows] = values[rows + 1]
+        return values
+
+    @pytest.mark.parametrize("n, d", [(BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 1),
+                                      (BLOCK // 2, 2), (BLOCK + 7, 3)])
+    def test_flat_sizes_around_a_block(self, n, d):
+        rng = np.random.default_rng(n + d)
+        self.check(self.matrix(n, d, rng), sorted_counts)
+        self.check(self.few_ties(n, d, rng), sorted_counts)
+
+    def test_tied_run_across_a_block_seam(self):
+        # rows of two blocks: each row ends on a seam, and five equal values
+        # straddle the seam inside it, in flat order (ascending) or sorted order
+        n, rng = 2 * self.BLOCK, np.random.default_rng(9)
+        ascending = np.arange(n) + rng.random(n)
+        ascending[self.BLOCK - 2 : self.BLOCK + 3] = ascending[self.BLOCK]
+        values = np.column_stack([ascending, ascending[::-1], rng.permutation(ascending)])
+        self.check(values, sorted_counts)
+
+    def test_few_ties_take_the_sparse_fix_up(self, monkeypatch):
+        values = self.few_ties(3 * self.BLOCK, 2, np.random.default_rng(10))
+        expected = sorted_counts(values)
+        tied = sum(len(col) - len(np.unique(col)) for col in values.T)
+        assert 0 < tied < values.size // 100
+        calls = []
+        real_copyto, real_searchsorted = np.copyto, np.searchsorted
+
+        def counting_copyto(*args, **kwargs):
+            calls.append(("copyto", args[0].size))
+            return real_copyto(*args, **kwargs)
+
+        def counting_searchsorted(a, v, *args, **kwargs):
+            calls.append(("searchsorted", len(v)))
+            return real_searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", counting_copyto)
+        monkeypatch.setattr(np, "searchsorted", counting_searchsorted)
+        for layout in (values, np.asfortranarray(values), np.repeat(values, 2, 1)[:, ::2]):
+            calls.clear()
+            scores = scores_from_matrix(layout, points_for(layout))
+            # no run pass: only the tied elements look up their run's end
+            assert calls == [("searchsorted", tied)]
+            assert np.array_equal(scores.rank_counts, expected)
 
     @pytest.mark.parametrize("nan", [np.nan, -np.nan, np.frombuffer(
         np.uint64(0xFFF0000000000001).tobytes(), np.float64)[0]])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,19 @@ class TestSimulate:
         spec = M4Spec.from_table(2, 1, 1, {P(0, 0): [[1], [0]], P(1, 0): [[0], [1]]})
         sample = simulate_m4(spec, Region([P(0, 0), P(1, 0)]), 100, 11)
         assert sample.values.shape == (100, 2)
+
+    def test_working_set_is_chunked(self, one_pattern_spec, site, ring):
+        n, locations = 200_000, Region([site]).union(ring)
+        tracemalloc.start()
+        try:
+            sample = simulate_m4(one_pattern_spec, locations, n, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # bytes beyond the 14.4 MB output: one chunk's draws, shift temporary and
+        # two blocks (0.5 MB), where a single chunk of all rows peaks near 10 MB
+        assert sample.values.nbytes == n * len(locations) * 8 == 14_400_000
+        assert peak - sample.values.nbytes < 2_000_000
 
 
 def identical_column_sample(n=400):
@@ -617,9 +631,20 @@ class TestSharedColumnOracle:
     N = 3 * ROWS_PER_CHUNK + 4  # three full chunks and a partial one
 
     def check(self, monkeypatch, spec, points, seed=2024):
-        cells = len(points) * spec.n_patterns * spec.lag_count
-        monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", self.ROWS_PER_CHUNK * cells)
+        # a chunk allocates 2 * slots + 2 * distinct matrices floats per row
+        slots, distinct = spec.n_patterns * spec.lag_count, len(set(map(spec.matrix_index, points)))
+        per_row = 2 * slots + 2 * distinct
+        monkeypatch.setattr(simulate, "_CACHE_ELEMENTS", self.ROWS_PER_CHUNK * per_row)
+        chunks = []
+        real_uniform_block = simulate.uniform_block
+
+        def counting_uniform_block(seed, start, count):
+            chunks.append(count)
+            return real_uniform_block(seed, start, count)
+
+        monkeypatch.setattr(simulate, "uniform_block", counting_uniform_block)
         got = simulate_m4(spec, Region(points), self.N, seed).values
+        assert chunks == [self.ROWS_PER_CHUNK * slots] * 3 + [4 * slots]
         assert got.flags.f_contiguous and not got.flags.writeable  # column-major
         assert np.array_equal(got, cube_simulation(spec, points, self.N, seed))
 
@@ -698,11 +723,17 @@ class TestReferenceDigests:
         )
 
     def test_uniform_span_across_a_ring_chunk_boundary(self, one_pattern_spec, site, ring):
-        draws = one_pattern_spec.n_patterns * one_pattern_spec.lag_count
-        boundary = simulate._CHUNK_ELEMENTS // ((len(ring) + 1) * draws) * draws
-        assert boundary == 466032
-        assert sha256_of(uniform_block(1, boundary - 2048, 4096), "<f8") == (
+        # 466032 is a ring chunk boundary of an earlier budget (2^22 rows x
+        # locations x slots); a draw's bits do not depend on the chunking
+        assert sha256_of(uniform_block(1, 466032 - 2048, 4096), "<f8") == (
             "74f3f7b8e06d0e2a4dd3f8cae5a7fe2dc20cc802de4cfa25b510e8eeff959e51"
+        )
+        draws = one_pattern_spec.n_patterns * one_pattern_spec.lag_count
+        distinct = len({one_pattern_spec.matrix_index(p) for p in [site, *ring]})
+        boundary = simulate._CACHE_ELEMENTS // (2 * draws + 2 * distinct) * draws
+        assert boundary == 16384
+        assert sha256_of(uniform_block(1, boundary - 2048, 4096), "<f8") == (
+            "b4dddd2f75110034b5ff2cf7fbabc358a8da25039a63b049aeee91111d2b82ac"
         )
 
 
