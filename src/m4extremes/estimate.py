@@ -11,7 +11,7 @@ identities exact rather than approximate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -21,42 +21,49 @@ from .dependence import DependenceSummary, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
-from .simulate import _CACHE_ELEMENTS, FieldSample, _read_only, simulate_m4
+from .simulate import _CACHE_ELEMENTS, FieldSample, _Rows, simulate_m4
 
 
-@dataclass(frozen=True, eq=False)
-class UniformScores:
+class UniformScores(_Rows):
     """Rank scores of a sample: values k/(n+1) in (0,1), one column per location.
 
-    `rank_counts` keeps the integer numerators k (an integer dtype); estimators
-    and oracles read only them, to stay exact, and one column per group of equal
-    columns, so their cost scales with distinct weight matrices, not locations.
+    The scores hold the integer numerators k (an integer dtype) in one row per
+    distinct column of the sample; estimators and oracles read only those rows,
+    to stay exact, so their cost scales with distinct weight matrices, not
+    locations.  The constructor copies `rank_counts`, one row per location.
+    `rank_counts` and `scores` are built from the rows on each read, F-order
+    and read-only.
     """
 
-    locations: tuple[LatticePoint, ...]
-    rank_counts: np.ndarray  # (n, k) int64: count of column values <= this one
-    # each column's first equal column, set by _ranked if any repeat; max-sum memo
-    _representatives: tuple[int, ...] | None = field(default=None, init=False, repr=False)
-    _numerators: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.rank_counts)
-        if counts.ndim != 2 or counts.shape[1] != len(self.locations):
+    def __init__(self, locations: Sequence[LatticePoint], rank_counts: np.ndarray) -> None:
+        counts = np.asarray(rank_counts)  # (n, k): count of column values <= this one
+        if counts.ndim != 2:
             raise ArgumentError("rank counts shape does not match locations")
-        if counts.dtype.kind not in "iu":
-            raise ArgumentError(f"rank counts must be integers, got {counts.dtype}")
-        object.__setattr__(self, "rank_counts", _read_only(counts, self.rank_counts))
+        self._hold(locations, counts.T.copy(), range(counts.shape[1]))
 
-    @cached_property
+    def _hold(self, locations, rows: np.ndarray, row_of) -> None:
+        locations, row_of = tuple(locations), tuple(row_of)
+        if len(row_of) != len(locations):
+            raise ArgumentError("rank counts shape does not match locations")
+        if rows.dtype.kind not in "iu":
+            raise ArgumentError(f"rank counts must be integers, got {rows.dtype}")
+        if rows.shape[1] < 1:
+            raise ArgumentError("need at least one replicate")
+        rows.setflags(write=False)
+        vars(self).update(locations=locations, _rows=rows, _row_of=row_of,
+                          _numerators={})  # the max-sum memo of `_coefficients`
+
+    @property
+    def rank_counts(self) -> np.ndarray:
+        return self._matrix(self._rows)
+
+    @property
     def scores(self) -> np.ndarray:
-        """`rank_counts / (n + 1)` as floats, read-only; computed on first access."""
-        scores = self.rank_counts / (self.n + 1)
-        scores.setflags(write=False)
-        return scores
+        return self._matrix(self._rows / (self.n + 1))
 
     @property
     def n(self) -> int:
-        return int(self.rank_counts.shape[0])
+        return int(self._rows.shape[1])
 
     @cached_property
     def _columns(self) -> dict[LatticePoint, int]:
@@ -69,9 +76,6 @@ class UniformScores:
         except KeyError:
             raise ArgumentError(f"location {point} not in scores") from None
 
-    def _representative(self, column: int) -> int:
-        return column if self._representatives is None else self._representatives[column]
-
 
 def scores_from_matrix(
     values: np.ndarray, locations: Sequence[LatticePoint]
@@ -80,48 +84,27 @@ def scores_from_matrix(
 
     All columns are ranked by one sort of packed `uint64` keys per call; every
     element of a run of equal values gets the 1-based position of the run's
-    last element.  `rank_counts` and `scores` are F-contiguous.  NaN cells
-    are rejected; infinities rank as ordinary values, and -0.0 ties with 0.0.
+    last element.  Every column is ranked as its own row of the scores.  NaN
+    cells are rejected; infinities rank as ordinary values, and -0.0 ties with 0.0.
     """
-    return _ranked(values, locations, None)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ArgumentError("expected a 2-d matrix")
+    if values.shape[0] < 1:
+        raise ArgumentError("need at least one replicate")
+    if np.isnan(values.min(initial=0.0)):  # NaN when any cell is
+        row, column = np.argwhere(np.isnan(values))[0]
+        raise ArgumentError(f"NaN at row {row}, column {column}")
+    counts = _rank_rows(np.ascontiguousarray(values.T))
+    return UniformScores._of_rows(locations, counts, range(values.shape[1]))
 
 
 def rank_transform(sample: FieldSample) -> UniformScores:
     """Modified-ECDF scores of a field sample; ties share the maximal count.
 
-    Columns that simulation filled from one weight matrix are ranked once
-    and share the counts."""
-    return _ranked(sample.values, sample.locations, sample._column_groups)
-
-
-def _ranked(
-    values: np.ndarray,
-    locations: Sequence[LatticePoint],
-    groups: Sequence[int] | None,
-) -> UniformScores:
-    """`scores_from_matrix`, ranking only the first column of each group of
-    equal columns (`groups` labels the columns; None: every column alone)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ArgumentError("expected a 2-d matrix")
-    n, k = values.shape
-    if n < 1:
-        raise ArgumentError("need at least one replicate")
-    first: dict[int, int] = {}  # each group's first column
-    representatives = tuple(first.setdefault(g, c) for c, g in enumerate(groups or range(k)))
-    firsts = list(first.values())
-    block = values.T[: len(firsts)] if firsts == list(range(len(firsts))) else values.T[firsts]
-    if np.isnan(block.min(initial=0.0)):  # NaN when any cell is
-        row, column = np.argwhere(np.isnan(values))[0]
-        raise ArgumentError(f"NaN at row {row}, column {column}")
-    counts = _rank_rows(np.ascontiguousarray(block))
-    if len(firsts) < k:  # each column takes its group's row
-        counts = counts[np.searchsorted(firsts, representatives)]
-    counts.setflags(write=False)  # private, so UniformScores need not copy it
-    scores = UniformScores(tuple(locations), counts.T)
-    if len(firsts) < k:
-        object.__setattr__(scores, "_representatives", representatives)
-    return scores
+    Each of the sample's rows is ranked once, and the scores keep its rows:
+    locations that share a weight matrix share the counts."""
+    return UniformScores._of_rows(sample.locations, _rank_rows(sample._rows), sample._row_of)
 
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
@@ -135,6 +118,7 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     m, n = rows.shape
     flat, size, step = rows.reshape(-1), m * n, _CACHE_ELEMENTS
     mask = np.uint64((1 << (size - 1).bit_length()) - 1)  # the flat position
+    counts = np.empty((m, n), dtype=np.int64)  # the result first, below the temporaries
     keys, order = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.int64)
     for start in range(0, size, step):
         x, key = flat[start : start + step] + 0.0, keys[start : start + step]
@@ -165,7 +149,6 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     elif len(tied) and len(tied := tied[~run_end[tied]]):  # else only ties by value
         ends = tied[np.diff(tied, append=size) > 1] + 1  # the last element of each run
         last.reshape(-1)[tied] = ends[np.searchsorted(ends, tied)] % n + 1
-    counts = np.empty((m, n), dtype=np.int64)
     counts.reshape(-1)[order] = last.reshape(-1)
     return counts
 
@@ -197,33 +180,33 @@ def _coefficients(
 ) -> list[Fraction]:
     """The estimates of `base`, of `base` + j for each j in `extras`, in order, and of
     `base` + `extras`.  Each point is looked up once, base then extras; an extra in the
-    base adds nothing.  One pass fills the `_numerators` memo entry of the request."""
-    columns = [scores._representative(scores.column_index(p)) for p in (*base, *extras)]
+    base adds nothing.  One pass over their rows fills the request's `_numerators` entry."""
+    row_of = [scores._row_of[scores.column_index(p)] for p in (*base, *extras)]
     n, memo = scores.n, scores._numerators  # sums of per-replicate max scores, times n+1
     if n < 2:
         raise ArgumentError("need at least two replicates to estimate")
-    base_cols, extra_cols = tuple(sorted(set(columns[: len(base)]))), columns[len(base) :]
-    key = base_cols, tuple(c for c in dict.fromkeys(extra_cols) if c not in base_cols)
+    base_rows, extra_rows = tuple(sorted(set(row_of[: len(base)]))), row_of[len(base) :]
+    key = base_rows, tuple(g for g in dict.fromkeys(extra_rows) if g not in base_rows)
     if key not in memo:
-        memo[key] = _max_sums(scores.rank_counts, *key)
+        memo[key] = _max_sums(scores._rows, *key)
     base_sum, with_j, top = memo[key]
     total = n * (n + 1)
     if top >= total:  # no sum of the request exceeds the top's
         raise EstimationError(
             "mean of maximal scores reached 1; impossible for modified-ECDF ranks"
         )
-    sums = (base_sum, *(with_j.get(c, base_sum) for c in extra_cols), top)
+    sums = (base_sum, *(with_j.get(g, base_sum) for g in extra_rows), top)
     return [Fraction(s, total - s) for s in sums]
 
 
-def _max_sums(counts: np.ndarray, base: tuple, extras: tuple) -> tuple[int, dict, int]:
-    """Over rows, the sums of the largest count in `base`, in `base` + j for each j in
-    `extras` (by j), and in both, in one pass over chunks of about 2^18 cells (gathered,
-    and two row maxima).  The base's row maxima raise the extras in place, if any."""
+def _max_sums(rows: np.ndarray, base: tuple, extras: tuple) -> tuple[int, dict, int]:
+    """Over replicates, the sums of the largest count in the `base` rows, in `base` + j
+    for each row j in `extras` (by j), and in both, in one pass over chunks of about
+    2^18 cells (gathered, and two maxima).  The base's maxima raise the extras in place."""
     b, step = len(base), max(1, 2**18 // (len(base) + len(extras) + 2))
     base_sum = sums = top = 0
-    for start in range(0, len(counts), step):
-        block = counts.T[[*base, *extras], start : start + step]  # (columns, rows)
+    for start in range(0, rows.shape[1], step):
+        block = rows[[*base, *extras], start : start + step]  # (rows, replicates)
         if b:
             row_max = block[:b].max(axis=0)
             base_sum += int(row_max.sum())

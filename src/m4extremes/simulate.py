@@ -18,7 +18,6 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -28,7 +27,7 @@ from ._numpy import np
 from ._version import __version__
 from .errors import ArgumentError, ParseError, UndefinedConditionalError
 from .lattice import LatticePoint, Region
-from .patterns import M4Spec
+from .patterns import M4Spec, _json_int
 from .rng import U64_MASK, uniform_block
 
 # 8-byte elements that one pass keeps in a per-core cache: a chunk of simulate_m4
@@ -36,61 +35,73 @@ from .rng import U64_MASK, uniform_block
 _CACHE_ELEMENTS = 1 << 16
 
 
-def _read_only(array: np.ndarray, source: object = None) -> np.ndarray:
-    """`array` itself when it and every array it views are read-only, or when
-    `np.asarray` made it afresh from `source` (a list or tuple, or an array of
-    another dtype); else a read-only copy.  An array that its caller froze is
-    shared: that caller could still make it writable again."""
-    fresh = isinstance(source, (list, tuple)) or (
-        isinstance(source, np.ndarray) and source.dtype != array.dtype)
-    base = None if fresh else array
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    array = array if base is None else array.copy(order="K")
-    array.setflags(write=False)
-    return array
+class _Rows:
+    """One read-only, C-contiguous row per distinct column (`_rows`) and the row of
+    each location (`_row_of`): locations that share a row hold equal columns.
+    Instances are frozen.  `_of_rows` keeps the rows it is given, not a copy; the
+    private builders, which made the rows, construct through it."""
+
+    @classmethod
+    def _of_rows(cls, *fields):
+        self = object.__new__(cls)
+        self._hold(*fields)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _matrix(self, rows: np.ndarray) -> np.ndarray:
+        """The read-only F-order matrix whose column c is `rows[_row_of[c]]`: a view
+        of `rows` when each location has its own row, else one gather."""
+        if self._row_of != tuple(range(len(rows))):
+            rows = rows[list(self._row_of)]
+        matrix = rows.T
+        matrix.setflags(write=False)
+        return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
+class FieldSample(_Rows):
     """Independent replicates of the field at a fixed list of locations.
 
     `values` has one row per replicate and one column per location (at least
-    one), in `locations` order (column-major if simulated); entries are positive
-    and finite.  They are read-only, and shared only with a caller that froze them.
+    one), in `locations` order; entries are positive and finite.  The
+    constructor copies `values`, one row of the sample per location; a
+    simulated sample holds one row per distinct weight matrix.  `values` is
+    built from the rows on each read, F-order and read-only.
     """
 
-    locations: tuple[LatticePoint, ...]
-    values: np.ndarray
-    seed: int | None = None
-    spec_fingerprint: str | None = None
-    # one group label per column; columns with equal labels hold equal
-    # values.  Only simulate_m4 sets it: other samples claim no groups.
-    _column_groups: tuple[int, ...] | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, locations: Iterable[LatticePoint], values: np.ndarray,
+                 seed: int | None = None, spec_fingerprint: str | None = None) -> None:
+        values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ArgumentError("values must be a 2-d array (replicates x locations)")
-        if values.shape[0] < 1:
+        self._hold(locations, values.T.copy(), range(values.shape[1]), seed, spec_fingerprint)
+
+    def _hold(self, locations, rows: np.ndarray, row_of, seed=None, spec_fingerprint=None) -> None:
+        locations, row_of = tuple(locations), tuple(row_of)
+        if rows.shape[1] < 1:
             raise ArgumentError("need at least one replicate")
-        if values.shape[1] != len(self.locations):
-            raise ArgumentError(
-                f"{values.shape[1]} columns for {len(self.locations)} locations"
-            )
-        if len(set(self.locations)) != len(self.locations):
+        if len(row_of) != len(locations):
+            raise ArgumentError(f"{len(row_of)} columns for {len(locations)} locations")
+        if len(set(locations)) != len(locations):
             raise ArgumentError("duplicate locations in sample")
-        if not (values.size and 0 < values.min() and values.max() < np.inf):  # NaN fails too
-            if not values.size:
+        if not (rows.size and 0 < rows.min() and rows.max() < np.inf):  # NaN fails too
+            if not rows.size:
                 raise ArgumentError("need at least one location")
-            r, c = np.argwhere(~((values > 0) & (values < np.inf)))[0]
-            raise ArgumentError(f"replicate {r}, location {self.locations[c]}: field "
-                                f"value must be positive and finite, got {values[r, c]}")
-        object.__setattr__(self, "values", _read_only(values, self.values))
+            r, g = np.argwhere(~((rows.T > 0) & (rows.T < np.inf)))[0]
+            raise ArgumentError(f"replicate {r}, location {locations[row_of.index(g)]}: "
+                                f"field value must be positive and finite, got {rows[g, r]}")
+        rows.setflags(write=False)
+        vars(self).update(locations=locations, seed=seed, spec_fingerprint=spec_fingerprint,
+                          _rows=rows, _row_of=row_of)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._matrix(self._rows)
 
     @property
     def n_replicates(self) -> int:
-        return int(self.values.shape[0])
+        return int(self._rows.shape[1])
 
     @cached_property
     def _columns(self) -> dict[LatticePoint, int]:
@@ -112,25 +123,23 @@ def simulate_m4(
     """Draw `n` independent replicates of the field at `locations`.
 
     Output is a pure function of (spec, locations, n, seed); the same call
-    reproduces bit-identical values.  Each chunk of rows takes the running
-    maximum as a (distinct weight matrices, rows) block and copies it to one
-    contiguous row per location; `values` is the transpose of those rows.  A
-    chunk's `2 * slots + 2 * distinct` floats per row fit in `_CACHE_ELEMENTS`.
+    reproduces bit-identical values.  The sample holds one row per distinct
+    weight matrix, and each chunk of replicates takes its running maximum in
+    place, in its slice of those rows.  A chunk's `2 * slots + 2 * distinct`
+    floats per replicate fit in `_CACHE_ELEMENTS`.
     """
     if n < 1:
         raise ArgumentError("replicate count must be at least 1")
     region = locations if isinstance(locations, Region) else Region(locations)
     points = region.points
-    # one column per distinct matrix, copied to every location that shares it;
-    # `columns` is also the sample's column groups
-    distinct: dict[int, int] = {}  # row of spec.matrices -> column of `block`
-    columns = [distinct.setdefault(spec.matrix_index(p), len(distinct)) for p in points]
+    distinct: dict[int, int] = {}  # row of spec.matrices -> row of the sample
+    row_of = [distinct.setdefault(spec.matrix_index(p), len(distinct)) for p in points]
     # one row per distinct matrix, flattened pattern-major like the draws
     weights = np.array([spec.matrices[row] for row in distinct], float).reshape(len(distinct), -1)
-    k, draws_per_row = len(points), weights.shape[1]
+    draws_per_row = weights.shape[1]
     seed = seed & U64_MASK
 
-    values = np.empty((k, n))  # one contiguous row per location
+    rows = np.empty((len(distinct), n))
     chunk_rows = max(1, _CACHE_ELEMENTS // (2 * draws_per_row + 2 * len(distinct)))
     for r0 in range(0, n, chunk_rows):
         u = uniform_block(seed, r0 * draws_per_row, min(chunk_rows, n - r0) * draws_per_row)
@@ -138,26 +147,21 @@ def simulate_m4(
         # running maximum over the slots: the same products, in any order,
         # give the same bits (every location has a weight >= 1/K, so no
         # signed zero reaches the result)
-        block = np.multiply.outer(weights[:, 0], z[:, 0])  # (distinct, rows)
+        block = rows[:, r0 : r0 + chunk_rows]  # (distinct, rows)
+        np.multiply.outer(weights[:, 0], z[:, 0], out=block)
         product = np.empty_like(block)
         for s in range(1, draws_per_row):
             np.multiply.outer(weights[:, s], z[:, s], out=product)
             np.maximum(block, product, out=block)
-        for c, column in enumerate(columns):
-            values[c, r0 : r0 + chunk_rows] = block[column]
-
-    values.setflags(write=False)  # private, so FieldSample need not copy it
-    sample = FieldSample(points, values.T, seed, spec.fingerprint())
-    object.__setattr__(sample, "_column_groups", tuple(columns))
-    return sample
+    return FieldSample._of_rows(points, rows, row_of, seed, spec.fingerprint())
 
 
 def _exceedances(
     sample: FieldSample, region: Region, site: LatticePoint, u: float, scores
 ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int]]]:
-    """Which replicates score above `u` at the site, then at each distinct region
-    column with its number of region points: counts `k > t`, for the largest `t`
-    in 0..n with `t / (n + 1) <= u` (exact, as correctly rounded division is monotone)."""
+    """Which replicates score above `u` at the site, then at each distinct row of the
+    region's scores with its number of region points: counts `k > t`, for the largest
+    `t` in 0..n with `t / (n + 1) <= u` (exact, as correctly rounded division is monotone)."""
     if not 0.0 < u < 1.0:
         raise ArgumentError(f"threshold must be in (0,1), got {u}")
     if scores is None:
@@ -166,12 +170,14 @@ def _exceedances(
         scores = rank_transform(sample)
     if scores.locations != sample.locations:
         raise ArgumentError("scores were computed for different locations")
-    counts, n = scores.rank_counts, scores.n
-    columns = [scores._representative(sample.column_index(p)) for p in (site, *region)]
+    rows, n = scores._rows, scores.n
+    if n != sample.n_replicates:
+        raise ArgumentError(f"scores were computed for {n} replicates, not {sample.n_replicates}")
+    row_of = [scores._row_of[sample.column_index(p)] for p in (site, *region)]
     t = bisect.bisect_right(range(n + 1), u, key=lambda k: k / (n + 1)) - 1
-    site_high = counts[:, columns[0]] > t
-    return site_high, ((site_high if c == columns[0] else counts[:, c] > t, mult)
-                       for c, mult in Counter(columns[1:]).items())
+    site_high = rows[row_of[0]] > t
+    return site_high, ((site_high if g == row_of[0] else rows[g] > t, mult)
+                       for g, mult in Counter(row_of[1:]).items())
 
 
 def empirical_contagion(
@@ -186,8 +192,9 @@ def empirical_contagion(
     contagion index.
 
     Pass precomputed `scores` (from rank_transform) to amortize ranking
-    across repeated calls.  Region points that share a weight matrix share
-    one comparison: the cost scales with distinct matrices, not locations.
+    across repeated calls.  Region points that share a row of the scores (a
+    weight matrix) share one comparison: the cost scales with distinct
+    matrices, not locations.
     """
     site_high, region_high = _exceedances(sample, region, site, u, scores)
     m = int(np.count_nonzero(site_high))  # a Python int: the result is a Python float
@@ -247,14 +254,11 @@ def write_sample_csv(sample: FieldSample, path: str | Path) -> None:
 
 
 def _value_texts(sample: FieldSample, end: str = "") -> Iterator[Iterator[str]]:
-    """Each replicate's `repr` texts ending in `end`, in location order; equal
-    columns hold equal bits, so each group of `_column_groups` is formatted once."""
-    groups = sample._column_groups or range(len(sample.locations))
-    _, firsts, slots = np.unique(groups, return_index=True, return_inverse=True)
-    slots = slots.tolist()  # each column's index into `firsts`
-    for row in sample.values:
-        texts = [f"{v!r}{end}" for v in row[firsts].tolist()]
-        yield map(texts.__getitem__, slots)
+    """Each replicate's `repr` texts ending in `end`, in location order; each of
+    the sample's rows is formatted once."""
+    for values in sample._rows.T:  # one replicate's value in each row
+        texts = [f"{v!r}{end}" for v in values.tolist()]
+        yield map(texts.__getitem__, sample._row_of)
 
 
 def export_sample(sample: FieldSample, csv_path: str | Path) -> tuple[Path, Path]:
@@ -282,9 +286,10 @@ def read_sample_csv(
     The grammar is that of `_read_rows`, one row at a time.  A file in the
     writer's layout is read in one `np.loadtxt` pass instead (`_bulk_table`);
     any other file is read row by row, slower, which names its first bad line.
+    In a sidecar, `seed` is a JSON integer or null, `spec_fingerprint` a string
+    or null, and `n`, if present, the CSV's replicate count.
     """
-    locations, values = _bulk_table(path) or _read_rows(path)
-    values.setflags(write=False)  # fresh, so FieldSample need not copy it
+    locations, rows = _bulk_table(path) or _read_rows(path)
     meta = {}
     if metadata_path is not None:
         try:
@@ -293,11 +298,22 @@ def read_sample_csv(
             raise ParseError(f"cannot read metadata {metadata_path}: {exc}") from exc
         if not isinstance(meta, dict):
             raise ParseError(f"metadata {metadata_path} is not a JSON object")
-    return FieldSample(locations, values, meta.get("seed"), meta.get("spec_fingerprint"))
+        try:
+            if meta.get("seed") is not None:
+                _json_int(meta, "seed")
+            if not isinstance(meta.get("spec_fingerprint"), (str, type(None))):
+                raise TypeError(f"'spec_fingerprint' must be a string, "
+                                f"got {meta['spec_fingerprint']!r}")
+            if "n" in meta and _json_int(meta, "n") != rows.shape[1]:
+                raise ValueError(f"'n' is {meta['n']}, but {path} holds {rows.shape[1]} replicates")
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"metadata {metadata_path}: {exc}") from exc
+    return FieldSample._of_rows(locations, rows, range(len(locations)),
+                                meta.get("seed"), meta.get("spec_fingerprint"))
 
 
 def _bulk_table(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray] | None:
-    """The sample's locations and values from one `np.loadtxt` pass over a file
+    """The sample's locations and rows from one `np.loadtxt` pass over a file
     in `write_sample_csv`'s layout: equal blocks of rows, one replicate each and
     in increasing order, each holding the first block's distinct locations in its
     order.  None for any other file, and when the header is not the sample's or
@@ -317,11 +333,11 @@ def _bulk_table(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]
             or np.any(reps[1:, 0] <= reps[:-1, 0])  # not np.diff, which wraps at 64 bits
             or np.any(x != x[0]) or np.any(y != y[0])):
         return None
-    return locations, np.ascontiguousarray(cells)
+    return locations, np.ascontiguousarray(cells.T)  # one row per location
 
 
 def _read_rows(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
-    """The sample's locations and values, read one `csv.reader` row and one
+    """The sample's locations and rows, read one `csv.reader` row and one
     `int`/`float` call at a time: the grammar of the sample CSV.
 
     The first bad line in file order is named: malformed, then a bad value,
@@ -354,12 +370,12 @@ def _read_rows(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
     if not replicates:
         raise ParseError(f"{path}: no data rows")
     k = len(locations)
-    values = np.empty((len(replicates), k))
+    rows = np.empty((k, len(replicates)))  # one row per location
     for r, (rep, cells) in enumerate(sorted(replicates.items())):
         if len(cells) != k:
             raise ParseError(f"{path}: replicate {rep} covers {len(cells)} of {k} locations")
-        values[r] = [cells[point] for point in locations]
-    return tuple(locations), values
+        rows[:, r] = [cells[point] for point in locations]
+    return tuple(locations), rows
 
 
 def _open_csv(path: str | Path) -> TextIO:

@@ -20,7 +20,7 @@ from ._numpy import np
 from .errors import ArgumentError, ParseError, UnknownStationError
 from .estimate import _pairwise_estimates, estimate_summary, scores_from_matrix
 from .lattice import LatticePoint, Region
-from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv, _read_only, _value_texts
+from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv, _value_texts
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 
@@ -43,7 +43,7 @@ class StationDataset:
     dropped_years: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        maxima = np.asarray(self.maxima, dtype=np.float64)
+        maxima = np.array(self.maxima, dtype=np.float64)  # a copy, frozen below
         if maxima.shape != (len(self.years), len(self.stations)):
             raise ArgumentError(f"maxima of shape {maxima.shape} for {len(self.years)} "
                                 f"years and {len(self.stations)} stations")
@@ -51,7 +51,8 @@ class StationDataset:
             y, c = np.argwhere(~((maxima > 0) & (maxima < np.inf)))[0]
             raise ArgumentError(f"year {self.years[y]}, station {self.stations[c].name!r}: "
                                 f"maxima must be positive and finite, got {maxima[y, c]}")
-        object.__setattr__(self, "maxima", _read_only(maxima, self.maxima))
+        maxima.setflags(write=False)
+        object.__setattr__(self, "maxima", maxima)
 
     @property
     def n(self) -> int:

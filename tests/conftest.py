@@ -30,20 +30,6 @@ def raises_exactly(exc_type: type[BaseException], message: str):
     return pytest.raises(exc_type, match=f"^{re.escape(message)}$")
 
 
-def keeps(monkeypatch, module) -> list[bool]:
-    """Whether each call of `module._read_only` kept its array rather than
-    copying it, in call order."""
-    calls, real = [], module._read_only
-
-    def spy(array, *source):
-        out = real(array, *source)
-        calls.append(out is array)
-        return out
-
-    monkeypatch.setattr(module, "_read_only", spy)
-    return calls
-
-
 # Frozen seeds: chosen once, verified to satisfy every tolerance gate with
 # margin; all stochastic assertions below are deterministic given these.
 ORACLE_SEED = 4

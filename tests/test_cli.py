@@ -342,6 +342,19 @@ class TestSimulateEstimate:
         assert code == 3
         assert err == f"error: metadata {meta_path} is not a JSON object\n"
 
+    @pytest.mark.parametrize("meta", [{"seed": "abc", "spec_fingerprint": 7}, {"seed": 1.5},
+                                      {"spec_fingerprint": 7}, {"n": 19}])
+    def test_bad_sidecar_provenance_exits_3(self, capsys, tmp_path, meta):
+        sample_path = tmp_path / "s.csv"
+        run(capsys, "simulate", "--spec", "one-pattern", "--locations", "3,3;4,3",
+            "--n", "20", "--seed", "5", "--out", str(sample_path))
+        meta_path = tmp_path / "bad.meta.json"
+        meta_path.write_text(json.dumps(meta))
+        code, out, err = run(capsys, "estimate", "--sample", str(sample_path),
+                             "--meta", str(meta_path), "--site", "3,3", "--region", "4,3")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: metadata {meta_path}: ") and err.count("\n") == 1
+
     def test_mc_study_csv_shape(self, capsys):
         code, out, _ = run(
             capsys,

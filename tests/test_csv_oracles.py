@@ -805,11 +805,10 @@ def test_long_field_check_at_every_alignment(tmp_path, monkeypatch):
         csv.field_size_limit(old_limit)
 
 
-def _grouped(locations, values, labels) -> FieldSample:
-    """A sample whose columns carry the group labels simulation would record."""
-    sample = FieldSample(tuple(locations), np.asarray(values)[:, list(labels)])
-    object.__setattr__(sample, "_column_groups", tuple(labels))
-    return sample
+def _grouped(locations, values, row_of) -> FieldSample:
+    """A sample whose locations share the rows of `values`, as simulation holds
+    locations that share a weight matrix."""
+    return FieldSample._of_rows(locations, np.asarray(values).T.copy(), row_of)
 
 
 def _writer_samples() -> dict[str, FieldSample]:
@@ -838,7 +837,7 @@ WRITER_SAMPLES = _writer_samples()
 
 def test_writer_samples_share_columns():
     shared = [name for name, sample in WRITER_SAMPLES.items()
-              if len(set(sample._column_groups or ())) < len(sample._column_groups or ())]
+              if len(sample._rows) < len(sample.locations)]
     assert shared == ["one replicate", "hand-grouped", "one-pattern", "two-pattern"]
 
 

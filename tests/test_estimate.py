@@ -143,8 +143,8 @@ class TestRankOracle:
             spec = preset(name)
             points = list(neighbors(P(3, 3))) + list(spec.domain_points()[:40])
         sample = simulate_m4(spec, Region(points), 120, 31)
-        groups = sample._column_groups
-        assert len(set(groups)) < len(groups)  # some columns are shared
+        groups = sample._row_of
+        assert len(sample._rows) == len(set(groups)) < len(groups)  # some rows are shared
         kernel_rows = []
         real_rank_rows = estimate_module._rank_rows
 
@@ -154,7 +154,8 @@ class TestRankOracle:
 
         monkeypatch.setattr(estimate_module, "_rank_rows", counting_rank_rows)
         grouped = rank_transform(sample)
-        assert kernel_rows == [len(set(groups))]  # one row per group, in one call
+        assert kernel_rows == [len(set(groups))]  # each row of the sample, in one call
+        assert grouped._row_of == groups
         ungrouped = scores_from_matrix(sample.values, sample.locations)
         assert kernel_rows == [len(set(groups)), len(groups)]
         assert np.array_equal(grouped.rank_counts, ungrouped.rank_counts)
@@ -367,7 +368,7 @@ class TestPackedKeyOracle:
 
 
 class TestCountsBase:
-    """Counts that another array could still change are copied."""
+    """The constructor copies the counts it is given into rows the scores own."""
 
     LOCATIONS = (P(0, 0), P(1, 0))
 
@@ -385,15 +386,24 @@ class TestCountsBase:
         assert estimate_extremal_coefficient(changed, region).as_fraction() == 1
         assert not scores.rank_counts.flags.writeable
 
-    def test_layout_is_kept_and_read_only_bases_are_shared(self):
+    def test_every_layout_is_copied_and_read_back_f_order(self):
         base = np.array([[1, 2], [3, 1], [2, 3]])
-        scores = UniformScores(self.LOCATIONS + (P(2, 0),), base.T)
-        assert scores.rank_counts.flags.f_contiguous
-        assert not np.shares_memory(scores.rank_counts, base)
-        frozen = np.array([[1, 2], [2, 1]])
+        frozen = base.copy()
         frozen.setflags(write=False)
-        view = frozen.T
-        assert UniformScores(self.LOCATIONS, view).rank_counts is view
+        for counts in (base, base.T.copy().T, base[:, ::-1], frozen, frozen.T, base.tolist()):
+            scores = UniformScores(tuple(P(c, 0) for c in range(np.shape(counts)[1])), counts)
+            assert scores._rows.base is None and scores._rows.flags.c_contiguous
+            assert not np.shares_memory(scores._rows, base)
+            assert not np.shares_memory(scores._rows, frozen)
+            assert scores.rank_counts.flags.f_contiguous
+            assert not scores.rank_counts.flags.writeable
+            assert scores.rank_counts.tolist() == np.asarray(counts).tolist()
+
+    def test_rejects_zero_replicates(self):
+        with raises_exactly(ArgumentError, "need at least one replicate"):
+            UniformScores((P(0, 0),), np.zeros((0, 1), np.int64))
+        with raises_exactly(ArgumentError, "need at least one replicate"):
+            UniformScores((), np.zeros((0, 0), np.int64))
 
     def test_shape_must_match_locations(self):
         message = "rank counts shape does not match locations"
@@ -402,21 +412,19 @@ class TestCountsBase:
         with raises_exactly(ArgumentError, message):
             UniformScores(self.LOCATIONS, np.array([1, 2]))
 
-    def test_rank_transform_counts_are_not_copied(self, monkeypatch, one_pattern_spec):
-        passed = []
-
-        class Spy(UniformScores):
-            def __post_init__(self):
-                passed.append(self.rank_counts)
-                super().__post_init__()
-
-        monkeypatch.setattr(estimate_module, "UniformScores", Spy)
+    def test_ranked_rows_are_handed_over(self, monkeypatch, one_pattern_spec):
+        ranked = []
+        real = estimate_module._rank_rows
+        monkeypatch.setattr(estimate_module, "_rank_rows",
+                            lambda rows: ranked.append(real(rows)) or ranked[-1])
         points = [P(3, 3), P(4, 3), P(3, 4), P(2, 2)]
         sample = simulate_m4(one_pattern_spec, Region(points), 50, 8)
-        for rank in (rank_transform, lambda s: scores_from_matrix(s.values, points)):
-            passed.clear()
+        for rank, row_of in ((rank_transform, sample._row_of),
+                             (lambda s: scores_from_matrix(s.values, points), (0, 1, 2, 3))):
+            ranked.clear()
             scores = rank(sample)
-            assert len(passed) == 1 and scores.rank_counts is passed[0]
+            assert len(ranked) == 1 and scores._rows is ranked[0]
+            assert scores._row_of == row_of and not scores._rows.flags.writeable
 
 
 class TestExtremalCoefficientEstimate:
@@ -817,7 +825,7 @@ class TestSummaryFirstError:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The (base, extras) columns of each pass over the rank counts, in order."""
+    """The (base, extras) rows of each pass over the rows of counts, in order."""
     calls = []
     real = estimate_module._max_sums
 
@@ -944,7 +952,7 @@ class TestRegionToRegion:
         scores = rank_transform(sample)
         if not grouped:
             scores = scores_from_matrix(sample.values, sample.locations)
-        assert (scores._representatives is not None) == grouped
+        assert (len(scores._rows) < len(scores.locations)) == grouped
         for region, given in (
             (ring, Region([site])),  # the given set shares a weight matrix with R
             (Region([P(3, 2)]), Region([P(3, 4)])),  # G and R: one weight matrix
@@ -989,12 +997,11 @@ def grouped_cases():
         sample = simulate_m4(spec, Region([site]).union(ring), 300, 12)
         yield sample, ring, site
     rng = np.random.default_rng(31)
-    labels = (0, 1, 0, 2, 1, 0)  # three distinct columns of small integers
+    row_of = (0, 1, 0, 2, 1, 0)  # three distinct rows of small integers
     for n in (1, 2, 3, 40):
-        values = rng.integers(1, 4, size=(n, 3)).astype(float)[:, labels]
-        points = tuple(P(c, 0) for c in range(len(labels)))
-        sample = FieldSample(points, values)
-        object.__setattr__(sample, "_column_groups", labels)
+        rows = rng.integers(1, 4, size=(n, 3)).astype(float).T.copy()
+        points = tuple(P(c, 0) for c in range(len(row_of)))
+        sample = FieldSample._of_rows(points, rows, row_of)
         yield sample, Region(points[1:]), points[0]
 
 
@@ -1006,16 +1013,17 @@ def result(estimator, *args):
 
 
 class TestGroupedEstimates:
-    """Scores that carry column groups give the ungrouped estimates exactly."""
+    """Scores whose locations share rows give the estimates of a row per location
+    exactly."""
 
     def test_match_ungrouped(self):
         for sample, region, site in grouped_cases():
             scores = rank_transform(sample)
-            assert scores._representatives is not None
+            assert len(scores._rows) < len(scores.locations)
 
             def plain():  # fresh each call: no numerator is reused
                 fresh = scores_from_matrix(sample.values, sample.locations)
-                assert fresh._representatives is None
+                assert len(fresh._rows) == len(fresh.locations)
                 return fresh
 
             points = list(region)
@@ -1049,7 +1057,7 @@ class TestGroupedEstimates:
             # no groups: one pass of the site raised by every ring column
             (scores_from_matrix(sample.values, sample.locations), len(ring)),
         ):
-            site_column = scores._representative(scores.column_index(site))
+            site_column = scores._row_of[scores.column_index(site)]
             passes.clear()
             contagion = estimate_contagion(scores, ring, site)
             stability = estimate_stability(scores, ring, site)

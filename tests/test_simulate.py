@@ -20,6 +20,8 @@ from m4extremes import (
     empirical_contagion,
     empirical_stability,
     estimate_contagion,
+    estimate_contagion_region,
+    estimate_extremal_coefficient,
     estimate_stability,
     estimate_summary,
     export_sample,
@@ -32,7 +34,7 @@ from m4extremes import (
 )
 from m4extremes.rng import U64_MASK, uniform_block
 from m4extremes.stations import Station, StationDataset
-from conftest import keeps, raises_exactly, table_spec
+from conftest import raises_exactly, table_spec
 
 P = LatticePoint
 
@@ -107,10 +109,33 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # bytes beyond the 14.4 MB output: one chunk's draws, shift temporary and
-        # two blocks (0.5 MB), where a single chunk of all rows peaks near 10 MB
-        assert sample.values.nbytes == n * len(locations) * 8 == 14_400_000
-        assert peak - sample.values.nbytes < 2_000_000
+        # bytes beyond the 3.2 MB output, one row for each of the ring's two weight
+        # matrices: one chunk's draws, shift temporary and product (0.4 MB), where a
+        # single chunk of all rows peaks near 10 MB
+        assert sample._rows.nbytes == n * 2 * 8 == 3_200_000
+        assert peak - sample._rows.nbytes < 2_000_000
+
+    def test_grouped_ring_holds_no_location_matrix(self, one_pattern_spec, site, ring):
+        # simulation, ranking, the five estimators and both oracles hold the two
+        # weight matrices' rows of values and counts, and build no (n, locations)
+        # matrix beside them: one would take 14.4 MB
+        n, locations = 200_000, Region([site]).union(ring)
+        tracemalloc.start()
+        try:
+            sample = simulate_m4(one_pattern_spec, locations, n, 9)
+            scores = rank_transform(sample)
+            estimate_summary(scores, ring, site)
+            estimate_contagion(scores, ring, site)
+            estimate_stability(scores, ring, site)
+            estimate_extremal_coefficient(scores, ring)
+            estimate_contagion_region(scores, ring, Region([site]))
+            for oracle in (empirical_contagion, empirical_stability):
+                oracle(sample, ring, site, 0.99, scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = 2 * 2 * n * 8  # two rows of values and two of counts
+        assert peak - held < n * len(locations) * 8 == 14_400_000
 
 
 def identical_column_sample(n=400):
@@ -291,25 +316,23 @@ class TestOraclesAgainstLoops:
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_integer_threshold(self, n):
-        # column j holds the count j - 2 in every row: every count in -2..n+1;
-        # grouped, every count fills two columns that share a representative
+        # row g holds the count g - 2 for every replicate: every count in -2..n+1;
+        # with two copies, every row is the row of two locations
+        rows = np.repeat(np.arange(-2, n + 2)[:, None], n, axis=1)
         for copies in (1, 2):
             locations = tuple(P(j, 0) for j in range(copies * (n + 4)))
             sample = FieldSample(locations, np.ones((n, len(locations))))
-            counts = np.tile(np.repeat(np.arange(-2, n + 2), copies), (n, 1))
-            scores = UniformScores(locations, counts)
-            if copies == 2:
-                object.__setattr__(scores, "_representatives",
-                                   tuple(c - c % 2 for c in range(len(locations))))
+            row_of = [c // copies for c in range(len(locations))]
+            scores = UniformScores._of_rows(locations, rows.copy(), row_of)
             self.check_threshold(sample, scores, n)
 
     @staticmethod
     def check_threshold(sample, scores, n):
-        """Every point's comparison, read through its representative column,
-        is its float scores above `u`; each distinct column comes once, with
-        the number of region points that it holds."""
+        """Every point's comparison, read through its row of the scores, is its
+        float scores above `u`; each distinct row comes once, with the number of
+        region points that it holds."""
         site, region = sample.locations[0], Region(sample.locations[1:])
-        column = {p: scores._representative(sample.column_index(p)) for p in (site, *region)}
+        column = {p: scores._row_of[sample.column_index(p)] for p in (site, *region)}
         distinct = list(dict.fromkeys(column[p] for p in region))
         for u in u_grid(n):
             if not 0.0 < u < 1.0:
@@ -355,9 +378,8 @@ class TestOraclesAgainstLoops:
         estimate_contagion(scores, region, site)
         estimate_stability(scores, region, site)
         monkeypatch.undo()
-        assert "scores" not in vars(scores)
         first = scores.scores
-        assert "scores" in vars(scores) and scores.scores is first
+        assert scores.scores is not first  # built on each read, never kept
         assert np.array_equal(first, scores.rank_counts / 41)
         assert first.flags.f_contiguous and not first.flags.writeable
 
@@ -384,19 +406,17 @@ class TestOraclesAgainstLoops:
 
 
 def grouped_tie_heavy_sample(n, seed=0):
-    """Small integers (many ties) in three distinct columns, each repeated,
-    with the column groups that simulation would record."""
-    labels = (0, 1, 0, 2, 1, 0)
-    values = np.random.default_rng(seed).integers(1, 4, size=(n, 3)).astype(float)
-    sample = FieldSample(tuple(P(x, 0) for x in range(len(labels))), values[:, labels])
-    object.__setattr__(sample, "_column_groups", labels)
-    return sample
+    """Small integers (many ties) in three distinct rows, each the row of
+    several locations, as simulation holds locations that share a matrix."""
+    row_of = (0, 1, 0, 2, 1, 0)
+    rows = np.random.default_rng(seed).integers(1, 4, size=(n, 3)).astype(float).T.copy()
+    return FieldSample._of_rows(tuple(P(x, 0) for x in range(len(row_of))), rows, row_of)
 
 
 class TestGroupedOracles:
-    """On a sample whose columns share weight matrices, the oracles read one
-    column per group and return the floats and errors of the same values
-    without groups."""
+    """On a sample whose locations share rows, the oracles read one row per
+    distinct column and return the floats and errors of the same values with
+    a row per location."""
 
     @staticmethod
     def check(sample, region, site, us):
@@ -404,8 +424,8 @@ class TestGroupedOracles:
         scores, plain_scores = rank_transform(sample), scores_from_matrix(
             sample.values, sample.locations
         )
-        assert scores._representatives is not None and plain._column_groups is None
-        assert plain_scores._representatives is None
+        assert len(scores._rows) == len(sample._rows) < len(sample.locations)
+        assert len(plain._rows) == len(plain_scores._rows) == len(sample.locations)
         assert np.array_equal(scores.rank_counts, plain_scores.rank_counts)
         for u in us:
             for oracle in (empirical_contagion, empirical_stability):
@@ -489,6 +509,13 @@ class TestFieldSampleInvariants:
             with raises_exactly(ArgumentError, message):
                 FieldSample((P(3, 0), P(4, 0), P(5, 0)), layout)
 
+    def test_names_the_first_location_that_reads_a_bad_row(self):
+        # the first bad cell in replicate order, at the first location of its row
+        rows = np.array([[2.0, 2.0, -5.0], [2.0, -1.0, 2.0]])
+        message = "replicate 1, location (0,0): field value must be positive and finite, got -1.0"
+        with raises_exactly(ArgumentError, message):
+            FieldSample._of_rows((P(0, 0), P(1, 0), P(2, 0)), rows, (1, 0, 0))
+
     def test_rejects_zero_locations(self):
         with raises_exactly(ArgumentError, "need at least one location"):
             FieldSample((), np.empty((3, 0)))
@@ -523,11 +550,13 @@ class TestFieldSampleInvariants:
         assert rank_transform(sample).rank_counts.tolist() == [[3, 3]] * 3
         assert not sample.values.flags.writeable
 
-    def test_read_only_values_are_shared(self):
+    def test_frozen_values_are_copied(self):
         frozen = np.ones((2, 3))
         frozen.setflags(write=False)
         view = frozen.T
-        assert FieldSample((P(0, 0), P(1, 0)), view).values is view
+        values = FieldSample((P(0, 0), P(1, 0)), view).values
+        assert values is not view and not np.shares_memory(values, frozen)
+        assert values.tolist() == view.tolist() and not values.flags.writeable
 
     @pytest.mark.parametrize("build, dtype", [
         (lambda a: FieldSample((P(0, 0), P(1, 0)), a).values, np.float64),
@@ -544,23 +573,21 @@ class TestFieldSampleInvariants:
         owned[1, 1] = 7  # the caller's array stays writable
         assert kept.tolist() == [[1, 1]] * 3
 
-    def test_fresh_values_are_frozen_not_copied(self, monkeypatch):
-        kept = keeps(monkeypatch, simulate)
+    def test_every_source_is_copied(self):
         single = np.ones((3, 2), dtype=np.float32)
-        for source in ([[1.0, 2.0]] * 3, ((1, 2), (3, 4)), single):
+        for source in ([[1.0, 2.0]] * 3, ((1, 2), (3, 4)), single, np.ones((3, 2)),
+                       np.ones((2, 3)).T):
             sample = FieldSample((P(0, 0), P(1, 0)), source)
-            assert not sample.values.flags.writeable
-        # np.asarray made each float64 array afresh: no one else holds it
-        assert kept == [True, True, True]
-        assert single.flags.writeable  # the caller's array is not frozen
+            rows = sample._rows  # one row per location, owned by the sample
+            assert rows.base is None and rows.flags.c_contiguous and not rows.flags.writeable
+            assert sample.values.base is rows and sample.values.flags.f_contiguous
+            assert sample.values.tolist() == np.asarray(source, dtype=float).tolist()
+            if isinstance(source, np.ndarray):
+                assert source.flags.writeable  # the caller's array is not frozen
         single[0, 0] = 5.0
         assert sample.values.tolist() == [[1.0, 1.0]] * 3
-        kept.clear()
-        FieldSample((P(0, 0), P(1, 0)), np.ones((3, 2)))  # float64: the caller's
-        assert kept == [False]
 
-    def test_read_values_are_not_copied(self, monkeypatch, one_pattern_spec, tmp_path):
-        kept = keeps(monkeypatch, simulate)
+    def test_read_rows_are_handed_over(self, one_pattern_spec, tmp_path):
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 4, 1)
         path = tmp_path / "s.csv"
         simulate.write_sample_csv(sample, path)
@@ -568,45 +595,59 @@ class TestFieldSampleInvariants:
         shuffled = tmp_path / "shuffled.csv"  # not the writer's row order: read row by row
         shuffled.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
         for csv_path in (path, shuffled):
-            kept.clear()
             got = read_sample_csv(csv_path)
+            rows = got._rows  # the reader's own array, one row per location
+            assert rows.base is None and rows.shape == (2, 4), csv_path
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+            assert got._row_of == (0, 1) and got.values.base is rows
             columns = [got.column_index(p) for p in sample.locations]
             assert np.array_equal(got.values[:, columns], sample.values)
-            assert kept == [True], csv_path
 
-    def test_simulated_values_are_not_copied(self, one_pattern_spec):
-        # the values are a view of simulate_m4's own buffer, one row per location
-        points = [P(0, 0), P(1, 0), P(2, 0)]
-        values = simulate_m4(one_pattern_spec, Region(points), 7, 1).values
-        buffer = values.base
-        assert buffer is not None and buffer.base is None and buffer.shape == (3, 7)
-        assert values.flags.f_contiguous and not buffer.flags.writeable
+    def test_simulated_rows_are_handed_over(self, one_pattern_spec):
+        # simulate_m4's own buffer, one row per distinct weight matrix
+        points = [P(3, 3), P(3, 4), P(4, 3)]  # (3, 3) and (3, 4) share a matrix
+        sample = simulate_m4(one_pattern_spec, Region(points), 7, 1)
+        rows = sample._rows
+        assert rows.base is None and rows.shape == (2, 7)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert sample._row_of == (0, 0, 1)
 
 
-class TestColumnGroups:
-    """Only simulation records which columns hold equal values."""
+class TestRowIndex:
+    """Each location reads its row of the sample; only simulation shares rows."""
 
-    def test_simulated_groups_follow_shared_matrices(self, one_pattern_spec):
+    def test_simulated_rows_follow_shared_matrices(self, one_pattern_spec):
         points = [P(3, 3), P(4, 3), P(3, 4), P(2, 2), P(5, 3)]
         sample = simulate_m4(one_pattern_spec, Region(points), 50, 3)
-        groups = sample._column_groups
-        assert len(groups) == len(points) and len(set(groups)) < len(points)
+        row_of = sample._row_of
+        assert len(row_of) == len(points) and len(sample._rows) == len(set(row_of)) < len(points)
+        assert list(dict.fromkeys(row_of)) == list(range(len(sample._rows)))  # first use
         for a in range(len(points)):
             for b in range(len(points)):
                 same = np.array_equal(sample.values[:, a], sample.values[:, b])
-                assert same == (groups[a] == groups[b])
+                assert same == (row_of[a] == row_of[b])
 
-    def test_hand_built_sample_has_no_groups(self):
+    def test_hand_built_sample_has_a_row_per_location(self):
         sample = FieldSample((P(0, 0), P(1, 0)), np.ones((3, 2)))
-        assert sample._column_groups is None
+        assert sample._row_of == (0, 1) and sample._rows.shape == (2, 3)
         with pytest.raises(TypeError):
-            FieldSample((P(0, 0),), np.ones((3, 1)), _column_groups=(0,))
+            FieldSample((P(0, 0),), np.ones((3, 1)), _row_of=(0,))
+        with pytest.raises(AttributeError, match="FieldSample is immutable"):
+            sample.seed = 3
 
-    def test_csv_read_sample_has_no_groups(self, one_pattern_spec, tmp_path):
+    def test_csv_read_sample_has_a_row_per_location(self, one_pattern_spec, tmp_path):
         sample = simulate_m4(one_pattern_spec, Region([P(3, 3), P(3, 5)]), 5, 9)
-        assert sample._column_groups == (0, 0)
+        assert sample._row_of == (0, 0)
         csv_path, meta_path = export_sample(sample, tmp_path / "s.csv")
-        assert read_sample_csv(csv_path, meta_path)._column_groups is None
+        assert read_sample_csv(csv_path, meta_path)._row_of == (0, 1)
+
+    def test_shared_values_are_built_on_each_read(self, one_pattern_spec):
+        sample = simulate_m4(one_pattern_spec, Region([P(3, 3), P(3, 4), P(4, 3)]), 6, 2)
+        first = sample.values
+        assert sample.values is not first and np.array_equal(sample.values, first)
+        assert not np.shares_memory(first, sample._rows)  # one gather
+        assert first.flags.f_contiguous and not first.flags.writeable
+        assert [first[:, c].tolist() for c in range(3)] == sample._rows[[0, 0, 1]].tolist()
 
 
 def cube_simulation(spec, points, n, seed):
@@ -745,6 +786,53 @@ class TestOracleArguments:
         message = "scores were computed for different locations"
         with raises_exactly(ArgumentError, message):
             oracle(sample, Region([P(1, 0)]), P(0, 0), 0.5, rank_transform(other))
+
+    @pytest.mark.parametrize("oracle", [empirical_contagion, empirical_stability])
+    def test_scores_ranked_for_another_sample_size(self, oracle, one_pattern_spec):
+        points = Region([P(0, 0), P(1, 0)])
+        sample = simulate_m4(one_pattern_spec, points, 50, 1)
+        for n in (60, 40):
+            other = rank_transform(simulate_m4(one_pattern_spec, points, n, 2))
+            message = f"scores were computed for {n} replicates, not 50"
+            with raises_exactly(ArgumentError, message):
+                oracle(sample, Region([P(1, 0)]), P(0, 0), 0.5, other)
+
+
+class TestSidecarProvenance:
+    """A sidecar's seed is a JSON integer or null, its fingerprint a string or
+    null, and its `n` the CSV's replicate count."""
+
+    @pytest.mark.parametrize("meta, problem", [
+        ({"seed": "abc", "spec_fingerprint": 7}, "'seed' must be an integer, got 'abc'"),
+        ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+        ({"seed": True}, "'seed' must be an integer, got True"),
+        ({"seed": 1, "spec_fingerprint": 7}, "'spec_fingerprint' must be a string, got 7"),
+        ({"spec_fingerprint": ["f"]}, "'spec_fingerprint' must be a string, got ['f']"),
+        ({"n": 4}, "'n' is 4, but {csv} holds 5 replicates"),
+        ({"n": None}, "'n' must be an integer, got None"),
+        ({"n": 5.0}, "'n' must be an integer, got 5.0"),
+    ])
+    def test_bad_provenance_names_the_sidecar(self, one_pattern_spec, tmp_path, meta, problem):
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
+        csv_path, meta_path = export_sample(sample, tmp_path / "s.csv")
+        meta_path.write_text(json.dumps(meta))
+        message = f"metadata {meta_path}: {problem.format(csv=csv_path)}"
+        with raises_exactly(ParseError, message):
+            read_sample_csv(csv_path, meta_path)
+
+    @pytest.mark.parametrize("seed", [None, 7, -3, 2**70])
+    def test_written_and_plain_sidecars_read(self, one_pattern_spec, tmp_path, seed):
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
+        if seed is None:  # a hand-built sample has no provenance
+            sample = FieldSample(sample.locations, sample.values)
+        csv_path, meta_path = export_sample(sample, tmp_path / "s.csv")
+        back = read_sample_csv(csv_path, meta_path)
+        assert (back.seed, back.spec_fingerprint) == (sample.seed, sample.spec_fingerprint)
+        meta_path.write_text(json.dumps({"seed": seed, "spec_fingerprint": None, "n": 5}))
+        assert read_sample_csv(csv_path, meta_path).seed == seed
+        meta_path.write_text("{}")
+        back = read_sample_csv(csv_path, meta_path)
+        assert (back.seed, back.spec_fingerprint) == (None, None)
 
 
 class TestSidecarEncoding:

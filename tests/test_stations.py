@@ -18,10 +18,9 @@ from m4extremes import (
     simulate_m4,
     station_indices,
 )
-from m4extremes import stations as stations_module
 from m4extremes.rng import uniform_block
 from m4extremes.stations import Station, StationDataset
-from conftest import DATA_DIR, keeps, raises_exactly
+from conftest import DATA_DIR, raises_exactly
 
 P = LatticePoint
 
@@ -156,29 +155,20 @@ class TestStationDataset:
         with raises_exactly(ArgumentError, message):
             StationDataset(stations, (1, 2, 3), maxima)
 
-    def test_read_maxima_are_not_copied(self, monkeypatch, tmp_path):
-        kept = keeps(monkeypatch, stations_module)
-        path = tmp_path / "d.csv"
-        # one pass of the whole file, then row by row to drop the NA year
-        for text in ("year,a,b\n2000,1.0,2.0\n2001,1.5,2.5\n",
-                     "year,a,b\n2000,1.0,2.0\n2001,NA,2.5\n2002,3.0,1.5\n"):
-            path.write_text(text)
-            kept.clear()
-            ingest_stations(path, missing="drop-year")
-            assert kept == [True], text
-
-    def test_fresh_maxima_are_frozen_not_copied(self, monkeypatch):
-        kept = keeps(monkeypatch, stations_module)
+    def test_maxima_are_a_read_only_copy(self, tmp_path):
         stations, years = (Station("a"), Station("b")), (2000, 2001)
+        frozen = np.ones((2, 2))
+        frozen.setflags(write=False)
         single = np.ones((2, 2), dtype=np.float32)
-        for source in ([[1.0, 2.0], [3.0, 4.0]], single):
-            assert not StationDataset(stations, years, source).maxima.flags.writeable
-        # np.asarray made each float64 array afresh: no one else holds it
-        assert kept == [True, True]
+        for source in ([[1.0, 2.0], [3.0, 4.0]], single, np.ones((2, 2)), frozen, frozen.T):
+            maxima = StationDataset(stations, years, source).maxima
+            assert maxima.base is None and not maxima.flags.writeable
+            assert maxima.tolist() == np.asarray(source).tolist()
         assert single.flags.writeable  # the caller's array is not frozen
-        kept.clear()
-        StationDataset(stations, years, np.ones((2, 2)))  # float64: the caller's
-        assert kept == [False]
+        path = tmp_path / "d.csv"
+        path.write_text("year,a,b\n2000,1.0,2.0\n2001,1.5,2.5\n")
+        maxima = ingest_stations(path).maxima
+        assert maxima.base is None and maxima.flags.c_contiguous and not maxima.flags.writeable
 
     def test_view_of_writable_base_is_copied(self):
         base = np.ones((3, 2))
