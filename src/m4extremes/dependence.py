@@ -4,10 +4,11 @@ Every index here reduces to extremal coefficients of finite point sets,
 which for these fields are lag-wise maxima of per-location weights.  Joint
 exceedance rates follow from the max-min identity as sums of per-slot
 minima, so region conditioning costs O(|region| x slots) with no subset
-enumeration.  With rational weights all results are exact
-:class:`fractions.Fraction` values, and sums are plain `Fraction` sums; with
-float weights, sums run in slot order with compensated (Kahan) accumulation
-so results are deterministic.
+enumeration.  An exact spec (every weight a :class:`fractions.Fraction`) compiles
+once to integer weights over D, the lcm of its denominators, so its sums are
+integer sums and its results exact `Fraction`s.  Float and mixed specs sum in slot
+order with compensated (Kahan) accumulation, so results are deterministic; a mixed
+spec's result is a `Fraction` when every weight it reads is one.
 
 Site-to-region indices have one derivation: `_summary` puts the |R| pairwise
 coefficients and the joint one into the contagion and stability formulas.
@@ -18,6 +19,7 @@ estimates; `contagion_index`, `stability_index` and `stability_bounds` read
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -32,11 +34,12 @@ _Pairwise = tuple[tuple[LatticePoint, Weight], ...]
 def _ksum(terms: Iterable[Weight]) -> Weight:
     """Exact sum of rational terms; compensated (Kahan) sum otherwise.
 
-    Compensation in rational arithmetic is always exactly 0, so the plain
-    `Fraction` sum is the same value at a quarter of the operations."""
+    Compensation in rational arithmetic is always exactly 0: rational terms are
+    summed plainly, in integers over the lcm of their denominators."""
     terms = list(terms)
     if all(isinstance(term, (Fraction, int)) for term in terms):
-        return sum(terms, Fraction(0))
+        scale = math.lcm(*(term.denominator for term in terms))
+        return Fraction(sum(t.numerator * (scale // t.denominator) for t in terms), scale)
     total: Weight = Fraction(0)
     comp: Weight = Fraction(0)
     for term in terms:
@@ -47,9 +50,22 @@ def _ksum(terms: Iterable[Weight]) -> Weight:
     return total
 
 
-def _slot_weights(spec: M4Spec, point: LatticePoint) -> tuple[Weight, ...]:
-    """Weights at `point` flattened over (pattern, lag) slots, pattern-major."""
-    return tuple(w for row in spec.patterns_at(point) for w in row)
+def _slots(spec: M4Spec, points: Iterable[LatticePoint]):
+    """The rows of `M4Spec._compiled` at `points`, their sum and D: integers summed
+    by `sum` for an exact spec, weights summed by `_ksum` (and D None) otherwise."""
+    scale, rows, _ = spec._compiled
+    return [rows[spec.matrix_index(p)] for p in points], _ksum if scale is None else sum, scale
+
+
+def _ratio(numerator, rate, scale: int | None, rate_name: str, index_name: str) -> Weight:
+    """`numerator` over the conditioning `rate`, both sums of `_slots` rows, in which
+    D cancels.  A rate that is not positive raises, printed as a weight."""
+    if rate <= 0:
+        shown = rate if scale is None else Fraction(rate, scale)
+        raise DegenerateConditioningError(
+            f"{rate_name} of the conditioning region is {shown}; the {index_name} is undefined"
+        )
+    return numerator / rate if scale is None else Fraction(numerator, rate)
 
 
 def exponent_value(spec: M4Spec, region: Region, scales: Sequence[Weight]) -> Weight:
@@ -64,13 +80,15 @@ def exponent_value(spec: M4Spec, region: Region, scales: Sequence[Weight]) -> We
         )
     if any(s <= 0 for s in scales):
         raise ArgumentError("scales must be strictly positive")
-    slots = zip(*(_slot_weights(spec, p) for p in region))
+    slots = zip(*(sum(spec.patterns_at(p), ()) for p in region))
     return _ksum(max(w / s for w, s in zip(ws, scales)) for ws in slots)
 
 
 def extremal_coefficient(spec: M4Spec, region: Region) -> Weight:
     """Effective number of independent sites in `region` (in [1, |region|])."""
-    return _ksum(map(max, zip(*(_slot_weights(spec, p) for p in region))))
+    rows, add, scale = _slots(spec, region)
+    total = add(map(max, zip(*rows)))
+    return total if scale is None else Fraction(total, scale)
 
 
 def extremal_coefficient_matrix(
@@ -106,15 +124,10 @@ def multivariate_tail_dependence(
     weight; a conditioning set whose rate vanishes (e.g. independent sites)
     raises :class:`DegenerateConditioningError`.
     """
-    union = target.union(given)
-    numerator = _ksum(map(min, zip(*(_slot_weights(spec, p) for p in union))))
-    denominator = _ksum(map(min, zip(*(_slot_weights(spec, p) for p in given))))
-    if denominator <= 0:
-        raise DegenerateConditioningError(
-            f"joint exceedance rate of the conditioning region is {denominator}; "
-            "the conditional tail dependence is undefined"
-        )
-    return numerator / denominator
+    union, add, scale = _slots(spec, target.union(given))
+    rows, _, _ = _slots(spec, given)
+    return _ratio(add(map(min, zip(*union))), add(map(min, zip(*rows))), scale,
+                  "joint exceedance rate", "conditional tail dependence")
 
 
 def contagion_index(spec: M4Spec, region: Region, site: LatticePoint) -> Weight:
@@ -131,13 +144,13 @@ def contagion_index_region(spec: M4Spec, region: Region, given: Region) -> Weigh
     exceedance in the conditioning region `given`.
 
     The rate of "j and any of `given`" exceed is the sum over slots of
-    min(w_j, max over `given`), so no subset of `given` is enumerated.
+    min(w_j, max over `given`), so no subset of `given` is enumerated.  A rate
+    of `given` that is not positive raises :class:`DegenerateConditioningError`.
     """
-    given_max = tuple(map(max, zip(*(_slot_weights(spec, p) for p in given))))
-    numerator = _ksum(
-        _ksum(map(min, _slot_weights(spec, j), given_max)) for j in region
-    )
-    return numerator / _ksum(given_max)
+    rows, add, scale = _slots(spec, given)
+    given_max = tuple(map(max, zip(*rows)))
+    numerator = add(add(map(min, row, given_max)) for row in _slots(spec, region)[0])
+    return _ratio(numerator, add(given_max), scale, "exceedance rate", "region contagion index")
 
 
 def fragility_index(spec: M4Spec, region: Region) -> Weight:

@@ -11,8 +11,7 @@ identities exact rather than approximate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +21,8 @@ from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
 from .simulate import _CACHE_ELEMENTS, FieldSample, _Rows, simulate_m4
+
+_JOINT_FLOOR = 1 - Fraction(1, 10**9)  # a joint estimate below it warns
 
 
 class UniformScores(_Rows):
@@ -34,6 +35,8 @@ class UniformScores(_Rows):
     `rank_counts` and `scores` are built from the rows on each read, F-order
     and read-only.
     """
+
+    _holder = "scores"  # in `column_index`'s error
 
     def __init__(self, locations: Sequence[LatticePoint], rank_counts: np.ndarray) -> None:
         counts = np.asarray(rank_counts)  # (n, k): count of column values <= this one
@@ -64,17 +67,6 @@ class UniformScores(_Rows):
     @property
     def n(self) -> int:
         return int(self._rows.shape[1])
-
-    @cached_property
-    def _columns(self) -> dict[LatticePoint, int]:
-        # the first column of a repeated location, as tuple.index gave
-        return {point: c for c, point in reversed(list(enumerate(self.locations)))}
-
-    def column_index(self, point: LatticePoint) -> int:
-        try:
-            return self._columns[point]
-        except KeyError:
-            raise ArgumentError(f"location {point} not in scores") from None
 
 
 def scores_from_matrix(
@@ -270,7 +262,7 @@ def _estimate_summary(
 ) -> DependenceSummary:
     """`estimate_summary`, for the three public functions that call it."""
     _, *estimates, joint = _coefficients(scores, (site,), region.points)
-    if joint < 1 - Fraction(1, 10**9):
+    if joint < _JOINT_FLOOR:
         warnings.warn(
             f"joint coefficient estimate {float(joint):.6f} is below 1; "
             "the stability estimate may be unreliable",
@@ -308,26 +300,11 @@ class StudyResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index_name,
-            "true_value": self.true_value,
-            "mean_estimate": self.mean_estimate,
-            "mse": self.mse,
-            "replications": self.replications,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-        }
+        doc = asdict(self)  # in field order
+        return {"index": doc.pop("index_name"), **doc}
 
     def csv_row(self) -> list:
-        return [
-            self.index_name,
-            repr(self.true_value),
-            repr(self.mean_estimate),
-            repr(self.mse),
-            self.replications,
-            self.sample_size,
-            self.seed,
-        ]
+        return [repr(v) if isinstance(v, float) else v for v in astuple(self)]
 
 
 def monte_carlo_study(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -269,6 +270,18 @@ class M4Spec:
         rules = tuple(PatternRule(r.predicate, conv(r.patterns)) for r in self.rules)
         return replace(self, rules=rules)
 
+    @cached_property
+    def _compiled(self) -> tuple[int | None, tuple[tuple, ...], tuple[tuple[float, ...], ...]]:
+        """Each row of `matrices` flattened pattern-major over (pattern, lag) slots, as
+        D and integers over D, the lcm of the denominators, when every weight is a
+        `Fraction` (else None and the weights), and in floats, as simulation reads them."""
+        rows = tuple(sum(matrix, ()) for matrix in self.matrices)
+        floats = tuple(tuple(map(float, row)) for row in rows)
+        if not all(isinstance(w, Fraction) for row in rows for w in row):
+            return None, rows, floats
+        scale = math.lcm(*(w.denominator for row in rows for w in row))
+        return scale, tuple(tuple(int(w * scale) for w in row) for row in rows), floats
+
     def fingerprint(self) -> str:
         """Stable 64-bit content hash of the specification (hex)."""
         return self._fingerprint
@@ -289,19 +302,14 @@ def _matrix_problems(
 ) -> tuple[Weight | None, list[tuple[int, int, Weight]]]:
     """The total of `matrix` if it is not one, and its negative entries."""
     negatives = []
-    total: Weight = Fraction(0)
-    exact = True
+    total: Weight = Fraction(0)  # stays a Fraction while every weight is one
     for li, row in enumerate(matrix):
         for gi, w in enumerate(row):
-            if not isinstance(w, Fraction):
-                exact = False
             if w < 0:
                 negatives.append((li + 1, spec.m_min + gi, w))
             total = total + w
-    if exact:
-        bad_sum = total != 1
-    else:
-        bad_sum = not abs(total - 1) <= SUM_TOLERANCE  # also a NaN total
+    tolerance = 0 if isinstance(total, Fraction) else SUM_TOLERANCE
+    bad_sum = not abs(total - 1) <= tolerance  # also a NaN total
     return (total if bad_sum else None), negatives
 
 

@@ -59,6 +59,17 @@ class _Rows:
         matrix.setflags(write=False)
         return matrix
 
+    @cached_property
+    def _columns(self) -> dict[LatticePoint, int]:
+        # the first column of a repeated location, as tuple.index gave
+        return {point: c for c, point in reversed(list(enumerate(self.locations)))}
+
+    def column_index(self, point: LatticePoint) -> int:
+        try:
+            return self._columns[point]
+        except KeyError:
+            raise ArgumentError(f"location {point} not in {self._holder}") from None
+
 
 class FieldSample(_Rows):
     """Independent replicates of the field at a fixed list of locations.
@@ -69,6 +80,8 @@ class FieldSample(_Rows):
     simulated sample holds one row per distinct weight matrix.  `values` is
     built from the rows on each read, F-order and read-only.
     """
+
+    _holder = "sample"  # in `column_index`'s error
 
     def __init__(self, locations: Iterable[LatticePoint], values: np.ndarray,
                  seed: int | None = None, spec_fingerprint: str | None = None) -> None:
@@ -103,16 +116,6 @@ class FieldSample(_Rows):
     def n_replicates(self) -> int:
         return int(self._rows.shape[1])
 
-    @cached_property
-    def _columns(self) -> dict[LatticePoint, int]:
-        return {point: c for c, point in enumerate(self.locations)}
-
-    def column_index(self, point: LatticePoint) -> int:
-        try:
-            return self._columns[point]
-        except KeyError:
-            raise ArgumentError(f"location {point} not in sample") from None
-
 
 def simulate_m4(
     spec: M4Spec,
@@ -134,8 +137,7 @@ def simulate_m4(
     points = region.points
     distinct: dict[int, int] = {}  # row of spec.matrices -> row of the sample
     row_of = [distinct.setdefault(spec.matrix_index(p), len(distinct)) for p in points]
-    # one row per distinct matrix, flattened pattern-major like the draws
-    weights = np.array([spec.matrices[row] for row in distinct], float).reshape(len(distinct), -1)
+    weights = np.array([spec._compiled[2][row] for row in distinct])  # pattern-major, as drawn
     draws_per_row = weights.shape[1]
     seed = seed & U64_MASK
 

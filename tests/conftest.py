@@ -89,6 +89,24 @@ def random_rational_spec(rng: random.Random) -> M4Spec:
     )
 
 
+def random_table_spec(rng: random.Random, sites) -> M4Spec:
+    """Per-site rational weights with many zeros and some repeated matrices."""
+    n_patterns, lag_count = rng.randint(1, 3), rng.randint(1, 3)
+    entries = {}
+    for point in sites:
+        if entries and rng.random() < 0.25:
+            entries[point] = entries[rng.choice(list(entries))]
+            continue
+        raw = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n_patterns * lag_count)]
+        if not any(raw):
+            raw[rng.randrange(len(raw))] = 1
+        flat = [Fraction(w, sum(raw)) for w in raw]
+        entries[point] = [
+            flat[i * lag_count : (i + 1) * lag_count] for i in range(n_patterns)
+        ]
+    return M4Spec.from_table(n_patterns, 0, lag_count - 1, entries)
+
+
 def random_point(rng: random.Random) -> LatticePoint:
     return LatticePoint(rng.randint(-4, 4), rng.randint(-4, 4))
 

@@ -1,5 +1,6 @@
 import random
 import struct
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     random_point,
     random_rational_spec,
     random_region,
+    random_table_spec,
     table_spec,
 )
 
@@ -232,6 +234,38 @@ class TestMultivariateTailDependence:
         for mode in (spec, spec.as_float()):
             assert multivariate_tail_dependence(mode, Region([P(0, 0)]), both) == 1
 
+    def test_underflowing_weight_parts_the_modes(self):
+        # 1/10^400 rounds to 0.0 in floats: the exact rate is positive, the float one 0.0
+        tiny = F(1, 10**400)
+        spec = M4Spec.from_table(
+            3, 1, 1, {P(0, 0): [[tiny], [1 - tiny], [0]], P(1, 0): [[tiny], [0], [1 - tiny]]}
+        )
+        both = Region([P(0, 0), P(1, 0)])
+        assert multivariate_tail_dependence(spec, Region([P(0, 0)]), both) == 1
+        message = (
+            "joint exceedance rate of the conditioning region is 0.0; "
+            "the conditional tail dependence is undefined"
+        )
+        with raises_exactly(DegenerateConditioningError, message):
+            multivariate_tail_dependence(spec.as_float(), Region([P(0, 0)]), both)
+
+    def test_negative_rate_is_printed_as_a_weight(self):
+        # unvalidated, with a negative weight: the rate is -1/4 over a common
+        # denominator of 4, and the message prints the weight, not -1
+        spec = M4Spec.from_table(
+            3, 1, 1,
+            {P(0, 0): [[F(-1, 4)], [F(5, 4)], [0]], P(1, 0): [[F(1, 2)], [0], [F(1, 2)]]},
+            check=False,
+        )
+        both = Region([P(0, 0), P(1, 0)])
+        for mode, rate in ((spec, "-1/4"), (spec.as_float(), "-0.25")):
+            message = (
+                f"joint exceedance rate of the conditioning region is {rate}; "
+                "the conditional tail dependence is undefined"
+            )
+            with raises_exactly(DegenerateConditioningError, message):
+                multivariate_tail_dependence(mode, Region([P(0, 0)]), both)
+
 
 class TestContagionIndex:
     def test_one_pattern_ring(self, one_pattern_spec, site, ring):
@@ -288,6 +322,22 @@ class TestContagionIndexRegion:
         assert multivariate_tail_dependence(DEPENDENT100, HUNDRED, HUNDRED) == 1
         with pytest.raises(DegenerateConditioningError):
             multivariate_tail_dependence(INDEPENDENT100, HUNDRED, HUNDRED)
+
+    def test_zero_conditioning_rate_is_degenerate(self):
+        # unvalidated: every weight of (0,0) is 0, so no exceedance is ever seen there
+        spec = M4Spec.from_table(
+            1, 1, 2, {P(0, 0): [[0, 0]], P(1, 0): [[F(1, 3), F(2, 3)]]}, check=False
+        )
+        zero = Region([P(0, 0)])
+        for mode, rate in ((spec, "0"), (spec.as_float(), "0.0")):
+            message = (
+                f"exceedance rate of the conditioning region is {rate}; "
+                "the region contagion index is undefined"
+            )
+            with raises_exactly(DegenerateConditioningError, message):
+                contagion_index_region(mode, Region([P(1, 0)]), zero)
+            with raises_exactly(DegenerateConditioningError, message):
+                fragility_index(mode, zero)
 
 
 class TestFragilityIndex:
@@ -505,3 +555,156 @@ class TestSharedDerivationOracle:
                 calls.clear()
                 function(one_pattern_spec, region, site)
                 assert calls == expected, function
+
+
+def ref_sum(terms):
+    """Reference sum: plain `Fraction` addition of rational terms, the Kahan
+    loop once any term is a float."""
+    terms = list(terms)
+    if all(isinstance(term, (F, int)) for term in terms):
+        return sum(terms, F(0))
+    return kahan_sum(terms)
+
+
+def ref_slots(spec, points, pick):
+    """`pick` (max or min) of the weights of `points`, in point order, at each
+    (pattern, lag) slot, pattern-major."""
+    matrices = [spec.patterns_at(p) for p in points]
+    return [
+        pick(matrix[i][g] for matrix in matrices)
+        for i in range(spec.n_patterns)
+        for g in range(spec.lag_count)
+    ]
+
+
+def ref_coefficient(spec, points):
+    return ref_sum(ref_slots(spec, points, max))
+
+
+def ref_coefficient_matrix(spec, site):
+    return tuple(
+        tuple(ref_coefficient(spec, (site, site.translated(dx, dy))) for dx in (-1, 0, 1))
+        for dy in (1, 0, -1)
+    )
+
+
+def ref_tail_dependence(spec, target, given):
+    numerator = ref_sum(ref_slots(spec, target.union(given), min))
+    denominator = ref_sum(ref_slots(spec, given, min))
+    if denominator <= 0:
+        raise DegenerateConditioningError(denominator)
+    return numerator / denominator
+
+
+def ref_region_contagion(spec, region, given):
+    given_max = ref_slots(spec, given, max)
+    numerator = ref_sum(
+        ref_sum(map(min, ref_slots(spec, (j,), max), given_max)) for j in region
+    )
+    return numerator / ref_sum(given_max)
+
+
+def ref_summary(spec, region, site):
+    """Every field of `summarize`, from the pairwise and joint references."""
+    pairs = [ref_coefficient(spec, (site, j)) for j in region]
+    joint = ref_coefficient(spec, Region((site,)).union(region))
+    pair_sum = ref_sum(pairs)
+    numerator = pair_sum - len(pairs)
+    return {
+        "pairwise_extremal": pairs,
+        "joint_extremal": joint,
+        "contagion": 2 * len(pairs) - pair_sum,
+        "stability": numerator / joint,
+        "stability_lower": numerator / (len(pairs) + 1),
+        "stability_upper": numerator / max(pairs),
+    }
+
+
+def same(got, want) -> bool:
+    """One type and one value: the same `Fraction`, or the same float bits."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        return float_bits(got) == float_bits(want)
+    return (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def outcome(function, *args):
+    """The value of `function(*args)`, or `DegenerateConditioningError` if it raised one."""
+    try:
+        return function(*args)
+    except DegenerateConditioningError as exc:
+        return type(exc)
+
+
+def partly_float(spec, rng):
+    """`spec` with a random choice of its matrices in floats: a mixed spec."""
+    floats = spec.as_float()
+    if spec.rules is not None:
+        rules = [rng.choice(pair) for pair in zip(spec.rules, floats.rules)]
+        return M4Spec.from_rules(spec.n_patterns, spec.m_min, spec.m_max, spec.domain, rules)
+    table = dict(rng.choice(pair) for pair in zip(spec.table, floats.table))
+    return M4Spec.from_table(spec.n_patterns, spec.m_min, spec.m_max, table)
+
+
+def reference_cases():
+    """Random rule and table specs, each exact, in floats and mixed, with a
+    region, a conditioning region and a site whose eight neighbours the spec
+    covers."""
+    rng = random.Random(1729)
+    for case in range(60):
+        if case % 2:
+            spec = random_rational_spec(rng)
+            points = [random_point(rng) for _ in range(6)]
+            site = P(rng.randint(-3, 3), rng.randint(-3, 3))
+        else:
+            points = [P(x, y) for x in range(-1, 3) for y in range(-1, 2)]
+            spec = random_table_spec(rng, points)
+            site = P(0, 0)
+        region = Region(rng.sample(points, rng.randint(1, len(points))))
+        given = Region(rng.sample(points, rng.randint(1, len(points))))
+        for mode in (spec, spec.as_float(), partly_float(spec, rng)):
+            yield mode, region, given, site
+
+
+class TestIndependentReference:
+    """Each closed form against a reference that reads only `patterns_at`."""
+
+    def test_cases_cover_every_mode(self):
+        kinds = Counter()
+        for spec, *_ in reference_cases():
+            weights = {type(w) for m in spec.matrices for row in m for w in row}
+            kinds[frozenset(weights)] += 1
+        assert kinds.keys() == {frozenset({F}), frozenset({float}), frozenset({F, float})}
+
+    def test_closed_forms_match_reference(self):
+        degenerate = 0
+        for spec, region, given, site in reference_cases():
+            for got, want in (
+                (extremal_coefficient(spec, region), ref_coefficient(spec, region)),
+                (contagion_index_region(spec, region, given),
+                 ref_region_contagion(spec, region, given)),
+                (fragility_index(spec, given), ref_region_contagion(spec, given, given)),
+                *zip(
+                    sum(extremal_coefficient_matrix(spec, site), ()),
+                    sum(ref_coefficient_matrix(spec, site), ()),
+                ),
+            ):
+                assert same(got, want), (spec, region, given, site, got, want)
+            got = outcome(multivariate_tail_dependence, spec, region, given)
+            want = outcome(ref_tail_dependence, spec, region, given)
+            degenerate += want is DegenerateConditioningError
+            assert got is want or same(got, want), (spec, region, given, got, want)
+
+            summary = summarize(spec, region, site)
+            expected = ref_summary(spec, region, site)
+            assert (summary.site, summary.region) == (site, region)
+            assert tuple(p for p, _ in summary.pairwise_extremal) == region.points
+            for got, want in zip(
+                (v for _, v in summary.pairwise_extremal), expected.pop("pairwise_extremal")
+            ):
+                assert same(got, want)
+            for field, want in expected.items():
+                assert same(getattr(summary, field), want), (field, spec, region, site)
+        # the layouts reach both branches of the conditioning check
+        assert 0 < degenerate < 180

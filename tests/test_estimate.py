@@ -13,6 +13,7 @@ from m4extremes import (
     FieldSample,
     LatticePoint,
     Region,
+    StudyResult,
     UniformScores,
     estimate_contagion,
     estimate_contagion_region,
@@ -544,6 +545,15 @@ class TestMonteCarloStudy:
             assert (result.mean_estimate - result.true_value) ** 2 <= result.mse + 1e-12
         assert ci.index_name == "CI" and si.index_name == "SI"
         assert ci.true_value == pytest.approx(2 * 2 - 2 * (31 / 20))
+
+    def test_record_layouts(self):
+        result = StudyResult("CI", 4.7, 4.65, 0.01, 3, 10, 123)
+        doc = result.to_json_dict()
+        assert list(doc.items()) == [
+            ("index", "CI"), ("true_value", 4.7), ("mean_estimate", 4.65), ("mse", 0.01),
+            ("replications", 3), ("sample_size", 10), ("seed", 123),
+        ]
+        assert result.csv_row() == ["CI", "4.7", "4.65", "0.01", 3, 10, 123]
 
     def test_deterministic(self, one_pattern_spec, site):
         region = Region([P(4, 3)])

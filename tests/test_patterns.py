@@ -126,6 +126,13 @@ class TestValidation:
         bad = M4Spec.from_table(1, 1, 2, {P(0, 0): [[0.5, 0.5 + 1e-9]]}, check=False)
         assert not validate(bad).ok
 
+    def test_exact_sums_have_no_tolerance(self):
+        # 1 + 10^-15 is within the float tolerance, but exact weights must sum to 1
+        tiny = F(1, 10**15)
+        spec = M4Spec.from_table(1, 1, 2, {P(0, 0): [[F(1, 2), F(1, 2) + tiny]]}, check=False)
+        assert validate(spec).sum_violations == (SumViolation(P(0, 0), 1 + tiny),)
+        assert validate(spec.as_float()).ok
+
 
 class TestStructure:
     def test_final_rule_must_be_always(self):
@@ -359,6 +366,27 @@ class TestCompiledMatrices:
         assert isinstance(spec.patterns_at(P(1, 0))[0][0], float)
         assert math.copysign(1, spec.patterns_at(P(3, 0))[0][0]) == -1
         assert not all_fractions(spec)
+
+    def test_weights_compile_once_on_first_use(self):
+        spec = preset("one-pattern")  # built and validated: nothing compiled yet
+        assert "_compiled" not in vars(spec)
+        compiled = spec._compiled
+        assert compiled == (20, ((16, 4), (5, 15)), ((0.8, 0.2), (0.25, 0.75)))
+        assert spec._compiled is compiled
+        assert "_compiled" not in vars(spec.as_float())  # a copy compiles on its own
+
+    def test_float_and_mixed_specs_keep_their_weights(self):
+        spec = M4Spec.from_table(
+            1, 1, 2, {P(0, 0): [[F(1, 3), F(2, 3)]], P(1, 0): [[0.5, 0.5]]}
+        )
+        assert spec._compiled == (
+            None, ((F(1, 3), F(2, 3)), (0.5, 0.5)), ((1 / 3, 2 / 3), (0.5, 0.5))
+        )
+        floats = preset("two-pattern").as_float()
+        assert floats._compiled[0] is None
+        assert floats._compiled[1] == floats._compiled[2] == tuple(
+            sum(matrix, ()) for matrix in floats.matrices
+        )
 
 
 def brute_force_validate(spec):

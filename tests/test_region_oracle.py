@@ -33,6 +33,7 @@ from m4extremes import (
     scores_from_matrix,
     simulate_m4,
 )
+from conftest import random_table_spec
 
 P = LatticePoint
 MAX_SITES = 8
@@ -73,24 +74,6 @@ class InclusionExclusion:
             for s in nonempty_subsets(tuple(given))
         )
         return numerator / self.eps(frozenset(given))
-
-
-def random_table_spec(rng: random.Random, sites) -> M4Spec:
-    """Per-site rational weights with many zeros and some repeated matrices."""
-    n_patterns, lag_count = rng.randint(1, 3), rng.randint(1, 3)
-    entries = {}
-    for point in sites:
-        if entries and rng.random() < 0.25:
-            entries[point] = entries[rng.choice(list(entries))]
-            continue
-        raw = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n_patterns * lag_count)]
-        if not any(raw):
-            raw[rng.randrange(len(raw))] = 1
-        flat = [F(w, sum(raw)) for w in raw]
-        entries[point] = [
-            flat[i * lag_count : (i + 1) * lag_count] for i in range(n_patterns)
-        ]
-    return M4Spec.from_table(n_patterns, 0, lag_count - 1, entries)
 
 
 def model_eps(spec: M4Spec):
