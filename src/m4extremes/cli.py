@@ -154,11 +154,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_spec_arg(args.spec)
-    if args.locations == "domain":
-        locations = Region(spec.domain_points())
-    else:
-        locations = _parse_region(args.locations)
-    sample = simulate_m4(spec, locations, args.n, args.seed)
+    points = spec.domain_points() if args.locations == "domain" else _parse_region(args.locations)
+    sample = simulate_m4(spec, Region(points), args.n, args.seed)
     csv_path, meta_path = export_sample(sample, args.out)
     _emit_json(
         {**_meta(spec, sample.seed), "csv": str(csv_path), "metadata": str(meta_path),
@@ -244,10 +241,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines = _csv_meta_lines()
         lines.append("region,contagion_index_estimate,stability_index_estimate,n")
         for rep in reports:
-            region_label = ";".join(rep.region)
-            lines.append(
-                f"{region_label},{rep.contagion!r},{rep.stability!r},{rep.n}"
-            )
+            lines.append(f"{';'.join(rep.region)},{rep.contagion!r},{rep.stability!r},{rep.n}")
         _emit_csv(lines, args.out)
     else:
         doc = {

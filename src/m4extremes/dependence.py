@@ -75,9 +75,7 @@ def exponent_value(spec: M4Spec, region: Region, scales: Sequence[Weight]) -> We
     across the region; homogeneous of degree -1 in the scales.
     """
     if len(scales) != len(region):
-        raise ArgumentError(
-            f"got {len(scales)} scales for {len(region)} region points"
-        )
+        raise ArgumentError(f"got {len(scales)} scales for {len(region)} region points")
     if any(s <= 0 for s in scales):
         raise ArgumentError("scales must be strictly positive")
     slots = zip(*(sum(spec.patterns_at(p), ()) for p in region))
@@ -91,9 +89,7 @@ def extremal_coefficient(spec: M4Spec, region: Region) -> Weight:
     return total if scale is None else Fraction(total, scale)
 
 
-def extremal_coefficient_matrix(
-    spec: M4Spec, site: LatticePoint
-) -> tuple[tuple[Weight, ...], ...]:
+def extremal_coefficient_matrix(spec: M4Spec, site: LatticePoint) -> tuple[tuple[Weight, ...], ...]:
     """Pairwise extremal coefficients of `site` with its eight neighbors.
 
     Returned in compass layout (north up, east right); the center entry is
@@ -107,16 +103,12 @@ def extremal_coefficient_matrix(
     return tuple(tuple(by_offset[dx, dy] for dx in (-1, 0, 1)) for dy in (1, 0, -1))
 
 
-def pairwise_tail_dependence(
-    spec: M4Spec, i: LatticePoint, j: LatticePoint
-) -> Weight:
+def pairwise_tail_dependence(spec: M4Spec, i: LatticePoint, j: LatticePoint) -> Weight:
     """Limiting conditional probability that j exceeds a high quantile given i does."""
     return 2 - extremal_coefficient(spec, Region((i, j)))
 
 
-def multivariate_tail_dependence(
-    spec: M4Spec, target: Region, given: Region
-) -> Weight:
+def multivariate_tail_dependence(spec: M4Spec, target: Region, given: Region) -> Weight:
     """Limiting probability that all of `target` exceed a high quantile,
     conditional on all of `given` exceeding it.
 
@@ -166,9 +158,7 @@ def stability_index(spec: M4Spec, region: Region, site: LatticePoint) -> Weight:
     return summarize(spec, region, site).stability
 
 
-def stability_bounds(
-    spec: M4Spec, region: Region, site: LatticePoint
-) -> tuple[Weight, Weight]:
+def stability_bounds(spec: M4Spec, region: Region, site: LatticePoint) -> tuple[Weight, Weight]:
     """Sharp sandwich for the stability index.  The bounds depend on the
     pairwise coefficients only, but are read from `summarize`."""
     summary = summarize(spec, region, site)

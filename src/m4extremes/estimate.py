@@ -10,6 +10,7 @@ identities exact rather than approximate.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .rng import substream
 from .simulate import _CACHE_ELEMENTS, FieldSample, _Rows, simulate_m4
 
 _JOINT_FLOOR = 1 - Fraction(1, 10**9)  # a joint estimate below it warns
+_SPLIT_CELLS = _CACHE_ELEMENTS << 4  # a matrix this large ranks in row groups, one per CPU
 
 
 class UniformScores(_Rows):
@@ -69,12 +71,10 @@ class UniformScores(_Rows):
         return int(self._rows.shape[1])
 
 
-def scores_from_matrix(
-    values: np.ndarray, locations: Sequence[LatticePoint]
-) -> UniformScores:
+def scores_from_matrix(values: np.ndarray, locations: Sequence[LatticePoint]) -> UniformScores:
     """Column-wise modified-ECDF rank transform of a replicates-by-locations matrix.
 
-    All columns are ranked by one sort of packed `uint64` keys per call; every
+    The columns are ranked by one sort of packed `uint64` keys per row group; every
     element of a run of equal values gets the 1-based position of the run's
     last element.  Every column is ranked as its own row of the scores.  NaN
     cells are rejected; infinities rank as ordinary values, and -0.0 ties with 0.0.
@@ -100,18 +100,62 @@ def rank_transform(sample: FieldSample) -> UniformScores:
 
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Modified-ECDF counts of each row of a float matrix without NaN, from one
-    sort of keys that hold the top bits of an order-preserving image of the float
-    above its flat position, built and split in cache-sized blocks.  One argsort per
-    row puts runs that tie in those bits in value order if they are not.  Each sorted
-    row counts 1..n; only elements that tie by value take their run's last count, in
-    one pass where ties are dense.  `rows` is C-contiguous; keys read `x + 0.0`, so
-    -0.0 ties with 0.0."""
+    """Modified-ECDF counts of each row of a C-contiguous float matrix without NaN.
+    From `_SPLIT_CELLS` cells on, the rows split into contiguous groups, one per usable
+    CPU and at most one per row; the calling thread ranks the first and one thread each
+    of the others, in place in the group's rows of the buffers made here."""
+    m, n = rows.shape
+    counts = np.empty((m, n), dtype=np.int64)  # the result first, below the temporaries
+    keys, order = np.empty(m * n, dtype=np.uint64), np.empty(m * n, dtype=np.int64)
+    steps = np.arange(1, n + 1)  # each sorted row counts 1..n
+    if m * n < _SPLIT_CELLS:  # one group, on the calling thread
+        _rank_group(rows, steps, counts, keys, order)
+        return counts
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    groups = min(m, cpus or 1)
+    cuts = [m * g // groups for g in range(groups + 1)]
+    _each_in_threads(_rank_group, [(rows[a:b], steps, counts[a:b], keys[a * n : b * n],
+                                    order[a * n : b * n]) for a, b in zip(cuts, cuts[1:])])
+    return counts
+
+
+def _each_in_threads(work, parts: list) -> None:
+    """`work(*part)` for each part: the first on the calling thread, each other on a
+    thread of its own.  Every thread started is joined before this returns or raises;
+    the first exception that a thread raised is raised again here."""
+    import threading  # numpy has loaded it; the spec-only paths do not need it
+
+    errors, threads = [], []
+
+    def run(*part):
+        try:
+            work(*part)
+        except BaseException as error:  # for the calling thread to raise
+            errors.append(error)
+
+    try:
+        for part in parts[1:]:
+            thread = threading.Thread(target=run, args=part)
+            thread.start()
+            threads.append(thread)
+        work(*parts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _rank_group(rows, steps, counts, keys, order) -> None:
+    """Writes the counts of `rows` into `counts`, from one sort of keys that hold the top
+    bits of an order-preserving image of the float above its flat position in `rows`,
+    built and split in cache-sized blocks in `keys`.  One argsort per row puts runs that
+    tie in those bits in value order if they are not.  Each sorted row counts `steps`;
+    only elements that tie by value take their run's last count, in one pass where ties
+    are dense.  Keys read `x + 0.0`, so -0.0 ties with 0.0."""
     m, n = rows.shape
     flat, size, step = rows.reshape(-1), m * n, _CACHE_ELEMENTS
     mask = np.uint64((1 << (size - 1).bit_length()) - 1)  # the flat position
-    counts = np.empty((m, n), dtype=np.int64)  # the result first, below the temporaries
-    keys, order = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.int64)
     for start in range(0, size, step):
         x, key = flat[start : start + step] + 0.0, keys[start : start + step]
         np.right_shift(x.view(np.int64), np.int64(63), out=key.view(np.int64))
@@ -129,12 +173,13 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     tied = (~run_end).nonzero()[0]  # each element whose key ties with the next
     if len(tied):
         if np.any(flat[order[tied + 1]] < flat[order[tied]]):  # sort each row's ties by value
-            runs = np.flatnonzero(np.append(~run_end, False) | np.append(False, ~run_end))
+            runs = np.column_stack([tied, tied + 1]).reshape(-1)  # sorted, with repeats
+            runs = runs[np.append(True, runs[1:] != runs[:-1])]
             for part in np.split(runs, np.searchsorted(runs, np.arange(n, size, n))):
                 order[part] = order[part[np.argsort(flat[order[part]])]]
         run_end[tied] = flat[order[tied + 1]] != flat[order[tied]]
     last = keys.view(np.int64).reshape(m, n)  # the count of each sorted element
-    last[:] = np.arange(1, n + 1)  # each sorted row counts 1..n
+    last[:] = steps
     if len(tied) > size // 8:  # dense ties: one pass gives each element its run's last count
         np.copyto(last.reshape(-1)[:-1], n, where=~run_end)
         np.minimum.accumulate(last[:, ::-1], axis=1, out=last[:, ::-1])
@@ -142,7 +187,6 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
         ends = tied[np.diff(tied, append=size) > 1] + 1  # the last element of each run
         last.reshape(-1)[tied] = ends[np.searchsorted(ends, tied)] % n + 1
     counts.reshape(-1)[order] = last.reshape(-1)
-    return counts
 
 
 @dataclass(frozen=True)
@@ -160,8 +204,7 @@ class ExtremalCoefficientEstimate:
 
     @property
     def out_of_range(self) -> bool:
-        frac = self.as_fraction()
-        return not (1 <= frac <= self.region_size)
+        return not 1 <= self.as_fraction() <= self.region_size
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
@@ -234,16 +277,12 @@ def _pairwise_estimates(
     }
 
 
-def estimate_contagion(
-    scores: UniformScores, region: Region, site: LatticePoint
-) -> float:
+def estimate_contagion(scores: UniformScores, region: Region, site: LatticePoint) -> float:
     """Plug-in contagion index: 2|region| minus the summed pairwise estimates."""
     return float(_estimate_summary(scores, region, site).contagion)
 
 
-def estimate_stability(
-    scores: UniformScores, region: Region, site: LatticePoint
-) -> float:
+def estimate_stability(scores: UniformScores, region: Region, site: LatticePoint) -> float:
     """Plug-in stability index from pairwise and joint coefficient estimates."""
     return float(_estimate_summary(scores, region, site).stability)
 
@@ -272,9 +311,7 @@ def _estimate_summary(
     return _summary(site, region, tuple(zip(region, estimates)), joint)
 
 
-def estimate_contagion_region(
-    scores: UniformScores, region: Region, given: Region
-) -> float:
+def estimate_contagion_region(scores: UniformScores, region: Region, given: Region) -> float:
     """Plug-in region-to-region contagion index.
 
     Mirrors the exact reduction: the rate of "j and any of `given`" exceed is

@@ -78,8 +78,7 @@ class Region:
         return hash(self._members)
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(p) for p in self._points)
-        return f"Region({inner})"
+        return f"Region({', '.join(map(str, self._points))})"
 
 
 # Ring of the eight surrounding sites, counter-clockwise starting east.
@@ -117,12 +116,8 @@ class LatticeRect:
             )
 
     def __contains__(self, point: object) -> bool:
-        if not isinstance(point, LatticePoint):
-            return False
-        return (
-            self.x_min <= point.x <= self.x_max
-            and self.y_min <= point.y <= self.y_max
-        )
+        return (isinstance(point, LatticePoint) and self.x_min <= point.x <= self.x_max
+                and self.y_min <= point.y <= self.y_max)
 
     def points(self) -> Iterator[LatticePoint]:
         """All points, row-major (y ascending, then x ascending)."""

@@ -115,14 +115,10 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.ok:
             return "valid"
-        lines = []
-        for v in self.sum_violations:
-            lines.append(f"weights at {v.location} sum to {v.total}, expected 1")
-        for e in self.negative_entries:
-            lines.append(
-                f"negative weight {e.weight} at pattern {e.pattern}, "
-                f"lag {e.lag}, location {e.location}"
-            )
+        lines = [f"weights at {v.location} sum to {v.total}, expected 1"
+                 for v in self.sum_violations]
+        lines += [f"negative weight {e.weight} at pattern {e.pattern}, lag {e.lag}, "
+                  f"location {e.location}" for e in self.negative_entries]
         return "; ".join(lines)
 
     def raise_if_invalid(self) -> None:
@@ -175,8 +171,7 @@ class M4Spec:
         entries = tuple(sorted(self.table, key=lambda e: e[0]))
         rows: dict[LatticePoint, int] = {}
         # keyed by repr, which keeps 1/2 apart from 0.5 and -0.0 apart from 0.0
-        distinct: dict[str, int] = {}
-        matrices: list[PatternMatrix] = []
+        distinct: dict[str, tuple[int, PatternMatrix]] = {}
         for point, matrix in entries:
             got = (len(matrix), len(matrix[0]))
             if got != shape:
@@ -185,13 +180,9 @@ class M4Spec:
                 )
             if point in rows:
                 raise ArgumentError(f"duplicate table point {point}")
-            key = repr(matrix)
-            if key not in distinct:
-                distinct[key] = len(matrices)
-                matrices.append(matrix)
-            rows[point] = distinct[key]
+            rows[point] = distinct.setdefault(repr(matrix), (len(distinct), matrix))[0]
         object.__setattr__(self, "table", entries)
-        object.__setattr__(self, "matrices", tuple(matrices))
+        object.__setattr__(self, "matrices", tuple(m for _, m in distinct.values()))
         object.__setattr__(self, "_table_rows", rows)
 
     # -- construction ------------------------------------------------------
@@ -389,13 +380,9 @@ PRESETS: dict[str, Callable[[], M4Spec]] = {
 
 
 def preset(name: str) -> M4Spec:
-    try:
-        builder = PRESETS[name]
-    except KeyError:
-        raise ArgumentError(
-            f"unknown preset {name!r}; expected one of {sorted(PRESETS)}"
-        ) from None
-    return builder()
+    if name not in PRESETS:
+        raise ArgumentError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
+    return PRESETS[name]()
 
 
 # -- JSON wire format --------------------------------------------------------

@@ -201,9 +201,7 @@ def empirical_contagion(
     site_high, region_high = _exceedances(sample, region, site, u, scores)
     m = int(np.count_nonzero(site_high))  # a Python int: the result is a Python float
     if m == 0:
-        raise UndefinedConditionalError(
-            f"no replicate has a site score above u={u}"
-        )
+        raise UndefinedConditionalError(f"no replicate has a site score above u={u}")
     exceed = sum(mult * np.count_nonzero(high & site_high) for high, mult in region_high)
     return float(exceed) / m
 
@@ -230,9 +228,7 @@ def empirical_stability(
         crossings += mult * np.count_nonzero(high & site_low)
         any_high |= high
     if crossings == 0:
-        raise UndefinedConditionalError(
-            f"no replicate has a crossing at u={u}"
-        )
+        raise UndefinedConditionalError(f"no replicate has a crossing at u={u}")
     return int(crossings) / int(np.count_nonzero(any_high))
 
 

@@ -1,4 +1,7 @@
 import inspect
+import os
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -358,6 +361,83 @@ class TestPackedKeyOracle:
             assert calls == [("searchsorted", tied)]
             assert np.array_equal(scores.rank_counts, expected)
 
+    # Row groups.  These tests lower the cut-off below every matrix and run the other
+    # groups' threads on the calling thread, so no group count starts a thread.
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Sets the usable CPUs for the next ranks; returns the threads they start."""
+        started = []
+
+        class SerialThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                self.run()
+
+            def join(self, timeout=None):
+                pass
+
+        monkeypatch.setattr(estimate_module, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(threading, "Thread", SerialThread)
+
+        def set_cpus(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            started.clear()
+            return started
+
+        return set_cpus
+
+    def check_groups(self, values, split, cpus, reference=brute_force_counts):
+        """In every layout, one group and min(columns, cpus) groups give the same
+        counts, bit for bit, and those of `reference`."""
+        expected = reference(values)
+        for layout in (values, np.asfortranarray(values), np.repeat(values, 2, axis=1)[:, ::2]):
+            split(1)
+            one = scores_from_matrix(layout, points_for(layout)).rank_counts
+            started = split(cpus)
+            grouped = scores_from_matrix(layout, points_for(layout)).rank_counts
+            assert len(started) == min(values.shape[1], cpus) - 1
+            assert grouped.dtype == one.dtype and grouped.tobytes() == one.tobytes()
+            assert np.array_equal(one, expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_row_groups_match_one_group(self, split, d, cpus):
+        # key-only ties, exact ties, signed zeros and a constant column, one kind a row
+        self.check_groups(self.matrix(300, d, np.random.default_rng(d)), split, cpus)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_ties_at_group_seams(self, split, cpus):
+        # each column's largest value is the next column's smallest, so every seam
+        # between rows, and so between groups, joins equal values
+        n, d, rng = 200, 5, np.random.default_rng(11)
+        tie_free = rng.permuted(np.linspace(0.0, 1.0, n)[:, None] + np.arange(d), axis=0)
+        j = rng.integers(0, 64, (n, d)) + 63 * np.arange(d)  # 64 ulps a column
+        j[:2] = 63 * np.arange(d), 63 * np.arange(d) + 63
+        key_ties = 1.0 + j * 2.0**-52  # columns that tie in their keys' kept bits
+        for values in (tie_free, key_ties, -key_ties[:, ::-1]):
+            self.check_groups(values, split, cpus)
+
+    def test_dense_ties_in_one_group_only(self, split, monkeypatch):
+        copies = []
+        real_copyto = np.copyto
+
+        def counting_copyto(*args, **kwargs):
+            copies.append(args[0].size)
+            return real_copyto(*args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", counting_copyto)
+        n, rng = 400, np.random.default_rng(12)
+        tied, tie_free = rng.integers(0, 5, n) * 1.0, rng.permutation(n) + 0.5
+        for values in (np.column_stack([tied, tie_free]), np.column_stack([tie_free, tied])):
+            for cpus, runs in ((1, [2 * n - 1]), (2, [n - 1])):
+                split(cpus)
+                copies.clear()
+                counts = scores_from_matrix(values, points_for(values)).rank_counts
+                assert copies == runs  # the run pass covers the tied group alone
+                assert np.array_equal(counts, brute_force_counts(values))
+
     @pytest.mark.parametrize("nan", [np.nan, -np.nan, np.frombuffer(
         np.uint64(0xFFF0000000000001).tobytes(), np.float64)[0]])
     def test_nan_message_names_first_in_row_major_order(self, nan):
@@ -366,6 +446,114 @@ class TestPackedKeyOracle:
         for layout in (values, np.asfortranarray(values)):
             with pytest.raises(ArgumentError, match=r"NaN at row 1, column 2"):
                 scores_from_matrix(layout, points_for(layout))
+
+
+class TestRankThreads:
+    """From `_SPLIT_CELLS` cells on, a rank starts at most min(rows, usable CPUs) - 1
+    threads, and every one has been joined when it returns or raises."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        return started
+
+    @staticmethod
+    def use_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    @pytest.mark.parametrize("cpus, threads", [(64, 1), (2, 1), (1, 0)])
+    def test_two_rows_start_at_most_one_thread(self, started, monkeypatch, cpus, threads):
+        self.use_cpus(monkeypatch, cpus)
+        rows = np.random.default_rng(13).standard_normal((2, estimate_module._SPLIT_CELLS // 2))
+        counts = estimate_module._rank_rows(rows)
+        assert len(started) == threads
+        assert not any(thread.is_alive() for thread in started)
+        assert np.array_equal(counts, sorted_counts(rows.T).T)
+
+    @pytest.mark.parametrize("cpu_count, threads", [(64, 1), (1, 0), (None, 0)])
+    def test_cpu_count_without_affinity(self, started, monkeypatch, cpu_count, threads):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        rows = np.random.default_rng(14).standard_normal((2, estimate_module._SPLIT_CELLS // 2))
+        estimate_module._rank_rows(rows)
+        assert len(started) == threads
+
+    @pytest.mark.parametrize("shape", [(9, 1000), (441, 1000), (16, 2**16 - 1)])
+    def test_small_matrices_start_no_thread(self, started, monkeypatch, shape):
+        self.use_cpus(monkeypatch, 64)
+        assert shape[0] * shape[1] < estimate_module._SPLIT_CELLS
+        estimate_module._rank_rows(np.random.default_rng(15).standard_normal(shape))
+        assert started == []
+
+    def raising_groups(self, monkeypatch, fails):
+        """Ranks of three rows on three CPUs, where `fails(worker)` raises."""
+        self.use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(estimate_module, "_SPLIT_CELLS", 1)
+        real, caller = estimate_module._rank_group, threading.current_thread()
+
+        def rank_group(*buffers):
+            fails(threading.current_thread() is not caller)
+            real(*buffers)
+
+        monkeypatch.setattr(estimate_module, "_rank_group", rank_group)
+        return np.random.default_rng(16).standard_normal((3, 100))
+
+    def test_a_worker_exception_is_raised_by_the_caller(self, monkeypatch):
+        class WorkerError(Exception):
+            pass
+
+        def fails(worker):
+            if worker:
+                raise WorkerError("in a worker")
+
+        rows = self.raising_groups(monkeypatch, fails)
+        before = threading.active_count()
+        with raises_exactly(WorkerError, "in a worker"):
+            estimate_module._rank_rows(rows)
+        assert threading.active_count() == before
+
+    def test_workers_are_joined_when_the_caller_raises(self, monkeypatch):
+        class CallerError(Exception):
+            pass
+
+        finished = []
+
+        def fails(worker):
+            if not worker:
+                raise CallerError
+            time.sleep(0.05)
+            finished.append(worker)
+
+        rows = self.raising_groups(monkeypatch, fails)
+        before = threading.active_count()
+        with pytest.raises(CallerError):
+            estimate_module._rank_rows(rows)
+        assert finished == [True, True]
+        assert threading.active_count() == before
+
+    def test_started_threads_are_joined_when_a_start_fails(self, started, monkeypatch):
+        counting_start = threading.Thread.start
+
+        def second_start_fails(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            counting_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+        rows = self.raising_groups(monkeypatch, lambda worker: time.sleep(0.05 * worker))
+        before = threading.active_count()
+        with raises_exactly(RuntimeError, "can't start new thread"):
+            estimate_module._rank_rows(rows)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
 
 
 class TestCountsBase:
