@@ -18,28 +18,12 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .dependence import (
-    contagion_index_region,
-    extremal_coefficient_matrix,
-    fragility_index,
-    summarize,
-)
+from .dependence import (contagion_index_region, extremal_coefficient_matrix, fragility_index,
+                         summarize)
 from .errors import M4Error, ParseError
-from .estimate import (
-    _pairwise_estimates,
-    estimate_summary,
-    monte_carlo_study,
-    rank_transform,
-)
+from .estimate import _pairwise_estimates, estimate_summary, monte_carlo_study, rank_transform
 from .lattice import LatticePoint, Region, neighbors
-from .patterns import (
-    M4Spec,
-    PRESETS,
-    dump_spec,
-    load_spec,
-    preset,
-    validate,
-)
+from .patterns import M4Spec, PRESETS, dump_spec, load_spec, preset, validate
 from .simulate import export_sample, read_sample_csv, simulate_m4
 from .stations import ingest_stations, station_indices
 
@@ -194,9 +178,7 @@ def cmd_mc_study(args: argparse.Namespace) -> int:
     spec = _load_spec_arg(args.spec)
     site = _parse_point(args.site)
     region = _parse_region(args.region, site)
-    ci_result, si_result = monte_carlo_study(
-        spec, region, site, args.reps, args.n, args.seed
-    )
+    ci_result, si_result = monte_carlo_study(spec, region, site, args.reps, args.n, args.seed)
     if args.format == "csv":
         lines = _csv_meta_lines(spec, args.seed)
         lines.append("index,true_value,mean_estimate,mse,replications,sample_size,seed")
@@ -212,14 +194,10 @@ def cmd_mc_study(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    dataset = ingest_stations(
-        args.data, missing=args.missing, metadata_path=args.meta
-    )
+    dataset = ingest_stations(args.data, missing=args.missing, metadata_path=args.meta)
     doc = {
         **_meta(),
-        "stations": [
-            {"name": s.name, "x": s.x, "y": s.y} for s in dataset.stations
-        ],
+        "stations": [{"name": s.name, "x": s.x, "y": s.y} for s in dataset.stations],
         "n": dataset.n,
         "years": list(dataset.years),
         "dropped_years": list(dataset.dropped_years),
@@ -230,13 +208,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     dataset = ingest_stations(args.data, missing=args.missing)
-    regions = [
-        [name.strip() for name in region.split(",") if name.strip()]
-        for region in args.region
-    ]
-    reports = [
-        station_indices(dataset, args.condition, names) for names in regions
-    ]
+    regions = [[name.strip() for name in region.split(",") if name.strip()]
+               for region in args.region]
+    reports = [station_indices(dataset, args.condition, names) for names in regions]
     if args.format == "csv":
         lines = _csv_meta_lines()
         lines.append("region,contagion_index_estimate,stability_index_estimate,n")

@@ -10,7 +10,6 @@ identities exact rather than approximate.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
@@ -21,10 +20,10 @@ from .dependence import DependenceSummary, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
-from .simulate import _CACHE_ELEMENTS, FieldSample, _Rows, simulate_m4
+from .simulate import (_CACHE_ELEMENTS, _SPLIT_CELLS, FieldSample, _Rows, _each_in_threads,
+                       _spans, simulate_m4)
 
 _JOINT_FLOOR = 1 - Fraction(1, 10**9)  # a joint estimate below it warns
-_SPLIT_CELLS = _CACHE_ELEMENTS << 4  # a matrix this large ranks in row groups, one per CPU
 
 
 class UniformScores(_Rows):
@@ -102,8 +101,9 @@ def rank_transform(sample: FieldSample) -> UniformScores:
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
     """Modified-ECDF counts of each row of a C-contiguous float matrix without NaN.
     From `_SPLIT_CELLS` cells on, the rows split into contiguous groups, one per usable
-    CPU and at most one per row; the calling thread ranks the first and one thread each
-    of the others, in place in the group's rows of the buffers made here."""
+    CPU and at most one per row, as `simulate_m4` splits its replicates; the calling
+    thread ranks the first and one thread each of the others, in place in the group's
+    rows of the buffers made here.  A smaller matrix is one group, on the calling thread."""
     m, n = rows.shape
     counts = np.empty((m, n), dtype=np.int64)  # the result first, below the temporaries
     keys, order = np.empty(m * n, dtype=np.uint64), np.empty(m * n, dtype=np.int64)
@@ -111,39 +111,9 @@ def _rank_rows(rows: np.ndarray) -> np.ndarray:
     if m * n < _SPLIT_CELLS:  # one group, on the calling thread
         _rank_group(rows, steps, counts, keys, order)
         return counts
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    groups = min(m, cpus or 1)
-    cuts = [m * g // groups for g in range(groups + 1)]
     _each_in_threads(_rank_group, [(rows[a:b], steps, counts[a:b], keys[a * n : b * n],
-                                    order[a * n : b * n]) for a, b in zip(cuts, cuts[1:])])
+                                    order[a * n : b * n]) for a, b in _spans(m, m)])
     return counts
-
-
-def _each_in_threads(work, parts: list) -> None:
-    """`work(*part)` for each part: the first on the calling thread, each other on a
-    thread of its own.  Every thread started is joined before this returns or raises;
-    the first exception that a thread raised is raised again here."""
-    import threading  # numpy has loaded it; the spec-only paths do not need it
-
-    errors, threads = [], []
-
-    def run(*part):
-        try:
-            work(*part)
-        except BaseException as error:  # for the calling thread to raise
-            errors.append(error)
-
-    try:
-        for part in parts[1:]:
-            thread = threading.Thread(target=run, args=part)
-            thread.start()
-            threads.append(thread)
-        work(*parts[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _rank_group(rows, steps, counts, keys, order) -> None:

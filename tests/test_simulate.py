@@ -1,6 +1,9 @@
 import hashlib
+import itertools
 import json
 import math
+import os
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +28,7 @@ from m4extremes import (
     estimate_stability,
     estimate_summary,
     export_sample,
+    monte_carlo_study,
     neighbors,
     preset,
     rank_transform,
@@ -743,6 +747,177 @@ class TestSharedColumnOracle:
         assert (spec.n_patterns, spec.lag_count) == (3, 2)
         self.check(monkeypatch, spec, points)
         self.check(monkeypatch, spec, [points[6], points[1], points[2]], seed=77)
+
+
+class TestSplitSimulation:
+    """From `_SPLIT_CELLS` draws on, `simulate_m4` fills contiguous parts of its
+    replicates, one per usable CPU and at most one per chunk of 4x the serial
+    budget; the rows are those of the serial path, byte for byte.  These tests
+    shrink the budget and the cut-off and run the other parts' threads on the
+    calling thread."""
+
+    ROWS_PER_CHUNK = 7  # a serial chunk; a part's chunk is 28 rows
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Sets the usable CPUs for the next simulations; returns the threads they
+        start and the draw count of each `uniform_block` call."""
+        started, calls = [], []
+
+        class SerialThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                self.run()
+
+            def join(self, timeout=None):
+                pass
+
+        real_uniform_block = simulate.uniform_block
+
+        def counting_uniform_block(seed, start, count):
+            calls.append(count)
+            return real_uniform_block(seed, start, count)
+
+        monkeypatch.setattr(simulate, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(threading, "Thread", SerialThread)
+        monkeypatch.setattr(simulate, "uniform_block", counting_uniform_block)
+
+        def set_cpus(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            started.clear()
+            calls.clear()
+            return started, calls
+
+        return set_cpus
+
+    def check(self, monkeypatch, split, spec, points, n, cpus, seed=29):
+        slots, distinct = spec.n_patterns * spec.lag_count, len(set(map(spec.matrix_index, points)))
+        monkeypatch.setattr(simulate, "_CACHE_ELEMENTS",
+                            self.ROWS_PER_CHUNK * (2 * slots + 2 * distinct))
+        started, calls = split(1)
+        one = simulate_m4(spec, Region(points), n, seed)._rows
+        assert started == [] and calls == self.chunks(n, self.ROWS_PER_CHUNK, slots)
+        started, calls = split(cpus)
+        part_rows = 4 * self.ROWS_PER_CHUNK
+        parts = min(-(-n // part_rows), cpus)
+        split_rows = simulate_m4(spec, Region(points), n, seed)._rows
+        assert len(started) == parts - 1
+        # each part draws in chunks of its own, from its first replicate; one part
+        # keeps the serial chunks
+        cuts = [n * p // parts for p in range(parts + 1)]
+        rows = part_rows if parts > 1 else self.ROWS_PER_CHUNK
+        expected = [self.chunks(b - a, rows, slots) for a, b in zip(cuts, cuts[1:])]
+        assert calls == list(itertools.chain(*expected[1:], expected[0]))  # workers first
+        assert split_rows.dtype == one.dtype and split_rows.tobytes() == one.tobytes()
+        if cpus > 1 and n > part_rows:
+            assert parts > 1 and any(a % part_rows for a in cuts[1:-1])  # seams inside chunks
+
+    @staticmethod
+    def chunks(n, rows, slots):
+        return [min(rows, n - r0) * slots for r0 in range(0, n, rows)]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [1, 27, 29, 50, 101, 250])
+    def test_ring_parts_match_one_part(self, monkeypatch, split, site, ring, exact, cpus, n):
+        # 50 on 2 CPUs and 101 on 64 are fewer rows than parts x chunk; 101 and 250
+        # put every seam inside a chunk
+        spec = preset("one-pattern") if exact else preset("one-pattern").as_float()
+        self.check(monkeypatch, split, spec, [site, *ring], n, cpus)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    @pytest.mark.parametrize("n", [29, 101, 250])
+    def test_domain_subset_parts_match_one_part(self, monkeypatch, split, exact, cpus, n):
+        spec = preset("two-pattern") if exact else preset("two-pattern").as_float()
+        points = list(reversed(spec.domain_points()[:40]))
+        assert len(set(map(spec.matrix_index, points))) == 2
+        self.check(monkeypatch, split, spec, points, n, cpus, seed=2**64 + 5)
+
+
+class TestSimulationThreads:
+    """At the real cut-off and budget: at most min(chunks, usable CPUs) - 1 threads,
+    every one joined when `simulate_m4` returns or raises."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        return started
+
+    @staticmethod
+    def use_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    @pytest.mark.parametrize("cpus, threads", [(2, 1), (1, 0)])
+    def test_ring_at_the_cut_off(self, started, monkeypatch, one_pattern_spec, site, ring,
+                                 cpus, threads):
+        self.use_cpus(monkeypatch, cpus)
+        n = simulate._SPLIT_CELLS // 2  # the ring draws 2 per replicate
+        locations = Region([site]).union(ring)
+        sample = simulate_m4(one_pattern_spec, locations, n, 3)
+        assert len(started) == threads
+        assert not any(thread.is_alive() for thread in started)
+        started.clear()
+        below = simulate_m4(one_pattern_spec, locations, n - 1, 3)
+        assert started == []
+        assert below._rows.tobytes() == sample._rows[:, : n - 1].tobytes()  # prefix-stable
+
+    def test_study_and_domain_start_no_thread(self, started, monkeypatch, two_pattern_spec):
+        self.use_cpus(monkeypatch, 64)
+        spec = table_spec(distinct_count=9, n_points=9)
+        site, *region = spec.domain_points()
+        monte_carlo_study(spec, Region(region), site, 2, 1000, 4)
+        simulate_m4(two_pattern_spec, two_pattern_spec.domain_points(), 1000, 4)
+        assert len(two_pattern_spec.domain_points()) == 441
+        assert started == []
+
+    def test_a_failing_part_is_raised_by_the_caller(self, started, monkeypatch,
+                                                     one_pattern_spec, site, ring):
+        class DrawError(Exception):
+            pass
+
+        self.use_cpus(monkeypatch, 3)
+        real_uniform_block, calls = simulate.uniform_block, itertools.count()
+
+        def second_call_fails(seed, start, count):
+            if next(calls) == 1:
+                raise DrawError("second draw")
+            return real_uniform_block(seed, start, count)
+
+        monkeypatch.setattr(simulate, "uniform_block", second_call_fails)
+        before = threading.active_count()
+        with raises_exactly(DrawError, "second draw"):
+            simulate_m4(one_pattern_spec, Region([site]).union(ring), 10**6, 5)
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_each_part_holds_one_chunk(self, started, monkeypatch, one_pattern_spec, site,
+                                       ring, cpus):
+        # a part's chunk of 2^18 floats (draws, shift temporary and product) peaked
+        # near 2.7 MB; a part that allocated its whole slice at once would take 32 MB
+        # on 2 CPUs
+        self.use_cpus(monkeypatch, cpus)
+        n, locations = 10**6, Region([site]).union(ring)
+        tracemalloc.start()
+        try:
+            sample = simulate_m4(one_pattern_spec, locations, n, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(started) == cpus - 1
+        assert sample._rows.nbytes == n * 2 * 8
+        assert peak - sample._rows.nbytes < cpus * 3_000_000
 
 
 def sha256_of(array, dtype):
