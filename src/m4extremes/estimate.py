@@ -20,8 +20,7 @@ from .dependence import DependenceSummary, _summary, summarize
 from .errors import ArgumentError, EstimationError
 from .lattice import LatticePoint, Region
 from .rng import substream
-from .simulate import (_CACHE_ELEMENTS, _SPLIT_CELLS, FieldSample, _Rows, _each_in_threads,
-                       _spans, simulate_m4)
+from .simulate import _CACHE_ELEMENTS, FieldSample, _in_parts, _Rows, simulate_m4
 
 _JOINT_FLOOR = 1 - Fraction(1, 10**9)  # a joint estimate below it warns
 
@@ -100,19 +99,15 @@ def rank_transform(sample: FieldSample) -> UniformScores:
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
     """Modified-ECDF counts of each row of a C-contiguous float matrix without NaN.
-    From `_SPLIT_CELLS` cells on, the rows split into contiguous groups, one per usable
-    CPU and at most one per row, as `simulate_m4` splits its replicates; the calling
-    thread ranks the first and one thread each of the others, in place in the group's
-    rows of the buffers made here.  A smaller matrix is one group, on the calling thread."""
+    `_in_parts` splits the rows from `_SPLIT_CELLS` cells on, at most one group per row,
+    as it splits `simulate_m4`'s replicates; each group is ranked in place in its rows
+    of the buffers made here.  A smaller matrix is one group, on the calling thread."""
     m, n = rows.shape
     counts = np.empty((m, n), dtype=np.int64)  # the result first, below the temporaries
     keys, order = np.empty(m * n, dtype=np.uint64), np.empty(m * n, dtype=np.int64)
     steps = np.arange(1, n + 1)  # each sorted row counts 1..n
-    if m * n < _SPLIT_CELLS:  # one group, on the calling thread
-        _rank_group(rows, steps, counts, keys, order)
-        return counts
-    _each_in_threads(_rank_group, [(rows[a:b], steps, counts[a:b], keys[a * n : b * n],
-                                    order[a * n : b * n]) for a, b in _spans(m, m)])
+    _in_parts(lambda a, b: _rank_group(rows[a:b], steps, counts[a:b], keys[a * n : b * n],
+                                       order[a * n : b * n]), m, m, m * n)
     return counts
 
 
@@ -208,7 +203,7 @@ def _max_sums(rows: np.ndarray, base: tuple, extras: tuple) -> tuple[int, dict, 
     """Over replicates, the sums of the largest count in the `base` rows, in `base` + j
     for each row j in `extras` (by j), and in both, in one pass over chunks of about
     2^18 cells (gathered, and two maxima).  The base's maxima raise the extras in place."""
-    b, step = len(base), max(1, 2**18 // (len(base) + len(extras) + 2))
+    b, step = len(base), max(1, (_CACHE_ELEMENTS << 2) // (len(base) + len(extras) + 2))
     base_sum = sums = top = 0
     for start in range(0, rows.shape[1], step):
         block = rows[[*base, *extras], start : start + step]  # (rows, replicates)

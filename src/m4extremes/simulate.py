@@ -131,10 +131,10 @@ def simulate_m4(
     reproduces bit-identical values.  The sample holds one row per distinct
     weight matrix, and each chunk of replicates takes its running maximum in
     place, in its slice of those rows.  A chunk's `2 * slots + 2 * distinct`
-    floats per replicate fit in `_CACHE_ELEMENTS`.  From `_SPLIT_CELLS` draws on,
-    the replicates split into contiguous parts, one per usable CPU and at most one
-    per chunk: the calling thread fills the first and one thread each of the others,
-    each in its own slice of the rows, in chunks that fit in `_CACHE_ELEMENTS << 2`.
+    floats per replicate fit in `_CACHE_ELEMENTS`.  `_in_parts` splits the
+    replicates from `_SPLIT_CELLS` draws on, at most one part per chunk of
+    `_CACHE_ELEMENTS << 2` floats; each part fills its own slice of the rows, in
+    chunks of that budget.  A lone part keeps the serial chunks.
     """
     if n < 1:
         raise ArgumentError("replicate count must be at least 1")
@@ -151,12 +151,12 @@ def simulate_m4(
     # a part's chunks take 4x the budget: on 2 vCPUs, 2^14-draw chunks lost to handing the
     # GIL what a second thread saved (ring: 15.3 ms, serial 16.8); 4x chunks took 8-11 ms
     part_rows = max(1, (_CACHE_ELEMENTS << 2) // per_row)
-    spans = _spans(n, -(-n // part_rows)) if n * draws_per_row >= _SPLIT_CELLS else [(0, n)]
-    if len(spans) == 1:  # on the calling thread, in chunks of the serial budget
-        _fill_rows(rows, 0, weights, seed, max(1, _CACHE_ELEMENTS // per_row))
-    else:
-        _each_in_threads(_fill_rows, [(rows[:, a:b], a, weights, seed, part_rows)
-                                      for a, b in spans])
+    serial_rows = max(1, _CACHE_ELEMENTS // per_row)
+
+    def fill(a, b):  # a lone part, on the calling thread, keeps the serial budget
+        _fill_rows(rows[:, a:b], a, weights, seed, part_rows if b - a < n else serial_rows)
+
+    _in_parts(fill, n, -(-n // part_rows), n * draws_per_row)
     return FieldSample._of_rows(points, rows, row_of, seed, spec.fingerprint())
 
 
@@ -178,34 +178,33 @@ def _fill_rows(rows, first, weights, seed, chunk_rows) -> None:
             np.maximum(block, product, out=block)
 
 
-def _spans(total: int, most: int) -> list[tuple[int, int]]:
-    """Contiguous ranges that cover `range(total)`: one per usable CPU, at most `most`."""
+def _in_parts(work, total: int, most: int, cells: int) -> None:
+    """`work(a, b)` over contiguous ranges that cover `range(total)`.  Below
+    `_SPLIT_CELLS` cells, or for `most` < 2, that is `work(0, total)` on the calling
+    thread; else one range per usable CPU, at most `most`: the calling thread runs the
+    first and one thread each runs the others.  Every thread started is joined before
+    this returns or raises; the first exception that a thread raised is raised again here."""
+    if cells < _SPLIT_CELLS or most < 2:
+        return work(0, total)
+    import threading  # numpy has loaded it; the spec-only paths do not need it
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parts = min(most, cpus or 1)
     cuts = [total * p // parts for p in range(parts + 1)]
-    return list(zip(cuts, cuts[1:]))
-
-
-def _each_in_threads(work, parts: list) -> None:
-    """`work(*part)` for each part: the first on the calling thread, each other on a
-    thread of its own.  Every thread started is joined before this returns or raises;
-    the first exception that a thread raised is raised again here."""
-    import threading  # numpy has loaded it; the spec-only paths do not need it
-
     errors, threads = [], []
 
-    def run(*part):
+    def run(a, b):
         try:
-            work(*part)
+            work(a, b)
         except BaseException as error:  # for the calling thread to raise
             errors.append(error)
 
     try:
-        for part in parts[1:]:
-            thread = threading.Thread(target=run, args=part)
+        for span in zip(cuts[1:], cuts[2:]):
+            thread = threading.Thread(target=run, args=span)
             thread.start()
             threads.append(thread)
-        work(*parts[0])
+        work(0, cuts[1])
     finally:
         for thread in threads:
             thread.join()

@@ -192,9 +192,7 @@ def ingest_stations(
         raise ParseError(f"{csv_path}: no usable year rows")
     coords = _read_metadata(metadata_path) if metadata_path is not None else {}
     stations = tuple(Station(name, *coords.get(name, (None, None))) for name in names)
-    maxima = np.array(kept_rows)
-    maxima.setflags(write=False)  # fresh, so StationDataset need not copy it
-    return StationDataset(stations, tuple(years), maxima, tuple(dropped))
+    return StationDataset(stations, tuple(years), kept_rows, tuple(dropped))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
 import re
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +36,25 @@ def raises_exactly(exc_type: type[BaseException], message: str):
 # margin; all stochastic assertions below are deterministic given these.
 ORACLE_SEED = 4
 STUDY_SEED = 42
+
+
+@pytest.fixture
+def started(monkeypatch) -> list:
+    """The threads that this test starts, in order of `Thread.start`."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Makes `os.sched_getaffinity` report `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,5 @@
 import inspect
-import os
 import threading
-import time
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -34,7 +32,8 @@ from m4extremes import (
     substream,
 )
 import m4extremes.estimate as estimate_module
-from conftest import STUDY_SEED, raises_exactly, table_spec
+import m4extremes.simulate as simulate_module
+from conftest import STUDY_SEED, raises_exactly, table_spec, use_cpus
 
 P = LatticePoint
 A2 = Region([P(0, 0), P(1, 0)])
@@ -377,12 +376,11 @@ class TestPackedKeyOracle:
             def join(self, timeout=None):
                 pass
 
-        monkeypatch.setattr(estimate_module, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(simulate_module, "_SPLIT_CELLS", 1)
         monkeypatch.setattr(threading, "Thread", SerialThread)
 
         def set_cpus(cpus):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
+            use_cpus(monkeypatch, cpus)
             started.clear()
             return started
 
@@ -450,110 +448,40 @@ class TestPackedKeyOracle:
 
 class TestRankThreads:
     """From `_SPLIT_CELLS` cells on, a rank starts at most min(rows, usable CPUs) - 1
-    threads, and every one has been joined when it returns or raises."""
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        started = []
-        real_start = threading.Thread.start
-
-        def counting_start(thread):
-            started.append(thread)
-            real_start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting_start)
-        return started
-
-    @staticmethod
-    def use_cpus(monkeypatch, count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
+    threads, through one call of `_in_parts` (whose contract `TestInParts` in
+    test_simulate.py checks)."""
 
     @pytest.mark.parametrize("cpus, threads", [(64, 1), (2, 1), (1, 0)])
     def test_two_rows_start_at_most_one_thread(self, started, monkeypatch, cpus, threads):
-        self.use_cpus(monkeypatch, cpus)
-        rows = np.random.default_rng(13).standard_normal((2, estimate_module._SPLIT_CELLS // 2))
+        use_cpus(monkeypatch, cpus)
+        rows = np.random.default_rng(13).standard_normal((2, simulate_module._SPLIT_CELLS // 2))
         counts = estimate_module._rank_rows(rows)
         assert len(started) == threads
         assert not any(thread.is_alive() for thread in started)
         assert np.array_equal(counts, sorted_counts(rows.T).T)
 
-    @pytest.mark.parametrize("cpu_count, threads", [(64, 1), (1, 0), (None, 0)])
-    def test_cpu_count_without_affinity(self, started, monkeypatch, cpu_count, threads):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        rows = np.random.default_rng(14).standard_normal((2, estimate_module._SPLIT_CELLS // 2))
-        estimate_module._rank_rows(rows)
-        assert len(started) == threads
-
     @pytest.mark.parametrize("shape", [(9, 1000), (441, 1000), (16, 2**16 - 1)])
     def test_small_matrices_start_no_thread(self, started, monkeypatch, shape):
-        self.use_cpus(monkeypatch, 64)
-        assert shape[0] * shape[1] < estimate_module._SPLIT_CELLS
+        use_cpus(monkeypatch, 64)
+        assert shape[0] * shape[1] < simulate_module._SPLIT_CELLS
         estimate_module._rank_rows(np.random.default_rng(15).standard_normal(shape))
         assert started == []
 
-    def raising_groups(self, monkeypatch, fails):
-        """Ranks of three rows on three CPUs, where `fails(worker)` raises."""
-        self.use_cpus(monkeypatch, 3)
-        monkeypatch.setattr(estimate_module, "_SPLIT_CELLS", 1)
-        real, caller = estimate_module._rank_group, threading.current_thread()
+    @pytest.mark.parametrize("shape", [(2, 2**19), (3, 100), (9, 1000), (1, 7)])
+    def test_one_runner_call(self, monkeypatch, shape):
+        # the rows, one group at most each, and the cell count decide the split
+        calls, real = [], estimate_module._in_parts
 
-        def rank_group(*buffers):
-            fails(threading.current_thread() is not caller)
-            real(*buffers)
+        def spy(work, total, most, cells):
+            calls.append((total, most, cells))
+            real(work, total, most, cells)
 
-        monkeypatch.setattr(estimate_module, "_rank_group", rank_group)
-        return np.random.default_rng(16).standard_normal((3, 100))
-
-    def test_a_worker_exception_is_raised_by_the_caller(self, monkeypatch):
-        class WorkerError(Exception):
-            pass
-
-        def fails(worker):
-            if worker:
-                raise WorkerError("in a worker")
-
-        rows = self.raising_groups(monkeypatch, fails)
-        before = threading.active_count()
-        with raises_exactly(WorkerError, "in a worker"):
-            estimate_module._rank_rows(rows)
-        assert threading.active_count() == before
-
-    def test_workers_are_joined_when_the_caller_raises(self, monkeypatch):
-        class CallerError(Exception):
-            pass
-
-        finished = []
-
-        def fails(worker):
-            if not worker:
-                raise CallerError
-            time.sleep(0.05)
-            finished.append(worker)
-
-        rows = self.raising_groups(monkeypatch, fails)
-        before = threading.active_count()
-        with pytest.raises(CallerError):
-            estimate_module._rank_rows(rows)
-        assert finished == [True, True]
-        assert threading.active_count() == before
-
-    def test_started_threads_are_joined_when_a_start_fails(self, started, monkeypatch):
-        counting_start = threading.Thread.start
-
-        def second_start_fails(thread):
-            if started:
-                raise RuntimeError("can't start new thread")
-            counting_start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
-        rows = self.raising_groups(monkeypatch, lambda worker: time.sleep(0.05 * worker))
-        before = threading.active_count()
-        with raises_exactly(RuntimeError, "can't start new thread"):
-            estimate_module._rank_rows(rows)
-        assert len(started) == 1 and not started[0].is_alive()
-        assert threading.active_count() == before
+        monkeypatch.setattr(estimate_module, "_in_parts", spy)
+        use_cpus(monkeypatch, 3)
+        rows = np.random.default_rng(16).standard_normal(shape)
+        counts = estimate_module._rank_rows(rows)
+        assert calls == [(shape[0], shape[0], shape[0] * shape[1])]
+        assert np.array_equal(counts, sorted_counts(rows.T).T)
 
 
 class TestCountsBase:

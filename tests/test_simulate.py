@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from m4extremes import (
 )
 from m4extremes.rng import U64_MASK, uniform_block
 from m4extremes.stations import Station, StationDataset
-from conftest import raises_exactly, table_spec
+from conftest import raises_exactly, table_spec, use_cpus
 
 P = LatticePoint
 
@@ -783,8 +784,7 @@ class TestSplitSimulation:
         monkeypatch.setattr(simulate, "uniform_block", counting_uniform_block)
 
         def set_cpus(cpus):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
+            use_cpus(monkeypatch, cpus)
             started.clear()
             calls.clear()
             return started, calls
@@ -840,27 +840,10 @@ class TestSimulationThreads:
     """At the real cut-off and budget: at most min(chunks, usable CPUs) - 1 threads,
     every one joined when `simulate_m4` returns or raises."""
 
-    @pytest.fixture
-    def started(self, monkeypatch):
-        started = []
-        real_start = threading.Thread.start
-
-        def counting_start(thread):
-            started.append(thread)
-            real_start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting_start)
-        return started
-
-    @staticmethod
-    def use_cpus(monkeypatch, count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-
     @pytest.mark.parametrize("cpus, threads", [(2, 1), (1, 0)])
     def test_ring_at_the_cut_off(self, started, monkeypatch, one_pattern_spec, site, ring,
                                  cpus, threads):
-        self.use_cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         n = simulate._SPLIT_CELLS // 2  # the ring draws 2 per replicate
         locations = Region([site]).union(ring)
         sample = simulate_m4(one_pattern_spec, locations, n, 3)
@@ -872,7 +855,7 @@ class TestSimulationThreads:
         assert below._rows.tobytes() == sample._rows[:, : n - 1].tobytes()  # prefix-stable
 
     def test_study_and_domain_start_no_thread(self, started, monkeypatch, two_pattern_spec):
-        self.use_cpus(monkeypatch, 64)
+        use_cpus(monkeypatch, 64)
         spec = table_spec(distinct_count=9, n_points=9)
         site, *region = spec.domain_points()
         monte_carlo_study(spec, Region(region), site, 2, 1000, 4)
@@ -880,26 +863,21 @@ class TestSimulationThreads:
         assert len(two_pattern_spec.domain_points()) == 441
         assert started == []
 
-    def test_a_failing_part_is_raised_by_the_caller(self, started, monkeypatch,
-                                                     one_pattern_spec, site, ring):
-        class DrawError(Exception):
-            pass
+    @pytest.mark.parametrize("n", [1, 10**6, 2**16 + 3])
+    def test_one_runner_call(self, monkeypatch, one_pattern_spec, site, ring, n):
+        # at most one part per 2^18-float chunk: the ring allocates 2 * 2 + 2 * 2 floats
+        # per replicate and draws 2
+        calls, real = [], simulate._in_parts
 
-        self.use_cpus(monkeypatch, 3)
-        real_uniform_block, calls = simulate.uniform_block, itertools.count()
+        def spy(work, total, most, cells):
+            calls.append((total, most, cells))
+            real(work, total, most, cells)
 
-        def second_call_fails(seed, start, count):
-            if next(calls) == 1:
-                raise DrawError("second draw")
-            return real_uniform_block(seed, start, count)
-
-        monkeypatch.setattr(simulate, "uniform_block", second_call_fails)
-        before = threading.active_count()
-        with raises_exactly(DrawError, "second draw"):
-            simulate_m4(one_pattern_spec, Region([site]).union(ring), 10**6, 5)
-        assert len(started) == 2
-        assert not any(thread.is_alive() for thread in started)
-        assert threading.active_count() == before
+        monkeypatch.setattr(simulate, "_in_parts", spy)
+        use_cpus(monkeypatch, 2)
+        sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), n, 6)
+        assert calls == [(n, -(-n // 2**15), 2 * n)]
+        assert sample._rows.shape == (2, n)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_each_part_holds_one_chunk(self, started, monkeypatch, one_pattern_spec, site,
@@ -907,7 +885,7 @@ class TestSimulationThreads:
         # a part's chunk of 2^18 floats (draws, shift temporary and product) peaked
         # near 2.7 MB; a part that allocated its whole slice at once would take 32 MB
         # on 2 CPUs
-        self.use_cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         n, locations = 10**6, Region([site]).union(ring)
         tracemalloc.start()
         try:
@@ -918,6 +896,120 @@ class TestSimulationThreads:
         assert len(started) == cpus - 1
         assert sample._rows.nbytes == n * 2 * 8
         assert peak - sample._rows.nbytes < cpus * 3_000_000
+
+
+class TestInParts:
+    """`_in_parts(work, total, most, cells)`, the one runner that splits work over the
+    usable CPUs: `work(a, b)` over contiguous ranges that cover `range(total)`, one
+    range below `_SPLIT_CELLS` cells and else at most min(`most`, CPUs), the first on
+    the calling thread and one thread each for the others.  It joins every thread it
+    started, and raises a worker's exception.  These tests run a toy `work`."""
+
+    CUT = simulate._SPLIT_CELLS
+
+    def ranges(self, total, most, cells=CUT, work=lambda a, b: None):
+        """The ranges that `work` was called with, in order, each with whether it ran on
+        the calling thread; checks that no thread is left running."""
+        ran, caller, before = [], threading.current_thread(), threading.active_count()
+
+        def recording_work(a, b):
+            ran.append((a, b, threading.current_thread() is caller))
+            work(a, b)
+
+        try:
+            simulate._in_parts(recording_work, total, most, cells)
+        finally:
+            assert threading.active_count() == before
+        return sorted(ran)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("total, most", [(2, 2), (7, 3), (10, 10), (1000, 5), (1000, 100)])
+    def test_ranges_cover_the_total(self, started, monkeypatch, cpus, total, most):
+        use_cpus(monkeypatch, cpus)
+        ran = self.ranges(total, most)
+        parts = min(most, cpus)
+        cuts = [total * p // parts for p in range(parts + 1)]
+        assert ran == [(a, b, a == 0) for a, b in zip(cuts, cuts[1:])]
+        assert all(a < b for a, b, _ in ran)
+        assert len(started) == parts - 1
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("total, most, cells, cpus", [
+        (1000, 100, CUT - 1, 64),  # below the cut-off
+        (10**6, 1, 10**6, 64),  # one range at most
+        (1, 1, CUT, 64),
+        (1000, 100, CUT, 1),  # one CPU
+    ])
+    def test_a_lone_range_starts_no_thread(self, started, monkeypatch, total, most, cells,
+                                           cpus):
+        use_cpus(monkeypatch, cpus)
+        assert self.ranges(total, most, cells) == [(0, total, True)]
+        assert started == []
+
+    def test_small_work_looks_up_no_cpus(self, monkeypatch):
+        def no_lookup(*args):
+            raise AssertionError("CPUs looked up")
+
+        monkeypatch.setattr(os, "sched_getaffinity", no_lookup, raising=False)
+        monkeypatch.setattr(os, "cpu_count", no_lookup)
+        assert self.ranges(10, 10, self.CUT - 1) == [(0, 10, True)]
+        assert self.ranges(10, 1) == [(0, 10, True)]
+
+    @pytest.mark.parametrize("cpu_count, parts", [(64, 3), (2, 2), (1, 1), (None, 1)])
+    def test_cpu_count_without_affinity(self, started, monkeypatch, cpu_count, parts):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert len(self.ranges(9, 3)) == parts
+        assert len(started) == parts - 1
+
+    def test_a_worker_exception_is_raised_by_the_caller(self, started, monkeypatch):
+        class WorkerError(Exception):
+            pass
+
+        def fails(a, b):
+            if a:
+                raise WorkerError("in a worker")
+
+        use_cpus(monkeypatch, 3)
+        with raises_exactly(WorkerError, "in a worker"):
+            self.ranges(3, 3, work=fails)
+        assert len(started) == 2 and not any(thread.is_alive() for thread in started)
+
+    def test_workers_are_joined_when_the_caller_raises(self, started, monkeypatch):
+        class CallerError(Exception):
+            pass
+
+        finished = []
+
+        def fails(a, b):
+            if not a:
+                raise CallerError
+            time.sleep(0.05)
+            finished.append(a)
+
+        use_cpus(monkeypatch, 3)
+        with pytest.raises(CallerError):
+            self.ranges(3, 3, work=fails)
+        assert sorted(finished) == [1, 2]
+
+    def test_started_threads_are_joined_when_a_start_fails(self, started, monkeypatch):
+        counting_start, finished = threading.Thread.start, []
+
+        def second_start_fails(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            counting_start(thread)
+
+        def work(a, b):
+            time.sleep(0.05)
+            finished.append(a)
+
+        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+        use_cpus(monkeypatch, 3)
+        with raises_exactly(RuntimeError, "can't start new thread"):
+            self.ranges(3, 3, work=work)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert finished == [1]  # the caller's range never ran
 
 
 def sha256_of(array, dtype):

@@ -166,9 +166,12 @@ class TestStationDataset:
             assert maxima.tolist() == np.asarray(source).tolist()
         assert single.flags.writeable  # the caller's array is not frozen
         path = tmp_path / "d.csv"
-        path.write_text("year,a,b\n2000,1.0,2.0\n2001,1.5,2.5\n")
-        maxima = ingest_stations(path).maxima
-        assert maxima.base is None and maxima.flags.c_contiguous and not maxima.flags.writeable
+        path.write_text("year,a,b\n2000,1.0,2.0\n2001,1.5,2.5\n1999,NA,1.0\n")
+        for text in (path.read_text().rsplit("1999", 1)[0], path.read_text()):  # bulk, row scan
+            path.write_text(text)
+            maxima = ingest_stations(path, missing="drop-year").maxima
+            assert maxima.base is None and maxima.flags.c_contiguous and not maxima.flags.writeable
+            assert maxima.tolist() == [[1.0, 2.0], [1.5, 2.5]]
 
     def test_view_of_writable_base_is_copied(self):
         base = np.ones((3, 2))
