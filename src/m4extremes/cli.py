@@ -6,7 +6,7 @@ report.  Outputs default to JSON on stdout; table-shaped results accept
 and echoes it (plus the specification fingerprint and tool version) into
 its outputs.
 
-Exit codes: 0 success, 2 usage, 3 data/validation problem.
+Exit codes: 0 success, 2 usage, 3 data/validation problem or a size numpy refuses.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ._version import __version__
 from .dependence import (contagion_index_region, extremal_coefficient_matrix, fragility_index,
                          summarize)
 from .errors import M4Error, ParseError
-from .estimate import _pairwise_estimates, estimate_summary, monte_carlo_study, rank_transform
+from .estimate import _estimates_json, estimate_summary, monte_carlo_study, rank_transform
 from .lattice import LatticePoint, Region, neighbors
 from .patterns import M4Spec, PRESETS, dump_spec, load_spec, preset, validate
 from .simulate import export_sample, read_sample_csv, simulate_m4
@@ -154,10 +154,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     site = _parse_point(args.site)
     region = _parse_region(args.region, site)
     summary = estimate_summary(rank_transform(sample), region, site)
-    pairwise = [
-        {"point": str(point), "value": est.value, "out_of_range": est.out_of_range}
-        for point, est in _pairwise_estimates(summary).items()
-    ]
     doc = {
         **_meta(),
         "spec_fingerprint": sample.spec_fingerprint,
@@ -165,10 +161,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "n": sample.n_replicates,
         "site": str(site),
         "region": [str(p) for p in region],
-        "contagion_index_estimate": float(summary.contagion),
-        "stability_index_estimate": float(summary.stability),
-        "pairwise_extremal_estimates": pairwise,
-        "joint_extremal_estimate": float(summary.joint_extremal),
+        **_estimates_json(summary, "point", map(str, region)),
     }
     _emit_json(doc, args.out)
     return 0
@@ -215,7 +208,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines = _csv_meta_lines()
         lines.append("region,contagion_index_estimate,stability_index_estimate,n")
         for rep in reports:
-            lines.append(f"{';'.join(rep.region)},{rep.contagion!r},{rep.stability!r},{rep.n}")
+            contagion, stability = float(rep.summary.contagion), float(rep.summary.stability)
+            lines.append(f"{';'.join(rep.region)},{contagion!r},{stability!r},{rep.n}")
         _emit_csv(lines, args.out)
     else:
         doc = {
@@ -326,8 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (M4Error, OSError) as exc:  # reads fail as ParseError: OSError is a write
-        print(f"error: {exc}", file=sys.stderr)
+    except (M4Error, OSError, MemoryError) as exc:  # reads fail as ParseError: OSError is a write
+        where = f"{args.command}: " if isinstance(exc, MemoryError) else ""  # numpy names the size
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 3
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._numpy import np
 from .dependence import DependenceSummary, _summary, summarize
@@ -162,10 +162,13 @@ class ExtremalCoefficientEstimate:
     outside the feasible interval [1, region size].
     """
 
-    value: float
     numerator: int
     denominator: int
     region_size: int
+
+    @property
+    def value(self) -> float:
+        return float(self.as_fraction())
 
     @property
     def out_of_range(self) -> bool:
@@ -223,22 +226,21 @@ def estimate_extremal_coefficient(
     """Estimate the region's extremal coefficient as m/(1-m), where m is the
     sample mean of the per-replicate maximum rank score over the region."""
     *_, frac = _coefficients(scores, region.points, ())
-    return _as_estimate(frac, len(region))
+    return ExtremalCoefficientEstimate(frac.numerator, frac.denominator, len(region))
 
 
-def _as_estimate(frac: Fraction, region_size: int) -> ExtremalCoefficientEstimate:
-    return ExtremalCoefficientEstimate(
-        float(frac), frac.numerator, frac.denominator, region_size
-    )
-
-
-def _pairwise_estimates(
-    summary: DependenceSummary,
-) -> dict[LatticePoint, ExtremalCoefficientEstimate]:
-    """The pairwise estimates of an estimated summary, by region point; the
-    pair of the site with itself is a region of size 1."""
+def _estimates_json(summary: DependenceSummary, key: str, names: Iterable[str]) -> dict:
+    """The estimate fields of `estimate` and `report`, each pair labelled from `names`
+    under `key`; the pair of the site with itself is a region of size 1."""
+    pairwise = []
+    for name, (j, v) in zip(names, summary.pairwise_extremal):
+        est = ExtremalCoefficientEstimate(v.numerator, v.denominator, len({summary.site, j}))
+        pairwise.append({key: name, "value": est.value, "out_of_range": est.out_of_range})
     return {
-        j: _as_estimate(v, len({summary.site, j})) for j, v in summary.pairwise_extremal
+        "contagion_index_estimate": float(summary.contagion),
+        "stability_index_estimate": float(summary.stability),
+        "pairwise_extremal_estimates": pairwise,
+        "joint_extremal_estimate": float(summary.joint_extremal),
     }
 
 

@@ -108,9 +108,12 @@ class NegativeEntry:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     sum_violations: tuple[SumViolation, ...] = ()
     negative_entries: tuple[NegativeEntry, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.sum_violations and not self.negative_entries
 
     def __str__(self) -> str:
         if self.ok:
@@ -314,7 +317,7 @@ def validate(spec: M4Spec) -> ValidationReport:
     """
     problems = [_matrix_problems(spec, m) for m in spec.matrices]
     if not any(total is not None or negs for total, negs in problems):
-        return ValidationReport(ok=True)
+        return ValidationReport()
     sums: list[SumViolation] = []
     negatives: list[NegativeEntry] = []
     for point in spec.domain_points():
@@ -322,11 +325,7 @@ def validate(spec: M4Spec) -> ValidationReport:
         if total is not None:
             sums.append(SumViolation(point, total))
         negatives.extend(NegativeEntry(li, lag, point, w) for li, lag, w in negs)
-    return ValidationReport(
-        ok=not sums and not negatives,
-        sum_violations=tuple(sums),
-        negative_entries=tuple(negatives),
-    )
+    return ValidationReport(tuple(sums), tuple(negatives))
 
 
 # -- presets ----------------------------------------------------------------

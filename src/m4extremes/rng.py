@@ -12,8 +12,9 @@ map the top 53 bits to the midpoint of a dyadic cell,
 
 so u lies strictly inside (0, 1); exact 0.0 and 1.0 cannot occur.  Because
 out is a pure function of (seed, i), any block of the stream can be
-generated independently, in any chunking, in any order, on any platform —
-which is what replicate-level parallelism and reproducibility need.
+generated independently, in any chunking, in any order, and the stream is the
+same on every platform — which is what replicate-level parallelism and
+reproducibility need.  Sample bits also follow numpy's CPU dispatch (`simulate_m4`).
 
 Substreams for higher-level replication (one per Monte Carlo repetition)
 are derived by hashing the substream index against a second Weyl constant;

@@ -127,8 +127,8 @@ def simulate_m4(
 ) -> FieldSample:
     """Draw `n` independent replicates of the field at `locations`.
 
-    Output is a pure function of (spec, locations, n, seed); the same call
-    reproduces bit-identical values.  The sample holds one row per distinct
+    Output is a pure function of (spec, locations, n, seed) per numpy build and CPU
+    dispatch, which the Fréchet `np.log` follows.  The sample holds one row per distinct
     weight matrix, and each chunk of replicates takes its running maximum in
     place, in its slice of those rows.  A chunk's `2 * slots + 2 * distinct`
     floats per replicate fit in `_CACHE_ELEMENTS`.  `_in_parts` splits the

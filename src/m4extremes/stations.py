@@ -17,8 +17,9 @@ from functools import cached_property
 from pathlib import Path
 
 from ._numpy import np
+from .dependence import DependenceSummary
 from .errors import ArgumentError, ParseError, UnknownStationError
-from .estimate import _pairwise_estimates, estimate_summary, scores_from_matrix
+from .estimate import _estimates_json, estimate_summary, scores_from_matrix
 from .lattice import LatticePoint, Region
 from .simulate import FieldSample, _bulk_rows, _csv_rows, _open_csv, _value_texts
 
@@ -151,6 +152,8 @@ def ingest_stations(
         names = [h.strip() for h in header[1:]]
         if not names:
             raise ParseError(f"{csv_path}: no station columns")
+        if "" in names:  # a trailing comma, as spreadsheets write it
+            raise ParseError(f"{csv_path}: header column {names.index('') + 2} has no station name")
         if len(set(names)) != len(names):
             raise ParseError(f"{csv_path}: duplicate station names in header")
         row_type = np.dtype([("year", np.int64), ("maxima", np.float64, (len(names),))])
@@ -197,28 +200,20 @@ def ingest_stations(
 
 @dataclass(frozen=True)
 class StationIndicesReport:
-    """Estimated indices from a conditioning station to a region of stations."""
+    """Estimated indices from a conditioning station to a region of stations.  The
+    summary's points are the stations' dataset columns, as `(column, 0)`."""
 
     conditioning: str
     region: tuple[str, ...]
     n: int
-    contagion: float
-    stability: float
-    pairwise: tuple[tuple[str, float, bool], ...]  # (station, estimate, out_of_range)
-    joint: float
+    summary: DependenceSummary
 
     def to_json_dict(self) -> dict:
         return {
             "conditioning": self.conditioning,
             "region": list(self.region),
             "n": self.n,
-            "contagion_index_estimate": self.contagion,
-            "stability_index_estimate": self.stability,
-            "pairwise_extremal_estimates": [
-                {"station": s, "value": v, "out_of_range": flag}
-                for s, v, flag in self.pairwise
-            ],
-            "joint_extremal_estimate": self.joint,
+            **_estimates_json(self.summary, "station", self.region),
         }
 
 
@@ -240,20 +235,8 @@ def station_indices(
     region = Region(LatticePoint(dataset.column(name), 0) for name in region_names)
     involved = Region((site,)).union(region).points
     scores = scores_from_matrix(dataset.maxima[:, [p.x for p in involved]], involved)
-    summary = estimate_summary(scores, region, site)
-    pairwise = tuple(
-        (name, est.value, est.out_of_range)
-        for name, est in zip(region_names, _pairwise_estimates(summary).values())
-    )
-    return StationIndicesReport(
-        conditioning=conditioning,
-        region=region_names,
-        n=dataset.n,
-        contagion=float(summary.contagion),
-        stability=float(summary.stability),
-        pairwise=pairwise,
-        joint=float(summary.joint_extremal),
-    )
+    return StationIndicesReport(conditioning, region_names, dataset.n,
+                                estimate_summary(scores, region, site))
 
 
 def field_sample_to_station_csv(
@@ -265,13 +248,13 @@ def field_sample_to_station_csv(
 ) -> list[str]:
     """Export a simulated sample in the station CSV schema (years = replicates)
     and return its column names.  `ingest_stations` reads them back as given,
-    so names that repeat or carry blanks around them raise, writing nothing."""
+    so names that are empty, repeat or carry blanks around them raise, writing nothing."""
     if names is None:
         names = [f"s{p.x}_{p.y}" for p in sample.locations]
     if len(names) != len(sample.locations):
         raise ParseError("one name per location is required")
-    if len(set(names)) < len(names) or any(name != name.strip() for name in names):
-        raise ParseError("station names must be distinct, without blanks around them")
+    if len(set(names)) < len(names) or any(not name or name != name.strip() for name in names):
+        raise ParseError("station names must be distinct and non-empty, without blanks around them")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["year"] + list(names))  # quotes names as needed
         for year, cells in enumerate(_value_texts(sample), start=start_year):

@@ -386,10 +386,10 @@ def test_criterion_8_station_pipeline(one_exact, tmp_path):
     points = tuple(P(i, 0) for i in range(3))
     cols = [dataset.column(n) for n in ("serra_alta", "planalto", "costa_verde")]
     direct_scores = scores_from_matrix(dataset.maxima[:, cols], points)
-    assert rows[1].contagion == estimate_contagion(
+    assert float(rows[1].summary.contagion) == estimate_contagion(
         direct_scores, Region(points[1:]), points[0]
     )
-    assert rows[1].stability == estimate_stability(
+    assert float(rows[1].summary.stability) == estimate_stability(
         direct_scores, Region(points[1:]), points[0]
     )
 
@@ -402,6 +402,6 @@ def test_criterion_8_station_pipeline(one_exact, tmp_path):
     round_tripped = ingest_stations(path)
     rep = station_indices(round_tripped, names[0], names[1:])
     scores = rank_transform(sample)
-    assert rep.contagion == estimate_contagion(scores, RING, SITE)
-    assert rep.stability == estimate_stability(scores, RING, SITE)
+    assert float(rep.summary.contagion) == estimate_contagion(scores, RING, SITE)
+    assert float(rep.summary.stability) == estimate_stability(scores, RING, SITE)
     report(8, "station pipeline (synthetic data; measured-data table not reproducible)")

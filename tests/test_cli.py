@@ -12,6 +12,7 @@ import pytest
 from m4extremes import LatticePoint, Region, load_spec, neighbors, preset
 from m4extremes import contagion_index, contagion_index_region
 from m4extremes import estimate_contagion, ingest_stations, rank_transform, read_sample_csv
+from m4extremes import export_sample, field_sample_to_station_csv, simulate_m4
 from m4extremes import ParseError
 from m4extremes import __version__
 from m4extremes.cli import main
@@ -536,6 +537,36 @@ class TestIngestReport:
         json.loads(out, parse_constant=reject)
 
 
+class TestEstimateAndReportAgree:
+    def test_shared_fields_are_equal(self, capsys, tmp_path):
+        # one sample, as a sample CSV and as a station CSV; the region holds the
+        # site itself, whose pair is a region of size 1
+        site, region = P(3, 3), [P(4, 3), P(3, 3), P(2, 3), P(3, 4)]
+        sample = simulate_m4(preset("one-pattern"), Region([site]).union(region), 60, 31)
+        csv_path, meta_path = export_sample(sample, tmp_path / "s.csv")
+        names = field_sample_to_station_csv(sample, tmp_path / "stations.csv")
+        station = {str(p): name for p, name in zip(sample.locations, names)}
+        code, out, _ = run(capsys, "estimate", "--sample", str(csv_path), "--meta",
+                           str(meta_path), "--site", "3,3",
+                           "--region", ";".join(f"{p.x},{p.y}" for p in region))
+        assert code == 0
+        estimate = json.loads(out)
+        code, out, _ = run(capsys, "report", "--data", str(tmp_path / "stations.csv"),
+                           "--condition", station[str(site)],
+                           "--region", ",".join(station[str(p)] for p in region))
+        assert code == 0
+        [report] = json.loads(out)["reports"]
+        shared = ["contagion_index_estimate", "stability_index_estimate",
+                  "pairwise_extremal_estimates", "joint_extremal_estimate"]
+        assert [k for k in estimate if k in shared] == [k for k in report if k in shared] == shared
+        pairs = [{"station": station[pair["point"]], "value": pair["value"],
+                  "out_of_range": pair["out_of_range"]}
+                 for pair in estimate["pairwise_extremal_estimates"]]
+        assert [pair["station"] for pair in pairs] == [station[str(p)] for p in region]
+        estimate["pairwise_extremal_estimates"] = pairs
+        assert {k: estimate[k] for k in shared} == {k: report[k] for k in shared}
+
+
 class TestCsvProvenance:
     """A CSV output opens with `_meta`'s record, one comment line per field."""
 
@@ -765,6 +796,24 @@ class TestWriteFailure:
         [line] = err.splitlines()
         assert line.startswith("error: ") and repr(str(path)) in line
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSizeTheHostCannotHold:
+    """numpy refuses these sizes before it allocates anything: exit 3 with numpy's
+    message on one line.  Sizes that fit in the address space are not tried."""
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --spec one-pattern --locations 0,0;1,0 --n 1000000000000000 --seed 1",
+        "mc-study --spec one-pattern --site=3,3 --region neighbors --n 10 "
+        "--reps 100000000000000 --seed 1",
+    ], ids=["simulate", "mc-study"])
+    def test_exits_3(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv.split(), "--out", str(path))
+        assert (code, out) == (3, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {argv.split()[0]}: Unable to allocate ")
+        assert not path.exists()
 
 
 class TestPointArguments:

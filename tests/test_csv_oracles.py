@@ -126,6 +126,9 @@ def oracle_ingest_stations(csv_path, *, missing="error") -> StationDataset:
         names = [h.strip() for h in header[1:]]
         if not names:
             raise ParseError(f"{csv_path}: no station columns")
+        for column, name in enumerate(header[1:], start=2):
+            if not name.strip():
+                raise ParseError(f"{csv_path}: header column {column} has no station name")
         if len(set(names)) != len(names):
             raise ParseError(f"{csv_path}: duplicate station names in header")
         years: list[int] = []
@@ -517,6 +520,8 @@ def _station_corpus() -> list[tuple[str, str]]:
         ("no stations", "year\n2000\n"),
         ("bad header", base.replace("year", "season", 1)),
         ("duplicate names", base.replace("c", "a", 1)),
+        ("trailing comma in header", base.replace(header, "year,a,b,", 1)),
+        ("blank name inside header", base.replace(header, "year,a,,b", 1)),
         ("padded header", base.replace("year,a", " Year , a ", 1)),
     ]
     for cell in _CELL_MUTATIONS:

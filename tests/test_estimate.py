@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from m4extremes import (
     ArgumentError,
     EstimationError,
+    ExtremalCoefficientEstimate,
     FieldSample,
     LatticePoint,
     Region,
@@ -567,6 +568,12 @@ class TestExtremalCoefficientEstimate:
         assert est.as_fraction() == F(14, 6)
         assert est.value > 2
         assert est.out_of_range  # unclamped, flagged
+
+    def test_value_is_the_fraction(self):
+        est = ExtremalCoefficientEstimate(3, 2, 2)
+        assert est.value == 1.5 and est.as_fraction() == F(3, 2)
+        assert not est.out_of_range
+        assert ExtremalCoefficientEstimate(1, 2, 2).out_of_range
 
     def test_range_of_mean_max(self):
         rng = np.random.default_rng(0)

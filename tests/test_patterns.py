@@ -408,7 +408,7 @@ def brute_force_validate(spec):
                 total = total + w
         if (total != 1) if exact else (abs(total - 1) > 1e-12):
             sums.append(SumViolation(point, total))
-    return ValidationReport(not sums and not negatives, tuple(sums), tuple(negatives))
+    return ValidationReport(tuple(sums), tuple(negatives))
 
 
 class TestValidationOracle:
@@ -437,7 +437,7 @@ class TestValidationOracle:
         )
         for domain in (LatticeRect(2, 2, -3, 3), LatticeRect(-3, 3, 0, 0)):
             spec = M4Spec.from_rules(1, 1, 2, domain, rules)  # validates
-            assert validate(spec) == brute_force_validate(spec) == ValidationReport(True)
+            assert validate(spec) == brute_force_validate(spec) == ValidationReport()
 
     def test_float_tolerance_matches_brute_force(self):
         within = [[0.5, 0.5 + 5e-13]]
@@ -572,8 +572,19 @@ class TestSpecRules:
             M4Spec.from_table(1, 1, 2, {P(0, 0): [[1]]})
 
     def test_report_text(self):
-        assert str(ValidationReport(ok=True)) == "valid"
+        assert str(ValidationReport()) == "valid"
         rules = (PatternRule("always", ((F(2), F(-1)),)),)
         spec = M4Spec.from_rules(1, 1, 2, LatticeRect(0, 0, 0, 0), rules, check=False)
         report = validate(spec)
         assert str(report) == "negative weight -1 at pattern 1, lag 2, location (0,0)"
+
+    def test_ok_follows_the_entries(self):
+        assert ValidationReport().ok is True
+        ValidationReport().raise_if_invalid()
+        violation = SumViolation(P(0, 0), F(5, 4))
+        negative = NegativeEntry(1, 2, P(0, 0), F(-1))
+        for report in (ValidationReport((violation,)), ValidationReport((), (negative,))):
+            assert report.ok is False
+            assert str(report) != "valid"
+            with pytest.raises(SpecValidationError):
+                report.raise_if_invalid()

@@ -76,6 +76,17 @@ class TestIngest:
         with pytest.raises(ParseError, match="duplicate"):
             ingest_stations(path)
 
+    @pytest.mark.parametrize("missing", ["error", "drop-year"])
+    @pytest.mark.parametrize("header, column", [("year,a,b,", 4), ("year,a,,b", 3),
+                                                ("year, ,a,a", 2)])
+    def test_blank_station_name(self, tmp_path, missing, header, column):
+        # a trailing comma, as spreadsheets write it, or an empty cell: no name
+        # that a region could give, and checked before repeats
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n2000,1.0,2.0,3.0\n")
+        with raises_exactly(ParseError, f"{path}: header column {column} has no station name"):
+            ingest_stations(path, missing=missing)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("season,a\n2000,1.0\n")
@@ -203,9 +214,9 @@ class TestStationIndices:
         path.write_text("\n".join(rows) + "\n")
         ds = ingest_stations(path)
         report = station_indices(ds, "c", ["r1", "r2"])
-        assert report.contagion == 2.0
-        assert report.stability == 0.0
-        assert report.joint == 1.0
+        assert float(report.summary.contagion) == 2.0
+        assert float(report.summary.stability) == 0.0
+        assert float(report.summary.joint_extremal) == 1.0
 
     def test_independent_columns_have_no_contagion(self):
         # three independent unit-Frechet columns, n=1000
@@ -243,7 +254,7 @@ class TestStationIndices:
         assert report.conditioning == "serra_alta"
         assert report.region == ("vale_frio", "monte_claro")
         assert report.n == 32
-        assert len(report.pairwise) == 2
+        assert len(report.summary.pairwise_extremal) == 2
         doc = report.to_json_dict()
         assert set(doc) == {
             "conditioning",
@@ -280,6 +291,16 @@ def loop_station_indices(dataset, conditioning, region_names):
     )
 
 
+def report_floats(report):
+    """A report as `loop_station_indices` gives it: the contagion, stability and joint
+    estimates are its summary's, as floats, and the pairs its document's."""
+    pairwise = tuple((p["station"], p["value"], p["out_of_range"])
+                     for p in report.to_json_dict()["pairwise_extremal_estimates"])
+    summary = report.summary
+    return (float(summary.contagion), float(summary.stability), pairwise,
+            float(summary.joint_extremal))
+
+
 class TestStationIndicesOracle:
     @pytest.mark.parametrize(
         "names",
@@ -294,9 +315,9 @@ class TestStationIndicesOracle:
     def test_matches_per_call_loop(self, names):
         ds = ingest_stations(DATA_DIR / "stations_32y.csv")
         report = station_indices(ds, "serra_alta", names)
-        got = (report.contagion, report.stability, report.pairwise, report.joint)
+        got = report_floats(report)
         assert repr(got) == repr(loop_station_indices(ds, "serra_alta", names))
-        assert [s for s, _, _ in report.pairwise] == list(dict.fromkeys(names))
+        assert [s for s, _, _ in got[2]] == list(dict.fromkeys(names))
 
     def test_conditioning_station_pair_is_the_singleton(self):
         # ties in "c" put its singleton estimate at 11/9: outside [1, 1],
@@ -307,8 +328,9 @@ class TestStationIndicesOracle:
             maxima=np.array([[1.0, 4.0], [1.0, 3.0], [2.0, 2.0], [3.0, 1.0]]),
         )
         report = station_indices(ds, "c", ["r", "c", "c"])
-        assert report.pairwise[1:] == (("c", 11 / 9, True),)
-        assert repr(report.pairwise) == repr(loop_station_indices(ds, "c", ["r", "c", "c"])[2])
+        pairwise = report_floats(report)[2]
+        assert pairwise[1:] == (("c", 11 / 9, True),)
+        assert repr(pairwise) == repr(loop_station_indices(ds, "c", ["r", "c", "c"])[2])
 
 
 class TestRoundTrip:
@@ -330,19 +352,20 @@ class TestRoundTrip:
         scores = rank_transform(sample)
         direct_ci = estimate_contagion(scores, ring, site)
         direct_si = estimate_stability(scores, ring, site)
-        assert report.contagion == direct_ci
-        assert report.stability == direct_si
+        assert float(report.summary.contagion) == direct_ci
+        assert float(report.summary.stability) == direct_si
 
     def test_one_name_per_location(self, one_pattern_spec, tmp_path):
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
         with raises_exactly(ParseError, "one name per location is required"):
             field_sample_to_station_csv(sample, tmp_path / "s.csv", names=["a"])
 
-    @pytest.mark.parametrize("names", [["a", "a"], [" a", "b "], ["a", "a\t"], ["a\n", "b"]])
+    @pytest.mark.parametrize("names", [["a", "a"], [" a", "b "], ["a", "a\t"], ["a\n", "b"],
+                                       ["a", ""]])
     def test_names_the_reader_would_refuse_or_change(self, one_pattern_spec, tmp_path, names):
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
         path = tmp_path / "s.csv"
-        message = "station names must be distinct, without blanks around them"
+        message = "station names must be distinct and non-empty, without blanks around them"
         with raises_exactly(ParseError, message):
             field_sample_to_station_csv(sample, path, names=names)
         assert not path.exists()
@@ -371,9 +394,9 @@ class TestRoundTrip:
         points = (P(0, 0), P(1, 0), P(2, 0))
         cols = [ds.column("serra_alta"), ds.column("vale_frio"), ds.column("planalto")]
         scores = scores_from_matrix(ds.maxima[:, cols], points)
-        assert report.contagion == estimate_contagion(
+        assert float(report.summary.contagion) == estimate_contagion(
             scores, Region(points[1:]), points[0]
         )
-        assert report.stability == estimate_stability(
+        assert float(report.summary.stability) == estimate_stability(
             scores, Region(points[1:]), points[0]
         )
