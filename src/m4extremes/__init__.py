@@ -36,6 +36,8 @@ from .estimate import (
     ExtremalCoefficientEstimate,
     StudyResult,
     UniformScores,
+    empirical_contagion,
+    empirical_stability,
     estimate_contagion,
     estimate_contagion_region,
     estimate_extremal_coefficient,
@@ -62,8 +64,6 @@ from .patterns import (
 from .rng import substream, uniform_block
 from .simulate import (
     FieldSample,
-    empirical_contagion,
-    empirical_stability,
     export_sample,
     read_sample_csv,
     simulate_m4,

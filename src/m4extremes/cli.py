@@ -24,7 +24,7 @@ from .errors import M4Error, ParseError
 from .estimate import _estimates_json, estimate_summary, monte_carlo_study, rank_transform
 from .lattice import LatticePoint, Region, neighbors
 from .patterns import M4Spec, PRESETS, dump_spec, load_spec, preset, validate
-from .simulate import export_sample, read_sample_csv, simulate_m4
+from .simulate import _csv_rows, export_sample, read_sample_csv, simulate_m4
 from .stations import ingest_stations, station_indices
 
 
@@ -201,8 +201,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     dataset = ingest_stations(args.data, missing=args.missing)
-    regions = [[name.strip() for name in region.split(",") if name.strip()]
-               for region in args.region]
+    regions = [[name.strip() for name in next(_csv_rows("--region", [region])) if name.strip()]
+               for region in args.region]  # each value one CSV record, as the header is
     reports = [station_indices(dataset, args.condition, names) for names in regions]
     if args.format == "csv":
         lines = _csv_meta_lines()
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="station-to-region index estimates")
     p.add_argument("--condition", required=True, help="conditioning station name")
     p.add_argument("--region", required=True, action="append",
-                   help="comma-separated station names (repeatable)")
+                   help="comma-separated station names, quoted as in CSV (repeatable)")
     p.set_defaults(func=cmd_report)
 
     return parser

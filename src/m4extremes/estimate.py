@@ -1,4 +1,4 @@
-"""Rank-based estimation of extremal coefficients and derived indices.
+"""Rank-based estimates of extremal coefficients and indices, and finite-threshold oracles.
 
 The rank transform uses the modified empirical CDF with denominator n+1 and
 ties counted by "less than or equal", so every score is k/(n+1) for an
@@ -10,14 +10,16 @@ identities exact rather than approximate.
 
 from __future__ import annotations
 
+import bisect
 import warnings
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._numpy import np
 from .dependence import DependenceSummary, _summary, summarize
-from .errors import ArgumentError, EstimationError
+from .errors import ArgumentError, EstimationError, UndefinedConditionalError
 from .lattice import LatticePoint, Region
 from .rng import substream
 from .simulate import _CACHE_ELEMENTS, FieldSample, _in_parts, _Rows, simulate_m4
@@ -116,8 +118,8 @@ def _rank_group(rows, steps, counts, keys, order) -> None:
     bits of an order-preserving image of the float above its flat position in `rows`,
     built and split in cache-sized blocks in `keys`.  One argsort per row puts runs that
     tie in those bits in value order if they are not.  Each sorted row counts `steps`;
-    only elements that tie by value take their run's last count, in one pass where ties
-    are dense.  Keys read `x + 0.0`, so -0.0 ties with 0.0."""
+    only elements that tie by value take their run's last count, in one pass over them.
+    Keys read `x + 0.0`, so -0.0 ties with 0.0."""
     m, n = rows.shape
     flat, size, step = rows.reshape(-1), m * n, _CACHE_ELEMENTS
     mask = np.uint64((1 << (size - 1).bit_length()) - 1)  # the flat position
@@ -142,16 +144,85 @@ def _rank_group(rows, steps, counts, keys, order) -> None:
             runs = runs[np.append(True, runs[1:] != runs[:-1])]
             for part in np.split(runs, np.searchsorted(runs, np.arange(n, size, n))):
                 order[part] = order[part[np.argsort(flat[order[part]])]]
-        run_end[tied] = flat[order[tied + 1]] != flat[order[tied]]
+        tied = tied[flat[order[tied + 1]] == flat[order[tied]]]  # those that tie by value
     last = keys.view(np.int64).reshape(m, n)  # the count of each sorted element
     last[:] = steps
-    if len(tied) > size // 8:  # dense ties: one pass gives each element its run's last count
-        np.copyto(last.reshape(-1)[:-1], n, where=~run_end)
-        np.minimum.accumulate(last[:, ::-1], axis=1, out=last[:, ::-1])
-    elif len(tied) and len(tied := tied[~run_end[tied]]):  # else only ties by value
-        ends = tied[np.diff(tied, append=size) > 1] + 1  # the last element of each run
-        last.reshape(-1)[tied] = ends[np.searchsorted(ends, tied)] % n + 1
+    if len(tied):  # a run's ties take the count of the element after the run's last tie
+        stops = np.flatnonzero(np.diff(tied, append=size) > 1)  # the last tie of each run
+        last.reshape(-1)[tied] = np.repeat((tied[stops] + 1) % n + 1, np.diff(stops, prepend=-1))
     counts.reshape(-1)[order] = last.reshape(-1)
+
+
+def _exceedances(
+    sample: FieldSample, region: Region, site: LatticePoint, u: float, scores
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int]]]:
+    """Which replicates score above `u` at the site, then at each distinct row of the
+    region's scores with its number of region points: counts `k > t`, for the largest
+    `t` in 0..n with `t / (n + 1) <= u` (exact, as correctly rounded division is monotone)."""
+    if not 0.0 < u < 1.0:
+        raise ArgumentError(f"threshold must be in (0,1), got {u}")
+    if scores is None:
+        scores = rank_transform(sample)
+    if scores.locations != sample.locations:
+        raise ArgumentError("scores were computed for different locations")
+    rows, n = scores._rows, scores.n
+    if n != sample.n_replicates:
+        raise ArgumentError(f"scores were computed for {n} replicates, not {sample.n_replicates}")
+    row_of = [scores._row_of[sample.column_index(p)] for p in (site, *region)]
+    t = bisect.bisect_right(range(n + 1), u, key=lambda k: k / (n + 1)) - 1
+    site_high = rows[row_of[0]] > t
+    return site_high, ((site_high if g == row_of[0] else rows[g] > t, mult)
+                       for g, mult in Counter(row_of[1:]).items())
+
+
+def empirical_contagion(
+    sample: FieldSample,
+    region: Region,
+    site: LatticePoint,
+    u: float,
+    scores=None,
+) -> float:
+    """Mean number of region rank-scores above `u` among replicates where the
+    site's rank-score is above `u`; finite-threshold check value for the
+    contagion index.
+
+    Pass precomputed `scores` (from rank_transform) to amortize ranking
+    across repeated calls.  Region points that share a row of the scores (a
+    weight matrix) share one comparison: the cost scales with distinct
+    matrices, not locations.
+    """
+    site_high, region_high = _exceedances(sample, region, site, u, scores)
+    m = int(np.count_nonzero(site_high))  # a Python int: the result is a Python float
+    if m == 0:
+        raise UndefinedConditionalError(f"no replicate has a site score above u={u}")
+    exceed = sum(mult * np.count_nonzero(high & site_high) for high, mult in region_high)
+    return float(exceed) / m
+
+
+def empirical_stability(
+    sample: FieldSample,
+    region: Region,
+    site: LatticePoint,
+    u: float,
+    scores=None,
+) -> float:
+    """Mean number of crossings (site score <= u < region score), normalized
+    by the number of replicates where any score among {site} and the region
+    is above `u`; finite-threshold check value for the stability index.
+
+    Raises :class:`UndefinedConditionalError` when no crossing occurs at all
+    (e.g. totally dependent columns, or `u` above every score).  Points that
+    share a weight matrix share one comparison, as in `empirical_contagion`.
+    """
+    site_high, region_high = _exceedances(sample, region, site, u, scores)
+    site_low, any_high = ~site_high, site_high.copy()
+    crossings = 0
+    for high, mult in region_high:
+        crossings += mult * np.count_nonzero(high & site_low)
+        any_high |= high
+    if crossings == 0:
+        raise UndefinedConditionalError(f"no replicate has a crossing at u={u}")
+    return int(crossings) / int(np.count_nonzero(any_high))
 
 
 @dataclass(frozen=True)

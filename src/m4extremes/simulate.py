@@ -1,4 +1,4 @@
-"""Simulation of moving-maxima random fields and finite-threshold oracles.
+"""Simulation of moving-maxima random fields; their finite-threshold oracles are in `estimate`.
 
 Each replicate of the field draws one independent unit-Frechet variate per
 (pattern, lag) slot and sets every location to the largest weighted draw;
@@ -11,14 +11,12 @@ prefix-stable (the first rows of a longer run equal a shorter run).
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
 import os
 import re
 import warnings
-from collections import Counter
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -26,7 +24,7 @@ from typing import Iterable, Iterator, TextIO
 
 from ._numpy import np
 from ._version import __version__
-from .errors import ArgumentError, ParseError, UndefinedConditionalError
+from .errors import ArgumentError, ParseError
 from .lattice import LatticePoint, Region
 from .patterns import M4Spec, _json_int
 from .rng import U64_MASK, uniform_block
@@ -210,80 +208,6 @@ def _in_parts(work, total: int, most: int, cells: int) -> None:
             thread.join()
     if errors:
         raise errors[0]
-
-
-def _exceedances(
-    sample: FieldSample, region: Region, site: LatticePoint, u: float, scores
-) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int]]]:
-    """Which replicates score above `u` at the site, then at each distinct row of the
-    region's scores with its number of region points: counts `k > t`, for the largest
-    `t` in 0..n with `t / (n + 1) <= u` (exact, as correctly rounded division is monotone)."""
-    if not 0.0 < u < 1.0:
-        raise ArgumentError(f"threshold must be in (0,1), got {u}")
-    if scores is None:
-        from .estimate import rank_transform  # local import; avoids module cycle
-
-        scores = rank_transform(sample)
-    if scores.locations != sample.locations:
-        raise ArgumentError("scores were computed for different locations")
-    rows, n = scores._rows, scores.n
-    if n != sample.n_replicates:
-        raise ArgumentError(f"scores were computed for {n} replicates, not {sample.n_replicates}")
-    row_of = [scores._row_of[sample.column_index(p)] for p in (site, *region)]
-    t = bisect.bisect_right(range(n + 1), u, key=lambda k: k / (n + 1)) - 1
-    site_high = rows[row_of[0]] > t
-    return site_high, ((site_high if g == row_of[0] else rows[g] > t, mult)
-                       for g, mult in Counter(row_of[1:]).items())
-
-
-def empirical_contagion(
-    sample: FieldSample,
-    region: Region,
-    site: LatticePoint,
-    u: float,
-    scores=None,
-) -> float:
-    """Mean number of region rank-scores above `u` among replicates where the
-    site's rank-score is above `u`; finite-threshold check value for the
-    contagion index.
-
-    Pass precomputed `scores` (from rank_transform) to amortize ranking
-    across repeated calls.  Region points that share a row of the scores (a
-    weight matrix) share one comparison: the cost scales with distinct
-    matrices, not locations.
-    """
-    site_high, region_high = _exceedances(sample, region, site, u, scores)
-    m = int(np.count_nonzero(site_high))  # a Python int: the result is a Python float
-    if m == 0:
-        raise UndefinedConditionalError(f"no replicate has a site score above u={u}")
-    exceed = sum(mult * np.count_nonzero(high & site_high) for high, mult in region_high)
-    return float(exceed) / m
-
-
-def empirical_stability(
-    sample: FieldSample,
-    region: Region,
-    site: LatticePoint,
-    u: float,
-    scores=None,
-) -> float:
-    """Mean number of crossings (site score <= u < region score), normalized
-    by the number of replicates where any score among {site} and the region
-    is above `u`; finite-threshold check value for the stability index.
-
-    Raises :class:`UndefinedConditionalError` when no crossing occurs at all
-    (e.g. totally dependent columns, or `u` above every score).  Points that
-    share a weight matrix share one comparison, as in `empirical_contagion`.
-    """
-    site_high, region_high = _exceedances(sample, region, site, u, scores)
-    site_low, any_high = ~site_high, site_high.copy()
-    crossings = 0
-    for high, mult in region_high:
-        crossings += mult * np.count_nonzero(high & site_low)
-        any_high |= high
-    if crossings == 0:
-        raise UndefinedConditionalError(f"no replicate has a crossing at u={u}")
-    return int(crossings) / int(np.count_nonzero(any_high))
 
 
 # -- CSV interchange ----------------------------------------------------------

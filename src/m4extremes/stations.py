@@ -75,7 +75,7 @@ class StationDataset:
             raise UnknownStationError(f"unknown station {name!r}") from None
 
 
-def _read_metadata(path: str | Path) -> dict[str, tuple[float, float]]:
+def _read_metadata(path: str | Path, names: list[str]) -> dict[str, tuple[float, float]]:
     coords: dict[str, tuple[float, float]] = {}
     with _open_csv(path) as fh:
         reader = _csv_rows(path, fh)
@@ -91,7 +91,11 @@ def _read_metadata(path: str | Path) -> dict[str, tuple[float, float]]:
                 raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ParseError(f"{path}:{lineno}: non-finite coordinates {x}, {y}")
-            coords[row[0].strip()] = (x, y)
+            name = row[0].strip()
+            if name in coords or name not in names:  # else a typo leaves a station bare
+                raise ParseError(f"{path}:{lineno}: station {name!r} "
+                                 + ("is listed twice" if name in coords else "is not in the data"))
+            coords[name] = (x, y)
     return coords
 
 
@@ -193,7 +197,7 @@ def ingest_stations(
             kept_rows.append(cells)
     if not years:
         raise ParseError(f"{csv_path}: no usable year rows")
-    coords = _read_metadata(metadata_path) if metadata_path is not None else {}
+    coords = _read_metadata(metadata_path, names) if metadata_path is not None else {}
     stations = tuple(Station(name, *coords.get(name, (None, None))) for name in names)
     return StationDataset(stations, tuple(years), kept_rows, tuple(dropped))
 
@@ -244,7 +248,6 @@ def field_sample_to_station_csv(
     path: str | Path,
     *,
     names: list[str] | None = None,
-    start_year: int = 1,
 ) -> list[str]:
     """Export a simulated sample in the station CSV schema (years = replicates)
     and return its column names.  `ingest_stations` reads them back as given,
@@ -257,6 +260,6 @@ def field_sample_to_station_csv(
         raise ParseError("station names must be distinct and non-empty, without blanks around them")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["year"] + list(names))  # quotes names as needed
-        for year, cells in enumerate(_value_texts(sample), start=start_year):
+        for year, cells in enumerate(_value_texts(sample), start=1):
             fh.write(",".join([f"{year}", *cells]) + "\r\n")
     return list(names)

@@ -57,6 +57,35 @@ def use_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+HOST_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def threads_for(monkeypatch, started: list, parts: int) -> list:
+    """Lets a runner split its work into `parts` parts, on the calling thread and
+    `parts - 1` more.  Where the host has a CPU for each part, the threads are real.
+    Else `threading.Thread` becomes a stand-in whose `start` appends it to `started` and
+    starts nothing, and whose `join` runs its target on the joining thread: no test
+    starts more threads than the host has CPUs.  Returns the stand-ins whose target is
+    running, in a join (none outside one)."""
+    running = []
+    if parts <= (HOST_CPUS or 1):
+        return running
+
+    class StandInThread(threading.Thread):
+        def start(self):
+            started.append(self)
+
+        def join(self, timeout=None):
+            running.append(self)
+            try:
+                self.run()
+            finally:
+                running.remove(self)
+
+    monkeypatch.setattr(threading, "Thread", StandInThread)
+    return running
+
+
 @pytest.fixture(scope="session")
 def one_pattern_spec() -> M4Spec:
     return preset_one_pattern()

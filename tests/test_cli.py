@@ -12,7 +12,7 @@ import pytest
 from m4extremes import LatticePoint, Region, load_spec, neighbors, preset
 from m4extremes import contagion_index, contagion_index_region
 from m4extremes import estimate_contagion, ingest_stations, rank_transform, read_sample_csv
-from m4extremes import export_sample, field_sample_to_station_csv, simulate_m4
+from m4extremes import export_sample, field_sample_to_station_csv, simulate_m4, station_indices
 from m4extremes import ParseError
 from m4extremes import __version__
 from m4extremes.cli import main
@@ -488,6 +488,40 @@ class TestIngestReport:
             "--condition", "serra_alta", "--region", "vale_frio",
         )
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("rows, line", [
+        ("b,1,1\nb,5,5\n", "3: station 'b' is listed twice"),
+        ("b,1,1\nzz,3,3\n", "3: station 'zz' is not in the data"),
+    ])
+    def test_metadata_rows_name_each_station_once(self, capsys, tmp_path, rows, line):
+        data, meta = tmp_path / "d.csv", tmp_path / "meta.csv"
+        data.write_text("year,a,b,c\n2000,1,2,3\n2001,2,3,1\n")
+        meta.write_text("station,x,y\n" + rows)
+        code, out, err = run(capsys, "ingest", "--data", str(data), "--meta", str(meta))
+        assert (code, out, err) == (3, "", f"error: {meta}:{line}\n")
+
+    def test_region_names_a_station_whose_name_holds_a_comma(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        maxima = (np.random.default_rng(32).random((12, 3)) + 1).tolist()
+        data.write_text('year,"a, north",b,c\n' + "".join(
+            f"{2000 + r},{x!r},{y!r},{z!r}\n" for r, (x, y, z) in enumerate(maxima)))
+        dataset = ingest_stations(data)
+        for region, names in (('"a, north"', ["a, north"]), ('"a, north",c', ["a, north", "c"]),
+                              ('c ,"a, north" ', ["c", "a, north"]), ("c,,c", ["c"])):
+            code, out, _ = run(capsys, "report", "--data", str(data), "--condition", "b",
+                               "--region", region)
+            assert code == 0, region
+            report = json.loads(out)["reports"][0]
+            assert report["region"] == names
+            assert report == station_indices(dataset, "b", names).to_json_dict()
+        # as in the header, a quote opens a quoted name only where its field starts
+        for region, err in (("a, north", "error: unknown station 'a'\n"),
+                            ('c, "a, north"', "error: unknown station '\"a'\n")):
+            assert run(capsys, "report", "--data", str(data), "--condition", "b",
+                       "--region", region) == (3, "", err)
+        code, out, err = run(capsys, "report", "--data", str(data), "--condition", "b",
+                             "--region", "b\nc")
+        assert (code, out) == (3, "") and err.startswith("error: --region:1: ")
 
     def test_unknown_station_exits_3(self, capsys):
         code, _, err = run(

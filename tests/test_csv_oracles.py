@@ -436,10 +436,10 @@ def test_accepted_samples_round_trip_through_both_formats(tmp_path_factory, samp
     back = read_sample_csv(folder / "s.csv")
     assert back.locations == sample.locations
     assert _bits(back.values) == _bits(sample.values)
-    names = field_sample_to_station_csv(sample, folder / "d.csv", start_year=1990)
+    names = field_sample_to_station_csv(sample, folder / "d.csv")
     dataset = ingest_stations(folder / "d.csv")
     assert dataset.station_names == tuple(names)
-    assert dataset.years == tuple(range(1990, 1990 + sample.n_replicates))
+    assert dataset.years == tuple(range(1, 1 + sample.n_replicates))
     assert _bits(dataset.maxima) == _bits(sample.values)
 
 
@@ -852,17 +852,16 @@ def test_station_writer_matches_csv_writer(tmp_path, name):
     k = len(sample.locations)
     names = (["plain", 'quoted "name"', "comma, name"] + [f"s{c}" for c in range(3, k)])[:k]
     path = tmp_path / "st.csv"
-    assert field_sample_to_station_csv(sample, path, names=names, start_year=1990) == names
+    assert field_sample_to_station_csv(sample, path, names=names) == names
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["year"] + names)
-    for r, row in enumerate(sample.values):
-        writer.writerow([1990 + r] + [repr(float(v)) for v in row])
+    for year, row in enumerate(sample.values, start=1):
+        writer.writerow([year] + [repr(float(v)) for v in row])
     assert path.read_bytes() == expected.getvalue().encode()
     assert b"\r\n" in path.read_bytes()
     plain = tmp_path / "plain.csv"
-    field_sample_to_station_csv(FieldSample(sample.locations, sample.values), plain,
-                                names=names, start_year=1990)
+    field_sample_to_station_csv(FieldSample(sample.locations, sample.values), plain, names=names)
     assert plain.read_bytes() == path.read_bytes()
 
 

@@ -293,23 +293,43 @@ class TestPackedKeyOracle:
         for values in cases.values():
             self.check(values, brute_force_counts)
 
-    def test_run_pass_only_for_tied_keys(self, monkeypatch):
-        copies = []
-        real_copyto = np.copyto
+    @staticmethod
+    def tie_passes(monkeypatch):
+        """Spies on `np.repeat`; returns the length of each result: one per pass over
+        the value ties of a row group."""
+        lengths, real_repeat = [], np.repeat
 
-        def counting_copyto(*args, **kwargs):
-            copies.append(args[0].size)
-            return real_copyto(*args, **kwargs)
+        def counting_repeat(*args, **kwargs):
+            result = real_repeat(*args, **kwargs)
+            lengths.append(len(result))
+            return result
 
-        monkeypatch.setattr(np, "copyto", counting_copyto)
+        monkeypatch.setattr(np, "repeat", counting_repeat)
+        return lengths
+
+    @staticmethod
+    def value_ties(values):
+        """The number of elements that equal the next of their column, once sorted."""
+        return sum(len(col) - len(np.unique(col)) for col in values.T)
+
+    @staticmethod
+    def layouts(values):
+        return values, np.asfortranarray(values), np.repeat(values, 2, axis=1)[:, ::2]
+
+    def test_tie_pass_only_for_value_ties(self, monkeypatch):
         rng = np.random.default_rng(8)
         tie_free = rng.permutation(4000).reshape(1000, 4) + 0.5
-        for values, runs in ((tie_free, []), (tie_free.round(-2), [3999])):
-            for layout in (values, np.asfortranarray(values), np.repeat(values, 2, 1)[:, ::2]):
-                copies.clear()
-                scores = scores_from_matrix(layout, points_for(layout))
-                assert copies == runs  # the run pass fills one position per element
-                assert np.array_equal(scores.rank_counts, sorted_counts(values))
+        # 64 distinct values a column, 1 + j*2**-52: they tie in their keys, not by value
+        key_ties = 1.0 + rng.permuted(np.tile(np.arange(64), (16, 1)), axis=1).T * 2.0**-52
+        rounded = tie_free.round(-2)
+        cases = [(tie_free, []), (key_ties, []), (rounded, [self.value_ties(rounded)])]
+        cases = [(layout, passes) for values, passes in cases for layout in self.layouts(values)]
+        lengths = self.tie_passes(monkeypatch)
+        for layout, passes in cases:
+            lengths.clear()
+            scores = scores_from_matrix(layout, points_for(layout))
+            assert lengths == passes  # one pass, over the value-tied elements alone
+            assert np.array_equal(scores.rank_counts, sorted_counts(layout))
 
     BLOCK = estimate_module._CACHE_ELEMENTS  # keys are built and split in blocks
 
@@ -336,29 +356,16 @@ class TestPackedKeyOracle:
         values = np.column_stack([ascending, ascending[::-1], rng.permutation(ascending)])
         self.check(values, sorted_counts)
 
-    def test_few_ties_take_the_sparse_fix_up(self, monkeypatch):
+    def test_few_ties_touch_only_the_tied_elements(self, monkeypatch):
         values = self.few_ties(3 * self.BLOCK, 2, np.random.default_rng(10))
-        expected = sorted_counts(values)
-        tied = sum(len(col) - len(np.unique(col)) for col in values.T)
+        expected, tied = sorted_counts(values), self.value_ties(values)
         assert 0 < tied < values.size // 100
-        calls = []
-        real_copyto, real_searchsorted = np.copyto, np.searchsorted
-
-        def counting_copyto(*args, **kwargs):
-            calls.append(("copyto", args[0].size))
-            return real_copyto(*args, **kwargs)
-
-        def counting_searchsorted(a, v, *args, **kwargs):
-            calls.append(("searchsorted", len(v)))
-            return real_searchsorted(a, v, *args, **kwargs)
-
-        monkeypatch.setattr(np, "copyto", counting_copyto)
-        monkeypatch.setattr(np, "searchsorted", counting_searchsorted)
-        for layout in (values, np.asfortranarray(values), np.repeat(values, 2, 1)[:, ::2]):
-            calls.clear()
+        layouts = self.layouts(values)
+        lengths = self.tie_passes(monkeypatch)
+        for layout in layouts:
+            lengths.clear()
             scores = scores_from_matrix(layout, points_for(layout))
-            # no run pass: only the tied elements look up their run's end
-            assert calls == [("searchsorted", tied)]
+            assert lengths == [tied]
             assert np.array_equal(scores.rank_counts, expected)
 
     # Row groups.  These tests lower the cut-off below every matrix and run the other
@@ -418,23 +425,16 @@ class TestPackedKeyOracle:
         for values in (tie_free, key_ties, -key_ties[:, ::-1]):
             self.check_groups(values, split, cpus)
 
-    def test_dense_ties_in_one_group_only(self, split, monkeypatch):
-        copies = []
-        real_copyto = np.copyto
-
-        def counting_copyto(*args, **kwargs):
-            copies.append(args[0].size)
-            return real_copyto(*args, **kwargs)
-
-        monkeypatch.setattr(np, "copyto", counting_copyto)
+    def test_tie_pass_in_the_tied_group_only(self, split, monkeypatch):
+        lengths = self.tie_passes(monkeypatch)
         n, rng = 400, np.random.default_rng(12)
         tied, tie_free = rng.integers(0, 5, n) * 1.0, rng.permutation(n) + 0.5
         for values in (np.column_stack([tied, tie_free]), np.column_stack([tie_free, tied])):
-            for cpus, runs in ((1, [2 * n - 1]), (2, [n - 1])):
+            for cpus in (1, 2):
                 split(cpus)
-                copies.clear()
+                lengths.clear()
                 counts = scores_from_matrix(values, points_for(values)).rank_counts
-                assert copies == runs  # the run pass covers the tied group alone
+                assert lengths == [n - len(np.unique(tied))]  # the tied group's pass alone
                 assert np.array_equal(counts, brute_force_counts(values))
 
     @pytest.mark.parametrize("nan", [np.nan, -np.nan, np.frombuffer(

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from m4extremes import simulate
+from m4extremes import estimate, simulate
 from m4extremes import (
     ArgumentError,
     FieldSample,
@@ -39,7 +39,7 @@ from m4extremes import (
 )
 from m4extremes.rng import U64_MASK, uniform_block
 from m4extremes.stations import Station, StationDataset
-from conftest import raises_exactly, table_spec, use_cpus
+from conftest import raises_exactly, table_spec, threads_for, use_cpus
 
 P = LatticePoint
 
@@ -141,6 +141,56 @@ class TestSimulate:
             tracemalloc.stop()
         held = 2 * 2 * n * 8  # two rows of values and two of counts
         assert peak - held < n * len(locations) * 8 == 14_400_000
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of `call()`, in bytes; the result is dropped after."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSets:
+    """The per-call figures that the README states, each bounded by a tracemalloc
+    peak; `simulate_m4`'s are `TestSimulate.test_working_set_is_chunked` and
+    `TestSimulationThreads.test_each_part_holds_one_chunk`."""
+
+    @pytest.mark.parametrize("kind, per_cell", [("tie-free", 32), ("rounded to 0.1", 64)])
+    def test_rank(self, kind, per_cell):
+        # counts, keys and order take 24 bytes a cell; the value-order fix-up's
+        # temporaries take about 37 more where ties are dense (61 in all)
+        rows = np.random.default_rng(17).standard_normal((2, 2**18))
+        if kind != "tie-free":
+            rows = rows.round(1)
+        peak = traced_peak(lambda: estimate._rank_rows(rows))
+        assert 24 * rows.size < peak < per_cell * rows.size
+
+    def test_a_read_gathers_one_location_matrix(self, one_pattern_spec, site, ring):
+        n, locations = 200_000, Region([site]).union(ring)
+        sample = simulate_m4(one_pattern_spec, locations, n, 9)
+        scores = rank_transform(sample)
+        matrix = 8 * len(locations) * n  # 14.4 MB, from 2 rows
+        for read in (lambda: sample.values, lambda: scores.rank_counts):
+            assert matrix <= traced_peak(read) < matrix + 100_000
+        # the float scores of the rows, then their gather
+        assert matrix < traced_peak(lambda: scores.scores) < matrix + 8 * 2 * n + 100_000
+        own = FieldSample(locations, sample.values)  # one row per location: a view
+        assert traced_peak(lambda: own.values) < 100_000
+
+    def test_an_estimator_pass_holds_one_chunk(self, one_pattern_spec, site, ring):
+        # a chunk of 2^18 counts (2 MB), whatever the replicate count: one pass over
+        # the ungrouped scores at once would hold 14.4 MB
+        n, locations = 200_000, Region([site]).union(ring)
+        sample = simulate_m4(one_pattern_spec, locations, n, 9)
+        for rank in (rank_transform, lambda s: scores_from_matrix(s.values, s.locations)):
+            for request in (lambda scores: estimate_summary(scores, ring, site),
+                            lambda scores: estimate_contagion_region(scores, ring, Region([site])),
+                            lambda scores: estimate_extremal_coefficient(scores, ring)):
+                scores = rank(sample)  # with an empty memo
+                assert traced_peak(lambda: request(scores)) < 2_500_000
 
 
 def identical_column_sample(n=400):
@@ -342,7 +392,7 @@ class TestOraclesAgainstLoops:
         for u in u_grid(n):
             if not 0.0 < u < 1.0:
                 continue
-            site_high, region_high = simulate._exceedances(sample, region, site, u, scores)
+            site_high, region_high = estimate._exceedances(sample, region, site, u, scores)
             region_high = list(region_high)
             assert [mult for _, mult in region_high] == [
                 sum(column[p] == c for p in region) for c in distinct
@@ -886,6 +936,7 @@ class TestSimulationThreads:
         # near 2.7 MB; a part that allocated its whole slice at once would take 32 MB
         # on 2 CPUs
         use_cpus(monkeypatch, cpus)
+        threads_for(monkeypatch, started, cpus)
         n, locations = 10**6, Region([site]).union(ring)
         tracemalloc.start()
         try:
@@ -907,13 +958,14 @@ class TestInParts:
 
     CUT = simulate._SPLIT_CELLS
 
-    def ranges(self, total, most, cells=CUT, work=lambda a, b: None):
+    def ranges(self, total, most, cells=CUT, work=lambda a, b: None, running=()):
         """The ranges that `work` was called with, in order, each with whether it ran on
-        the calling thread; checks that no thread is left running."""
+        the calling thread, and not in a stand-in thread of `running` (`threads_for`);
+        checks that no thread is left running."""
         ran, caller, before = [], threading.current_thread(), threading.active_count()
 
         def recording_work(a, b):
-            ran.append((a, b, threading.current_thread() is caller))
+            ran.append((a, b, threading.current_thread() is caller and not running))
             work(a, b)
 
         try:
@@ -926,8 +978,8 @@ class TestInParts:
     @pytest.mark.parametrize("total, most", [(2, 2), (7, 3), (10, 10), (1000, 5), (1000, 100)])
     def test_ranges_cover_the_total(self, started, monkeypatch, cpus, total, most):
         use_cpus(monkeypatch, cpus)
-        ran = self.ranges(total, most)
         parts = min(most, cpus)
+        ran = self.ranges(total, most, running=threads_for(monkeypatch, started, parts))
         cuts = [total * p // parts for p in range(parts + 1)]
         assert ran == [(a, b, a == 0) for a, b in zip(cuts, cuts[1:])]
         assert all(a < b for a, b, _ in ran)
@@ -959,7 +1011,8 @@ class TestInParts:
     def test_cpu_count_without_affinity(self, started, monkeypatch, cpu_count, parts):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert len(self.ranges(9, 3)) == parts
+        running = threads_for(monkeypatch, started, parts)
+        assert len(self.ranges(9, 3, running=running)) == parts
         assert len(started) == parts - 1
 
     def test_a_worker_exception_is_raised_by_the_caller(self, started, monkeypatch):
@@ -971,6 +1024,7 @@ class TestInParts:
                 raise WorkerError("in a worker")
 
         use_cpus(monkeypatch, 3)
+        threads_for(monkeypatch, started, 3)
         with raises_exactly(WorkerError, "in a worker"):
             self.ranges(3, 3, work=fails)
         assert len(started) == 2 and not any(thread.is_alive() for thread in started)
@@ -988,6 +1042,7 @@ class TestInParts:
             finished.append(a)
 
         use_cpus(monkeypatch, 3)
+        threads_for(monkeypatch, started, 3)
         with pytest.raises(CallerError):
             self.ranges(3, 3, work=fails)
         assert sorted(finished) == [1, 2]

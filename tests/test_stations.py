@@ -140,6 +140,25 @@ class TestStationMetadata:
         with raises_exactly(ParseError, message):
             ingest_stations(self.DATA, metadata_path=meta)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("vale_frio,1,1\nvale_frio,5,5\n", "station 'vale_frio' is listed twice"),
+        ("vale_frio,1,1\n vale_frio ,1,1\n", "station 'vale_frio' is listed twice"),
+        ("vale_frio,1,1\nzz,3,3\n", "station 'zz' is not in the data"),
+        ("vale_frio,1,1\nVale_Frio,3,3\n", "station 'Vale_Frio' is not in the data"),
+    ])
+    def test_each_row_names_one_station_of_the_data(self, tmp_path, rows, message):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("station,x,y\n" + rows)
+        with raises_exactly(ParseError, f"{meta}:3: {message}"):
+            ingest_stations(self.DATA, metadata_path=meta)
+
+    def test_stations_may_go_without_a_row(self, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("station,x,y\ncosta_verde,1,2\n")
+        stations = ingest_stations(self.DATA, metadata_path=meta).stations
+        assert stations[-1] == Station("costa_verde", 1.0, 2.0)
+        assert all(s.x is None and s.y is None for s in stations[:-1])
+
 
 class TestStationDataset:
     @pytest.mark.parametrize("shape", [(5, 2), (3, 1), (2, 3), (3,), (3, 2, 1)])
