@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 usage, 3 data/validation problem or a size numpy refuse
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
@@ -70,10 +72,6 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
-def _emit_csv(lines: list[str], out: str | None) -> None:
-    _emit("\n".join(lines) + "\n", out)
-
-
 def _meta(spec: M4Spec | None = None, seed: int | None = None) -> dict:
     doc: dict = {"tool": "m4extremes", "version": __version__}
     if spec is not None:
@@ -83,10 +81,19 @@ def _meta(spec: M4Spec | None = None, seed: int | None = None) -> dict:
     return doc
 
 
-def _csv_meta_lines(spec: M4Spec | None = None, seed: int | None = None) -> list[str]:
-    doc = _meta(spec, seed)
-    head = f"# {doc.pop('tool')}={doc.pop('version')}"
-    return [head] + [f"# {key}={value}" for key, value in doc.items()]
+def _emit_doc(args: argparse.Namespace, doc: dict, header: list[str], rows: list) -> None:
+    """`doc` as JSON, or with `--format csv` its `_meta` provenance as `# key=value`
+    lines, the tool's first, and then the table of `header` and `rows`."""
+    if args.format == "json":
+        _emit_json(doc, args.out)
+        return
+    text = io.StringIO()
+    text.write(f"# {doc['tool']}={doc['version']}\n")
+    text.writelines(f"# {key}={doc[key]}\n" for key in ("spec_fingerprint", "seed") if key in doc)
+    table = csv.writer(text, lineterminator="\n")  # quotes a field as it needs
+    table.writerow(header)
+    table.writerows(rows)
+    _emit(text.getvalue(), args.out)
 
 
 # -- commands -----------------------------------------------------------------
@@ -108,6 +115,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    if args.matrix and args.format == "csv":  # a 3x3 matrix is no quantity,value row
+        print("error: exact: --matrix is written as JSON only, not --format csv", file=sys.stderr)
+        return 2
     spec = _load_spec_arg(args.spec)
     site = _parse_point(args.site)
     region = _parse_region(args.region, site)
@@ -125,14 +135,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
         )
         if given == region:
             doc["fragility_index"] = float(fragility_index(spec, region))
-    if args.format == "csv":
-        lines = _csv_meta_lines(spec)
-        lines.append("quantity,value")
-        for key in ("contagion_index", "stability_index", "joint_extremal_coefficient"):
-            lines.append(f"{key},{doc[key]['value']!r}")
-        _emit_csv(lines, args.out)
-    else:
-        _emit_json(doc, args.out)
+    rows = [(key, doc[key]["value"])
+            for key in ("contagion_index", "stability_index", "joint_extremal_coefficient")]
+    rows += [(key, doc[key]) for key in ("region_to_region_contagion", "fragility_index")
+             if key in doc]
+    _emit_doc(args, doc, ["quantity", "value"], rows)
     return 0
 
 
@@ -172,17 +179,10 @@ def cmd_mc_study(args: argparse.Namespace) -> int:
     site = _parse_point(args.site)
     region = _parse_region(args.region, site)
     ci_result, si_result = monte_carlo_study(spec, region, site, args.reps, args.n, args.seed)
-    if args.format == "csv":
-        lines = _csv_meta_lines(spec, args.seed)
-        lines.append("index,true_value,mean_estimate,mse,replications,sample_size,seed")
-        for result in (ci_result, si_result):
-            lines.append(",".join(str(v) for v in result.csv_row()))
-        _emit_csv(lines, args.out)
-    else:
-        doc = _meta(spec, args.seed)
-        doc["contagion"] = ci_result.to_json_dict()
-        doc["stability"] = si_result.to_json_dict()
-        _emit_json(doc, args.out)
+    doc = {**_meta(spec, args.seed),
+           "contagion": ci_result.to_json_dict(), "stability": si_result.to_json_dict()}
+    header = "index,true_value,mean_estimate,mse,replications,sample_size,seed".split(",")
+    _emit_doc(args, doc, header, [result.csv_row() for result in (ci_result, si_result)])
     return 0
 
 
@@ -204,20 +204,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     regions = [[name.strip() for name in next(_csv_rows("--region", [region])) if name.strip()]
                for region in args.region]  # each value one CSV record, as the header is
     reports = [station_indices(dataset, args.condition, names) for names in regions]
-    if args.format == "csv":
-        lines = _csv_meta_lines()
-        lines.append("region,contagion_index_estimate,stability_index_estimate,n")
-        for rep in reports:
-            contagion, stability = float(rep.summary.contagion), float(rep.summary.stability)
-            lines.append(f"{';'.join(rep.region)},{contagion!r},{stability!r},{rep.n}")
-        _emit_csv(lines, args.out)
-    else:
-        doc = {
-            **_meta(),
-            "conditioning": args.condition,
-            "reports": [rep.to_json_dict() for rep in reports],
-        }
-        _emit_json(doc, args.out)
+    doc = {
+        **_meta(),
+        "conditioning": args.condition,
+        "reports": [rep.to_json_dict() for rep in reports],
+    }
+    header = ["region", "contagion_index_estimate", "stability_index_estimate", "n"]
+    rows = [[";".join(rep["region"])] + [rep[key] for key in header[1:]] for rep in doc["reports"]]
+    _emit_doc(args, doc, header, rows)  # a name holding ';' reads back as two
     return 0
 
 
@@ -262,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form indices for a site and region")
     p.add_argument("--given", help="conditioning region for region-to-region contagion")
     p.add_argument("--matrix", action="store_true",
-                   help="include the 3x3 neighbor coefficient matrix")
+                   help="include the 3x3 neighbor coefficient matrix (JSON only)")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("simulate", parents=[spec, draws],

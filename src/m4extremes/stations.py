@@ -141,10 +141,11 @@ def ingest_stations(
 
     `missing` selects the policy for empty/NA cells: "error" rejects the
     file (default), "drop-year" removes the affected rows.  Non-numeric or
-    non-positive maxima always fail, naming the offending cell.  The data
-    rows are read in one `np.loadtxt` pass and checked as arrays.  A file
-    that pass refuses, such as one with a missing cell, is read again row by
-    row, which drops the years or names the first bad cell.
+    non-positive maxima always fail, naming the offending cell, as does a
+    year listed twice.  The data rows are read in one `np.loadtxt` pass and
+    checked as arrays.  A file that pass refuses, such as one with a missing
+    cell or a repeated year, is read again row by row, which drops the years
+    or names the first bad line.
     """
     if missing not in ("error", "drop-year"):
         raise ParseError(f"unknown missing-value policy {missing!r}")
@@ -162,13 +163,14 @@ def ingest_stations(
             raise ParseError(f"{csv_path}: duplicate station names in header")
         row_type = np.dtype([("year", np.int64), ("maxima", np.float64, (len(names),))])
         rows = _bulk_rows(csv_path, fh, row_type)
-        if rows is not None:  # no row is left to scan
-            years, kept_rows, dropped, reader = rows["year"].tolist(), rows["maxima"], [], ()
-        else:  # read again row by row, to drop years or name the first bad cell
+        years = [] if rows is None else rows["year"].tolist()
+        if rows is not None and len(set(years)) == len(years):  # no row is left to scan
+            kept_rows, dropped, reader = rows["maxima"], [], ()
+        else:  # read again row by row, to drop years or name the first bad line
             fh.seek(0)
             reader = _csv_rows(csv_path, fh)
             next(reader)  # the header
-            years, kept_rows, dropped = [], [], []
+            years, kept_rows, dropped, seen = [], [], [], set()
         for lineno, row in enumerate(reader, start=2):
             if not row or not any(cell.strip() for cell in row):
                 continue
@@ -190,6 +192,9 @@ def ingest_stations(
             # only sends a good row through the classifier
             if cells is None or not (min(cells) > 0 and sum(cells) < math.inf):
                 cells = _classify_cells(csv_path, year, names, row[1:], missing)
+            if year in seen:  # one year is one replicate, kept or dropped
+                raise ParseError(f"{csv_path}:{lineno}: year {year} is listed twice")
+            seen.add(year)
             if cells is None:
                 dropped.append(year)
                 continue

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import re
@@ -500,6 +501,21 @@ class TestIngestReport:
         code, out, err = run(capsys, "ingest", "--data", str(data), "--meta", str(meta))
         assert (code, out, err) == (3, "", f"error: {meta}:{line}\n")
 
+    @pytest.mark.parametrize("missing", ["error", "drop-year"])
+    @pytest.mark.parametrize("rows, line", [
+        ("1,1,2,3\n1,2,3,1\n3,3,1,2\n", 3),  # the bulk pass reads it, the row scan names it
+        ("1,1,2,3\n3,3,1,2\n1,2,NA,1\n", 4),  # a row drop-year would remove counts
+    ])
+    def test_a_year_is_listed_once(self, capsys, tmp_path, rows, line, missing):
+        data = tmp_path / "d.csv"
+        data.write_text("year,a,b,c\n" + rows)
+        code, out, err = run(capsys, "ingest", "--data", str(data), "--missing", missing)
+        expected = f"error: {data}:{line}: year 1 is listed twice\n"
+        if "NA" in rows and missing == "error":
+            expected = (f"error: {data}: missing value for year 1, station 'b' "
+                        "(use --missing drop-year to skip)\n")
+        assert (code, out, err) == (3, "", expected)
+
     def test_region_names_a_station_whose_name_holds_a_comma(self, capsys, tmp_path):
         data = tmp_path / "d.csv"
         maxima = (np.random.default_rng(32).random((12, 3)) + 1).tolist()
@@ -623,6 +639,64 @@ class TestCsvProvenance:
         lines = out.splitlines()
         assert lines[: len(expected)] == expected
         assert not lines[len(expected)].startswith("#")  # the block ends there
+
+
+class TestCsvTables:
+    """Every `--format csv` output is the `#` provenance lines and then a table
+    that `csv.reader` reads back: rows exactly as wide as the header, holding
+    what the command's JSON output holds."""
+
+    NAMES = ["plain", "a, north", '"q" north', "b"]
+
+    REPORT = "report --condition b --region".split()
+
+    @pytest.mark.parametrize("argv, regions", [
+        ("exact --spec one-pattern --site=3,3 --region neighbors".split(), None),
+        ("exact --spec one-pattern --site=3,3 --region neighbors --given=4,3;2,3".split(), None),
+        ("exact --spec one-pattern --site=3,3 --region=3,4 --given=3,4".split(), None),
+        ("mc-study --spec one-pattern --site=3,3 --region 4,3;2,3 --reps 2 --n 30 "
+         "--seed 42".split(), None),
+        (REPORT + ["plain"], [["plain"]]),
+        (REPORT + ['"a, north",plain'], [["a, north", "plain"]]),
+        (REPORT + ['"""q"" north"', "--region", 'plain,"a, north"'],
+         [['"q" north'], ["plain", "a, north"]]),
+    ], ids=["exact", "exact given", "exact fragility", "mc-study", "report plain",
+            "report comma", "report quote"])
+    def test_table_reads_back(self, capsys, tmp_path, argv, regions):
+        if argv[0] == "report":
+            data = tmp_path / "d.csv"
+            maxima = np.random.default_rng(33).random((12, len(self.NAMES))) + 1
+            with open(data, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([["year", *self.NAMES],
+                                          *([year, *row] for year, row in enumerate(maxima))])
+            argv = [*argv, "--data", str(data)]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        comments = list(itertools.takewhile(lambda line: line.startswith("# "), lines))
+        header, *rows = csv.reader(lines[len(comments):])
+        assert comments and rows and all(len(row) == len(header) for row in rows)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        if argv[0] == "exact":  # every index and every scalar
+            expected = {key: doc[key]["value"] for key in (
+                "contagion_index", "stability_index", "joint_extremal_coefficient")}
+            expected.update((key, value) for key, value in doc.items() if type(value) is float)
+            assert {quantity: float(value) for quantity, value in rows} == expected
+        elif argv[0] == "mc-study":
+            assert [header, *rows] == [list(doc["contagion"]), *(
+                [str(value) for value in doc[key].values()] for key in ("contagion", "stability"))]
+        else:
+            assert [row[0].split(";") for row in rows] == regions
+            assert [rep["region"] for rep in doc["reports"]] == regions
+            assert [[float(row[1]), float(row[2]), int(row[3])] for row in rows] == [
+                [rep[key] for key in header[1:]] for rep in doc["reports"]]
+
+    def test_matrix_has_no_table(self, capsys):
+        code, out, err = run(capsys, "exact", "--spec", "one-pattern", "--site=3,3",
+                             "--region", "neighbors", "--matrix", "--format", "csv")
+        assert (code, out) == (2, "") and err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestOversizedField:

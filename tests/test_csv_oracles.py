@@ -134,6 +134,7 @@ def oracle_ingest_stations(csv_path, *, missing="error") -> StationDataset:
         years: list[int] = []
         kept_rows: list[list[float]] = []
         dropped: list[int] = []
+        seen: set[int] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row or not any(cell.strip() for cell in row):
                 continue
@@ -172,6 +173,9 @@ def oracle_ingest_stations(csv_path, *, missing="error") -> StationDataset:
                         f"maxima must be positive and finite, got {token}"
                     )
                 cells.append(value)
+            if year in seen:
+                raise ParseError(f"{csv_path}:{lineno}: year {year} is listed twice")
+            seen.add(year)
             if row_missing:
                 dropped.append(year)
                 continue

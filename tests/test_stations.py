@@ -58,6 +58,26 @@ class TestIngest:
         assert ds.years == (2000, 2002)
         assert ds.dropped_years == (2001,)
 
+    @pytest.mark.parametrize("missing", ["error", "drop-year"])
+    @pytest.mark.parametrize("rows, line", [
+        ("1,1.0,2.0\n1,2.0,1.0\n3,3.0,3.0\n", 3),  # the bulk pass reads it, the row scan names it
+        ("1,1.0,2.0\n\n3,3.0,3.0\n01,2.0,1.0\n", 5),  # a blank line counts; 01 is 1
+        ('1,1.0,2.0\n1,"2.0",1.0\n', 3),  # a quoted cell: the row scan alone reads it
+    ])
+    def test_a_year_is_listed_once(self, tmp_path, rows, line, missing):
+        path = tmp_path / "d.csv"
+        path.write_text("year,a,b\n" + rows)
+        with raises_exactly(ParseError, f"{path}:{line}: year 1 is listed twice"):
+            ingest_stations(path, missing=missing)
+
+    @pytest.mark.parametrize("rows, line", [("1,NA,2.0\n2,1.0,1.0\n1,2.0,1.0\n", 4),
+                                            ("1,1.0,2.0\n2,1.0,1.0\n1,2.0,NA\n", 4)])
+    def test_a_dropped_year_is_listed_too(self, tmp_path, rows, line):
+        path = tmp_path / "d.csv"
+        path.write_text("year,a,b\n" + rows)
+        with raises_exactly(ParseError, f"{path}:{line}: year 1 is listed twice"):
+            ingest_stations(path, missing="drop-year")
+
     def test_negative_value_names_cell(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("year,a,b\n2000,1.0,-3.0\n")
