@@ -25,7 +25,6 @@ from .errors import (
     ArgumentError,
     DegenerateConditioningError,
     DomainError,
-    EstimationError,
     M4Error,
     ParseError,
     SpecValidationError,

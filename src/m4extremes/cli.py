@@ -181,8 +181,8 @@ def cmd_mc_study(args: argparse.Namespace) -> int:
     ci_result, si_result = monte_carlo_study(spec, region, site, args.reps, args.n, args.seed)
     doc = {**_meta(spec, args.seed),
            "contagion": ci_result.to_json_dict(), "stability": si_result.to_json_dict()}
-    header = "index,true_value,mean_estimate,mse,replications,sample_size,seed".split(",")
-    _emit_doc(args, doc, header, [result.csv_row() for result in (ci_result, si_result)])
+    rows = [result.csv_row() for result in (ci_result, si_result)]
+    _emit_doc(args, doc, list(doc["contagion"]), rows)  # `to_json_dict`'s keys, in field order
     return 0
 
 

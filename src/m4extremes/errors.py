@@ -29,10 +29,6 @@ class UndefinedConditionalError(M4Error):
     """An empirical conditional was requested but no replicate qualifies."""
 
 
-class EstimationError(M4Error):
-    """Internal estimator guard tripped (should be unreachable via ranks)."""
-
-
 class ParseError(M4Error, ValueError):
     """A file (spec JSON, sample CSV, station CSV) failed to parse."""
 

@@ -11,7 +11,6 @@ identities exact rather than approximate.
 from __future__ import annotations
 
 import bisect
-import warnings
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
@@ -19,12 +18,10 @@ from typing import Iterable, Iterator, Sequence
 
 from ._numpy import np
 from .dependence import DependenceSummary, _summary, summarize
-from .errors import ArgumentError, EstimationError, UndefinedConditionalError
+from .errors import ArgumentError, UndefinedConditionalError
 from .lattice import LatticePoint, Region
 from .rng import substream
 from .simulate import _CACHE_ELEMENTS, FieldSample, _in_parts, _Rows, simulate_m4
-
-_JOINT_FLOOR = 1 - Fraction(1, 10**9)  # a joint estimate below it warns
 
 
 class UniformScores(_Rows):
@@ -33,9 +30,10 @@ class UniformScores(_Rows):
     The scores hold the integer numerators k (an integer dtype) in one row per
     distinct column of the sample; estimators and oracles read only those rows,
     to stay exact, so their cost scales with distinct weight matrices, not
-    locations.  The constructor copies `rank_counts`, one row per location.
-    `rank_counts` and `scores` are built from the rows on each read, F-order
-    and read-only.
+    locations.  The constructor copies `rank_counts`, one column per location,
+    each one that ranking gives back: the modified-ECDF counts of some column,
+    which are their own counts.  No location repeats.  `rank_counts` and
+    `scores` are built from the rows on each read, F-order and read-only.
     """
 
     _holder = "scores"  # in `column_index`'s error
@@ -45,6 +43,10 @@ class UniformScores(_Rows):
         if counts.ndim != 2:
             raise ArgumentError("rank counts shape does not match locations")
         self._hold(locations, counts.T.copy(), range(counts.shape[1]))
+        unranked = np.any(_rank_rows(self._rows.astype(np.float64)) != self._rows, axis=1)
+        if unranked.any():
+            raise ArgumentError(f"location {self.locations[unranked.argmax()]}: "
+                                "rank counts are not those of any column")
 
     def _hold(self, locations, rows: np.ndarray, row_of) -> None:
         locations, row_of = tuple(locations), tuple(row_of)
@@ -54,8 +56,9 @@ class UniformScores(_Rows):
             raise ArgumentError(f"rank counts must be integers, got {rows.dtype}")
         if rows.shape[1] < 1:
             raise ArgumentError("need at least one replicate")
+        self._index(locations)
         rows.setflags(write=False)
-        vars(self).update(locations=locations, _rows=rows, _row_of=row_of,
+        vars(self).update(_rows=rows, _row_of=row_of,
                           _numerators={})  # the max-sum memo of `_coefficients`
 
     @property
@@ -265,10 +268,6 @@ def _coefficients(
         memo[key] = _max_sums(scores._rows, *key)
     base_sum, with_j, top = memo[key]
     total = n * (n + 1)
-    if top >= total:  # no sum of the request exceeds the top's
-        raise EstimationError(
-            "mean of maximal scores reached 1; impossible for modified-ECDF ranks"
-        )
     sums = (base_sum, *(with_j.get(g, base_sum) for g in extra_rows), top)
     return [Fraction(s, total - s) for s in sums]
 
@@ -281,10 +280,9 @@ def _max_sums(rows: np.ndarray, base: tuple, extras: tuple) -> tuple[int, dict, 
     base_sum = sums = top = 0
     for start in range(0, rows.shape[1], step):
         block = rows[[*base, *extras], start : start + step]  # (rows, replicates)
-        if b:
-            row_max = block[:b].max(axis=0)
-            base_sum += int(row_max.sum())
-            np.maximum(block[b:], row_max, out=block[b:])
+        row_max = block[:b].max(axis=0, initial=0)  # no count is below 1
+        base_sum += int(row_max.sum())
+        np.maximum(block[b:], row_max, out=block[b:])
         sums += block[b:].sum(axis=1)
         top += int(block.max(axis=0).sum())
         del block  # before the next gather: one block at a time
@@ -317,12 +315,12 @@ def _estimates_json(summary: DependenceSummary, key: str, names: Iterable[str]) 
 
 def estimate_contagion(scores: UniformScores, region: Region, site: LatticePoint) -> float:
     """Plug-in contagion index: 2|region| minus the summed pairwise estimates."""
-    return float(_estimate_summary(scores, region, site).contagion)
+    return float(estimate_summary(scores, region, site).contagion)
 
 
 def estimate_stability(scores: UniformScores, region: Region, site: LatticePoint) -> float:
     """Plug-in stability index from pairwise and joint coefficient estimates."""
-    return float(_estimate_summary(scores, region, site).stability)
+    return float(estimate_summary(scores, region, site).stability)
 
 
 def estimate_summary(
@@ -330,22 +328,8 @@ def estimate_summary(
 ) -> DependenceSummary:
     """Plug-in counterpart of `summarize`: the exact `Fraction` estimates of
     the |R| pairwise and the joint coefficient, put through the same index
-    formulas.  Warns when the joint estimate is below 1."""
-    return _estimate_summary(scores, region, site)
-
-
-def _estimate_summary(
-    scores: UniformScores, region: Region, site: LatticePoint
-) -> DependenceSummary:
-    """`estimate_summary`, for the three public functions that call it."""
+    formulas.  Every coefficient is at least 1, as the scores hold rank counts."""
     _, *estimates, joint = _coefficients(scores, (site,), region.points)
-    if joint < _JOINT_FLOOR:
-        warnings.warn(
-            f"joint coefficient estimate {float(joint):.6f} is below 1; "
-            "the stability estimate may be unreliable",
-            RuntimeWarning,
-            stacklevel=3,  # the public function's caller
-        )
     return _summary(site, region, tuple(zip(region, estimates)), joint)
 
 

@@ -17,7 +17,6 @@ import math
 import os
 import re
 import warnings
-from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -38,8 +37,8 @@ _SPLIT_CELLS = _CACHE_ELEMENTS << 4  # work this large splits in parts, one per 
 class _Rows:
     """One read-only, C-contiguous row per distinct column (`_rows`) and the row of
     each location (`_row_of`): locations that share a row hold equal columns.
-    Instances are frozen.  `_of_rows` keeps the rows it is given, not a copy; the
-    private builders, which made the rows, construct through it."""
+    Instances are frozen, and no location repeats.  `_of_rows` keeps the rows it is
+    given, not a copy; the private builders, which made the rows, construct through it."""
 
     @classmethod
     def _of_rows(cls, *fields):
@@ -59,10 +58,12 @@ class _Rows:
         matrix.setflags(write=False)
         return matrix
 
-    @cached_property
-    def _columns(self) -> dict[LatticePoint, int]:
-        # the first column of a repeated location, as tuple.index gave
-        return {point: c for c, point in reversed(list(enumerate(self.locations)))}
+    def _index(self, locations: tuple) -> None:
+        """Holds `locations` and the column of each point; refuses a repeated point."""
+        columns = {point: c for c, point in enumerate(locations)}
+        if len(columns) != len(locations):
+            raise ArgumentError(f"duplicate locations in {self._holder}")
+        vars(self).update(locations=locations, _columns=columns)
 
     def column_index(self, point: LatticePoint) -> int:
         try:
@@ -96,8 +97,7 @@ class FieldSample(_Rows):
             raise ArgumentError("need at least one replicate")
         if len(row_of) != len(locations):
             raise ArgumentError(f"{len(row_of)} columns for {len(locations)} locations")
-        if len(set(locations)) != len(locations):
-            raise ArgumentError("duplicate locations in sample")
+        self._index(locations)
         if not (rows.size and 0 < rows.min() and rows.max() < np.inf):  # NaN fails too
             if not rows.size:
                 raise ArgumentError("need at least one location")
@@ -105,8 +105,7 @@ class FieldSample(_Rows):
             raise ArgumentError(f"replicate {r}, location {locations[row_of.index(g)]}: "
                                 f"field value must be positive and finite, got {rows[g, r]}")
         rows.setflags(write=False)
-        vars(self).update(locations=locations, seed=seed, spec_fingerprint=spec_fingerprint,
-                          _rows=rows, _row_of=row_of)
+        vars(self).update(seed=seed, spec_fingerprint=spec_fingerprint, _rows=rows, _row_of=row_of)
 
     @property
     def values(self) -> np.ndarray:

@@ -36,7 +36,9 @@ class Station:
 @dataclass(frozen=True, eq=False)
 class StationDataset:
     """Annual maxima, positive and finite, for a set of stations: `maxima` has
-    one row per year (an independent replicate) and one column per station."""
+    one row per year (an independent replicate) and one column per station.
+    As from `ingest_stations`, it holds at least one station and one year, no
+    station name is blank or repeats, and no year, kept or dropped, repeats."""
 
     stations: tuple[Station, ...]
     years: tuple[int, ...]
@@ -48,7 +50,16 @@ class StationDataset:
         if maxima.shape != (len(self.years), len(self.stations)):
             raise ArgumentError(f"maxima of shape {maxima.shape} for {len(self.years)} "
                                 f"years and {len(self.stations)} stations")
-        if maxima.size and not (0 < maxima.min() and maxima.max() < np.inf):  # NaN fails too
+        if not maxima.size:
+            raise ArgumentError("need at least one station and one year")
+        if "" in (names := [name.strip() for name in self.station_names]):
+            raise ArgumentError(f"station column {names.index('')} has no name")
+        if len(self._columns) != len(self.stations):
+            raise ArgumentError("duplicate station names")
+        years = (*self.years, *self.dropped_years)
+        if len(set(years)) != len(years):
+            raise ArgumentError("duplicate years")
+        if not (0 < maxima.min() and maxima.max() < np.inf):  # NaN fails too
             y, c = np.argwhere(~((maxima > 0) & (maxima < np.inf)))[0]
             raise ArgumentError(f"year {self.years[y]}, station {self.stations[c].name!r}: "
                                 f"maxima must be positive and finite, got {maxima[y, c]}")
@@ -65,8 +76,7 @@ class StationDataset:
 
     @cached_property
     def _columns(self) -> dict[str, int]:
-        # the first column of a repeated name, as tuple.index gave
-        return {name: c for c, name in reversed(list(enumerate(self.station_names)))}
+        return {name: c for c, name in enumerate(self.station_names)}
 
     def column(self, name: str) -> int:
         try:

@@ -1,7 +1,6 @@
-import inspect
+import itertools
 import threading
 import tracemalloc
-import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from m4extremes import (
     ArgumentError,
-    EstimationError,
     ExtremalCoefficientEstimate,
     FieldSample,
     LatticePoint,
@@ -505,7 +503,7 @@ class TestCountsBase:
         assert not scores.rank_counts.flags.writeable
 
     def test_every_layout_is_copied_and_read_back_f_order(self):
-        base = np.array([[1, 2], [3, 1], [2, 3]])
+        base = np.array([[1, 2, 3], [3, 1, 2], [2, 3, 1]])  # rows and columns are rank counts
         frozen = base.copy()
         frozen.setflags(write=False)
         for counts in (base, base.T.copy().T, base[:, ::-1], frozen, frozen.T, base.tolist()):
@@ -543,6 +541,78 @@ class TestCountsBase:
             scores = rank(sample)
             assert len(ranked) == 1 and scores._rows is ranked[0]
             assert scores._row_of == row_of and not scores._rows.flags.writeable
+
+
+UNRANKED = "rank counts are not those of any column"
+
+
+def doctored_counts(n=9, k=5):
+    """Integer counts with a column that ranking gives back for no column of values."""
+    rng = np.random.default_rng(5)
+    return [
+        rng.integers(-3, n + 5, size=(n, k)),
+        np.zeros((n, k), dtype=np.int64),
+        np.full((n, k), n + 1),  # above n: a mean of maximal scores would reach 1
+        # within 1..n, but a tie takes its run's count: a joint estimate would be below 1
+        np.ones((n, k), dtype=np.int64),
+        rng.integers(0, n + 2, size=(n, k)).astype(np.uint8),
+        rng.choice([-(2**62), 2**62, 3], size=(n, k)),
+        np.array([[1, 2, 3, 2**64 - 1]] * 3, dtype=np.uint64).T,
+    ]
+
+
+DOCTORED = doctored_counts()
+
+
+class TestRankCountRule:
+    """The constructor holds only counts that ranking gives back: the modified-ECDF
+    counts of some column.  The rank builders skip the check."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_accepts_exactly_the_rank_counts(self, n):
+        # values in 1..n take every order of n values, ties included
+        values = np.array(list(itertools.product(range(1, n + 1), repeat=n)), float).T
+        images = set(map(tuple, brute_force_counts(values).T.tolist()))
+        accepted = set()
+        for column in itertools.product(range(-1, n + 2), repeat=n):
+            try:
+                UniformScores((P(0, 0),), np.array(column)[:, None])
+            except ArgumentError as error:
+                assert str(error) == f"location (0,0): {UNRANKED}"
+            else:
+                accepted.add(column)
+        assert accepted == images
+
+    @pytest.mark.parametrize("counts", DOCTORED, ids=range(len(DOCTORED)))
+    def test_doctored_counts_name_the_first_unranked_location(self, counts):
+        points = tuple(P(c, 0) for c in range(counts.shape[1]))
+        first = next(c for c in range(counts.shape[1])
+                     if brute_force_counts(counts[:, c:c + 1].astype(float)).tolist()
+                     != counts[:, c:c + 1].tolist())
+        with raises_exactly(ArgumentError, f"location {points[first]}: {UNRANKED}"):
+            UniformScores(points, counts)
+
+    def test_message_names_the_location(self):
+        counts = np.array([[1, 2, 3, 0], [2, 2, 1, 0], [3, 2, 2, 0]])
+        with raises_exactly(ArgumentError, f"location (1,0): {UNRANKED}"):
+            UniformScores(tuple(P(c, 0) for c in range(4)), counts)
+
+    def test_repeated_locations_are_refused(self):
+        points = (P(0, 0), P(1, 0), P(0, 0))
+        with raises_exactly(ArgumentError, "duplicate locations in scores"):
+            UniformScores(points, np.full((2, 3), 2))
+        with raises_exactly(ArgumentError, "duplicate locations in scores"):
+            scores_from_matrix(np.ones((2, 3)), points)
+        with raises_exactly(ArgumentError, "duplicate locations in sample"):
+            FieldSample(points, np.ones((2, 3)))
+
+    def test_rank_counts_of_any_scores_are_accepted(self, one_pattern_spec):
+        sample = simulate_m4(one_pattern_spec, neighbors(P(3, 3)), 60, 3)
+        tied = scores_from_matrix(np.random.default_rng(1).integers(0, 3, (40, 6)),
+                                  tuple(P(c, 0) for c in range(6)))
+        for scores in (rank_transform(sample), tied):
+            copy = UniformScores(scores.locations, scores.rank_counts)
+            assert np.array_equal(copy.rank_counts, scores.rank_counts)
 
 
 class TestExtremalCoefficientEstimate:
@@ -585,11 +655,6 @@ class TestExtremalCoefficientEstimate:
             mean_max = F(est.numerator, est.numerator + est.denominator)
             assert F(1, n + 1) <= mean_max <= F(n, n + 1)
 
-    def test_internal_guard_on_saturated_counts(self):
-        doctored = UniformScores((P(0, 0),), np.array([[3], [3]]))
-        with pytest.raises(EstimationError):
-            estimate_extremal_coefficient(doctored, Region([P(0, 0)]))
-
     def test_needs_two_replicates(self):
         scores = rank_transform(sample_of([[1.0], [2.0]]))
         with pytest.raises(ArgumentError):
@@ -630,22 +695,14 @@ class TestPluginIndices:
         assert estimate_contagion(scores, ring, site) == float(ci_frac)
         assert estimate_stability(scores, ring, site) == float(si_frac)
 
-    @pytest.mark.parametrize(
-        "estimator", [estimate_contagion, estimate_stability, estimate_summary]
-    )
-    def test_site_estimators_warn_on_small_joint(self, estimator):
-        # rank counts from rank_transform always give joint estimates >= 1;
-        # a sub-1 joint can only come from doctored scores, and is flagged
-        # at the line that called the public estimator
-        doctored = UniformScores((P(0, 0), P(1, 0)), np.array([[1, 1], [1, 1]]))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            line = inspect.currentframe().f_lineno + 1
-            estimator(doctored, Region([P(1, 0)]), P(0, 0))
-        [warning] = caught
-        assert issubclass(warning.category, RuntimeWarning)
-        assert "below 1" in str(warning.message)
-        assert (warning.filename, warning.lineno) == (__file__, line)
+    @given(tied_matrices().filter(lambda values: len(values) >= 2))
+    def test_every_coefficient_is_at_least_one(self, values):
+        points = points_for(values)
+        scores = scores_from_matrix(values, points)
+        for site in points:
+            summary = estimate_summary(scores, Region(points), site)
+            assert summary.joint_extremal >= 1
+            assert all(v >= 1 for _, v in summary.pairwise_extremal)
 
     def test_region_form_matches_site_form_for_singleton(self, one_pattern_spec, site, ring):
         sample = simulate_m4(one_pattern_spec, Region([site]).union(ring), 200, 2)
@@ -749,12 +806,12 @@ class TestColumnLookup:
         # scan of the locations makes about 390,000
         assert calls <= 3200
 
-    def test_lookup_messages_and_first_column(self):
+    def test_lookup_messages_and_columns(self):
         sample = sample_of([[1.0, 2.0], [3.0, 1.0]])
         with pytest.raises(ArgumentError, match=r"location \(5,5\) not in sample"):
             sample.column_index(P(5, 5))
-        scores = UniformScores((P(0, 0), P(1, 0), P(0, 0)), np.ones((2, 3), dtype=np.int64))
-        assert scores.column_index(P(0, 0)) == 0
+        scores = UniformScores((P(2, 0), P(1, 0), P(0, 0)), np.full((2, 3), 2, dtype=np.int64))
+        assert scores.column_index(P(0, 0)) == 2
         with pytest.raises(ArgumentError, match=r"location \(5,5\) not in scores"):
             scores.column_index(P(5, 5))
 
@@ -875,18 +932,15 @@ class TestEstimateSummaryOracle:
             assert repr(got) == repr(loop_study(*args))
 
 
-SATURATED = "mean of maximal scores reached 1; impossible for modified-ECDF ranks"
-
-
 class TestSummaryFirstError:
     """Every plug-in estimator raises the first error of one rule: the first
     missing point (the site, then region order), then fewer than two
-    replicates, then a saturated set.  An empty region cannot be built."""
+    replicates.  An empty region cannot be built."""
 
-    # site s, a fair column a, b whose pair with s saturates, and d and e whose
-    # pairs with s do not while their joint with s does; (7,7) is not in them
+    # site s and columns a, b, d and e, whose first replicate alone is a sample
+    # too; (7,7) is not in them
     S, A, B, D, E, MISSING = P(0, 0), P(1, 0), P(2, 0), P(3, 0), P(4, 0), P(7, 7)
-    COUNTS = [[1, 1, 4, 5, 1], [1, 2, 4, 1, 5], [1, 3, 4, 5, 1]]
+    COUNTS = [[1, 1, 1, 1, 1], [2, 3, 2, 3, 3], [3, 2, 3, 2, 3]]
 
     def scores(self, rows):
         return UniformScores((self.S, self.A, self.B, self.D, self.E), np.array(rows))
@@ -921,9 +975,6 @@ class TestSummaryFirstError:
     def test_first_missing_point(self, region, site, message):
         self.check(self.scores(self.COUNTS), region, site, ArgumentError, message)
 
-    def test_saturated_set(self):
-        self.check(self.scores(self.COUNTS), [self.B, self.A], self.S, EstimationError, SATURATED)
-
     @pytest.mark.parametrize("region, site, message", [
         ([A, MISSING], P(9, 9), "location (9,9) not in scores"),
         ([MISSING, A], S, "location (7,7) not in scores"),
@@ -935,25 +986,15 @@ class TestSummaryFirstError:
     def test_missing_point_with_one_replicate(self, region, site, message):
         self.check(self.scores(self.COUNTS[:1]), region, site, ArgumentError, message)
 
-    def test_saturated_joint_only(self):
-        scores = self.scores(self.COUNTS)
-        outcomes = self.outcomes(scores, [self.D, self.E], self.S)
-        # the three site estimators read one summary, which needs the joint; given
-        # {site}, the region-to-region index's first request ({site}, region) tops
-        # out at the same joint, so it raises too
-        assert outcomes == dict.fromkeys(outcomes, (EstimationError, SATURATED))
-
     def test_region_to_region_looks_up_every_point_first(self):
-        scores, saturated = self.scores(self.COUNTS), Region([self.S, self.B])
+        scores, given = self.scores(self.COUNTS), Region([self.S, self.B])
         with raises_exactly(ArgumentError, "location (7,7) not in scores"):
-            estimate_contagion_region(scores, Region([self.A, self.MISSING]), saturated)
-        with raises_exactly(EstimationError, SATURATED):
-            estimate_contagion_region(scores, Region([self.A]), saturated)
+            estimate_contagion_region(scores, Region([self.A, self.MISSING]), given)
         # the given points come before the region's
         with raises_exactly(ArgumentError, "location (9,9) not in scores"):
             estimate_contagion_region(scores, Region([self.MISSING]), Region([self.S, P(9, 9)]))
         with raises_exactly(ArgumentError, "need at least two replicates to estimate"):
-            estimate_contagion_region(self.scores(self.COUNTS[:1]), Region([self.A]), saturated)
+            estimate_contagion_region(self.scores(self.COUNTS[:1]), Region([self.A]), given)
 
 
 @pytest.fixture
@@ -1095,14 +1136,14 @@ class TestRegionToRegion:
             got = estimate_contagion_region(scores, region, given)
             assert repr(got) == repr(loop_contagion_region(scores, region, given))
 
-    def test_empty_base_is_no_floor(self):
-        # hand-built negative counts: the singletons' pass takes no maximum with 0
-        counts = np.array([[3, -2, 1, 4], [1, -5, 2, 2], [2, 1, 3, 1], [4, 3, 4, 3]])
+    def test_empty_base_on_tied_counts(self):
+        # the singletons' pass has no base: its maximum floors at 0, below every count
+        counts = np.array([[4, 3, 1, 4], [1, 4, 3, 4], [2, 1, 4, 4], [4, 3, 3, 4]])
         scores = UniformScores(tuple(P(c, 0) for c in range(4)), counts)
         region, given = Region([P(1, 0)]), Region([P(2, 0), P(3, 0)])
         got = estimate_contagion_region(scores, region, given)
         assert repr(got) == repr(loop_contagion_region(scores, region, given))
-        assert repr(got) == "-0.07023411371237458"
+        assert repr(got) == "0.3055555555555556"
 
     @pytest.mark.parametrize("size", [6, 24])
     def test_gathered_cells_are_linear(self, monkeypatch, size):

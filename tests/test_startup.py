@@ -18,8 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC_NAMES = [
     "ArgumentError", "DegenerateConditioningError", "DependenceSummary", "DomainError",
-    "EstimationError", "ExtremalCoefficientEstimate", "FieldSample", "LatticePoint",
-    "LatticeRect", "M4Error", "M4Spec", "ParseError", "PatternRule", "Region",
+    "ExtremalCoefficientEstimate", "FieldSample", "LatticePoint", "LatticeRect", "M4Error",
+    "M4Spec", "ParseError", "PatternRule", "Region",
     "SpecValidationError", "Station", "StationDataset", "StationIndicesReport",
     "StudyResult", "UndefinedConditionalError", "UniformScores", "UnknownStationError",
     "ValidationReport", "contagion_index", "contagion_index_region", "dependence",

@@ -223,6 +223,22 @@ class TestStationDataset:
             assert maxima.base is None and maxima.flags.c_contiguous and not maxima.flags.writeable
             assert maxima.tolist() == [[1.0, 2.0], [1.5, 2.5]]
 
+    @pytest.mark.parametrize("names, years, dropped, message", [
+        ((), (), (), "need at least one station and one year"),
+        (("a",), (), (1999,), "need at least one station and one year"),
+        ((), (2000,), (), "need at least one station and one year"),
+        (("a", " "), (2000,), (), "station column 1 has no name"),
+        (("", "a"), (2000,), (), "station column 0 has no name"),
+        (("a", "b", "a"), (2000,), (), "duplicate station names"),
+        (("a", "b"), (1, 2, 1), (), "duplicate years"),
+        (("a", "b"), (1, 2), (3, 2), "duplicate years"),
+    ])
+    def test_holds_only_what_the_reader_returns(self, names, years, dropped, message):
+        # ingest_stations refuses each of these first, naming the file or line
+        maxima = np.ones((len(years), len(names)))
+        with raises_exactly(ArgumentError, message):
+            StationDataset(tuple(map(Station, names)), years, maxima, dropped)
+
     def test_view_of_writable_base_is_copied(self):
         base = np.ones((3, 2))
         dataset = StationDataset((Station("a"), Station("b")), (2000, 2001, 2002), base[:])
@@ -233,14 +249,13 @@ class TestStationDataset:
 
 class TestStationIndices:
     def test_column_lookup(self):
-        names = [f"st{i:03d}" for i in range(441)] + ["st000"]
+        names = [f"st{i:03d}" for i in range(441)]
         ds = StationDataset(
             stations=tuple(Station(name) for name in names),
             years=(2000,),
             maxima=np.ones((1, len(names))),
         )
-        assert [ds.column(name) for name in names[:-1]] == list(range(441))
-        assert ds.column("st000") == 0  # the first of a repeated name
+        assert [ds.column(name) for name in names] == list(range(441))
         with pytest.raises(UnknownStationError, match="nowhere"):
             ds.column("nowhere")
 
