@@ -10,11 +10,11 @@ integer sums and its results exact `Fraction`s.  Float and mixed specs sum in sl
 order with compensated (Kahan) accumulation, so results are deterministic; a mixed
 spec's result is a `Fraction` when every weight it reads is one.
 
-Site-to-region indices have one derivation: `_summary` puts the |R| pairwise
-coefficients and the joint one into the contagion and stability formulas.
-`summarize` feeds it closed forms, `estimate.estimate_summary` max-mean ratio
-estimates; `contagion_index`, `stability_index` and `stability_bounds` read
-`summarize`.
+Site-to-region indices have one derivation: a `DependenceSummary` holds the |R|
+pairwise coefficients and the joint one, and derives contagion, stability and
+its bounds from them when they are read.  `summarize` fills it with closed forms,
+`estimate.estimate_summary` with max-mean ratio estimates; `contagion_index`,
+`stability_index` and `stability_bounds` read `summarize`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ArgumentError, DegenerateConditioningError
@@ -167,16 +168,36 @@ def stability_bounds(spec: M4Spec, region: Region, site: LatticePoint) -> tuple[
 
 @dataclass(frozen=True)
 class DependenceSummary:
-    """All dependence indices of one (region, site) configuration."""
+    """All dependence indices of one (region, site) configuration, derived when read
+    from its |R| pairwise coefficients, in region order, and its joint one.  Contagion
+    is 2|R| less the pair sum, which is taken once; stability is the pair sum less |R|,
+    over the joint, and its bounds are the same over |R| + 1 and over the largest pair."""
 
     site: LatticePoint
     region: Region
     pairwise_extremal: _Pairwise
     joint_extremal: Weight
-    contagion: Weight
-    stability: Weight
-    stability_lower: Weight
-    stability_upper: Weight
+
+    @cached_property
+    def _pair_sum(self) -> Weight:
+        return _ksum(v for _, v in self.pairwise_extremal)
+
+    @property
+    def contagion(self) -> Weight:
+        return 2 * len(self.pairwise_extremal) - self._pair_sum
+
+    @property
+    def stability(self) -> Weight:
+        return (self._pair_sum - len(self.pairwise_extremal)) / self.joint_extremal
+
+    @property
+    def stability_lower(self) -> Weight:
+        return (self._pair_sum - len(self.pairwise_extremal)) / (len(self.pairwise_extremal) + 1)
+
+    @property
+    def stability_upper(self) -> Weight:
+        pair_max = max(v for _, v in self.pairwise_extremal)
+        return (self._pair_sum - len(self.pairwise_extremal)) / pair_max
 
     def to_json_dict(self) -> dict:
         def entry(value: Weight, **fields: str) -> dict:
@@ -206,26 +227,4 @@ def summarize(spec: M4Spec, region: Region, site: LatticePoint) -> DependenceSum
     coefficients, so the summary satisfies the exact index identities."""
     pairwise = tuple((j, extremal_coefficient(spec, Region((site, j)))) for j in region)
     joint = extremal_coefficient(spec, Region((site,)).union(region))
-    return _summary(site, region, pairwise, joint)
-
-
-def _summary(
-    site: LatticePoint, region: Region, pairwise: _Pairwise, joint: Weight
-) -> DependenceSummary:
-    """The indices of (region, site) from its |R| pairwise coefficients, in
-    region order, and its joint one; closed forms and plug-in estimates
-    both put their coefficients through here.  Contagion is 2|R| less the
-    pair sum; stability is the pair sum less |R|, over the joint, and its
-    bounds are the same over |R| + 1 and over the largest pair."""
-    pair_sum = _ksum(v for _, v in pairwise)
-    numerator = pair_sum - len(pairwise)
-    return DependenceSummary(
-        site=site,
-        region=region,
-        pairwise_extremal=pairwise,
-        joint_extremal=joint,
-        contagion=2 * len(pairwise) - pair_sum,
-        stability=numerator / joint,
-        stability_lower=numerator / (len(pairwise) + 1),
-        stability_upper=numerator / max(v for _, v in pairwise),
-    )
+    return DependenceSummary(site, region, pairwise, joint)

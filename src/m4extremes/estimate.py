@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from ._numpy import np
-from .dependence import DependenceSummary, _summary, summarize
+from .dependence import DependenceSummary, summarize
 from .errors import ArgumentError, UndefinedConditionalError
 from .lattice import LatticePoint, Region
 from .rng import substream
@@ -39,8 +39,9 @@ class UniformScores(_Rows):
     _holder = "scores"  # in `column_index`'s error
 
     def __init__(self, locations: Sequence[LatticePoint], rank_counts: np.ndarray) -> None:
+        locations = tuple(locations)
         counts = np.asarray(rank_counts)  # (n, k): count of column values <= this one
-        if counts.ndim != 2:
+        if counts.ndim != 2 or counts.shape[1] != len(locations):
             raise ArgumentError("rank counts shape does not match locations")
         self._hold(locations, counts.T.copy(), range(counts.shape[1]))
         unranked = np.any(_rank_rows(self._rows.astype(np.float64)) != self._rows, axis=1)
@@ -48,18 +49,10 @@ class UniformScores(_Rows):
             raise ArgumentError(f"location {self.locations[unranked.argmax()]}: "
                                 "rank counts are not those of any column")
 
-    def _hold(self, locations, rows: np.ndarray, row_of) -> None:
-        locations, row_of = tuple(locations), tuple(row_of)
-        if len(row_of) != len(locations):
-            raise ArgumentError("rank counts shape does not match locations")
+    def _hold(self, locations, rows, row_of) -> None:  # `_numerators`: `_coefficients`' memo
+        super()._hold(locations, rows, row_of, _numerators={})
         if rows.dtype.kind not in "iu":
             raise ArgumentError(f"rank counts must be integers, got {rows.dtype}")
-        if rows.shape[1] < 1:
-            raise ArgumentError("need at least one replicate")
-        self._index(locations)
-        rows.setflags(write=False)
-        vars(self).update(_rows=rows, _row_of=row_of,
-                          _numerators={})  # the max-sum memo of `_coefficients`
 
     @property
     def rank_counts(self) -> np.ndarray:
@@ -326,11 +319,11 @@ def estimate_stability(scores: UniformScores, region: Region, site: LatticePoint
 def estimate_summary(
     scores: UniformScores, region: Region, site: LatticePoint
 ) -> DependenceSummary:
-    """Plug-in counterpart of `summarize`: the exact `Fraction` estimates of
-    the |R| pairwise and the joint coefficient, put through the same index
-    formulas.  Every coefficient is at least 1, as the scores hold rank counts."""
+    """Plug-in counterpart of `summarize`: the summary of the exact `Fraction`
+    estimates of the |R| pairwise and the joint coefficient, which derives the
+    indices.  Every coefficient is at least 1, as the scores hold rank counts."""
     _, *estimates, joint = _coefficients(scores, (site,), region.points)
-    return _summary(site, region, tuple(zip(region, estimates)), joint)
+    return DependenceSummary(site, region, tuple(zip(region, estimates)), joint)
 
 
 def estimate_contagion_region(scores: UniformScores, region: Region, given: Region) -> float:

@@ -457,7 +457,7 @@ def dump_spec(spec: M4Spec) -> str:
 
 def load_spec(path: str | Path, *, check: bool = True) -> M4Spec:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

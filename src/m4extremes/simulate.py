@@ -46,6 +46,21 @@ class _Rows:
         self._hold(*fields)
         return self
 
+    def _hold(self, locations, rows: np.ndarray, row_of, **fields) -> None:
+        """Holds `rows`, frozen, and `fields` under the rules that samples and scores share."""
+        locations, row_of = tuple(locations), tuple(row_of)
+        if rows.shape[1] < 1:
+            raise ArgumentError("need at least one replicate")
+        if len(row_of) != len(locations):
+            raise ArgumentError(f"{len(row_of)} columns for {len(locations)} locations")
+        if not locations:
+            raise ArgumentError("need at least one location")
+        columns = {point: c for c, point in enumerate(locations)}  # `column_index`'s lookup
+        if len(columns) != len(locations):
+            raise ArgumentError(f"duplicate locations in {self._holder}")
+        rows.setflags(write=False)
+        vars(self).update(fields, locations=locations, _columns=columns, _rows=rows, _row_of=row_of)
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -57,13 +72,6 @@ class _Rows:
         matrix = rows.T
         matrix.setflags(write=False)
         return matrix
-
-    def _index(self, locations: tuple) -> None:
-        """Holds `locations` and the column of each point; refuses a repeated point."""
-        columns = {point: c for c, point in enumerate(locations)}
-        if len(columns) != len(locations):
-            raise ArgumentError(f"duplicate locations in {self._holder}")
-        vars(self).update(locations=locations, _columns=columns)
 
     def column_index(self, point: LatticePoint) -> int:
         try:
@@ -79,33 +87,26 @@ class FieldSample(_Rows):
     one), in `locations` order; entries are positive and finite.  The
     constructor copies `values`, one row of the sample per location; a
     simulated sample holds one row per distinct weight matrix.  `values` is
-    built from the rows on each read, F-order and read-only.
+    built from the rows on each read, F-order and read-only.  `seed` and
+    `spec_fingerprint` are provenance that the sidecar reads back (`_provenance`).
     """
 
     _holder = "sample"  # in `column_index`'s error
 
     def __init__(self, locations: Iterable[LatticePoint], values: np.ndarray,
                  seed: int | None = None, spec_fingerprint: str | None = None) -> None:
+        _provenance(seed, spec_fingerprint)
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ArgumentError("values must be a 2-d array (replicates x locations)")
         self._hold(locations, values.T.copy(), range(values.shape[1]), seed, spec_fingerprint)
 
-    def _hold(self, locations, rows: np.ndarray, row_of, seed=None, spec_fingerprint=None) -> None:
-        locations, row_of = tuple(locations), tuple(row_of)
-        if rows.shape[1] < 1:
-            raise ArgumentError("need at least one replicate")
-        if len(row_of) != len(locations):
-            raise ArgumentError(f"{len(row_of)} columns for {len(locations)} locations")
-        self._index(locations)
-        if not (rows.size and 0 < rows.min() and rows.max() < np.inf):  # NaN fails too
-            if not rows.size:
-                raise ArgumentError("need at least one location")
+    def _hold(self, locations, rows, row_of, seed=None, spec_fingerprint=None) -> None:
+        super()._hold(locations, rows, row_of, seed=seed, spec_fingerprint=spec_fingerprint)
+        if not (0 < rows.min() and rows.max() < np.inf):  # NaN fails too
             r, g = np.argwhere(~((rows.T > 0) & (rows.T < np.inf)))[0]
-            raise ArgumentError(f"replicate {r}, location {locations[row_of.index(g)]}: "
+            raise ArgumentError(f"replicate {r}, location {self.locations[self._row_of.index(g)]}: "
                                 f"field value must be positive and finite, got {rows[g, r]}")
-        rows.setflags(write=False)
-        vars(self).update(seed=seed, spec_fingerprint=spec_fingerprint, _rows=rows, _row_of=row_of)
 
     @property
     def values(self) -> np.ndarray:
@@ -268,23 +269,28 @@ def read_sample_csv(
     meta = {}
     if metadata_path is not None:
         try:
-            meta = json.loads(Path(metadata_path).read_text(encoding="utf-8"))
+            meta = json.loads(Path(metadata_path).read_text(encoding="utf-8-sig"))
         except (OSError, ValueError) as exc:  # also not UTF-8, or not JSON
             raise ParseError(f"cannot read metadata {metadata_path}: {exc}") from exc
         if not isinstance(meta, dict):
             raise ParseError(f"metadata {metadata_path} is not a JSON object")
         try:
-            if meta.get("seed") is not None:
-                _json_int(meta, "seed")
-            if not isinstance(meta.get("spec_fingerprint"), (str, type(None))):
-                raise TypeError(f"'spec_fingerprint' must be a string, "
-                                f"got {meta['spec_fingerprint']!r}")
+            _provenance(meta.get("seed"), meta.get("spec_fingerprint"))
             if "n" in meta and _json_int(meta, "n") != rows.shape[1]:
                 raise ValueError(f"'n' is {meta['n']}, but {path} holds {rows.shape[1]} replicates")
         except (TypeError, ValueError) as exc:
             raise ParseError(f"metadata {metadata_path}: {exc}") from exc
     return FieldSample._of_rows(locations, rows, range(len(locations)),
                                 meta.get("seed"), meta.get("spec_fingerprint"))
+
+
+def _provenance(seed, spec_fingerprint) -> None:
+    """Raises ArgumentError unless `seed` is None or an integer, not a bool, and
+    `spec_fingerprint` None or a string: the provenance that a sidecar reads back."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
+        raise ArgumentError(f"'seed' must be an integer, got {seed!r}")
+    if not isinstance(spec_fingerprint, (str, type(None))):
+        raise ArgumentError(f"'spec_fingerprint' must be a string, got {spec_fingerprint!r}")
 
 
 def _bulk_table(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray] | None:
@@ -355,7 +361,7 @@ def _read_rows(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
 
 def _open_csv(path: str | Path) -> TextIO:
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 

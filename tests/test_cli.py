@@ -999,6 +999,54 @@ class TestNotUtf8:
         self.expect(capsys, path, "validate", "--spec", str(path))
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark, as spreadsheets write one, is ignored in
+    every file the tool reads: a command prints what it prints without one, and
+    the bulk passes still parse the file once."""
+
+    @pytest.fixture
+    def directories(self, capsys, tmp_path, monkeypatch):
+        """The same files in `plain` and, each behind a byte order mark, in `bom`."""
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        plain.mkdir(), bom.mkdir()
+        monkeypatch.chdir(plain)
+        run(capsys, "preset", "one-pattern", "--out", "spec.json")
+        run(capsys, "simulate", "--spec", "spec.json", "--locations", "3,3;4,3", "--n", "20",
+            "--seed", "5", "--out", "sample.csv")
+        lines = Path("sample.csv").read_text().splitlines(keepends=True)
+        Path("rows.csv").write_text(lines[0] + "".join(reversed(lines[1:])))  # the row reader's
+        stations = (DATA_DIR / "stations_32y.csv").read_text()
+        Path("stations.csv").write_text(stations)
+        Path("na.csv").write_text(stations.replace(",56.8,", ",NA,", 1))
+        Path("meta.csv").write_text((DATA_DIR / "stations_meta.csv").read_text())
+        for path in plain.iterdir():
+            (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return plain, bom
+
+    @pytest.mark.parametrize("argv, parses", [
+        (["validate", "--spec", "spec.json"], 0),
+        (["exact", "--spec", "spec.json", "--site=3,3", "--region", "neighbors"], 0),
+        (["estimate", "--sample", "sample.csv", "--meta", "sample.meta.json", "--site=3,3",
+          "--region", "4,3"], 1),
+        (["estimate", "--sample", "rows.csv", "--site=3,3", "--region", "4,3"], 1),
+        (["ingest", "--data", "stations.csv", "--meta", "meta.csv"], 1),
+        (["ingest", "--data", "na.csv", "--missing", "drop-year"], 1),
+        (["report", "--data", "stations.csv", "--condition", "serra_alta",
+          "--region", "vale_frio"], 1),
+    ])
+    def test_is_ignored(self, capsys, monkeypatch, directories, argv, parses):
+        real = np.loadtxt
+        results = []
+        for directory in directories:
+            monkeypatch.chdir(directory)
+            calls = []
+            monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or real(*a, **k))
+            results.append((*run(capsys, *argv), len(calls)))
+        assert results[1] == results[0]
+        code, out, err, count = results[0]
+        assert (code, err, count) == (0, "", parses) and out
+
+
 ENCODING_SCRIPT = """
 import sys
 from m4extremes import field_sample_to_station_csv, ingest_stations, read_sample_csv

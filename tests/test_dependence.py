@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 from collections import Counter
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from m4extremes import (
     ArgumentError,
     DegenerateConditioningError,
+    DependenceSummary,
     DomainError,
     LatticePoint,
     M4Spec,
@@ -529,15 +531,18 @@ class TestSharedDerivationOracle:
             assert repr((summary.contagion, summary.stability)) == repr((ci, si))
             assert repr((summary.stability_lower, summary.stability_upper)) == repr(bounds)
 
-    @pytest.mark.parametrize(
-        "function", [summarize, contagion_index, stability_index, stability_bounds]
-    )
-    def test_zero_spec_raises_in_every_closed_form(self, function):
-        # unvalidated all-zero weights: every coefficient is 0, and each index
-        # reads the one summary, which divides by the joint coefficient
+    def test_zero_spec_derives_only_what_is_defined(self):
+        # unvalidated all-zero weights: every coefficient is 0, so the summary
+        # builds and contagion is 2|R|; stability divides by the joint
+        # coefficient and its upper bound by the largest pair
         spec = M4Spec.from_table(1, 1, 1, {P(0, 0): [[0]], P(1, 0): [[0]]}, check=False)
-        with pytest.raises(ZeroDivisionError):
-            function(spec, Region([P(1, 0)]), P(0, 0))
+        region, site = Region([P(1, 0)]), P(0, 0)
+        summary = summarize(spec, region, site)
+        assert summary.pairwise_extremal == ((P(1, 0), 0),) and summary.joint_extremal == 0
+        assert same(contagion_index(spec, region, site), F(2))
+        for function in (stability_index, stability_bounds):
+            with pytest.raises(ZeroDivisionError):
+                function(spec, region, site)
 
     def test_each_coefficient_evaluated_once(self, monkeypatch, one_pattern_spec, site):
         calls = []
@@ -555,6 +560,35 @@ class TestSharedDerivationOracle:
                 calls.clear()
                 function(one_pattern_spec, region, site)
                 assert calls == expected, function
+
+
+class TestSummaryDerivesIndices:
+    """A summary holds its coefficients once and derives every index when read."""
+
+    def test_holds_only_its_coefficients(self, one_pattern_spec, site, ring):
+        names = [field.name for field in dataclasses.fields(DependenceSummary)]
+        assert names == ["site", "region", "pairwise_extremal", "joint_extremal"]
+        summary = summarize(one_pattern_spec, ring, site)
+        with pytest.raises(TypeError):
+            DependenceSummary(site, ring, summary.pairwise_extremal, summary.joint_extremal,
+                              contagion=99)
+        rebuilt = DependenceSummary(site, ring, summary.pairwise_extremal, summary.joint_extremal)
+        assert rebuilt == summary and rebuilt.to_json_dict() == summary.to_json_dict()
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_one_pair_sum_per_summary(self, monkeypatch, one_pattern_spec, site, ring, mode):
+        spec = one_pattern_spec if mode == "exact" else one_pattern_spec.as_float()
+        summaries = [summarize(spec, region, site) for region in (ring, Region([P(4, 3)]))]
+        sums = []
+        real = dependence_module._ksum
+        monkeypatch.setattr(dependence_module, "_ksum", lambda terms: sums.append(1) or real(terms))
+        for summary in summaries:
+            sums.clear()
+            for _ in range(2):  # every index, twice, and the document that reads them all
+                summary.to_json_dict()
+                summary.contagion, summary.stability
+                summary.stability_lower, summary.stability_upper
+            assert len(sums) == 1
 
 
 def ref_sum(terms):

@@ -30,6 +30,7 @@ from m4extremes import (
     simulate_m4,
     substream,
 )
+import m4extremes.dependence as dependence_module
 import m4extremes.estimate as estimate_module
 import m4extremes.simulate as simulate_module
 from conftest import STUDY_SEED, raises_exactly, table_spec, use_cpus
@@ -179,8 +180,11 @@ class TestRankOracle:
         assert scores.scores.flags.f_contiguous
 
     def test_no_columns(self):
-        scores = scores_from_matrix(np.ones((3, 0)), [])
-        assert scores.rank_counts.shape == (3, 0)
+        # scores hold at least one location, as a sample does
+        with raises_exactly(ArgumentError, "need at least one location"):
+            scores_from_matrix(np.ones((3, 0)), [])
+        with raises_exactly(ArgumentError, "need at least one location"):
+            UniformScores((), np.zeros((4, 0), int))
 
     def test_nan_cell_is_named(self):
         values = np.array([[1.0, 2.0], [3.0, np.nan], [np.nan, 4.0]])
@@ -918,6 +922,20 @@ class TestEstimateSummaryOracle:
             assert repr(float(summary.stability)) == repr(si)
             assert repr(estimate_contagion(scores, region, site)) == repr(ci)
             assert repr(estimate_stability(scores, region, site)) == repr(si)
+
+    def test_estimates_evaluate_no_bound(self, monkeypatch, one_pattern_spec, site, ring):
+        # the bounds are the only `max` of a summary; the estimate readers read none
+        scores = rank_transform(simulate_m4(one_pattern_spec, ring.with_point(site), 200, 1))
+        maxima = []
+        monkeypatch.setattr(dependence_module, "max",
+                            lambda *args: maxima.append(args) or max(*args), raising=False)
+        summary = estimate_summary(scores, ring, site)
+        summary.contagion, summary.stability
+        estimate_contagion(scores, ring, site), estimate_stability(scores, ring, site)
+        estimate_module._estimates_json(summary, "point", map(str, ring))
+        assert maxima == []
+        summary.stability_upper, summary.stability_upper  # each read takes its own max
+        assert len(maxima) == 2
 
     def test_study_matches_per_index_loops(self, one_pattern_spec, site, ring):
         spec = table_spec(12, seed=3)

@@ -452,6 +452,37 @@ class TestOraclesAgainstLoops:
             UniformScores((P(0, 0), P(1, 0)), counts, scores=counts / 3)
 
 
+class TestSharedRowRules:
+    """Both holders refuse, in this order, rows without a replicate, a row index
+    count that is not the location count, no location and a location twice;
+    then each holder's cell rule.  The rows they keep are frozen."""
+
+    HOLDERS = {
+        FieldSample: ("sample", np.ones, np.zeros,
+                      "replicate 0, location (0,0): field value must be positive and finite, "
+                      "got 0.0"),
+        UniformScores: ("scores", lambda shape: np.ones(shape, np.int64), np.ones,
+                        "rank counts must be integers, got float64"),
+    }
+
+    @pytest.mark.parametrize("holder", [FieldSample, UniformScores])
+    def test_first_error(self, holder):
+        name, good, bad, cell_problem = self.HOLDERS[holder]
+        a, b = P(0, 0), P(1, 0)
+        for locations, rows, row_of, problem in (
+            ((a, a), bad((1, 0)), (0,), "need at least one replicate"),
+            ((), bad((1, 2)), (0,), "1 columns for 0 locations"),
+            ((a, a), bad((1, 2)), (0,), "1 columns for 2 locations"),
+            ((), bad((0, 2)), (), "need at least one location"),
+            ((a, a), bad((1, 2)), (0, 0), f"duplicate locations in {name}"),
+            ((a, b), bad((1, 2)), (0, 0), cell_problem),
+        ):
+            with raises_exactly(ArgumentError, problem):
+                holder._of_rows(locations, rows, row_of)
+        rows = good((1, 2))
+        assert holder._of_rows((a, b), rows, (0, 0))._rows is rows and not rows.flags.writeable
+
+
 def grouped_tie_heavy_sample(n, seed=0):
     """Small integers (many ties) in three distinct rows, each the row of
     several locations, as simulation holds locations that share a matrix."""
@@ -583,6 +614,44 @@ class TestFieldSampleInvariants:
     def test_rejects_duplicate_locations(self):
         with raises_exactly(ArgumentError, "duplicate locations in sample"):
             FieldSample((P(0, 0), P(0, 0)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"seed": "abc"}, "'seed' must be an integer, got 'abc'"),
+        ({"seed": True}, "'seed' must be an integer, got True"),
+        ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+        ({"seed": 1, "spec_fingerprint": 7}, "'spec_fingerprint' must be a string, got 7"),
+        ({"spec_fingerprint": ["f"]}, "'spec_fingerprint' must be a string, got ['f']"),
+    ])
+    def test_refuses_provenance_the_sidecar_refuses(self, tmp_path, fields, problem):
+        # the constructor's text is the sidecar reader's, for the same provenance
+        with raises_exactly(ArgumentError, problem):
+            FieldSample((P(0, 0),), np.ones((2, 1)), **fields)
+        csv_path, meta_path = export_sample(FieldSample((P(0, 0),), np.ones((2, 1))),
+                                            tmp_path / "s.csv")
+        meta_path.write_text(json.dumps(fields))
+        with raises_exactly(ParseError, f"metadata {meta_path}: {problem}"):
+            read_sample_csv(csv_path, meta_path)
+
+    @pytest.mark.parametrize("seed, fingerprint", [(None, None), (0, ""), (-3, "f00d"),
+                                                   (2**70, None)])
+    def test_held_provenance_reads_back(self, tmp_path, seed, fingerprint):
+        sample = FieldSample((P(0, 0),), np.ones((2, 1)), seed, fingerprint)
+        back = read_sample_csv(*export_sample(sample, tmp_path / "s.csv"))
+        assert (back.seed, back.spec_fingerprint) == (seed, fingerprint)
+
+    def test_provenance_rule_runs_where_provenance_arrives(self, monkeypatch, one_pattern_spec,
+                                                          tmp_path):
+        # once for the public constructor and once for a sidecar; never for a builder
+        calls = []
+        real = simulate._provenance
+        monkeypatch.setattr(simulate, "_provenance", lambda *args: calls.append(1) or real(*args))
+        sample = simulate_m4(one_pattern_spec, Region([P(0, 0), P(1, 0)]), 5, 1)
+        csv_path, meta_path = export_sample(sample, tmp_path / "s.csv")
+        read_sample_csv(csv_path)
+        assert calls == []
+        read_sample_csv(csv_path, meta_path)
+        FieldSample(sample.locations, sample.values, sample.seed, sample.spec_fingerprint)
+        assert calls == [1, 1]
 
     def test_values_read_only(self, one_pattern_spec):
         sample = simulate_m4(one_pattern_spec, Region([P(0, 0)]), 5, 1)
