@@ -77,4 +77,5 @@ from .stations import (
     station_indices,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the classes and functions bound above, not the submodules that the imports bind too
+__all__ = [name for name in dir() if not name.startswith("_") and callable(globals()[name])]

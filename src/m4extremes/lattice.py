@@ -19,9 +19,6 @@ class LatticePoint:
     x: int
     y: int
 
-    def translated(self, dx: int, dy: int) -> "LatticePoint":
-        return LatticePoint(self.x + dx, self.y + dy)
-
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
 
@@ -56,9 +53,6 @@ class Region:
 
     def union(self, other: "Region | Iterable[LatticePoint]") -> "Region":
         return Region(self._points + tuple(other))
-
-    def with_point(self, point: LatticePoint) -> "Region":
-        return Region(self._points + (point,))
 
     def __iter__(self) -> Iterator[LatticePoint]:
         return iter(self._points)
@@ -96,7 +90,7 @@ _NEIGHBOR_OFFSETS = (
 
 def neighbors(site: LatticePoint) -> Region:
     """The eight sites surrounding `site`, counter-clockwise from the east."""
-    return Region(site.translated(dx, dy) for dx, dy in _NEIGHBOR_OFFSETS)
+    return Region(LatticePoint(site.x + dx, site.y + dy) for dx, dy in _NEIGHBOR_OFFSETS)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ so u lies strictly inside (0, 1); exact 0.0 and 1.0 cannot occur.  Because
 out is a pure function of (seed, i), any block of the stream can be
 generated independently, in any chunking, in any order, and the stream is the
 same on every platform — which is what replicate-level parallelism and
-reproducibility need.  Sample bits also follow numpy's CPU dispatch (`simulate_m4`).
+reproducibility need.  Sample bits follow numpy's CPU dispatch in `frechet_block` alone.
 
 Substreams for higher-level replication (one per Monte Carlo repetition)
 are derived by hashing the substream index against a second Weyl constant;
@@ -60,6 +60,12 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     z >>= np.uint64(11)
     u = np.add(z, 0.5, out=z.view(np.float64))  # each draw becomes its float in place
     return np.multiply(u, _TO_UNIT, out=u)
+
+
+def frechet_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Unit-Fréchet draws `-1 / log(u)` of `uniform_block(seed, start, count)`, in place."""
+    u = uniform_block(seed, start, count)
+    return np.divide(-1.0, np.log(u, out=u), out=u)
 
 
 def substream(seed: int, index: int) -> int:

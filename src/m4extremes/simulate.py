@@ -26,7 +26,7 @@ from ._version import __version__
 from .errors import ArgumentError, ParseError
 from .lattice import LatticePoint, Region
 from .patterns import M4Spec, _json_int
-from .rng import U64_MASK, uniform_block
+from .rng import U64_MASK, frechet_block
 
 # 8-byte elements that one pass keeps in a per-core cache: a chunk of simulate_m4
 # (draws, shift temporary and two blocks per row), a block of the rank kernel's keys
@@ -126,7 +126,7 @@ def simulate_m4(
     """Draw `n` independent replicates of the field at `locations`.
 
     Output is a pure function of (spec, locations, n, seed) per numpy build and CPU
-    dispatch, which the Fréchet `np.log` follows.  The sample holds one row per distinct
+    dispatch, which only `rng.frechet_block` follows.  The sample holds one row per distinct
     weight matrix, and each chunk of replicates takes its running maximum in
     place, in its slice of those rows.  A chunk's `2 * slots + 2 * distinct`
     floats per replicate fit in `_CACHE_ELEMENTS`.  `_in_parts` splits the
@@ -163,16 +163,15 @@ def _fill_rows(rows, first, weights, seed, chunk_rows) -> None:
     of `chunk_rows` at a time, each taking its running maximum in place in its slice."""
     draws, n = weights.shape[1], rows.shape[1]
     for r0 in range(0, n, chunk_rows):
-        u = uniform_block(seed, (first + r0) * draws, min(chunk_rows, n - r0) * draws)
-        z = np.divide(-1.0, np.log(u, out=u), out=u).reshape(-1, draws)
-        # running maximum over the slots: the same products, in any order,
-        # give the same bits (every location has a weight >= 1/K, so no
-        # signed zero reaches the result)
+        z = frechet_block(seed, (first + r0) * draws, min(chunk_rows, n - r0) * draws)
+        # running maximum over the slots, slot s of each replicate being z[s::draws]: the
+        # same products, in any order, give the same bits (every location has a weight
+        # >= 1/K, so no signed zero reaches the result)
         block = rows[:, r0 : r0 + chunk_rows]  # (distinct, rows)
-        np.multiply.outer(weights[:, 0], z[:, 0], out=block)
+        np.multiply.outer(weights[:, 0], z[::draws], out=block)
         product = np.empty_like(block)
         for s in range(1, draws):
-            np.multiply.outer(weights[:, s], z[:, s], out=product)
+            np.multiply.outer(weights[:, s], z[s::draws], out=product)
             np.maximum(block, product, out=block)
 
 

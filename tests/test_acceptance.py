@@ -145,12 +145,12 @@ def test_criterion_3_identity_suite():
         assert lower <= si <= upper
         # coefficient monotonicity
         extra = random_point(rng)
-        grown = extremal_coefficient(spec, region.with_point(extra))
+        grown = extremal_coefficient(spec, region.union((extra,)))
         base = extremal_coefficient(spec, region)
         assert base <= grown <= base + 1
         assert 1 <= base <= len(region)
         # contagion monotonicity
-        assert ci <= contagion_index(spec, region.with_point(extra), site)
+        assert ci <= contagion_index(spec, region.union((extra,)), site)
     # float mode: identities within 1e-10
     for trial in range(50):
         spec = random_rational_spec(rng).as_float()

@@ -141,7 +141,7 @@ class TestExtremalCoefficient:
             region = random_region(rng, max_size=4)
             extra = random_point(rng)
             small = extremal_coefficient(one_pattern_spec, region)
-            big = extremal_coefficient(one_pattern_spec, region.with_point(extra))
+            big = extremal_coefficient(one_pattern_spec, region.union((extra,)))
             assert small <= big <= small + 1
             assert 1 <= small <= len(region)
 
@@ -176,7 +176,7 @@ class TestCoefficientMatrix:
         assert len({v for row in got for v in row}) == 9
         assert got == tuple(
             tuple(
-                extremal_coefficient(spec, Region((site, site.translated(dx, dy))))
+                extremal_coefficient(spec, Region((site, P(site.x + dx, site.y + dy))))
                 for dx in (-1, 0, 1)
             )
             for dy in (1, 0, -1)
@@ -184,7 +184,7 @@ class TestCoefficientMatrix:
 
     @pytest.mark.parametrize("site", [P(10, 0), P(10, 10)])
     def test_domain_error_names_the_east_neighbor(self, one_pattern_spec, site):
-        east = site.translated(1, 0)
+        east = P(site.x + 1, site.y)
         message = f"location {east} outside domain {one_pattern_spec.domain!r}"
         with raises_exactly(DomainError, message):
             extremal_coefficient_matrix(one_pattern_spec, site)
@@ -287,7 +287,7 @@ class TestContagionIndex:
             extra = random_point(rng)
             i = random_point(rng)
             small = contagion_index(one_pattern_spec, region, i)
-            big = contagion_index(one_pattern_spec, region.with_point(extra), i)
+            big = contagion_index(one_pattern_spec, region.union((extra,)), i)
             assert small <= big
 
 
@@ -617,7 +617,7 @@ def ref_coefficient(spec, points):
 
 def ref_coefficient_matrix(spec, site):
     return tuple(
-        tuple(ref_coefficient(spec, (site, site.translated(dx, dy))) for dx in (-1, 0, 1))
+        tuple(ref_coefficient(spec, (site, P(site.x + dx, site.y + dy))) for dx in (-1, 0, 1))
         for dy in (1, 0, -1)
     )
 

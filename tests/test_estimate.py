@@ -925,7 +925,7 @@ class TestEstimateSummaryOracle:
 
     def test_estimates_evaluate_no_bound(self, monkeypatch, one_pattern_spec, site, ring):
         # the bounds are the only `max` of a summary; the estimate readers read none
-        scores = rank_transform(simulate_m4(one_pattern_spec, ring.with_point(site), 200, 1))
+        scores = rank_transform(simulate_m4(one_pattern_spec, ring.union((site,)), 200, 1))
         maxima = []
         monkeypatch.setattr(dependence_module, "max",
                             lambda *args: maxima.append(args) or max(*args), raising=False)
@@ -1219,7 +1219,7 @@ class TestGroupedEstimates:
                 return fresh
 
             points = list(region)
-            regions = [region, region.with_point(site), Region(points[:1]),
+            regions = [region, region.union((site,)), Region(points[:1]),
                        Region([site, points[-1]]), Region(points[1::2])]
             for r in regions:
                 for estimator in (estimate_contagion, estimate_stability, estimate_summary):

@@ -1,5 +1,6 @@
 """The README's library example runs and gives the values its comments
-state, and its command-line examples run."""
+state, its command-line examples run, and its lists of the public names and
+of the package's files are whole."""
 
 import ast
 import re
@@ -10,15 +11,23 @@ from pathlib import Path
 
 import pytest
 
+import m4extremes
 from m4extremes.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = README.parent / "src" / "m4extremes"
+
+
+def section(title: str) -> str:
+    """The README's `## title` section, up to the next `## ` heading."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else None]
 
 
 def library_example() -> str:
-    text = README.read_text()
-    section = text[text.index("## Library example") :]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section("Library example"), re.S).group(1)
 
 
 def expression_values(source: str) -> dict[int, object]:
@@ -58,9 +67,7 @@ def test_library_example_values():
 
 def cli_examples() -> list[list[str]]:
     """The argument lists of the commands in the README's `## Command line` block."""
-    text = README.read_text(encoding="utf-8")
-    section = text[text.index("## Command line") :]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    block = re.search(r"```sh\n(.*?)```", section("Command line"), re.S).group(1)
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
 
 
@@ -75,3 +82,20 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     codes = [main(argv[1:]) for argv in examples]
     assert codes == [0] * len(examples), capsys.readouterr().err
+
+
+def public_names() -> list[str]:
+    """The names that the README's `## Public names` section lists, one a bullet."""
+    return re.findall(r"^- `(\w+)", section("Public names"), re.M)
+
+
+def test_public_names_are_all():
+    names = public_names()
+    assert len(names) == len(set(names))
+    assert sorted(names) == m4extremes.__all__
+
+
+def test_layout_names_every_module():
+    block = re.search(r"```\n(.*?)```", section("Layout"), re.S).group(1)
+    named = re.findall(r"^  (\S+\.py) ", block, re.M)
+    assert sorted(named) == sorted(path.name for path in PACKAGE.iterdir() if path.is_file())

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from m4extremes import estimate, simulate
+from m4extremes import estimate, rng, simulate
 from m4extremes import (
     ArgumentError,
     FieldSample,
@@ -37,7 +37,7 @@ from m4extremes import (
     scores_from_matrix,
     simulate_m4,
 )
-from m4extremes.rng import U64_MASK, uniform_block
+from m4extremes.rng import U64_MASK, frechet_block, uniform_block
 from m4extremes.stations import Station, StationDataset
 from conftest import raises_exactly, table_spec, threads_for, use_cpus
 
@@ -333,7 +333,7 @@ class TestOraclesAgainstLoops:
         sample = simulate_m4(preset(name), Region([site]).union(ring), 3000, 17)
         scores = rank_transform(sample)
         us = [0.5, 0.9, 0.99, 0.999, 0.9999, 2999 / 3001, 3000 / 3001, 1 - 1e-9]
-        for region in (ring, Region([P(4, 3)]), ring.with_point(site)):
+        for region in (ring, Region([P(4, 3)]), ring.union((site,))):
             self.check(sample, region, site, us)
             self.check(sample, region, site, us, scores)
 
@@ -344,7 +344,7 @@ class TestOraclesAgainstLoops:
         site, region = P(0, 0), Region([P(3, 0), P(1, 0), P(4, 0)])
         us = [u for u in u_grid(n) if n < 50 or u > 0.9] + [0.5]
         self.check(sample, region, site, us, scores)
-        self.check(sample, region.with_point(site), site, us, scores)
+        self.check(sample, region.union((site,)), site, us, scores)
         self.check(sample, Region([P(2, 0)]), site, [0.25, 0.5, 0.75])
 
     def test_doctored_scores(self):
@@ -522,7 +522,7 @@ class TestGroupedOracles:
         sample = simulate_m4(preset(name), Region([site]).union(ring), 200, 23)
         us = list(u_grid(200))
         for region in (ring, Region([P(3, 4)]), Region([P(4, 3), P(3, 2)]),
-                       ring.with_point(site)):
+                       ring.union((site,))):
             self.check(sample, region, site, us)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
@@ -776,8 +776,8 @@ def cube_simulation(spec, points, n, seed):
         [[[float(w) for w in row] for row in spec.patterns_at(p)] for p in points]
     )
     _, n_patterns, lag_count = weights.shape
-    u = uniform_block(seed & U64_MASK, 0, n * n_patterns * lag_count)
-    z = -1.0 / np.log(u.reshape(n, 1, n_patterns, lag_count))
+    z = frechet_block(seed & U64_MASK, 0, n * n_patterns * lag_count)
+    z = z.reshape(n, 1, n_patterns, lag_count)
     return np.max(weights[None] * z, axis=(2, 3))
 
 
@@ -793,13 +793,13 @@ class TestSharedColumnOracle:
         per_row = 2 * slots + 2 * distinct
         monkeypatch.setattr(simulate, "_CACHE_ELEMENTS", self.ROWS_PER_CHUNK * per_row)
         chunks = []
-        real_uniform_block = simulate.uniform_block
+        real_uniform_block = rng.uniform_block
 
         def counting_uniform_block(seed, start, count):
             chunks.append(count)
             return real_uniform_block(seed, start, count)
 
-        monkeypatch.setattr(simulate, "uniform_block", counting_uniform_block)
+        monkeypatch.setattr(rng, "uniform_block", counting_uniform_block)
         got = simulate_m4(spec, Region(points), self.N, seed).values
         assert chunks == [self.ROWS_PER_CHUNK * slots] * 3 + [4 * slots]
         assert got.flags.f_contiguous and not got.flags.writeable  # column-major
@@ -884,7 +884,7 @@ class TestSplitSimulation:
             def join(self, timeout=None):
                 pass
 
-        real_uniform_block = simulate.uniform_block
+        real_uniform_block = rng.uniform_block
 
         def counting_uniform_block(seed, start, count):
             calls.append(count)
@@ -892,7 +892,7 @@ class TestSplitSimulation:
 
         monkeypatch.setattr(simulate, "_SPLIT_CELLS", 1)
         monkeypatch.setattr(threading, "Thread", SerialThread)
-        monkeypatch.setattr(simulate, "uniform_block", counting_uniform_block)
+        monkeypatch.setattr(rng, "uniform_block", counting_uniform_block)
 
         def set_cpus(cpus):
             use_cpus(monkeypatch, cpus)

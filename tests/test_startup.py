@@ -12,30 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import m4extremes
 from m4extremes import LatticePoint, neighbors, preset, simulate_m4
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-PUBLIC_NAMES = [
-    "ArgumentError", "DegenerateConditioningError", "DependenceSummary", "DomainError",
-    "ExtremalCoefficientEstimate", "FieldSample", "LatticePoint", "LatticeRect", "M4Error",
-    "M4Spec", "ParseError", "PatternRule", "Region",
-    "SpecValidationError", "Station", "StationDataset", "StationIndicesReport",
-    "StudyResult", "UndefinedConditionalError", "UniformScores", "UnknownStationError",
-    "ValidationReport", "contagion_index", "contagion_index_region", "dependence",
-    "dump_spec", "empirical_contagion", "empirical_stability", "errors", "estimate",
-    "estimate_contagion", "estimate_contagion_region", "estimate_extremal_coefficient",
-    "estimate_stability", "estimate_summary", "exponent_value", "export_sample",
-    "extremal_coefficient", "extremal_coefficient_matrix", "field_sample_to_station_csv",
-    "fragility_index", "from_json_dict", "ingest_stations", "lattice", "load_spec",
-    "monte_carlo_study", "multivariate_tail_dependence", "neighbors",
-    "pairwise_tail_dependence", "patterns", "preset", "preset_one_pattern",
-    "preset_two_pattern", "rank_transform", "read_sample_csv", "rng", "scores_from_matrix",
-    "simulate", "simulate_m4", "stability_bounds", "stability_index", "station_indices",
-    "stations", "substream", "summarize", "to_json_dict", "uniform_block", "validate",
-    "write_sample_csv",
-]
-
 
 def fresh(code: str, cwd=None) -> str:
     """Run `code` in a fresh interpreter that imports the package from `src`;
@@ -106,8 +86,17 @@ for name, module in [("simulate_m4", simulate), ("read_sample_csv", simulate),
 
 def test_every_public_name_is_bound_at_import():
     """The lazy numpy leaves the package's and the CLI's names bound, where
-    callers and wrappers look them up."""
-    assert json.loads(fresh(NAMES_SCRIPT)) == PUBLIC_NAMES
+    callers and wrappers look them up, and `__all__` is the one this suite
+    reads with numpy loaded first (`tests/test_readme.py` ties it to the README)."""
+    assert json.loads(fresh(NAMES_SCRIPT)) == m4extremes.__all__
+
+
+def test_star_import_binds_no_submodule():
+    code = "from m4extremes import *\nprint(*sorted(n for n in globals() if n[0] != '_'))"
+    bound = fresh(code).split()
+    assert bound == m4extremes.__all__
+    assert not {"dependence", "errors", "estimate", "lattice", "patterns", "rng",
+                "simulate", "stations"} & set(bound)
 
 
 def test_numpy_imported_first_is_used_as_is():

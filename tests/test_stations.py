@@ -18,7 +18,7 @@ from m4extremes import (
     simulate_m4,
     station_indices,
 )
-from m4extremes.rng import uniform_block
+from m4extremes.rng import frechet_block
 from m4extremes.stations import Station, StationDataset
 from conftest import DATA_DIR, raises_exactly
 
@@ -274,8 +274,7 @@ class TestStationIndices:
 
     def test_independent_columns_have_no_contagion(self):
         # three independent unit-Frechet columns, n=1000
-        u = uniform_block(2718, 0, 3000).reshape(1000, 3)
-        values = -1.0 / np.log(u)
+        values = frechet_block(2718, 0, 3000).reshape(1000, 3)
         scores = scores_from_matrix(values, (P(0, 0), P(1, 0), P(2, 0)))
         ci = estimate_contagion(scores, Region([P(1, 0), P(2, 0)]), P(0, 0))
         assert abs(ci) < 0.15
