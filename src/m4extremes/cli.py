@@ -150,7 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csv_path, meta_path = export_sample(sample, args.out)
     _emit_json(
         {**_meta(spec, sample.seed), "csv": str(csv_path), "metadata": str(meta_path),
-         "n": sample.n_replicates, "locations": len(sample.locations)},
+         "n": sample.n, "locations": len(sample.locations)},
         None,
     )
     return 0
@@ -165,7 +165,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         **_meta(),
         "spec_fingerprint": sample.spec_fingerprint,
         "seed": sample.seed,
-        "n": sample.n_replicates,
+        "n": sample.n,
         "site": str(site),
         "region": [str(p) for p in region],
         **_estimates_json(summary, "point", map(str, region)),

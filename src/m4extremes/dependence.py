@@ -10,6 +10,14 @@ integer sums and its results exact `Fraction`s.  Float and mixed specs sum in sl
 order with compensated (Kahan) accumulation, so results are deterministic; a mixed
 spec's result is a `Fraction` when every weight it reads is one.
 
+Float mode: with u = 2^-53, a float or mixed spec's value is within 4u·θ of the
+correctly rounded exact one for an extremal coefficient θ (and each matrix entry), 6u for
+pairwise tail dependence, 6u·value for `exponent_value` at rational scales, 8u·value for
+multivariate tail dependence, 10u·value for region contagion and fragility, 10u|R| for
+contagion, 16u|R| for stability and its upper bound, 13u for its lower one: first order
+in u, for any K, while nonzero weights are normal floats.  Below that the modes can part:
+a weight that rounds to 0.0 makes a positive exact rate 0.0, which raises.
+
 Site-to-region indices have one derivation: a `DependenceSummary` holds the |R|
 pairwise coefficients and the joint one, and derives contagion, stability and
 its bounds from them when they are read.  `summarize` fills it with closed forms,

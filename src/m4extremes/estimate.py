@@ -27,32 +27,19 @@ from .simulate import _CACHE_ELEMENTS, FieldSample, _in_parts, _Rows, simulate_m
 class UniformScores(_Rows):
     """Rank scores of a sample: values k/(n+1) in (0,1), one column per location.
 
-    The scores hold the integer numerators k (an integer dtype) in one row per
-    distinct column of the sample; estimators and oracles read only those rows,
-    to stay exact, so their cost scales with distinct weight matrices, not
-    locations.  The constructor copies `rank_counts`, one column per location,
-    each one that ranking gives back: the modified-ECDF counts of some column,
-    which are their own counts.  No location repeats.  `rank_counts` and
-    `scores` are built from the rows on each read, F-order and read-only.
+    The scores hold the integer numerators k in one row per distinct column of
+    the sample; estimators and oracles read only those rows, to stay exact, so
+    their cost scales with distinct weight matrices, not locations.  There is no
+    public constructor: `rank_transform` and `scores_from_matrix` make scores, so
+    each row holds the modified-ECDF counts of some column.  No location repeats.
+    `rank_counts` and `scores` are built from the rows on each read, F-order and
+    read-only.
     """
 
     _holder = "scores"  # in `column_index`'s error
 
-    def __init__(self, locations: Sequence[LatticePoint], rank_counts: np.ndarray) -> None:
-        locations = tuple(locations)
-        counts = np.asarray(rank_counts)  # (n, k): count of column values <= this one
-        if counts.ndim != 2 or counts.shape[1] != len(locations):
-            raise ArgumentError("rank counts shape does not match locations")
-        self._hold(locations, counts.T.copy(), range(counts.shape[1]))
-        unranked = np.any(_rank_rows(self._rows.astype(np.float64)) != self._rows, axis=1)
-        if unranked.any():
-            raise ArgumentError(f"location {self.locations[unranked.argmax()]}: "
-                                "rank counts are not those of any column")
-
     def _hold(self, locations, rows, row_of) -> None:  # `_numerators`: `_coefficients`' memo
         super()._hold(locations, rows, row_of, _numerators={})
-        if rows.dtype.kind not in "iu":
-            raise ArgumentError(f"rank counts must be integers, got {rows.dtype}")
 
     @property
     def rank_counts(self) -> np.ndarray:
@@ -61,10 +48,6 @@ class UniformScores(_Rows):
     @property
     def scores(self) -> np.ndarray:
         return self._matrix(self._rows / (self.n + 1))
-
-    @property
-    def n(self) -> int:
-        return int(self._rows.shape[1])
 
 
 def scores_from_matrix(values: np.ndarray, locations: Sequence[LatticePoint]) -> UniformScores:
@@ -162,8 +145,8 @@ def _exceedances(
     if scores.locations != sample.locations:
         raise ArgumentError("scores were computed for different locations")
     rows, n = scores._rows, scores.n
-    if n != sample.n_replicates:
-        raise ArgumentError(f"scores were computed for {n} replicates, not {sample.n_replicates}")
+    if n != sample.n:
+        raise ArgumentError(f"scores were computed for {n} replicates, not {sample.n}")
     row_of = [scores._row_of[sample.column_index(p)] for p in (site, *region)]
     t = bisect.bisect_right(range(n + 1), u, key=lambda k: k / (n + 1)) - 1
     site_high = rows[row_of[0]] > t

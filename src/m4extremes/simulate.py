@@ -37,8 +37,9 @@ _SPLIT_CELLS = _CACHE_ELEMENTS << 4  # work this large splits in parts, one per 
 class _Rows:
     """One read-only, C-contiguous row per distinct column (`_rows`) and the row of
     each location (`_row_of`): locations that share a row hold equal columns.
-    Instances are frozen, and no location repeats.  `_of_rows` keeps the rows it is
-    given, not a copy; the private builders, which made the rows, construct through it."""
+    Instances are frozen, no location repeats, and `n` counts the replicates (a row's
+    length).  `_of_rows` keeps the rows it is given, not a copy; the private builders,
+    which made the rows, construct through it."""
 
     @classmethod
     def _of_rows(cls, *fields):
@@ -63,6 +64,10 @@ class _Rows:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def n(self) -> int:
+        return int(self._rows.shape[1])
 
     def _matrix(self, rows: np.ndarray) -> np.ndarray:
         """The read-only F-order matrix whose column c is `rows[_row_of[c]]`: a view
@@ -111,10 +116,6 @@ class FieldSample(_Rows):
     @property
     def values(self) -> np.ndarray:
         return self._matrix(self._rows)
-
-    @property
-    def n_replicates(self) -> int:
-        return int(self._rows.shape[1])
 
 
 def simulate_m4(
@@ -243,7 +244,7 @@ def export_sample(sample: FieldSample, csv_path: str | Path) -> tuple[Path, Path
     write_sample_csv(sample, csv_path)
     meta = {
         "seed": sample.seed,
-        "n": sample.n_replicates,
+        "n": sample.n,
         "spec_fingerprint": sample.spec_fingerprint,
         "tool": "m4extremes",
         "version": __version__,

@@ -443,7 +443,7 @@ def test_accepted_samples_round_trip_through_both_formats(tmp_path_factory, samp
     names = field_sample_to_station_csv(sample, folder / "d.csv")
     dataset = ingest_stations(folder / "d.csv")
     assert dataset.station_names == tuple(names)
-    assert dataset.years == tuple(range(1, 1 + sample.n_replicates))
+    assert dataset.years == tuple(range(1, 1 + sample.n))
     assert _bits(dataset.maxima) == _bits(sample.values)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from m4extremes import (
     ArgumentError,
@@ -742,3 +742,114 @@ class TestIndependentReference:
                 assert same(getattr(summary, field), want), (field, spec, region, site)
         # the layouts reach both branches of the conditioning check
         assert 0 < degenerate < 180
+
+
+U = F(1, 2**53)  # the unit roundoff of a float
+SITES = tuple(P(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1))  # (0,0) and its neighbours
+
+# the README's float-mode bounds ("Float mode"), in units of U, from the exact value v
+# and |R| = r: |f(float or mixed spec) - float(f(exact spec))| <= bound * U
+STATED_BOUNDS = {
+    "extremal_coefficient": lambda v, r: 4 * v,
+    "extremal_coefficient_matrix": lambda v, r: 4 * v,
+    "pairwise_tail_dependence": lambda v, r: 6,
+    "exponent_value": lambda v, r: 6 * v,
+    "multivariate_tail_dependence": lambda v, r: 8 * v,
+    "contagion_index_region": lambda v, r: 10 * v,
+    "fragility_index": lambda v, r: 10 * v,
+    "contagion_index": lambda v, r: 10 * r,
+    "stability_index": lambda v, r: 16 * r,
+    "stability_lower": lambda v, r: 13,
+    "stability_upper": lambda v, r: 16 * r,
+}
+
+
+def closed_forms(spec, region, given, site, scales) -> dict:
+    """Every public closed form of `spec` at one configuration, by name; a rate of 0
+    reads as `DegenerateConditioningError`."""
+    lower, upper = stability_bounds(spec, region, site)
+    values = {
+        "extremal_coefficient": extremal_coefficient(spec, region),
+        "exponent_value": exponent_value(spec, region, scales),
+        "multivariate_tail_dependence": outcome(multivariate_tail_dependence, spec, region, given),
+        "contagion_index_region": contagion_index_region(spec, region, given),
+        "fragility_index": fragility_index(spec, given),
+        "contagion_index": contagion_index(spec, region, site),
+        "stability_index": stability_index(spec, region, site),
+        "stability_lower": lower,
+        "stability_upper": upper,
+    }
+    values.update((f"pairwise_tail_dependence {j}", pairwise_tail_dependence(spec, site, j))
+                  for j in region)
+    values.update((f"extremal_coefficient_matrix {k}", v)
+                  for k, v in enumerate(sum(extremal_coefficient_matrix(spec, site), ())))
+    return values
+
+
+@st.composite
+def tolerance_cases(draw, kind, mixed):
+    """An exact table spec over `SITES` with up to 128 slots, its float or mixed copy
+    (each weight a float or not), two regions and rational scales.  `kind` "near-two":
+    each site holds all but a small share on a slot of its own, so pairs have θ near 2
+    and contagion cancels; "tiny-rate": each site holds two weights near 1e-300 on
+    slots that all share, and the rest on its own slot, so conditioning rates are near
+    1e-300; "random": small integer weights, many of them 0."""
+    n_patterns = draw(st.integers(1, 4))
+    own = 0 if kind == "random" else len(SITES) + 2  # slots of their own, and two shared
+    lag_count = draw(st.integers(max(1, -(-own // n_patterns)), 32))
+    slots = n_patterns * lag_count
+    entries = {}
+    for i, point in enumerate(SITES):
+        if kind == "random":
+            raw = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, 7, 10**6)),
+                                min_size=slots, max_size=slots))
+            raw[draw(st.integers(0, slots - 1))] += 1
+            flat = [F(w, sum(raw)) for w in raw]
+        elif kind == "near-two":
+            share = F(draw(st.integers(1, 9)), 10 ** draw(st.integers(1, 17)))
+            raw = draw(st.lists(st.integers(0, 9), min_size=slots, max_size=slots))
+            raw[-1] += 1
+            flat = [share * F(w, sum(raw)) for w in raw]
+            flat[i] += 1 - share
+        else:
+            tiny = [F(draw(st.integers(1, 10**6)), 10**306) for _ in range(2)]
+            flat = [0] * slots
+            flat[0], flat[-1] = tiny
+            flat[1 + i] = 1 - sum(tiny)
+        entries[point] = [flat[p * lag_count : (p + 1) * lag_count] for p in range(n_patterns)]
+    exact = M4Spec.from_table(n_patterns, 0, lag_count - 1, entries)
+    rng = draw(st.randoms(use_true_random=False))
+    mode = M4Spec.from_table(n_patterns, 0, lag_count - 1, {
+        p: [[rng.choice((w, float(w))) if mixed else float(w) for w in row] for row in m]
+        for p, m in entries.items()
+    })
+    region, given = (Region(draw(st.lists(st.sampled_from(SITES), min_size=1, unique=True)))
+                     for _ in range(2))
+    scales = [F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))) for _ in region]
+    return exact, mode, region, given, scales
+
+
+class TestFloatModeTolerance:
+    """Float and mixed specs stay within the README's stated bound of exact mode, for
+    every public closed form: on cancelling pairs, on rates near 1e-300, on up to 128
+    slots, and on specs that mix rational and float weights."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["float", "mixed"])
+    @pytest.mark.parametrize("kind", ["random", "near-two", "tiny-rate"])
+    def test_every_closed_form_is_within_its_bound(self, kind, mixed):
+        # 30 examples a case; no shrinking, which took over ten minutes on a failing
+        # case of ~1000 draws: the message names the closed form and both values
+        @settings(max_examples=30, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+        @given(tolerance_cases(kind, mixed))
+        def check(case):
+            exact, mode, region, given, scales = case
+            want = closed_forms(exact, region, given, P(0, 0), scales)
+            got = closed_forms(mode, region, given, P(0, 0), scales)
+            for name, v in want.items():
+                if v is DegenerateConditioningError:  # a rate of 0 is 0.0 in floats
+                    assert got[name] is v, name
+                    continue
+                bound = STATED_BOUNDS[name.split()[0]](v, len(region)) * U
+                assert abs(F(float(got[name])) - F(float(v))) <= bound, (name, got[name], v)
+
+        check()

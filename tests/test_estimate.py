@@ -183,8 +183,6 @@ class TestRankOracle:
         # scores hold at least one location, as a sample does
         with raises_exactly(ArgumentError, "need at least one location"):
             scores_from_matrix(np.ones((3, 0)), [])
-        with raises_exactly(ArgumentError, "need at least one location"):
-            UniformScores((), np.zeros((4, 0), int))
 
     def test_nan_cell_is_named(self):
         values = np.array([[1.0, 2.0], [3.0, np.nan], [np.nan, 4.0]])
@@ -488,21 +486,21 @@ class TestRankThreads:
 
 
 class TestCountsBase:
-    """The constructor copies the counts it is given into rows the scores own."""
+    """`scores_from_matrix` ranks the matrix it is given into counts the scores own."""
 
     LOCATIONS = (P(0, 0), P(1, 0))
 
     def test_view_of_writable_base_is_copied(self):
-        base = np.array([[1, 2], [2, 1], [3, 3]])
-        scores = UniformScores(self.LOCATIONS, base[:, :])
+        base = np.array([[1, 2], [2, 1], [3, 3]])  # each column is its own counts
+        scores = scores_from_matrix(base[:, :], self.LOCATIONS)
         region = Region(self.LOCATIONS)
         assert estimate_extremal_coefficient(scores, region).as_fraction() == F(7, 5)
         base[:, 1] = base[:, 0]
         assert scores.rank_counts.tolist() == [[1, 2], [2, 1], [3, 3]]
         assert estimate_extremal_coefficient(scores, region).as_fraction() == F(7, 5)
-        fresh = UniformScores(self.LOCATIONS, np.array(scores.rank_counts))
+        fresh = scores_from_matrix(np.array(scores.rank_counts), self.LOCATIONS)
         assert estimate_extremal_coefficient(fresh, region).as_fraction() == F(7, 5)
-        changed = UniformScores(self.LOCATIONS, base.copy())  # the base's new counts
+        changed = scores_from_matrix(base.copy(), self.LOCATIONS)  # the base's new counts
         assert estimate_extremal_coefficient(changed, region).as_fraction() == 1
         assert not scores.rank_counts.flags.writeable
 
@@ -511,7 +509,7 @@ class TestCountsBase:
         frozen = base.copy()
         frozen.setflags(write=False)
         for counts in (base, base.T.copy().T, base[:, ::-1], frozen, frozen.T, base.tolist()):
-            scores = UniformScores(tuple(P(c, 0) for c in range(np.shape(counts)[1])), counts)
+            scores = scores_from_matrix(counts, tuple(P(c, 0) for c in range(np.shape(counts)[1])))
             assert scores._rows.base is None and scores._rows.flags.c_contiguous
             assert not np.shares_memory(scores._rows, base)
             assert not np.shares_memory(scores._rows, frozen)
@@ -521,16 +519,15 @@ class TestCountsBase:
 
     def test_rejects_zero_replicates(self):
         with raises_exactly(ArgumentError, "need at least one replicate"):
-            UniformScores((P(0, 0),), np.zeros((0, 1), np.int64))
+            scores_from_matrix(np.zeros((0, 1), np.int64), (P(0, 0),))
         with raises_exactly(ArgumentError, "need at least one replicate"):
-            UniformScores((), np.zeros((0, 0), np.int64))
+            scores_from_matrix(np.zeros((0, 0), np.int64), ())
 
     def test_shape_must_match_locations(self):
-        message = "rank counts shape does not match locations"
-        with raises_exactly(ArgumentError, message):
-            UniformScores(self.LOCATIONS, np.array([[1, 2, 3]]))
-        with raises_exactly(ArgumentError, message):
-            UniformScores(self.LOCATIONS, np.array([1, 2]))
+        with raises_exactly(ArgumentError, "3 columns for 2 locations"):
+            scores_from_matrix(np.array([[1, 2, 3]]), self.LOCATIONS)
+        with raises_exactly(ArgumentError, "expected a 2-d matrix"):
+            scores_from_matrix(np.array([1, 2]), self.LOCATIONS)
 
     def test_ranked_rows_are_handed_over(self, monkeypatch, one_pattern_spec):
         ranked = []
@@ -547,11 +544,8 @@ class TestCountsBase:
             assert scores._row_of == row_of and not scores._rows.flags.writeable
 
 
-UNRANKED = "rank counts are not those of any column"
-
-
 def doctored_counts(n=9, k=5):
-    """Integer counts with a column that ranking gives back for no column of values."""
+    """Integer matrices whose columns ranking gives back for no column of values."""
     rng = np.random.default_rng(5)
     return [
         rng.integers(-3, n + 5, size=(n, k)),
@@ -569,53 +563,50 @@ DOCTORED = doctored_counts()
 
 
 class TestRankCountRule:
-    """The constructor holds only counts that ranking gives back: the modified-ECDF
-    counts of some column.  The rank builders skip the check."""
+    """Scores have no public constructor: ranking makes them, so they hold rank counts,
+    the modified-ECDF counts of some column, which are their own counts."""
+
+    def test_no_public_constructor(self):
+        counts = np.array([[1, 2], [2, 1]])
+        with pytest.raises(TypeError):
+            UniformScores((P(0, 0), P(1, 0)), counts)
+        scores = scores_from_matrix(counts, (P(0, 0), P(1, 0)))
+        assert "scores" not in repr(scores)  # a property, not a field
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_accepts_exactly_the_rank_counts(self, n):
-        # values in 1..n take every order of n values, ties included
+    def test_rank_counts_come_back_unchanged(self, n):
+        # values in 1..n take every order of n values, ties included; their counts are
+        # every column that ranking gives, and each one ranks to itself
         values = np.array(list(itertools.product(range(1, n + 1), repeat=n)), float).T
-        images = set(map(tuple, brute_force_counts(values).T.tolist()))
-        accepted = set()
-        for column in itertools.product(range(-1, n + 2), repeat=n):
-            try:
-                UniformScores((P(0, 0),), np.array(column)[:, None])
-            except ArgumentError as error:
-                assert str(error) == f"location (0,0): {UNRANKED}"
-            else:
-                accepted.add(column)
-        assert accepted == images
+        images = brute_force_counts(values)
+        points = tuple(P(c, 0) for c in range(values.shape[1]))
+        assert np.array_equal(scores_from_matrix(values, points).rank_counts, images)
+        assert np.array_equal(scores_from_matrix(images, points).rank_counts, images)
 
     @pytest.mark.parametrize("counts", DOCTORED, ids=range(len(DOCTORED)))
-    def test_doctored_counts_name_the_first_unranked_location(self, counts):
+    def test_doctored_counts_are_ranked_to_their_own_counts(self, counts):
         points = tuple(P(c, 0) for c in range(counts.shape[1]))
-        first = next(c for c in range(counts.shape[1])
-                     if brute_force_counts(counts[:, c:c + 1].astype(float)).tolist()
-                     != counts[:, c:c + 1].tolist())
-        with raises_exactly(ArgumentError, f"location {points[first]}: {UNRANKED}"):
-            UniformScores(points, counts)
-
-    def test_message_names_the_location(self):
-        counts = np.array([[1, 2, 3, 0], [2, 2, 1, 0], [3, 2, 2, 0]])
-        with raises_exactly(ArgumentError, f"location (1,0): {UNRANKED}"):
-            UniformScores(tuple(P(c, 0) for c in range(4)), counts)
+        scores = scores_from_matrix(counts, points)
+        assert np.array_equal(scores.rank_counts, brute_force_counts(counts.astype(float)))
+        assert not np.array_equal(scores.rank_counts, counts)
+        again = scores_from_matrix(scores.rank_counts, points)
+        assert np.array_equal(again.rank_counts, scores.rank_counts)
+        joint = estimate_extremal_coefficient(scores, Region(points)).as_fraction()
+        assert joint >= 1  # the estimators rely on it: no joint estimate below 1
 
     def test_repeated_locations_are_refused(self):
         points = (P(0, 0), P(1, 0), P(0, 0))
-        with raises_exactly(ArgumentError, "duplicate locations in scores"):
-            UniformScores(points, np.full((2, 3), 2))
         with raises_exactly(ArgumentError, "duplicate locations in scores"):
             scores_from_matrix(np.ones((2, 3)), points)
         with raises_exactly(ArgumentError, "duplicate locations in sample"):
             FieldSample(points, np.ones((2, 3)))
 
-    def test_rank_counts_of_any_scores_are_accepted(self, one_pattern_spec):
+    def test_rank_counts_of_any_scores_are_ranked_to_themselves(self, one_pattern_spec):
         sample = simulate_m4(one_pattern_spec, neighbors(P(3, 3)), 60, 3)
         tied = scores_from_matrix(np.random.default_rng(1).integers(0, 3, (40, 6)),
                                   tuple(P(c, 0) for c in range(6)))
         for scores in (rank_transform(sample), tied):
-            copy = UniformScores(scores.locations, scores.rank_counts)
+            copy = scores_from_matrix(scores.rank_counts, scores.locations)
             assert np.array_equal(copy.rank_counts, scores.rank_counts)
 
 
@@ -814,7 +805,7 @@ class TestColumnLookup:
         sample = sample_of([[1.0, 2.0], [3.0, 1.0]])
         with pytest.raises(ArgumentError, match=r"location \(5,5\) not in sample"):
             sample.column_index(P(5, 5))
-        scores = UniformScores((P(2, 0), P(1, 0), P(0, 0)), np.full((2, 3), 2, dtype=np.int64))
+        scores = scores_from_matrix(np.full((2, 3), 2), (P(2, 0), P(1, 0), P(0, 0)))
         assert scores.column_index(P(0, 0)) == 2
         with pytest.raises(ArgumentError, match=r"location \(5,5\) not in scores"):
             scores.column_index(P(5, 5))
@@ -960,8 +951,8 @@ class TestSummaryFirstError:
     S, A, B, D, E, MISSING = P(0, 0), P(1, 0), P(2, 0), P(3, 0), P(4, 0), P(7, 7)
     COUNTS = [[1, 1, 1, 1, 1], [2, 3, 2, 3, 3], [3, 2, 3, 2, 3]]
 
-    def scores(self, rows):
-        return UniformScores((self.S, self.A, self.B, self.D, self.E), np.array(rows))
+    def scores(self, rows):  # each column of COUNTS is its own counts
+        return scores_from_matrix(np.array(rows), (self.S, self.A, self.B, self.D, self.E))
 
     def outcomes(self, scores, region, site):
         """Each estimator's result or error for (site, region).  The joint
@@ -1157,7 +1148,8 @@ class TestRegionToRegion:
     def test_empty_base_on_tied_counts(self):
         # the singletons' pass has no base: its maximum floors at 0, below every count
         counts = np.array([[4, 3, 1, 4], [1, 4, 3, 4], [2, 1, 4, 4], [4, 3, 3, 4]])
-        scores = UniformScores(tuple(P(c, 0) for c in range(4)), counts)
+        scores = scores_from_matrix(counts, tuple(P(c, 0) for c in range(4)))
+        assert scores.rank_counts.tolist() == counts.tolist()  # each column's own counts
         region, given = Region([P(1, 0)]), Region([P(2, 0), P(3, 0)])
         got = estimate_contagion_region(scores, region, given)
         assert repr(got) == repr(loop_contagion_region(scores, region, given))

@@ -1,5 +1,5 @@
-"""The package's modules import each other without a cycle, and every error
-class is raised somewhere.
+"""The package's modules import each other without a cycle, every error class is
+raised somewhere, and every private name is used somewhere.
 
 Every intra-package import counts, at module level or inside a function: a
 function-level import that closes a cycle runs only when the function is
@@ -97,3 +97,54 @@ def test_a_dead_error_class_is_found(tmp_path):
     (tmp_path / "a.py").write_text("def f():\n    raise Used('x')\n")
     assert error_classes(tmp_path) == ["Used", "Dead"]
     assert set(error_classes(tmp_path)) - raised_names(tmp_path) == {"Dead"}
+
+
+def private_names(package: Path = PACKAGE) -> set[str]:
+    """The private names that `package` defines: each `_name` (function, class or
+    assignment) of a module's body or of a class body, so each `_method` too."""
+    names = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        members = [node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body]
+        for node in tree.body + members:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(name.id for target in targets for name in ast.walk(target)
+                             if isinstance(name, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def loaded_names(package: Path = PACKAGE) -> set[str]:
+    """The names that `package` loads: a name read, an attribute, an imported name."""
+    names = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_private_name_is_used():
+    defined = private_names()
+    assert {"_Rows", "_hold", "_holder", "_rank_rows", "_CACHE_ELEMENTS"} <= defined
+    assert defined - loaded_names() == set(), "private names that nothing loads"
+
+
+def test_a_dead_private_name_is_found(tmp_path):
+    # a constant, a helper, a class attribute and a method that nothing loads, as a
+    # check of the check
+    (tmp_path / "a.py").write_text(
+        "_USED, _DEAD = 1, 2\ndef _helper(): ...\ndef _dead(): ...\n"
+        "class _K:\n    _tag = 0\n    def _m(self): ...\n    def _gone(self): ...\n"
+        "    def __init__(self): ...\n")
+    (tmp_path / "b.py").write_text("from .a import _helper\nx = _USED\n_K()._m()\n")
+    assert private_names(tmp_path) == {"_USED", "_DEAD", "_helper", "_dead", "_K", "_tag", "_m",
+                                       "_gone"}
+    assert private_names(tmp_path) - loaded_names(tmp_path) == {"_DEAD", "_dead", "_tag", "_gone"}

@@ -1,8 +1,9 @@
 """The README's library example runs and gives the values its comments
-state, its command-line examples run, and its lists of the public names and
-of the package's files are whole."""
+state, its command-line examples run, its lists of the public names and
+of the package's files are whole, and the signatures it gives are the code's."""
 
 import ast
+import inspect
 import re
 import shlex
 import shutil
@@ -93,6 +94,19 @@ def test_public_names_are_all():
     names = public_names()
     assert len(names) == len(set(names))
     assert sorted(names) == m4extremes.__all__
+
+
+def test_public_signatures_match_the_code():
+    # a bullet with parentheses lists the parameters, the `*` marker and the defaults
+    bullets = re.findall(r"^- `(\w+)\(([^`]*)\)`", section("Public names"), re.M)
+    assert {"from_json_dict", "FieldSample", "ingest_stations"} <= dict(bullets).keys()
+    for name, params in bullets:
+        namespace: dict = {}
+        exec(f"def {name}({params}): ...", namespace)
+        code = inspect.signature(getattr(m4extremes, name))
+        bare = [p.replace(annotation=p.empty) for p in code.parameters.values()]
+        assert inspect.signature(namespace[name]) == code.replace(
+            parameters=bare, return_annotation=code.empty), name
 
 
 def test_layout_names_every_module():

@@ -25,7 +25,6 @@ from m4extremes import (
     estimate_contagion_region,
     estimate_extremal_coefficient,
     fragility_index,
-    UniformScores,
     multivariate_tail_dependence,
     neighbors,
     preset,
@@ -174,7 +173,8 @@ def test_plugin_contagion_matches_oracle_on_shared_columns(grouped):
 def test_plugin_contagion_matches_oracle_on_tied_counts():
     # hand-built counts, each column's own: the singleton estimates floor a row at 0
     counts = np.array([[4, 3, 1, 4], [1, 4, 3, 4], [2, 1, 4, 4], [4, 3, 3, 4]])
-    scores = UniformScores(tuple(P(c, 0) for c in range(4)), counts)
+    scores = scores_from_matrix(counts, tuple(P(c, 0) for c in range(4)))
+    assert scores.rank_counts.tolist() == counts.tolist()
     region, given = Region([P(1, 0)]), Region([P(2, 0), P(3, 0)])
     got = estimate_contagion_region(scores, region, given)
     assert got == float(estimate_oracle(scores).contagion(region, given))

@@ -347,12 +347,13 @@ class TestOraclesAgainstLoops:
         self.check(sample, region.union((site,)), site, us, scores)
         self.check(sample, Region([P(2, 0)]), site, [0.25, 0.5, 0.75])
 
-    def test_doctored_scores(self):
-        # counts that rank no column of the sample, though each is a column's counts
+    def test_scores_of_another_matrix(self):
+        # counts that rank no column of the sample: all tied, every count is n
         n = 9
         sample = tie_heavy_sample(n)
         site, region = P(1, 0), Region([P(0, 0), P(2, 0), P(4, 0)])
-        scores = UniformScores(sample.locations, np.full((n, 5), n))
+        scores = scores_from_matrix(np.ones((n, 5)), sample.locations)
+        assert scores.rank_counts.tolist() == [[n] * 5] * n
         self.check(sample, region, site, u_grid(n), scores)
 
     @pytest.mark.parametrize("n", range(1, 41))
@@ -430,39 +431,29 @@ class TestOraclesAgainstLoops:
         assert np.array_equal(first, scores.rank_counts / 41)
         assert first.flags.f_contiguous and not first.flags.writeable
 
-    def test_float_rank_counts_rejected(self):
-        # compared with the integer threshold 1, these counts gave 1.0, though
-        # no score (count / 3) is above u
+    def test_scores_of_any_dtype_hold_integer_counts(self):
+        # the oracles compare integer counts with an integer threshold: ranking gives
+        # int64 counts whatever the matrix's dtype
         sample = FieldSample((P(0, 0), P(1, 0)), np.ones((2, 2)))
-        counts = np.array([[1.5, 1.5], [0.5, 0.5]])
-        with pytest.raises(ArgumentError, match=r"rank counts must be integers, got float64"):
-            empirical_contagion(sample, Region([P(1, 0)]), P(0, 0), 0.55,
-                                UniformScores(sample.locations, counts))
-        for dtype in (np.float32, bool, complex, object):
-            with pytest.raises(ArgumentError, match=r"rank counts must be integers"):
-                UniformScores(sample.locations, np.ones((2, 2), dtype=dtype))
-        for dtype in (np.int8, np.uint8, np.int32, np.uint64):
-            assert UniformScores(sample.locations, np.full((2, 2), 2, dtype=dtype)).n == 2
-
-    def test_scores_is_not_a_field(self):
-        counts = np.array([[1, 2], [2, 1]])
-        scores = UniformScores((P(0, 0), P(1, 0)), counts)
-        assert "scores" not in repr(scores)
-        with pytest.raises(TypeError):
-            UniformScores((P(0, 0), P(1, 0)), counts, scores=counts / 3)
+        scores = scores_from_matrix(np.array([[1.5, 1.5], [0.5, 0.5]]), sample.locations)
+        assert scores.rank_counts.tolist() == [[2, 2], [1, 1]]
+        self.check(sample, Region([P(1, 0)]), P(0, 0), u_grid(2), scores)
+        for dtype in (np.float32, bool, np.int8, np.uint8, np.int32, np.uint64):
+            scores = scores_from_matrix(np.full((2, 2), 2, dtype=dtype), sample.locations)
+            assert scores._rows.dtype == np.int64 and scores.n == 2
 
 
 class TestSharedRowRules:
     """Both holders refuse, in this order, rows without a replicate, a row index
     count that is not the location count, no location and a location twice;
-    then each holder's cell rule.  The rows they keep are frozen."""
+    then the sample's cell rule.  The scores' rows come from ranking and have no cell
+    rule.  The rows they keep are frozen."""
 
     HOLDERS = {
         FieldSample: ("sample", np.ones, np.zeros,
                       "replicate 0, location (0,0): field value must be positive and finite, "
                       "got 0.0"),
-        UniformScores: ("scores", lambda shape: np.ones(shape, np.int64), np.ones,
-                        "rank counts must be integers, got float64"),
+        UniformScores: ("scores", lambda shape: np.ones(shape, np.int64), np.zeros, None),
     }
 
     @pytest.mark.parametrize("holder", [FieldSample, UniformScores])
@@ -477,6 +468,9 @@ class TestSharedRowRules:
             ((a, a), bad((1, 2)), (0, 0), f"duplicate locations in {name}"),
             ((a, b), bad((1, 2)), (0, 0), cell_problem),
         ):
+            if problem is None:
+                assert holder._of_rows(locations, rows, row_of)._rows is rows
+                continue
             with raises_exactly(ArgumentError, problem):
                 holder._of_rows(locations, rows, row_of)
         rows = good((1, 2))
@@ -678,8 +672,8 @@ class TestFieldSampleInvariants:
         (lambda a: FieldSample((P(0, 0), P(1, 0)), a).values, np.float64),
         (lambda a: StationDataset((Station("a"), Station("b")), (1, 2, 3), a).maxima,
          np.float64),
-        (lambda a: UniformScores((P(0, 0), P(1, 0)), a).rank_counts, np.int64),
-    ], ids=["FieldSample", "StationDataset", "UniformScores"])
+        (lambda a: scores_from_matrix(a, (P(0, 0), P(1, 0))).rank_counts, np.int64),
+    ], ids=["FieldSample", "StationDataset", "scores_from_matrix"])
     def test_view_made_before_construction_cannot_change_values(self, build, dtype):
         owned = np.full((3, 2), 3, dtype=dtype)  # all tied: counts of some column too
         view = owned[:]
