@@ -38,6 +38,10 @@ class UniformScores(_Rows):
 
     _holder = "scores"  # in `column_index`'s error
 
+    def __init__(self, *args, **kwargs) -> None:  # `_of_rows`, copy and pickle never call it
+        raise TypeError("UniformScores has no public constructor: use rank_transform or "
+                        "scores_from_matrix")
+
     def _hold(self, locations, rows, row_of) -> None:  # `_numerators`: `_coefficients`' memo
         super()._hold(locations, rows, row_of, _numerators={})
 

@@ -6,11 +6,13 @@ Draw i of the stream keyed by a 64-bit seed is
 
 where mix64 is the SplitMix64 finalizer (xor-shift/multiply avalanche,
 constants from Steele, Lea & Flood's SplittableRandom).  Uniform variates
-map the top 53 bits to the midpoint of a dyadic cell,
+map the top 53 bits k = out >> 11 to
 
-    u = ((out >> 11) + 0.5) * 2**-53,
+    u = min(fl(k + 0.5) * 2**-53, 1 - 2**-53),
 
-so u lies strictly inside (0, 1); exact 0.0 and 1.0 cannot occur.  Because
+the midpoint of a dyadic cell below k = 2**52; from there on k + 0.5 rounds
+to even, and the top draw, which would round to 1.0, is clamped.  So u lies
+strictly inside (0, 1); exact 0.0 and 1.0 cannot occur.  Because
 out is a pure function of (seed, i), any block of the stream can be
 generated independently, in any chunking, in any order, and the stream is the
 same on every platform — which is what replicate-level parallelism and
@@ -59,7 +61,8 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
     z >>= np.uint64(11)
     u = np.add(z, 0.5, out=z.view(np.float64))  # each draw becomes its float in place
-    return np.multiply(u, _TO_UNIT, out=u)
+    np.multiply(u, _TO_UNIT, out=u)
+    return np.minimum(u, 1.0 - _TO_UNIT, out=u)  # k = 2**53 - 1 rounded to 1.0
 
 
 def frechet_block(seed: int, start: int, count: int) -> np.ndarray:

@@ -180,34 +180,20 @@ def _in_parts(work, total: int, most: int, cells: int) -> None:
     """`work(a, b)` over contiguous ranges that cover `range(total)`.  Below
     `_SPLIT_CELLS` cells, or for `most` < 2, that is `work(0, total)` on the calling
     thread; else one range per usable CPU, at most `most`: the calling thread runs the
-    first and one thread each runs the others.  Every thread started is joined before
-    this returns or raises; the first exception that a thread raised is raised again here."""
+    first and a thread pool the others, joined before this returns or raises.  Worker
+    exceptions are raised in range order, a start error once its range ran on a started thread."""
     if cells < _SPLIT_CELLS or most < 2:
         return work(0, total)
-    import threading  # numpy has loaded it; the spec-only paths do not need it
+    from concurrent.futures import ThreadPoolExecutor  # the spec-only paths do not need it
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parts = min(most, cpus or 1)
     cuts = [total * p // parts for p in range(parts + 1)]
-    errors, threads = [], []
-
-    def run(a, b):
-        try:
-            work(a, b)
-        except BaseException as error:  # for the calling thread to raise
-            errors.append(error)
-
-    try:
-        for span in zip(cuts[1:], cuts[2:]):
-            thread = threading.Thread(target=run, args=span)
-            thread.start()
-            threads.append(thread)
+    with ThreadPoolExecutor(parts) as pool:  # a thread per submitted range at most: none for one
+        futures = [pool.submit(work, *span) for span in zip(cuts[1:], cuts[2:])]
         work(0, cuts[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for future in futures:
+        future.result()
 
 
 # -- CSV interchange ----------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import threading
 import tracemalloc
 from fractions import Fraction as F
@@ -376,13 +378,12 @@ class TestPackedKeyOracle:
         """Sets the usable CPUs for the next ranks; returns the threads they start."""
         started = []
 
-        class SerialThread(threading.Thread):
+        class SerialThread(threading.Thread):  # run in `join`, as `threads_for`'s stand-ins
             def start(self):
                 started.append(self)
-                self.run()
 
             def join(self, timeout=None):
-                pass
+                self.run()
 
         monkeypatch.setattr(simulate_module, "_SPLIT_CELLS", 1)
         monkeypatch.setattr(threading, "Thread", SerialThread)
@@ -568,10 +569,18 @@ class TestRankCountRule:
 
     def test_no_public_constructor(self):
         counts = np.array([[1, 2], [2, 1]])
-        with pytest.raises(TypeError):
-            UniformScores((P(0, 0), P(1, 0)), counts)
+        message = ("UniformScores has no public constructor: use rank_transform or "
+                   "scores_from_matrix")
+        for args in ([(P(0, 0), P(1, 0)), counts], []):
+            with raises_exactly(TypeError, message):
+                UniformScores(*args)
         scores = scores_from_matrix(counts, (P(0, 0), P(1, 0)))
         assert "scores" not in repr(scores)  # a property, not a field
+        # copies and pickles are made without the constructor, and keep the rows
+        for twin in (copy.copy(scores), copy.deepcopy(scores),
+                     pickle.loads(pickle.dumps(scores))):
+            assert type(twin) is UniformScores and twin.locations == scores.locations
+            assert np.array_equal(twin.rank_counts, counts)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rank_counts_come_back_unchanged(self, n):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from m4extremes import LatticePoint, simulate_m4
 from m4extremes.rng import GOLDEN_GAMMA, frechet_block, mix64, substream, uniform_block
 
 U64 = (1 << 64) - 1
@@ -31,7 +34,7 @@ def test_uniforms_match_scalar_path():
     block = uniform_block(seed, 5, 16)
     for offset, got in enumerate(block):
         raw = reference_mix((seed + (5 + offset + 1) * GOLDEN_GAMMA) & U64)
-        expected = ((raw >> 11) + 0.5) * 2.0**-53
+        expected = min(((raw >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
         assert got == expected
 
 
@@ -44,6 +47,44 @@ def test_uniforms_open_interval_and_pinned():
         0.0264337715925978,
         0.9708819781538285,
     ]
+
+
+def unmix(out: int) -> int:
+    """The input that `mix64` maps to `out`: each xor-shift undone, each multiply
+    undone by its constant's inverse mod 2**64."""
+    def unshift(z, shift):
+        x = z
+        for _ in range(64 // shift):  # each pass fixes `shift` more top bits
+            x = z ^ (x >> shift)
+        return x
+
+    z = unshift(out, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & U64, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & U64, 30)
+
+
+# draw 0 of this seed is out = 2**64 - 1, whose top 53 bits k = 2**53 - 1 give
+# fl(k + 0.5) = 2**53: a uniform of 1.0 and a Fréchet draw of -inf, unless clamped
+TOP_SEED = (unmix(U64) - GOLDEN_GAMMA) & U64
+
+
+def test_top_draw_stays_below_one():
+    assert mix64((TOP_SEED + GOLDEN_GAMMA) & U64) == U64
+    assert TOP_SEED == 3558559446808474027
+    u = uniform_block(TOP_SEED, 0, 3)
+    assert u[0] == 1.0 - 2.0**-53 and np.all((0.0 < u) & (u < 1.0))
+    z = frechet_block(TOP_SEED, 0, 1)[0]
+    assert np.isfinite(z) and z > 0  # -1 / log(1 - 2**-53), about 2**53
+    assert z == pytest.approx(2.0**53, rel=1e-6)
+
+
+def test_top_draw_simulates_under_the_error_filter(one_pattern_spec):
+    points = [LatticePoint(3, 3), LatticePoint(4, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = simulate_m4(one_pattern_spec, points, 2, TOP_SEED).values
+    # replicate 0 holds the top draw in its first slot, which both locations weight
+    assert np.all(np.isfinite(values)) and np.all(values[0] > 1e15)
 
 
 def test_uniforms_chunk_invariant():

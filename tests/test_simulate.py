@@ -870,13 +870,12 @@ class TestSplitSimulation:
         start and the draw count of each `uniform_block` call."""
         started, calls = [], []
 
-        class SerialThread(threading.Thread):
+        class SerialThread(threading.Thread):  # run in `join`, as `threads_for`'s stand-ins
             def start(self):
                 started.append(self)
-                self.run()
 
             def join(self, timeout=None):
-                pass
+                self.run()
 
         real_uniform_block = rng.uniform_block
 
@@ -913,7 +912,7 @@ class TestSplitSimulation:
         cuts = [n * p // parts for p in range(parts + 1)]
         rows = part_rows if parts > 1 else self.ROWS_PER_CHUNK
         expected = [self.chunks(b - a, rows, slots) for a, b in zip(cuts, cuts[1:])]
-        assert calls == list(itertools.chain(*expected[1:], expected[0]))  # workers first
+        assert calls == list(itertools.chain(*expected))  # caller first, then the pool's
         assert split_rows.dtype == one.dtype and split_rows.tobytes() == one.tobytes()
         if cpus > 1 and n > part_rows:
             assert parts > 1 and any(a % part_rows for a in cuts[1:-1])  # seams inside chunks
@@ -1008,19 +1007,27 @@ class TestInParts:
     """`_in_parts(work, total, most, cells)`, the one runner that splits work over the
     usable CPUs: `work(a, b)` over contiguous ranges that cover `range(total)`, one
     range below `_SPLIT_CELLS` cells and else at most min(`most`, CPUs), the first on
-    the calling thread and one thread each for the others.  It joins every thread it
-    started, and raises a worker's exception.  These tests run a toy `work`."""
+    the calling thread and the others on a thread pool.  It joins every thread it
+    started, and raises a worker's exception in range order.  These tests run a toy
+    `work`."""
 
     CUT = simulate._SPLIT_CELLS
 
-    def ranges(self, total, most, cells=CUT, work=lambda a, b: None, running=()):
+    def ranges(self, total, most, cells=CUT, work=lambda a, b: None, running=(), hold=True):
         """The ranges that `work` was called with, in order, each with whether it ran on
         the calling thread, and not in a stand-in thread of `running` (`threads_for`);
-        checks that no thread is left running."""
+        checks that no thread is left running.  With `hold`, the other ranges wait for
+        the caller's to start, which the runner reaches once it has submitted them all:
+        no worker of the pool is idle at a submit, so each range takes a thread."""
         ran, caller, before = [], threading.current_thread(), threading.active_count()
+        caller_started = threading.Event()
 
         def recording_work(a, b):
             ran.append((a, b, threading.current_thread() is caller and not running))
+            if not a:
+                caller_started.set()
+            elif hold:
+                caller_started.wait()
             work(a, b)
 
         try:
@@ -1117,9 +1124,9 @@ class TestInParts:
         monkeypatch.setattr(threading.Thread, "start", second_start_fails)
         use_cpus(monkeypatch, 3)
         with raises_exactly(RuntimeError, "can't start new thread"):
-            self.ranges(3, 3, work=work)
+            self.ranges(3, 3, work=work, hold=False)  # the caller's range never starts
         assert len(started) == 1 and not started[0].is_alive()
-        assert finished == [1]  # the caller's range never ran
+        assert finished == [1, 2]  # the started thread ran both; the caller's never ran
 
 
 def sha256_of(array, dtype):

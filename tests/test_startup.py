@@ -32,11 +32,12 @@ def fresh(code: str, cwd=None) -> str:
 SPEC_ONLY_SCRIPT = """
 import hashlib, sys, types
 
-def numpy_parts():
-    return sorted(name for name in sys.modules if name.startswith("numpy."))
+def lazy_parts():  # numpy's submodules, and the thread pool's package that only a split loads
+    return sorted(name for name in sys.modules
+                  if name.startswith("numpy.") or name.split(".")[0] == "concurrent")
 
 from m4extremes.cli import main
-assert numpy_parts() == [], numpy_parts()
+assert lazy_parts() == [], lazy_parts()
 for argv in (
     ["preset", "two-pattern", "--out", "spec.json"],
     ["validate", "--spec", "spec.json", "--out", "valid.json"],
@@ -44,16 +45,17 @@ for argv in (
      "--given", "4,3;2,3", "--matrix", "--out", "exact.json"],
 ):
     assert main(argv) == 0, argv
-    assert numpy_parts() == [], (argv, numpy_parts())
+    assert lazy_parts() == [], (argv, lazy_parts())
 
 import m4extremes
 from m4extremes import LatticePoint, neighbors, preset, summarize
 site = LatticePoint(3, 3)
 summarize(preset("two-pattern"), neighbors(site), site)
-assert numpy_parts() == [], numpy_parts()
+assert lazy_parts() == [], lazy_parts()
 
 sample = m4extremes.simulate_m4(preset("two-pattern"), neighbors(site), 200, 11)
 assert type(sys.modules["numpy"]) is types.ModuleType
+assert "concurrent" not in sys.modules  # 200 replicates do not split
 import numpy
 assert m4extremes._numpy.np is numpy
 print(hashlib.sha256(sample.values.tobytes()).hexdigest())
@@ -61,8 +63,9 @@ print(hashlib.sha256(sample.values.tobytes()).hexdigest())
 
 
 def test_spec_only_commands_load_no_numpy_module(tmp_path):
-    """preset, validate, exact and a closed-form call import no numpy module;
-    the first simulation then loads numpy in place and draws the same sample."""
+    """preset, validate, exact and a closed-form call import no numpy module and
+    no `concurrent` module; the first simulation then loads numpy in place and
+    draws the same sample."""
     digest = fresh(SPEC_ONLY_SCRIPT, cwd=tmp_path).strip()
     site = LatticePoint(3, 3)
     sample = simulate_m4(preset("two-pattern"), neighbors(site), 200, 11)
