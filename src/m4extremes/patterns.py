@@ -31,6 +31,8 @@ PatternMatrix = tuple[tuple[Weight, ...], ...]
 
 SUM_TOLERANCE = 1e-12
 
+# `validate` relies on every predicate being a function of (x mod 2, y mod 2):
+# it finds the rules in use from the domain's first 2 x 2 corner alone.
 PREDICATES: dict[str, Callable[[LatticePoint], bool]] = {
     "always": lambda p: True,
     "abscissa_even": lambda p: p.x % 2 == 0,
@@ -93,36 +95,17 @@ class PatternRule:
 
 
 @dataclass(frozen=True)
-class SumViolation:
-    location: LatticePoint
-    total: Weight
-
-
-@dataclass(frozen=True)
-class NegativeEntry:
-    pattern: int
-    lag: int
-    location: LatticePoint
-    weight: Weight
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    sum_violations: tuple[SumViolation, ...] = ()
-    negative_entries: tuple[NegativeEntry, ...] = ()
+    """One text per problem, each naming where the spec writes the bad weights."""
+
+    problems: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not self.sum_violations and not self.negative_entries
+        return not self.problems
 
     def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        lines = [f"weights at {v.location} sum to {v.total}, expected 1"
-                 for v in self.sum_violations]
-        lines += [f"negative weight {e.weight} at pattern {e.pattern}, lag {e.lag}, "
-                  f"location {e.location}" for e in self.negative_entries]
-        return "; ".join(lines)
+        return "; ".join(self.problems) or "valid"
 
     def raise_if_invalid(self) -> None:
         if not self.ok:
@@ -291,41 +274,45 @@ class M4Spec:
 # -- validation -------------------------------------------------------------
 
 
-def _matrix_problems(
-    spec: M4Spec, matrix: PatternMatrix
-) -> tuple[Weight | None, list[tuple[int, int, Weight]]]:
-    """The total of `matrix` if it is not one, and its negative entries."""
-    negatives = []
+def _matrix_problems(spec: M4Spec, matrix: PatternMatrix) -> list[str]:
+    """The total of `matrix` if it is not one, then each negative entry, as texts."""
+    problems = []
     total: Weight = Fraction(0)  # stays a Fraction while every weight is one
     for li, row in enumerate(matrix):
         for gi, w in enumerate(row):
             if w < 0:
-                negatives.append((li + 1, spec.m_min + gi, w))
+                problems.append(f"negative weight {w} at pattern {li + 1}, lag {spec.m_min + gi}")
             total = total + w
     tolerance = 0 if isinstance(total, Fraction) else SUM_TOLERANCE
-    bad_sum = not abs(total - 1) <= tolerance  # also a NaN total
-    return (total if bad_sum else None), negatives
+    if not abs(total - 1) <= tolerance:  # also a NaN total
+        problems.insert(0, f"weights sum to {total}, expected 1")
+    return problems
 
 
 def validate(spec: M4Spec) -> ValidationReport:
-    """Check non-negativity and per-location sum-to-one over the domain.
+    """Check non-negativity and sum-to-one of the weights at every location.
 
-    Rational weights must sum to one exactly; any location containing a
-    float weight is held to the 1e-12 tolerance instead.  Every violating
-    location is reported.  Each distinct matrix is checked once; a bad
-    matrix that no domain location uses is not reported.
+    Rational weights must sum to one exactly; a matrix holding a float weight
+    is held to the 1e-12 tolerance instead.  Each distinct matrix is checked
+    once and reported where the spec writes it: per bad rule as ``rule #i
+    (predicate)``, ``i`` its index in the rule list, or per bad table location
+    as ``location (x,y)``.  A bad rule that no domain location uses is not
+    reported.  No domain is walked: every predicate reads only (x mod 2,
+    y mod 2), so the domain's first 2 x 2 corner meets every rule in use.
     """
     problems = [_matrix_problems(spec, m) for m in spec.matrices]
-    if not any(total is not None or negs for total, negs in problems):
+    if not any(problems):
         return ValidationReport()
-    sums: list[SumViolation] = []
-    negatives: list[NegativeEntry] = []
-    for point in spec.domain_points():
-        total, negs = problems[spec.matrix_index(point)]
-        if total is not None:
-            sums.append(SumViolation(point, total))
-        negatives.extend(NegativeEntry(li, lag, point, w) for li, lag, w in negs)
-    return ValidationReport(tuple(sums), tuple(negatives))
+    if spec._table_rows is not None:
+        named = [(f"location {point}", row) for point, row in spec._table_rows.items()]
+    else:
+        assert spec.domain is not None and spec.rules is not None
+        d = spec.domain
+        used = {spec.matrix_index(LatticePoint(x, y))
+                for x in range(d.x_min, min(d.x_min + 2, d.x_max + 1))
+                for y in range(d.y_min, min(d.y_min + 2, d.y_max + 1))}
+        named = [(f"rule #{i} ({spec.rules[i].predicate})", i) for i in sorted(used)]
+    return ValidationReport(tuple(f"{name}: {text}" for name, i in named for text in problems[i]))
 
 
 # -- presets ----------------------------------------------------------------

@@ -820,14 +820,14 @@ class TestSpecInput:
         assert code == 3
         doc = json.loads(out)
         assert doc["valid"] is False
-        assert doc["problems"].startswith("weights at (-1,-1) sum to nan, expected 1; ")
+        assert doc["problems"] == "rule #0 (always): weights sum to nan, expected 1"
 
     def test_exact_prints_no_nan(self, capsys, tmp_path):
         path = one_rule_spec(tmp_path, patterns=[[0.5, float("nan")]])
         code, out, err = run(capsys, "exact", "--spec", str(path), "--site", "0,0",
                              "--region", "neighbors")
         assert (code, out) == (3, "")
-        assert err.startswith("error: weights at (-1,-1) sum to nan, expected 1; ")
+        assert err == "error: rule #0 (always): weights sum to nan, expected 1\n"
 
     def test_list_predicate(self, capsys, tmp_path):
         path = one_rule_spec(tmp_path, predicate=["always"])

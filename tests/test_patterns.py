@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -25,7 +26,7 @@ from m4extremes import (
     validate,
 )
 from m4extremes.patterns import as_weight
-from m4extremes.patterns import NegativeEntry, SumViolation, ValidationReport, _canonical_dict
+from m4extremes.patterns import PREDICATES, ValidationReport, _canonical_dict
 from conftest import raises_exactly, table_spec
 
 P = LatticePoint
@@ -99,11 +100,8 @@ class TestValidation:
         )
         report = validate(spec)
         assert not report.ok
-        assert len(report.sum_violations) == 1
-        violation = report.sum_violations[0]
-        assert violation.location == P(1, 0)
-        assert violation.total == F(9, 10)
-        with pytest.raises(SpecValidationError):
+        assert report.problems == ("location (1,0): weights sum to 9/10, expected 1",)
+        with raises_exactly(SpecValidationError, report.problems[0]):
             report.raise_if_invalid()
 
     def test_negative_weight_reported(self):
@@ -112,9 +110,7 @@ class TestValidation:
         )
         report = validate(spec)
         assert not report.ok
-        entry = report.negative_entries[0]
-        assert (entry.pattern, entry.lag, entry.location) == (1, 2, P(0, 0))
-        assert entry.weight == F(-1, 10)
+        assert report.problems == ("location (0,0): negative weight -1/10 at pattern 1, lag 2",)
 
     def test_factories_check_by_default(self):
         with pytest.raises(SpecValidationError):
@@ -130,7 +126,7 @@ class TestValidation:
         # 1 + 10^-15 is within the float tolerance, but exact weights must sum to 1
         tiny = F(1, 10**15)
         spec = M4Spec.from_table(1, 1, 2, {P(0, 0): [[F(1, 2), F(1, 2) + tiny]]}, check=False)
-        assert validate(spec).sum_violations == (SumViolation(P(0, 0), 1 + tiny),)
+        assert validate(spec).problems == (f"location (0,0): weights sum to {1 + tiny}, expected 1",)
         assert validate(spec.as_float()).ok
 
 
@@ -390,25 +386,57 @@ class TestCompiledMatrices:
 
 
 def brute_force_validate(spec):
-    """Per-location validation that re-sums each location's own matrix,
-    found by evaluating the rules or reading the table directly."""
+    """Validation by a walk of every domain location.  Each location's matrix is
+    found by evaluating the rules or reading the table directly, and re-summed.
+    A rule spec names each rule that governs some location, in rule order; a
+    table spec names each location, in sorted order."""
     table = dict(spec.table or ())
-    sums, negatives = [], []
+    named = {}
     for point in spec.domain_points():
         if spec.rules is None:
-            matrix = table[point]
+            named[point] = (f"location {point}", table[point])
         else:
-            matrix = next(r.patterns for r in spec.rules if r.matches(point))
-        total, exact = F(0), True
+            i = next(i for i, rule in enumerate(spec.rules) if rule.matches(point))
+            named[i] = (f"rule #{i} ({spec.rules[i].predicate})", spec.rules[i].patterns)
+    problems = []
+    for key in sorted(named):
+        where, matrix = named[key]
+        total, exact, negatives = F(0), True, []
         for li, row in enumerate(matrix):
             for gi, w in enumerate(row):
                 exact = exact and isinstance(w, F)
                 if w < 0:
-                    negatives.append(NegativeEntry(li + 1, spec.m_min + gi, point, w))
+                    negatives.append(f"{where}: negative weight {w} at pattern {li + 1}, "
+                                     f"lag {spec.m_min + gi}")
                 total = total + w
-        if (total != 1) if exact else (abs(total - 1) > 1e-12):
-            sums.append(SumViolation(point, total))
-    return ValidationReport(tuple(sums), tuple(negatives))
+        if (total != 1) if exact else not abs(total - 1) <= 1e-12:
+            problems.append(f"{where}: weights sum to {total}, expected 1")
+        problems += negatives
+    return ValidationReport(tuple(problems))
+
+
+GOOD_RULE_WEIGHTS = {
+    "abscissa_even": ((F(4, 5), F(1, 5)),),
+    "both_odd": ((F(1, 3), F(2, 3)),),
+    "always": ((F(1, 4), F(3, 4)),),
+}
+BAD_RULE_WEIGHTS = {
+    "abscissa_even": ((F(6, 5), F(-1, 5)),),  # sums to 1
+    "both_odd": ((F(1, 3), F(1, 3)),),
+    "always": ((F(-1, 4), F(1, 2)),),  # sums to 1/4
+}
+
+
+def rule_lists():
+    """Every order of the three predicates, closed by `always` where it is not
+    last, each rule with good or bad weights."""
+    for order in itertools.permutations(PREDICATES):
+        names = order if order[-1] == "always" else order + ("always",)
+        for bad in itertools.product((False, True), repeat=len(names)):
+            yield tuple(
+                PatternRule(name, (BAD_RULE_WEIGHTS if b else GOOD_RULE_WEIGHTS)[name])
+                for name, b in zip(names, bad)
+            )
 
 
 class TestValidationOracle:
@@ -422,13 +450,24 @@ class TestValidationOracle:
         spec = M4Spec.from_rules(1, 1, 2, domain, rules, check=False)
         report = validate(spec)
         assert report == brute_force_validate(spec)
-        always_sites = [p for p in spec.domain_points() if p.x % 2 and not p.y % 2]
-        assert len(always_sites) == 12
-        assert [v.location for v in report.sum_violations] == always_sites
-        assert all(v.total == F(1, 4) for v in report.sum_violations)
-        odd_sites = [p for p in spec.domain_points() if p.x % 2]
-        assert [e.location for e in report.negative_entries] == odd_sites
-        assert {(e.pattern, e.lag) for e in report.negative_entries} == {(1, 1), (1, 2)}
+        assert report.problems == (
+            "rule #1 (both_odd): negative weight -1/5 at pattern 1, lag 2",
+            "rule #2 (always): weights sum to 1/4, expected 1",
+            "rule #2 (always): negative weight -1/4 at pattern 1, lag 1",
+        )
+
+    def test_every_domain_corner_matches_brute_force(self):
+        # widths and heights 1 to 3 at even and odd corners: the domain's first
+        # 2 x 2 corner is clipped to 1 x 1, 1 x 2, 2 x 1 or 2 x 2 points
+        cases = 0
+        for rules in rule_lists():
+            for x_min, y_min in itertools.product(range(-3, 3), repeat=2):
+                for width, height in itertools.product((1, 2, 3), repeat=2):
+                    domain = LatticeRect(x_min, x_min + width - 1, y_min, y_min + height - 1)
+                    spec = M4Spec.from_rules(1, 1, 2, domain, rules, check=False)
+                    assert validate(spec) == brute_force_validate(spec), (rules, domain)
+                    cases += 1
+        assert cases == (2 * 2**3 + 4 * 2**4) * 36 * 9  # rule lists, corners, sizes
 
     def test_unmatched_bad_rule_not_reported(self):
         rules = (
@@ -451,11 +490,22 @@ class TestValidationOracle:
         assert len(spec.matrices) == 4
         report = validate(spec)
         assert report == brute_force_validate(spec)
-        assert [v.location for v in report.sum_violations] == [P(1, 0), P(3, 0)]
-        assert all(v.total == 0.5 + (0.5 + 2e-12) for v in report.sum_violations)
-        assert [e.location for e in report.negative_entries] == [P(2, 0), P(5, 0)]
+        total = 0.5 + (0.5 + 2e-12)
+        assert report.problems == (
+            f"location (1,0): weights sum to {total}, expected 1",
+            "location (2,0): negative weight -0.25 at pattern 1, lag 2",
+            f"location (3,0): weights sum to {total}, expected 1",
+            "location (5,0): negative weight -0.25 at pattern 1, lag 2",
+        )
         all_float = spec.as_float()
         assert validate(all_float) == brute_force_validate(all_float)
+
+    def test_every_predicate_reads_only_parity(self):
+        # validate finds the rules in use from the domain's first 2 x 2 corner
+        grid = range(-5, 5)
+        for name, predicate in PREDICATES.items():
+            for x, y, a, b in itertools.product(grid, grid, (-2, -1, 1, 2), (-2, -1, 1, 2)):
+                assert predicate(P(x, y)) == predicate(P(x + 2 * a, y + 2 * b)), (name, x, y)
 
 
 def one_rule_doc(predicate, patterns, **fields) -> dict:
@@ -546,7 +596,7 @@ class TestRuleLoading:
         spec = from_json_dict(doc, check=False)
         report = validate(spec)
         assert not report.ok
-        assert str(report) == "weights at (0,0) sum to nan, expected 1"
+        assert str(report) == "rule #0 (always): weights sum to nan, expected 1"
         with raises_exactly(SpecValidationError, str(report)):
             from_json_dict(doc)
 
@@ -576,15 +626,15 @@ class TestSpecRules:
         rules = (PatternRule("always", ((F(2), F(-1)),)),)
         spec = M4Spec.from_rules(1, 1, 2, LatticeRect(0, 0, 0, 0), rules, check=False)
         report = validate(spec)
-        assert str(report) == "negative weight -1 at pattern 1, lag 2, location (0,0)"
+        assert str(report) == "rule #0 (always): negative weight -1 at pattern 1, lag 2"
+        two = ValidationReport(("rule #0 (always): weights sum to 5/4, expected 1",) * 2)
+        assert str(two) == "; ".join(two.problems)
 
     def test_ok_follows_the_entries(self):
         assert ValidationReport().ok is True
         ValidationReport().raise_if_invalid()
-        violation = SumViolation(P(0, 0), F(5, 4))
-        negative = NegativeEntry(1, 2, P(0, 0), F(-1))
-        for report in (ValidationReport((violation,)), ValidationReport((), (negative,))):
-            assert report.ok is False
-            assert str(report) != "valid"
-            with pytest.raises(SpecValidationError):
-                report.raise_if_invalid()
+        report = ValidationReport(("location (0,0): weights sum to 5/4, expected 1",))
+        assert report.ok is False
+        assert str(report) == report.problems[0]
+        with raises_exactly(SpecValidationError, report.problems[0]):
+            report.raise_if_invalid()
