@@ -8,8 +8,8 @@ every downstream index exact) or floats.
 
 Two storage forms are supported: a list of predicate rules evaluated
 first-match-wins over a rectangular domain, and an explicit per-location
-table.  Both compile to one lookup, distinct matrices plus a location-to-row
-index.  The JSON wire format covers the rule form only.
+table.  Both compile to distinct matrices plus a row index, by location or by
+parity class (x mod 2, y mod 2).  The JSON wire format covers the rule form only.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ PatternMatrix = tuple[tuple[Weight, ...], ...]
 
 SUM_TOLERANCE = 1e-12
 
-# `validate` relies on every predicate being a function of (x mod 2, y mod 2):
-# it finds the rules in use from the domain's first 2 x 2 corner alone.
-PREDICATES: dict[str, Callable[[LatticePoint], bool]] = {
-    "always": lambda p: True,
-    "abscissa_even": lambda p: p.x % 2 == 0,
-    "both_odd": lambda p: p.x % 2 == 1 and p.y % 2 == 1,
+# Each predicate is the set of parity classes (x mod 2, y mod 2) that it matches: a rule
+# spec compiles to a row per class, and `validate` meets every rule in use in a 2 x 2 corner.
+PREDICATES: dict[str, frozenset[tuple[int, int]]] = {
+    "always": frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
+    "abscissa_even": frozenset({(0, 0), (0, 1)}),
+    "both_odd": frozenset({(1, 1)}),
 }
 
 
@@ -76,7 +76,7 @@ class PatternRule:
     """One branch of a rule-based specification.
 
     `patterns` holds one row per signature pattern, one column per lag; the
-    rule applies at a location when the named predicate matches it.
+    rule applies at a location whose parity class the named predicate holds.
     """
 
     predicate: str
@@ -89,9 +89,6 @@ class PatternRule:
                 f"expected one of {sorted(PREDICATES)}"
             )
         object.__setattr__(self, "patterns", _normalize_matrix(self.patterns))
-
-    def matches(self, point: LatticePoint) -> bool:
-        return PREDICATES[self.predicate](point)
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,8 @@ class M4Spec:
     Immutable after construction; build through :meth:`from_rules` or
     :meth:`from_table`, which validate weights unless told not to.  Either
     form compiles to `matrices` (rule matrices in rule order, or distinct
-    table matrices in order of first appearance) and :meth:`matrix_index`.
+    table matrices in order of first appearance) and an index to their rows, by
+    table location or by parity class (x mod 2, y mod 2) to its first matching rule.
     """
 
     n_patterns: int
@@ -129,7 +127,7 @@ class M4Spec:
     rules: tuple[PatternRule, ...] | None = None
     table: tuple[tuple[LatticePoint, PatternMatrix], ...] | None = None
     matrices: tuple[PatternMatrix, ...] = field(init=False, repr=False, compare=False)
-    _table_rows: dict | None = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_patterns < 1:
@@ -151,7 +149,9 @@ class M4Spec:
                         f"rule patterns have shape {got}, expected {shape}"
                     )
             object.__setattr__(self, "matrices", tuple(r.patterns for r in self.rules))
-            object.__setattr__(self, "_table_rows", None)
+            object.__setattr__(self, "_index", {  # each parity class to its first rule
+                xy: next(i for i, r in enumerate(self.rules) if xy in PREDICATES[r.predicate])
+                for xy in PREDICATES["always"]})
             return
         assert self.table is not None
         entries = tuple(sorted(self.table, key=lambda e: e[0]))
@@ -169,7 +169,7 @@ class M4Spec:
             rows[point] = distinct.setdefault(repr(matrix), (len(distinct), matrix))[0]
         object.__setattr__(self, "table", entries)
         object.__setattr__(self, "matrices", tuple(m for _, m in distinct.values()))
-        object.__setattr__(self, "_table_rows", rows)
+        object.__setattr__(self, "_index", rows)
 
     # -- construction ------------------------------------------------------
 
@@ -214,22 +214,20 @@ class M4Spec:
         return self.m_max - self.m_min + 1
 
     def domain_points(self) -> tuple[LatticePoint, ...]:
-        if self._table_rows is not None:
-            return tuple(self._table_rows)  # sorted table order
-        assert self.domain is not None
+        if self.rules is None:
+            return tuple(self._index)  # sorted table order
         return tuple(self.domain.points())
 
     def matrix_index(self, point: LatticePoint) -> int:
         """Row of `matrices` holding the weights at `point`; DomainError outside."""
-        if self._table_rows is not None:
-            row = self._table_rows.get(point)
+        if self.rules is None:
+            row = self._index.get(point)
             if row is None:
                 raise DomainError(f"location {point} not in specification table")
             return row
-        assert self.domain is not None and self.rules is not None
         if point not in self.domain:
             raise DomainError(f"location {point} outside domain {self.domain}")
-        return next(i for i, rule in enumerate(self.rules) if rule.matches(point))
+        return self._index[point.x % 2, point.y % 2]
 
     def patterns_at(self, point: LatticePoint) -> PatternMatrix:
         """Weight matrix at `point`; raises DomainError outside the domain."""
@@ -297,16 +295,15 @@ def validate(spec: M4Spec) -> ValidationReport:
     once and reported where the spec writes it: per bad rule as ``rule #i
     (predicate)``, ``i`` its index in the rule list, or per bad table location
     as ``location (x,y)``.  A bad rule that no domain location uses is not
-    reported.  No domain is walked: every predicate reads only (x mod 2,
-    y mod 2), so the domain's first 2 x 2 corner meets every rule in use.
+    reported.  No domain is walked: a rule spec's index is by parity class
+    (x mod 2, y mod 2), so the domain's first 2 x 2 corner meets every rule in use.
     """
     problems = [_matrix_problems(spec, m) for m in spec.matrices]
     if not any(problems):
         return ValidationReport()
-    if spec._table_rows is not None:
-        named = [(f"location {point}", row) for point, row in spec._table_rows.items()]
+    if spec.rules is None:
+        named = [(f"location {point}", row) for point, row in spec._index.items()]
     else:
-        assert spec.domain is not None and spec.rules is not None
         d = spec.domain
         used = {spec.matrix_index(LatticePoint(x, y))
                 for x in range(d.x_min, min(d.x_min + 2, d.x_max + 1))

@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import pickle
+from collections.abc import Mapping
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +28,7 @@ from m4extremes import (
     to_json_dict,
     validate,
 )
+from m4extremes import patterns
 from m4extremes.patterns import as_weight
 from m4extremes.patterns import PREDICATES, ValidationReport, _canonical_dict
 from conftest import raises_exactly, table_spec
@@ -385,6 +389,20 @@ class TestCompiledMatrices:
         )
 
 
+# Each predicate as a test on a point, independent of the parity classes that the
+# package stores; the oracles below evaluate rules through these.
+POINT_PREDICATES = {
+    "always": lambda p: True,
+    "abscissa_even": lambda p: p.x % 2 == 0,
+    "both_odd": lambda p: p.x % 2 == 1 and p.y % 2 == 1,
+}
+
+
+def first_match(rules, point) -> int:
+    """The index of the first rule whose predicate holds at `point`."""
+    return next(i for i, rule in enumerate(rules) if POINT_PREDICATES[rule.predicate](point))
+
+
 def brute_force_validate(spec):
     """Validation by a walk of every domain location.  Each location's matrix is
     found by evaluating the rules or reading the table directly, and re-summed.
@@ -396,7 +414,7 @@ def brute_force_validate(spec):
         if spec.rules is None:
             named[point] = (f"location {point}", table[point])
         else:
-            i = next(i for i, rule in enumerate(spec.rules) if rule.matches(point))
+            i = first_match(spec.rules, point)
             named[i] = (f"rule #{i} ({spec.rules[i].predicate})", spec.rules[i].patterns)
     problems = []
     for key in sorted(named):
@@ -501,11 +519,79 @@ class TestValidationOracle:
         assert validate(all_float) == brute_force_validate(all_float)
 
     def test_every_predicate_reads_only_parity(self):
-        # validate finds the rules in use from the domain's first 2 x 2 corner
+        # validate finds the rules in use from the domain's first 2 x 2 corner: each
+        # predicate is the set of parity classes where its point test holds
         grid = range(-5, 5)
-        for name, predicate in PREDICATES.items():
+        assert set(PREDICATES) == set(POINT_PREDICATES)
+        for name, classes in PREDICATES.items():
+            assert isinstance(classes, frozenset), name
+            holds = {(x % 2, y % 2) for x, y in itertools.product(grid, grid)
+                     if POINT_PREDICATES[name](P(x, y))}
+            assert classes == holds, name
+            rules = (PatternRule(name, ((F(1, 2), F(1, 2)),)), PatternRule("always", ((1, 0),)))
+            spec = M4Spec.from_rules(1, 1, 2, LatticeRect(-9, 9, -9, 9), rules)
             for x, y, a, b in itertools.product(grid, grid, (-2, -1, 1, 2), (-2, -1, 1, 2)):
-                assert predicate(P(x, y)) == predicate(P(x + 2 * a, y + 2 * b)), (name, x, y)
+                assert spec.matrix_index(P(x, y)) == spec.matrix_index(P(x + 2 * a, y + 2 * b))
+
+
+class CountingMapping(Mapping):
+    """A read-only view of a mapping that counts its item reads."""
+
+    def __init__(self, inner):
+        self.inner, self.reads = inner, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.inner[key]
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+
+class TestParityIndex:
+    """A rule spec compiles to a row per parity class; `matrix_index` reads no rule."""
+
+    GRID = [P(x, y) for y in range(-4, 5) for x in range(-4, 5)]  # negatives too
+
+    def test_matrix_index_is_the_first_matching_rule(self):
+        domain = LatticeRect(-4, 4, -4, 4)
+        orders = 0
+        for rules in rule_lists():
+            if any(rule.patterns != GOOD_RULE_WEIGHTS[rule.predicate] for rule in rules):
+                continue  # one weight choice per order: the index reads no weight
+            orders += 1
+            spec = M4Spec.from_rules(1, 1, 2, domain, rules)
+            backwards = dataclasses.replace(spec, rules=rules[-2::-1] + rules[-1:])
+            for copied in (spec, spec.as_float(), dataclasses.replace(spec),
+                           copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+                got = [copied.matrix_index(p) for p in self.GRID]
+                assert got == [first_match(rules, p) for p in self.GRID], rules
+            assert ([backwards.matrix_index(p) for p in self.GRID]
+                    == [first_match(backwards.rules, p) for p in self.GRID])
+        assert orders == 6  # every order of the three predicates, closed by `always`
+
+    def test_lookup_reads_no_predicate(self, monkeypatch):
+        even, odd = GOOD_RULE_WEIGHTS["abscissa_even"], GOOD_RULE_WEIGHTS["both_odd"]
+        domain = LatticeRect(-4, 4, -4, 4)
+        short = M4Spec.from_rules(1, 1, 2, domain, [PatternRule("both_odd", odd),
+                                                    PatternRule("always", odd)])
+        long = M4Spec.from_rules(1, 1, 2, domain, [
+            *(PatternRule(("abscissa_even", "both_odd")[i % 2], (even, odd)[i % 2])
+              for i in range(31)),
+            PatternRule("always", odd),
+        ])
+        assert len(long.rules) == 32
+        counting = CountingMapping(PREDICATES)
+        monkeypatch.setattr(patterns, "PREDICATES", counting)
+        for spec in (short, long):
+            rows = [spec.matrix_index(p) for p in itertools.islice(itertools.cycle(self.GRID), 1000)]
+            assert rows[: len(self.GRID)] == [first_match(spec.rules, p) for p in self.GRID]
+        assert counting.reads == 0
+        assert not hasattr(PatternRule, "matches")
+        assert not any(callable(classes) for classes in PREDICATES.values())
 
 
 def one_rule_doc(predicate, patterns, **fields) -> dict:
