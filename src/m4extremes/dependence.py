@@ -60,9 +60,9 @@ def _ksum(terms: Iterable[Weight]) -> Weight:
 
 
 def _slots(spec: M4Spec, points: Iterable[LatticePoint]):
-    """The rows of `M4Spec._compiled` at `points`, their sum and D: integers summed
-    by `sum` for an exact spec, weights summed by `_ksum` (and D None) otherwise."""
-    scale, rows, _ = spec._compiled
+    """The `M4Spec._compiled` rows at `points` (simulation reads `_floats`), their sum and
+    D: integers summed by `sum` for an exact spec, weights by `_ksum` (and D None) otherwise."""
+    scale, rows = spec._compiled
     return [rows[spec.matrix_index(p)] for p in points], _ksum if scale is None else sum, scale
 
 

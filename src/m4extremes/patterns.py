@@ -153,7 +153,6 @@ class M4Spec:
                 xy: next(i for i, r in enumerate(self.rules) if xy in PREDICATES[r.predicate])
                 for xy in PREDICATES["always"]})
             return
-        assert self.table is not None
         entries = tuple(sorted(self.table, key=lambda e: e[0]))
         rows: dict[LatticePoint, int] = {}
         # keyed by repr, which keeps 1/2 apart from 0.5 and -0.0 apart from 0.0
@@ -219,15 +218,16 @@ class M4Spec:
         return tuple(self.domain.points())
 
     def matrix_index(self, point: LatticePoint) -> int:
-        """Row of `matrices` holding the weights at `point`; DomainError outside."""
+        """Row of `matrices` at `point`; DomainError outside the domain or off the lattice."""
         if self.rules is None:
             row = self._index.get(point)
             if row is None:
                 raise DomainError(f"location {point} not in specification table")
             return row
-        if point not in self.domain:
+        row = self._index.get((point.x % 2, point.y % 2)) if point in self.domain else None
+        if row is None:  # also a point off the integer lattice, in no parity class
             raise DomainError(f"location {point} outside domain {self.domain}")
-        return self._index[point.x % 2, point.y % 2]
+        return row
 
     def patterns_at(self, point: LatticePoint) -> PatternMatrix:
         """Weight matrix at `point`; raises DomainError outside the domain."""
@@ -240,22 +240,26 @@ class M4Spec:
             return tuple(tuple(float(w) for w in row) for row in matrix)
 
         if self.rules is None:
-            assert self.table is not None
             return replace(self, table=tuple((p, conv(m)) for p, m in self.table))
         rules = tuple(PatternRule(r.predicate, conv(r.patterns)) for r in self.rules)
         return replace(self, rules=rules)
 
     @cached_property
-    def _compiled(self) -> tuple[int | None, tuple[tuple, ...], tuple[tuple[float, ...], ...]]:
+    def _compiled(self) -> tuple[int | None, tuple[tuple, ...]]:
         """Each row of `matrices` flattened pattern-major over (pattern, lag) slots, as
         D and integers over D, the lcm of the denominators, when every weight is a
-        `Fraction` (else None and the weights), and in floats, as simulation reads them."""
+        `Fraction`, else None and the weights: the closed forms' rows, built on first use."""
         rows = tuple(sum(matrix, ()) for matrix in self.matrices)
-        floats = tuple(tuple(map(float, row)) for row in rows)
         if not all(isinstance(w, Fraction) for row in rows for w in row):
-            return None, rows, floats
+            return None, rows
         scale = math.lcm(*(w.denominator for row in rows for w in row))
-        return scale, tuple(tuple(int(w * scale) for w in row) for row in rows), floats
+        return scale, tuple(tuple(int(w * scale) for w in row) for row in rows)
+
+    @cached_property
+    def _floats(self) -> tuple[tuple[float, ...], ...]:
+        """Each row of `matrices` flattened pattern-major, in floats, as simulation
+        reads them; built on first use, and never for a spec that is only validated."""
+        return tuple(tuple(map(float, sum(matrix, ()))) for matrix in self.matrices)
 
     def fingerprint(self) -> str:
         """Stable 64-bit content hash of the specification (hex)."""
@@ -384,10 +388,8 @@ def _encode_matrix(matrix: PatternMatrix) -> list[list[str | float]]:
 def _canonical_dict(spec: M4Spec) -> dict:
     doc: dict = {"L": spec.n_patterns, "m_min": spec.m_min, "m_max": spec.m_max}
     if spec.rules is None:
-        assert spec.table is not None
         doc["table"] = [[p.x, p.y, _encode_matrix(m)] for p, m in spec.table]
         return doc
-    assert spec.domain is not None
     doc["domain"] = asdict(spec.domain)  # x_min, x_max, y_min, y_max
     doc["rules"] = [
         {"predicate": r.predicate, "patterns": _encode_matrix(r.patterns)}

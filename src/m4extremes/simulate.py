@@ -141,7 +141,7 @@ def simulate_m4(
     points = region.points
     distinct: dict[int, int] = {}  # row of spec.matrices -> row of the sample
     row_of = [distinct.setdefault(spec.matrix_index(p), len(distinct)) for p in points]
-    weights = np.array([spec._compiled[2][row] for row in distinct])  # pattern-major, as drawn
+    weights = np.array([spec._floats[row] for row in distinct])  # pattern-major, as drawn
     draws_per_row = weights.shape[1]
     seed = seed & U64_MASK
 
@@ -245,13 +245,21 @@ def read_sample_csv(
     """Rebuild a FieldSample from the long-format CSV (and optional sidecar).
 
     Replicates are sorted and locations keep their order of first appearance.
-    The grammar is that of `_read_rows`, one row at a time.  A file in the
-    writer's layout is read in one `np.loadtxt` pass instead (`_bulk_table`);
-    any other file is read row by row, slower, which names its first bad line.
+    The grammar is that of `_read_rows`, one row at a time.  The file is opened
+    and its header checked once; a file in the writer's layout is read in one
+    `np.loadtxt` pass instead (`_bulk_table`), any other again from the start of
+    the same handle, row by row, slower, which names its first bad line.
     In a sidecar, `seed` is a JSON integer or null, `spec_fingerprint` a string
     or null, and `n`, if present, the CSV's replicate count.
     """
-    locations, rows = _bulk_table(path) or _read_rows(path)
+    with _open_csv(path) as fh:
+        if [h.strip() for h in next(_csv_rows(path, fh), [])] != _SAMPLE_HEADER:
+            raise ParseError(f"{path}: expected header replicate,x,y,value")
+        table = _bulk_table(_bulk_rows(path, fh, _SAMPLE_ROW, usecols=range(4)))
+        if table is None:  # another layout, or a bad row: read again row by row
+            fh.seek(0)
+            table = _read_rows(path, _csv_rows(path, fh))
+    locations, rows = table
     meta = {}
     if metadata_path is not None:
         try:
@@ -279,16 +287,11 @@ def _provenance(seed, spec_fingerprint) -> None:
         raise ArgumentError(f"'spec_fingerprint' must be a string, got {spec_fingerprint!r}")
 
 
-def _bulk_table(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray] | None:
-    """The sample's locations and rows from one `np.loadtxt` pass over a file
-    in `write_sample_csv`'s layout: equal blocks of rows, one replicate each and
-    in increasing order, each holding the first block's distinct locations in its
-    order.  None for any other file, and when the header is not the sample's or
-    the pass rejects the file or finds no data rows."""
-    with _open_csv(path) as fh:
-        if not _header_ok(next(_csv_rows(path, fh), None)):
-            return None
-        rows = _bulk_rows(path, fh, _SAMPLE_ROW, usecols=range(4))
+def _bulk_table(rows: np.ndarray | None) -> tuple[tuple[LatticePoint, ...], np.ndarray] | None:
+    """The sample's locations and rows from `_bulk_rows`' rows in `write_sample_csv`'s
+    layout: equal blocks of rows, one replicate each and in increasing order, each
+    holding the first block's distinct locations in its order.  None for rows in any
+    other layout, for no rows, and for None, a file that the pass refused."""
     if rows is None or not len(rows):
         return None
     k = int(np.argmax(rows["replicate"] != rows["replicate"][0])) or len(rows)
@@ -303,37 +306,33 @@ def _bulk_table(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]
     return locations, np.ascontiguousarray(cells.T)  # one row per location
 
 
-def _read_rows(path: str | Path) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
-    """The sample's locations and rows, read one `csv.reader` row and one
+def _read_rows(path: str | Path, reader) -> tuple[tuple[LatticePoint, ...], np.ndarray]:
+    """The sample's locations and rows after the header, read from `reader`, a
+    `_csv_rows` reader from the start of the file, one `csv.reader` row and one
     `int`/`float` call at a time: the grammar of the sample CSV.
 
     The first bad line in file order is named: malformed, then a bad value,
     then a repeated cell.  Then come the checks on the whole file: no data
     rows, then the first replicate (in sorted order) that misses a location.
     """
-    with _open_csv(path) as fh:
-        reader = _csv_rows(path, fh)
-        if not _header_ok(next(reader, None)):
-            raise ParseError(f"{path}: expected header replicate,x,y,value")
-        replicates: dict[int, dict[LatticePoint, float]] = {}
-        locations: dict[LatticePoint, None] = {}  # in order of first appearance
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rep, point = int(row[0]), LatticePoint(int(row[1]), int(row[2]))
-                value = float(row[3])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if value <= 0 or not math.isfinite(value):
-                raise ParseError(
-                    f"{path}:{lineno}: field value must be positive and finite"
-                )
-            cells = replicates.setdefault(rep, {})
-            if point in cells:
-                raise ParseError(f"{path}:{lineno}: duplicate cell {point}")
-            cells[point] = value
-            locations.setdefault(point)
+    next(reader)  # the header
+    replicates: dict[int, dict[LatticePoint, float]] = {}
+    locations: dict[LatticePoint, None] = {}  # in order of first appearance
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            rep, point = int(row[0]), LatticePoint(int(row[1]), int(row[2]))
+            value = float(row[3])
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        if value <= 0 or not math.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: field value must be positive and finite")
+        cells = replicates.setdefault(rep, {})
+        if point in cells:
+            raise ParseError(f"{path}:{lineno}: duplicate cell {point}")
+        cells[point] = value
+        locations.setdefault(point)
     if not replicates:
         raise ParseError(f"{path}: no data rows")
     k = len(locations)
@@ -408,7 +407,3 @@ def _bulk_safe(data: bytes, start: int) -> bool:
         any(data.find(c, i, i + block) >= 0 for c in b",\r\n")
         for i in range(start, len(data) - block + 1, block)
     )
-
-
-def _header_ok(header: list[str] | None) -> bool:
-    return header is not None and [h.strip() for h in header] == _SAMPLE_HEADER

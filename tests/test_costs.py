@@ -9,6 +9,7 @@ as long as the work it was meant to avoid.
 
 import json
 
+import numpy as np
 import pytest
 
 from m4extremes import LatticePoint, LatticeRect, M4Spec, Region, contagion_index_region
@@ -213,3 +214,43 @@ class TestRegionEstimatorIsLinear:
             assert sum(gathered) == len(given) + 2 * len(region)
             counts.append(sum(gathered))
         assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
+
+
+class TestIntegerPassIsLinear:
+    """`estimate._max_sums` gathers each replicate of its rows once, a chunk at a time
+    (`estimate`): the cells gathered grow linearly in the replicates."""
+
+    def gathers(self, monkeypatch, n: int) -> list[int]:
+        """The cells of each gather that `estimate_summary` makes from the scores' rows
+        at `n` replicates of the ring, a row per location."""
+        cells, source = [], None
+        max_sums = estimate._max_sums
+
+        class Source(np.ndarray):  # counts its own gathers, not those of a block's views
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                if self is source:
+                    cells.append(out.size)
+                return out
+
+        def counting(rows, base, extras):
+            nonlocal source
+            source = rows.view(Source)
+            return max_sums(source, base, extras)
+
+        sample = simulate_m4(preset("one-pattern"), Region([SITE]).union(window(1)), n, 7)
+        scores = scores_from_matrix(sample.values, sample.locations)
+        assert len(scores._rows) == 9
+        with monkeypatch.context() as patch:
+            patch.setattr(estimate, "_max_sums", counting)
+            estimate_summary(scores, window(1), SITE)
+        return cells
+
+    def test_each_replicate_is_gathered_once(self, monkeypatch):
+        # a step of 2^18 // 11 = 23,831 replicates for 9 rows: 2, 3 and 5 chunks
+        sizes = (25_000, 50_000, 100_000)
+        gathers = [self.gathers(monkeypatch, n) for n in sizes]
+        assert [len(g) for g in gathers] == [2, 3, 5]
+        totals = [sum(g) for g in gathers]
+        assert totals == [9 * n for n in sizes]
+        assert all(b <= 2.2 * a for a, b in zip(totals, totals[1:])), totals

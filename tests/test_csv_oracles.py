@@ -893,7 +893,7 @@ def test_sample_reader_reads_rows_only_outside_the_writer_layout(tmp_path, monke
     real_loadtxt, real_read_rows = np.loadtxt, simulate_module._read_rows
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or real_loadtxt(*a, **k))
     monkeypatch.setattr(simulate_module, "_read_rows",
-                        lambda path: reads.append(1) or real_read_rows(path))
+                        lambda path, reader: reads.append(1) or real_read_rows(path, reader))
     path = tmp_path / "s.csv"
     for name, sample in WRITER_SAMPLES.items():
         for written in (sample, FieldSample(sample.locations, sample.values)):
@@ -910,6 +910,36 @@ def test_sample_reader_reads_rows_only_outside_the_writer_layout(tmp_path, monke
         new = _outcome(read_sample_csv, _write(path, text))
         assert (parses, reads) == ([1], [] if in_layout else [1]), name
         assert _same_sample(new, _outcome(oracle_read_sample_csv, path)), name
+
+
+def test_sample_reader_opens_its_file_once(tmp_path, monkeypatch):
+    # one text open and one header check per read; a file that the bulk pass refuses
+    # is read again from the start of that handle, and a bad header stops the read
+    # before the bulk pass reads the bytes
+    opens, byte_reads = [], []
+    real_open, real_read_bytes = simulate_module._open_csv, Path.read_bytes
+    monkeypatch.setattr(simulate_module, "_open_csv",
+                        lambda path: opens.append(1) or real_open(path))
+    monkeypatch.setattr(Path, "read_bytes",
+                        lambda self: byte_reads.append(1) or real_read_bytes(self))
+    lines = "\n".join(_BASE[1:]) + "\n"
+    files = {  # name: (text, text opens, bytes reads)
+        "writer layout": (f"{_BASE[0]}\n{lines}", 1, 1),
+        "reordered": (_layout_samples()["permuted blocks"][0], 1, 1),
+        "bad value": (f"{_BASE[0]}\n{lines.replace('1e-3', 'NA')}", 1, 1),
+        "bad header": (f"replicate,x,y,val\n{lines}", 1, 0),
+    }
+    path = tmp_path / "s.csv"
+    for name, (text, text_opens, bytes_reads) in files.items():
+        old = _outcome(oracle_read_sample_csv, _write(path, text))
+        for bom in ("", "\ufeff"):  # the reader skips a BOM, on each read; the oracle reads none
+            _write(path, bom + text)
+            opens.clear()
+            byte_reads.clear()
+            new = _outcome(read_sample_csv, path)
+            assert (len(opens), len(byte_reads)) == (text_opens, bytes_reads), (name, bom)
+            assert _same_sample(new, old), (name, bom, new, old)
+    assert str(new) == f"{path}: expected header replicate,x,y,value"
 
 
 @pytest.mark.parametrize("write", [write_sample_csv, field_sample_to_station_csv])

@@ -7,6 +7,7 @@ import math
 import pickle
 from collections.abc import Mapping
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
@@ -18,6 +19,7 @@ from m4extremes import (
     M4Spec,
     ParseError,
     PatternRule,
+    Region,
     SpecValidationError,
     dump_spec,
     from_json_dict,
@@ -25,6 +27,7 @@ from m4extremes import (
     neighbors,
     preset,
     simulate_m4,
+    summarize,
     to_json_dict,
     validate,
 )
@@ -87,6 +90,29 @@ class TestCoefficientLookup:
             one_pattern_spec.patterns_at(P(99, 0))
         with pytest.raises(DomainError):
             one_pattern_spec.patterns_at(P(0, -99))
+
+    @pytest.mark.parametrize("point", [P(0.5, 0), P(1, F(1, 2))], ids=str)
+    def test_point_off_the_lattice_raises(self, one_pattern_spec, point):
+        # in no parity class: a DomainError naming the point, never a bare KeyError
+        message = f"location {point} outside domain {one_pattern_spec.domain}"
+        calls = (
+            lambda: one_pattern_spec.matrix_index(point),
+            lambda: one_pattern_spec.patterns_at(point),
+            lambda: summarize(one_pattern_spec, neighbors(P(0, 0)), point),
+            lambda: simulate_m4(one_pattern_spec, [P(0, 0), point], 5, 1),
+        )
+        for call in calls:
+            with raises_exactly(DomainError, message):
+                call()
+        table = M4Spec.from_table(1, 1, 2, {P(0, 0): [[F(1, 2), F(1, 2)]]})
+        with raises_exactly(DomainError, f"location {point} not in specification table"):
+            table.matrix_index(point)
+
+    def test_integral_values_keep_their_row(self, one_pattern_spec):
+        assert one_pattern_spec.matrix_index(P(2.0, 3.0)) == 0
+        assert one_pattern_spec.matrix_index(P(F(3), -1.0)) == 1
+        table = M4Spec.from_table(1, 1, 2, {P(0, 0): [[F(1, 2), F(1, 2)]]})
+        assert table.matrix_index(P(0.0, F(0))) == 0
 
     def test_first_matching_rule_wins(self, one_pattern_spec):
         assert one_pattern_spec.patterns_at(P(4, 3))[0][0] == F(4, 5)
@@ -367,26 +393,69 @@ class TestCompiledMatrices:
         assert math.copysign(1, spec.patterns_at(P(3, 0))[0][0]) == -1
         assert not all_fractions(spec)
 
+    FORMS = {  # each form of the one-pattern preset's rows: the closed forms' and simulation's
+        "_compiled": (20, ((16, 4), (5, 15))),
+        "_floats": ((0.8, 0.2), (0.25, 0.75)),
+    }
+
     def test_weights_compile_once_on_first_use(self):
-        spec = preset("one-pattern")  # built and validated: nothing compiled yet
-        assert "_compiled" not in vars(spec)
-        compiled = spec._compiled
-        assert compiled == (20, ((16, 4), (5, 15)), ((0.8, 0.2), (0.25, 0.75)))
-        assert spec._compiled is compiled
-        assert "_compiled" not in vars(spec.as_float())  # a copy compiles on its own
+        for name, form in self.FORMS.items():
+            spec = preset("one-pattern")  # built and validated: nothing compiled yet
+            assert not set(self.FORMS) & set(vars(spec))
+            built = getattr(spec, name)
+            assert built == form
+            assert getattr(spec, name) is built
+            assert set(self.FORMS) & set(vars(spec)) == {name}  # the other form waits
+            for copy_ in (spec.as_float(), dataclasses.replace(spec)):
+                assert name not in vars(copy_)  # a copy builds its own
+                assert getattr(copy_, name) is not built
 
     def test_float_and_mixed_specs_keep_their_weights(self):
-        spec = M4Spec.from_table(
+        mixed = M4Spec.from_table(
             1, 1, 2, {P(0, 0): [[F(1, 3), F(2, 3)]], P(1, 0): [[0.5, 0.5]]}
         )
-        assert spec._compiled == (
-            None, ((F(1, 3), F(2, 3)), (0.5, 0.5)), ((1 / 3, 2 / 3), (0.5, 0.5))
-        )
+        assert mixed._compiled == (None, ((F(1, 3), F(2, 3)), (0.5, 0.5)))
+        assert mixed._floats == ((1 / 3, 2 / 3), (0.5, 0.5))
         floats = preset("two-pattern").as_float()
-        assert floats._compiled[0] is None
-        assert floats._compiled[1] == floats._compiled[2] == tuple(
-            sum(matrix, ()) for matrix in floats.matrices
+        assert floats._compiled == (None, tuple(sum(matrix, ()) for matrix in floats.matrices))
+        for spec in (mixed, floats, preset("one-pattern"), preset("two-pattern"), table_spec(5)):
+            assert spec._floats == tuple(
+                tuple(float(w) for w in sum(matrix, ())) for matrix in spec.matrices
+            )
+            assert all(type(w) is float for row in spec._floats for w in row)
+
+    def test_validate_builds_no_float_rows(self):
+        # a weight past the float range is reported, not converted: `_floats` stays unbuilt
+        doc = {"L": 1, "m_min": 1, "m_max": 2,
+               "domain": {"x_min": 0, "x_max": 3, "y_min": 0, "y_max": 3},
+               "rules": [{"predicate": "always", "patterns": [[f"{10 ** 400}/1", "0"]]}]}
+        spec = from_json_dict(doc, check=False)
+        with pytest.raises(OverflowError):
+            float(spec.matrices[0][0][0])
+        assert str(validate(spec)) == f"rule #0 (always): weights sum to {10 ** 400}, expected 1"
+        assert "_floats" not in vars(spec)
+
+    def test_simulation_builds_no_exact_compile(self, monkeypatch):
+        # weights (1/q, 1 - 1/q) with a distinct odd prime q at each of 31 x 31 locations:
+        # the exact compile scales every weight over the product of 961 primes
+        builds = []
+        compile_ = M4Spec._compiled.func
+        counting = cached_property(lambda spec: builds.append(1) or compile_(spec))
+        counting.__set_name__(M4Spec, "_compiled")
+        monkeypatch.setattr(M4Spec, "_compiled", counting)
+        points = [P(x, y) for x in range(31) for y in range(31)]
+        primes = [q for q in range(3, 8000, 2) if all(q % d for d in range(3, math.isqrt(q) + 1))]
+        spec = M4Spec.from_table(
+            1, 1, 2, {p: [[F(1, q), 1 - F(1, q)]] for p, q in zip(points, primes)}
         )
+        assert len(spec.matrices) == 961
+        site = P(15, 15)
+        sample = simulate_m4(spec, Region([site]).union(neighbors(site)), 10, 1)
+        assert sample.n == 10 and len(spec._floats) == 961
+        assert "_compiled" not in vars(spec) and builds == []
+        first = summarize(spec, neighbors(site), site)
+        assert summarize(spec, neighbors(site), site) == first
+        assert builds == [1]
 
 
 # Each predicate as a test on a point, independent of the parity classes that the
